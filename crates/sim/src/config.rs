@@ -121,8 +121,7 @@ pub struct SimConfig {
     /// detector distorts only hook perception (its own seeded RNG lane),
     /// never the world's dispatch or migration legality. Mutually
     /// exclusive with autoscaling (the autoscaler already owns the
-    /// warming/draining status channel) and unsupported by the LP engine
-    /// in v1.
+    /// warming/draining status channel).
     pub detector: Option<FailureDetector>,
     /// Elastic capacity: the autoscaler's knobs ([`crate::autoscale`]).
     /// `None` — the default everywhere — disables the subsystem and
@@ -130,15 +129,6 @@ pub struct SimConfig {
     /// Mutually exclusive with a non-empty fault plan: kill/restore and
     /// join/drain are separate membership experiments.
     pub autoscale: Option<AutoscaleConfig>,
-    /// Number of logical processes the run is sharded into. `0` (the
-    /// default) selects the serial engine — bit-identical to every
-    /// previous release. Any value ≥ 1 selects the sharded LP engine
-    /// ([`crate::lp`]), whose reports are byte-identical for every shard
-    /// count and executor but differ from the serial engine's (cross-shard
-    /// messages carry an explicit hop latency the serial engine does not
-    /// model). Only replication-1, fault-free, non-reissuing runs are
-    /// supported by the LP engine.
-    pub shards: usize,
     /// Tail-attribution observability ([`crate::observe`]). `None` — the
     /// default everywhere — disables the layer and leaves the run
     /// byte-identical to a build without it. When set, the run gains
@@ -146,7 +136,7 @@ pub struct SimConfig {
     /// scheduler decision audit in
     /// [`RunReport::observe`](crate::RunReport::observe); the simulated
     /// trajectory is unchanged (the layer consumes no randomness and
-    /// schedules no events). Not supported by the LP engine in v1.
+    /// schedules no events).
     pub observe: Option<ObserveConfig>,
 }
 
@@ -187,7 +177,6 @@ impl SimConfig {
             failover: FailoverPolicy::default(),
             detector: None,
             autoscale: None,
-            shards: 0,
             observe: None,
         }
     }
@@ -261,12 +250,6 @@ impl SimConfig {
                 .iter()
                 .all(|s| s.count <= u16::MAX as usize),
             "stages are limited to 65535 partitions"
-        );
-        assert!(
-            self.shards <= self.node_count,
-            "shard count ({}) cannot exceed the node count ({})",
-            self.shards,
-            self.node_count
         );
         assert!(!self.horizon.is_zero(), "horizon must be non-zero");
         assert!(

@@ -57,7 +57,6 @@ pub mod config;
 pub mod engine;
 pub mod faults;
 pub mod ground_truth;
-pub mod lp;
 pub mod metrics;
 pub mod observe;
 pub mod placement;
@@ -71,7 +70,6 @@ pub use config::{DeploymentConfig, PlacementStrategy, SimConfig};
 pub use engine::{Event, EventQueue};
 pub use faults::{FailoverPolicy, FailureDetector, FaultEvent, FaultKind, FaultPlan, NodeStatus};
 pub use ground_truth::GroundTruth;
-pub use lp::{LpExecutor, LpSimulation, HOP_US};
 pub use metrics::{FaultReport, FaultStats, RunReport, TechniqueStats};
 pub use observe::{
     AuditDecision, BlameShare, IntervalAudit, ObserveConfig, ObserveReport, RequestTimeline,

@@ -37,7 +37,7 @@ struct CtxBuffers {
 
 /// The empty [`SchedulerContext`] handed (in debug builds) to hooks that
 /// declared they ignore their input, to assert they really do.
-pub(crate) fn empty_context(now: SimTime) -> SchedulerContext<'static> {
+fn empty_context(now: SimTime) -> SchedulerContext<'static> {
     SchedulerContext {
         now,
         components: &[],

@@ -11,8 +11,8 @@
 
 use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, HierarchicalScheduler, MatrixConfig,
-    MatrixInputs, MigrationDecision, NodeInput, PerformanceMatrix, PredictionMode, ScheduleOutcome,
-    SchedulerConfig, ThresholdPolicy,
+    MatrixInputs, MigrationDecision, NodeInput, PerformanceMatrix, PredictionMode, SchedulerConfig,
+    ThresholdPolicy,
 };
 use pcs_monitor::SamplerConfig;
 use pcs_queueing::distributions::{LogNormal, ServiceDistribution};
@@ -154,8 +154,6 @@ pub struct PcsController {
     /// The audit of the interval that just ran, awaiting collection via
     /// [`SchedulerHook::take_interval_audit`].
     pending_audit: Option<IntervalAudit>,
-    /// Outcomes of every interval, newest last (diagnostics).
-    history: Vec<ScheduleOutcome>,
 }
 
 impl PcsController {
@@ -187,7 +185,6 @@ impl PcsController {
             audit_enabled: audit_print,
             audit_print,
             pending_audit: None,
-            history: Vec::new(),
         }
     }
 
@@ -297,16 +294,6 @@ impl PcsController {
         };
         let (models, _report) = pcs_core::train_class_models(&class_sets, config, 0.0)?;
         Ok(models)
-    }
-
-    /// Scheduling outcomes of every interval so far (newest last).
-    pub fn history(&self) -> &[ScheduleOutcome] {
-        &self.history
-    }
-
-    /// Total migrations ordered across all intervals.
-    pub fn total_migrations(&self) -> usize {
-        self.history.iter().map(|o| o.decisions.len()).sum()
     }
 
     /// Converts one interval's monitoring context into matrix inputs.
@@ -604,7 +591,6 @@ impl PcsController {
             })
             .collect();
         self.record_audit(ctx, predicted_overall, &outcome.decisions);
-        self.history.push(outcome);
         migrations
     }
 }
@@ -655,7 +641,6 @@ impl SchedulerHook for PcsController {
             })
             .collect();
         self.record_audit(ctx, predicted_overall, &outcome.decisions);
-        self.history.push(outcome);
         migrations
     }
 

@@ -15,7 +15,7 @@
 use crate::controller::PcsController;
 use crate::techniques::{TechniqueEnv, TechniqueRef, TechniqueSpec};
 use pcs_core::ClassModelSet;
-use pcs_sim::{DeploymentConfig, LpSimulation, RunReport, SimConfig, Simulation};
+use pcs_sim::{DeploymentConfig, RunReport, SimConfig, Simulation};
 use pcs_types::NodeCapacity;
 use pcs_workloads::ServiceTopology;
 
@@ -54,14 +54,8 @@ pub fn run_cell_with_epsilon(
         models,
         epsilon_secs,
     };
-    // `shards = 0` is the serial engine (historical bytes); `shards >= 1`
-    // selects the sharded LP engine, whose reports are byte-identical for
-    // any shard count but are a distinct pinned trajectory.
-    let mut report = if config.shards >= 1 {
-        LpSimulation::new(config, technique.make_policy(), technique.make_hook(&env)).run()
-    } else {
-        Simulation::new(config, technique.make_policy(), technique.make_hook(&env)).run()
-    };
+    let mut report =
+        Simulation::new(config, technique.make_policy(), technique.make_hook(&env)).run();
     report.technique = technique.name();
     report
 }

@@ -124,54 +124,6 @@ fn scale_knobs_are_rejected_on_other_scenarios() {
 }
 
 #[test]
-fn zero_and_malformed_shards_are_rejected() {
-    // `--shards 0` is ambiguous (the serial engine is spelled by omitting
-    // the flag), so the CLI rejects it instead of guessing.
-    rejected_with(
-        &["run", "--scenario", "scale", "--shards", "0"],
-        "at least 1",
-    );
-    rejected_with(
-        &["run", "--scenario", "scale", "--shards", "many"],
-        "--shards",
-    );
-}
-
-#[test]
-fn shards_beyond_the_smallest_cluster_are_rejected() {
-    // Every shard owns at least one node; a 9-way split of an 8-node
-    // cluster is caught when the scale plan is built.
-    rejected_with(
-        &[
-            "run",
-            "--scenario",
-            "scale",
-            "--smoke",
-            "--sizes",
-            "8",
-            "--shards",
-            "9",
-        ],
-        "cannot exceed the smallest cluster size",
-    );
-}
-
-#[test]
-fn shards_are_rejected_on_scenarios_that_do_not_thread_the_knob() {
-    // Only the scale scenario routes `SweepParams::shards` into its sim
-    // configs; silently ignoring the flag elsewhere would claim an LP run
-    // that never happened.
-    rejected_with(
-        &["run", "--scenario", "fig6", "--shards", "2"],
-        "applies to: scale",
-    );
-    rejected_with(
-        &["run", "--scenario", "failures", "--shards", "4"],
-        "applies to: scale",
-    );
-}
-
-#[test]
 fn out_of_range_autoscaler_knobs_are_rejected() {
     // The autoscaler's control-loop knobs are validated at parse time,
     // before any model training: a target utilisation outside (0, 1] or
@@ -222,17 +174,6 @@ fn autoscaler_knobs_are_rejected_on_non_elastic_scenarios() {
     rejected_with(
         &["run", "--scenario", "failures", "--cooldown", "4"],
         "apply to: elastic",
-    );
-}
-
-#[test]
-fn shards_are_rejected_on_the_elastic_scenario() {
-    // Membership churn is outside the LP engine's v1 scope (the engine
-    // itself panics on an autoscale config), so the CLI refuses the
-    // combination up front like every other shards-less scenario.
-    rejected_with(
-        &["run", "--scenario", "elastic", "--shards", "2"],
-        "applies to: scale",
     );
 }
 
@@ -403,21 +344,6 @@ fn observe_is_rejected_on_wall_clock_scenarios() {
 }
 
 #[test]
-fn observe_is_rejected_with_the_sharded_engine() {
-    // The LP engine rejects observe configs (cross-shard timelines are
-    // outside its v1 scope); the CLI refuses the combination up front.
-    rejected_with(
-        &["run", "--scenario", "scale", "--shards", "2", "--observe"],
-        "--observe cannot combine with --shards",
-    );
-    // Flag order must not matter.
-    rejected_with(
-        &["run", "--scenario", "scale", "--observe", "--shards", "2"],
-        "--observe cannot combine with --shards",
-    );
-}
-
-#[test]
 fn bench_knobs_are_validated() {
     rejected_with(&["bench", "--threads", "0"], "at least 1");
     rejected_with(&["bench", "--repeats", "0"], "at least 1");
@@ -433,7 +359,7 @@ fn bench_knobs_are_validated() {
 fn bench_check_rejects_a_partial_report() {
     // --check demands coverage of every registered family; an empty JSON
     // object parses but covers nothing.
-    let dir = std::env::temp_dir().join("pcs-bench-check-test");
+    let dir = std::env::temp_dir().join("pcs-check-partial-report");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("partial.json");
     std::fs::write(&path, "{\"schema\":\"pcs-bench/1\",\"scenarios\":[]}\n").unwrap();

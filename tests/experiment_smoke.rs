@@ -1,7 +1,7 @@
 //! Fast smoke tests for the experiment pipeline: each figure driver runs
 //! end to end on a tiny topology / short horizon so its code path is
 //! exercised in the `#[test]` tier without the paper-scale budgets the
-//! `pcs-bench` binaries use. These assert structure and sanity, not the
+//! full scenarios use. These assert structure and sanity, not the
 //! paper's numbers — `tests/end_to_end.rs` owns the qualitative claims.
 
 use pcs::experiments::{fig5, fig6, fig7};

@@ -236,65 +236,6 @@ fn observed_fig6_smoke_report_is_thread_invariant_and_pinned() {
     );
 }
 
-fn render_scale_with_shards(shards: usize, threads: usize) -> String {
-    let scenario = scenarios::find("scale").expect("scenario registered");
-    let params = SweepParams {
-        seed: scenario.default_seed(),
-        threads,
-        smoke: true,
-        shards: Some(shards),
-        ..SweepParams::default()
-    };
-    let plan = scenario.plan(&params);
-    run_sweep(&plan, &params).to_json("scale", &params).render()
-}
-
-/// Erases the shard-count provenance keys so reports from different shard
-/// counts can be compared byte for byte: the count appears in exactly two
-/// places (the per-cell `shards` coordinate and the top-level
-/// `shards_override`), and everything else must be invariant.
-fn normalize_shards(report: &str, shards: usize) -> String {
-    report
-        .replace(&format!("\"shards\":{shards}"), "\"shards\":S")
-        .replace(
-            &format!("\"shards_override\":{shards}"),
-            "\"shards_override\":S",
-        )
-}
-
-/// The sharded LP engine's acceptance property (and its cross-PR pin):
-/// the scale smoke report is byte-identical for every shard count — the
-/// partition of the cluster into logical processes and the number of
-/// worker threads executing them are both unobservable — and the bytes
-/// themselves are pinned from the engine's first release. The LP
-/// trajectory is deliberately distinct from the serial engine's (shared
-/// global RNG order cannot be sharded), so it gets its own hash, not
-/// `scale_smoke_report_bytes_are_pinned`'s.
-#[test]
-fn scale_lp_smoke_report_is_shard_count_invariant_and_pinned() {
-    let base = normalize_shards(&render_scale_with_shards(1, 2), 1);
-    for shards in [2usize, 4] {
-        let other = normalize_shards(&render_scale_with_shards(shards, 2), shards);
-        assert_eq!(
-            base.as_bytes(),
-            other.as_bytes(),
-            "scale LP report must not depend on the shard count (shards={shards})"
-        );
-    }
-    // Thread-count invariance on top: the sweep runner's work stealing
-    // and the LP engine's executor choice both leave the bytes alone.
-    assert_eq!(
-        render_scale_with_shards(2, 2).as_bytes(),
-        render_scale_with_shards(2, 1).as_bytes(),
-        "scale LP report must not depend on the sweep thread count"
-    );
-    assert_eq!(
-        fnv1a(base.as_bytes()),
-        0x0109_4f6b_0a8a_0c2f,
-        "scale LP smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
 #[test]
 fn different_seeds_change_the_report() {
     let scenario = scenarios::find("diurnal").unwrap();
