@@ -25,7 +25,7 @@
 //! heterogeneous clusters are handled correctly.
 
 use crate::inputs::MatrixInputs;
-use crate::predictor::{ClassModelSet, LatencyPredictor, PredictionMode};
+use crate::predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
 use crate::service::StageLatencyIndex;
 use pcs_queueing::SaturationPolicy;
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -101,15 +101,98 @@ pub struct BestEntry {
 /// class indices — none exist in current topologies — just skip the memo).
 const CLASS_MEMO: usize = 8;
 
+/// Matrix entries a rebuild worker must be given before it is worth a
+/// thread. An entry costs ~0.2 µs, so a worker's share is at least ~6.5 ms
+/// and a spawn (tens of µs) stays under 5% of it.
+const MIN_ENTRIES_PER_WORKER: usize = 32_768;
+
 /// One hypothetical node state under evaluation: see
-/// [`PerformanceMatrix::what_if`].
-#[derive(Debug, Clone)]
+/// [`PerformanceMatrix::prepare_what_if`].
+#[derive(Debug, Default)]
 struct NodeWhatIf {
     mean_u: ContentionVector,
     /// Shifted sample window ([`PredictionMode::PerSample`] only).
     shifted: Vec<ContentionVector>,
     /// Per-class memo of the Eq. 1 service profile under this state.
-    profiles: [Option<crate::predictor::ServiceProfile>; CLASS_MEMO],
+    profiles: [Option<ServiceProfile>; CLASS_MEMO],
+}
+
+/// The evaluation caches of one thread (see
+/// [`PerformanceMatrix::evaluate_migration`]). Pure caching: entries are
+/// bit-identical whatever the caches hold, so each rebuild worker keeps its
+/// own and none is shared.
+///
+/// Workers' scratches sit side by side in the pool and are written on
+/// every entry, so each starts on its own 128-byte pair of cache lines:
+/// without the alignment, false sharing made two workers slower than one.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct EvalScratch {
+    /// Memoised *current-state* what-if per node (the Table III row-1
+    /// evaluation every matrix row repeats against the same destination);
+    /// `current_valid[j]` is cleared whenever node `j`'s demand changes.
+    current: Vec<NodeWhatIf>,
+    current_valid: Vec<bool>,
+    /// The row whose origin-side overrides `origin_overrides` holds.
+    row: Option<ComponentId>,
+    /// Table III row 2 of `row`: each origin co-resident with its latency
+    /// under `U − U_cᵢ`, the same for every destination column of the row.
+    origin_overrides: Vec<(ComponentId, f64)>,
+    /// Buffer for the hypothetical origin or destination state in use.
+    hypothetical: NodeWhatIf,
+    /// The override list of the entry being evaluated.
+    overrides: Vec<(ComponentId, f64)>,
+}
+
+impl EvalScratch {
+    /// Sizes the per-node memo for `k` nodes.
+    fn fit(&mut self, k: usize) {
+        self.current.resize_with(k, NodeWhatIf::default);
+        self.current_valid.resize(k, false);
+    }
+}
+
+/// One [`EvalScratch`] per rebuild worker; the first also serves the serial
+/// paths (Algorithm 2 and the partial refresh). The matrix owns the pool and
+/// the calling thread sizes it, so workers neither allocate nor free.
+#[derive(Debug, Default)]
+struct ScratchPool(Vec<EvalScratch>);
+
+impl Clone for ScratchPool {
+    /// A pool of one empty scratch of the same size: caches are not copied.
+    /// The copy a controller schedules on each interval needs that scratch
+    /// for Algorithm 2; allocating it here, next to the rest of the copy,
+    /// rather than on first use keeps `scale` 1000-node peak RSS ~4 MB
+    /// lower (heap placement).
+    fn clone(&self) -> Self {
+        let mut scratch = EvalScratch::default();
+        scratch.fit(self.0.first().map_or(0, |s| s.current.len()));
+        ScratchPool(vec![scratch])
+    }
+}
+
+impl ScratchPool {
+    /// Node `j`'s demand changed: drop its current-state memos.
+    fn node_changed(&mut self, j: usize) {
+        for s in &mut self.0 {
+            if let Some(valid) = s.current_valid.get_mut(j) {
+                *valid = false;
+            }
+        }
+    }
+
+    /// Some state changed: drop every row cache (a row's origin overrides
+    /// read the origin's demand and its residents' state).
+    fn forget_rows(&mut self) {
+        for s in &mut self.0 {
+            s.row = None;
+        }
+    }
+}
+
+/// Grows `v`'s capacity to at least `cap`.
+fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
+    v.reserve(cap.saturating_sub(v.len()));
 }
 
 /// Per-component scheduling state.
@@ -145,17 +228,8 @@ pub struct PerformanceMatrix {
     gain: Vec<f64>,
     /// Migrant's own latency reduction per entry, row-major m×k.
     self_gain: Vec<f64>,
-    /// Memoised *current-state* what-if per node (the Table III row-1
-    /// evaluation every matrix row repeats against the same destination),
-    /// invalidated whenever the node's demand changes. Pure caching —
-    /// identical values to recomputing.
-    current_state: Vec<Option<NodeWhatIf>>,
-    /// Memoised origin-side what-if of the row currently being evaluated
-    /// (`U − U_cᵢ` is shared by every destination column of row `i`),
-    /// invalidated on any demand change.
-    row_state: Option<(ComponentId, NodeWhatIf)>,
-    /// Reusable override buffer for Eq. 5 evaluations.
-    overrides_buf: Vec<(ComponentId, f64)>,
+    /// Evaluation caches, one set per rebuild worker.
+    scratch: ScratchPool,
     /// Wall-clock time spent in the initial full build ("analysis time").
     build_time: Duration,
 }
@@ -216,9 +290,7 @@ impl PerformanceMatrix {
             index: StageLatencyIndex::build(&vec![0.0; m.max(1)], &vec![0; m.max(1)], 1),
             gain: vec![0.0; m * k],
             self_gain: vec![0.0; m * k],
-            current_state: vec![None; k],
-            row_state: None,
-            overrides_buf: Vec::new(),
+            scratch: ScratchPool::default(),
             build_time: Duration::ZERO,
         };
         matrix.refresh_base_latencies(inputs.stage_count);
@@ -349,9 +421,9 @@ impl PerformanceMatrix {
         // current-state evaluations — their demand just changed).
         self.node_demand[origin.index()] = self.node_demand[origin.index()].saturating_sub(&d_ci);
         self.node_demand[destination.index()] += d_ci;
-        self.current_state[origin.index()] = None;
-        self.current_state[destination.index()] = None;
-        self.row_state = None;
+        self.scratch.node_changed(origin.index());
+        self.scratch.node_changed(destination.index());
+        self.scratch.forget_rows();
         let residents = &mut self.node_components[origin.index()];
         let pos = residents
             .iter()
@@ -393,14 +465,15 @@ impl PerformanceMatrix {
     #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and allocation
     fn update_matrix(&mut self, origin: NodeId, destination: NodeId, candidates: &[bool]) {
         let m = self.component_count();
+        let mut scratch = self.take_scratch();
         let mut rows_to_refresh: Vec<usize> = Vec::new();
         for i in 0..m {
             if !candidates[i] {
                 continue;
             }
             let ci = ComponentId::from_index(i);
-            self.recompute_entry(ci, origin);
-            self.recompute_entry(ci, destination);
+            self.recompute_entry(&mut scratch, ci, origin);
+            self.recompute_entry(&mut scratch, ci, destination);
             let home = self.allocation[i];
             if home == origin || home == destination {
                 rows_to_refresh.push(i);
@@ -410,19 +483,129 @@ impl PerformanceMatrix {
         for i in rows_to_refresh {
             let ci = ComponentId::from_index(i);
             for j in 0..k {
-                self.recompute_entry(ci, NodeId::from_index(j));
+                self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
+            }
+        }
+        self.put_scratch(scratch);
+    }
+
+    /// Recomputes every entry from current state: the naïve alternative to
+    /// Algorithm 2, and the path of [`Self::build`], of a [`Self::refresh`]
+    /// that must re-evaluate everything, and of the full-rebuild ablation.
+    ///
+    /// Rows are split into contiguous chunks evaluated in parallel, one
+    /// worker per 32,768 entries (`MIN_ENTRIES_PER_WORKER`) up to the
+    /// available cores. An entry is a pure function of the matrix state and
+    /// each worker writes only its own rows, so the result is bit-identical
+    /// for any worker count.
+    pub fn rebuild_entries(&mut self) {
+        let wanted = self.gain.len().div_ceil(MIN_ENTRIES_PER_WORKER);
+        let workers = if wanted > 1 {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            wanted.min(cores)
+        } else {
+            1
+        };
+        self.rebuild_entries_with(workers);
+    }
+
+    /// [`Self::rebuild_entries`] with an explicit worker count (at most one
+    /// per row). The calling thread evaluates the first chunk, so with one
+    /// worker nothing is spawned.
+    fn rebuild_entries_with(&mut self, workers: usize) {
+        let m = self.component_count();
+        let k = self.node_count();
+        let workers = workers.clamp(1, m);
+        self.reserve_scratch(workers);
+        let rows_per_worker = m.div_ceil(workers);
+        let chunk = rows_per_worker * k;
+        let mut gain = std::mem::take(&mut self.gain);
+        let mut self_gain = std::mem::take(&mut self.self_gain);
+        let mut pool = std::mem::take(&mut self.scratch);
+        let this = &*self;
+        let mut jobs = pool
+            .0
+            .iter_mut()
+            .zip(gain.chunks_mut(chunk))
+            .zip(self_gain.chunks_mut(chunk))
+            .enumerate()
+            .map(|(w, ((scratch, gain), self_gain))| {
+                (scratch, w * rows_per_worker, gain, self_gain)
+            });
+        let (scratch, first_row, gain_rows, self_gain_rows) =
+            jobs.next().expect("a matrix has at least one row");
+        std::thread::scope(|scope| {
+            for (scratch, first_row, gain_rows, self_gain_rows) in jobs {
+                scope.spawn(move || this.fill_rows(scratch, first_row, gain_rows, self_gain_rows));
+            }
+            this.fill_rows(scratch, first_row, gain_rows, self_gain_rows);
+        });
+        self.gain = gain;
+        self.self_gain = self_gain;
+        self.scratch = pool;
+    }
+
+    /// Sizes the first `workers` scratches of the pool for this matrix, on
+    /// the calling thread, so that evaluation never grows a buffer: the
+    /// override lists for the fullest node, and in per-sample mode every
+    /// shifted window.
+    fn reserve_scratch(&mut self, workers: usize) {
+        let k = self.node_count();
+        let residents = self.node_components.iter().map(Vec::len).max().unwrap_or(0);
+        let per_sample = self.config.mode == PredictionMode::PerSample;
+        let window = self.node_samples.iter().map(Vec::len).max().unwrap_or(0);
+        let pool = &mut self.scratch.0;
+        if pool.len() < workers {
+            pool.resize_with(workers, EvalScratch::default);
+        }
+        for s in &mut pool[..workers] {
+            s.fit(k);
+            reserve_to(&mut s.origin_overrides, residents);
+            reserve_to(&mut s.overrides, 2 * residents);
+            if per_sample {
+                for (what_if, samples) in s.current.iter_mut().zip(&self.node_samples) {
+                    reserve_to(&mut what_if.shifted, samples.len());
+                }
+                reserve_to(&mut s.hypothetical.shifted, window);
             }
         }
     }
 
-    /// Recomputes every entry from current state (the naïve alternative to
-    /// Algorithm 2; used by the full-rebuild ablation and by tests).
-    pub fn rebuild_entries(&mut self) {
-        let m = self.component_count();
+    /// Takes the pool's first scratch for a serial pass on the calling
+    /// thread; hand it back with [`Self::put_scratch`].
+    fn take_scratch(&mut self) -> EvalScratch {
+        let mut scratch = self
+            .scratch
+            .0
+            .first_mut()
+            .map(std::mem::take)
+            .unwrap_or_default();
+        scratch.fit(self.node_count());
+        scratch
+    }
+
+    fn put_scratch(&mut self, scratch: EvalScratch) {
+        match self.scratch.0.first_mut() {
+            Some(slot) => *slot = scratch,
+            None => self.scratch.0.push(scratch),
+        }
+    }
+
+    /// Evaluates whole rows, starting at row `first_row`, into the
+    /// row-major slices `gain` and `self_gain`.
+    fn fill_rows(
+        &self,
+        scratch: &mut EvalScratch,
+        first_row: usize,
+        gain: &mut [f64],
+        self_gain: &mut [f64],
+    ) {
         let k = self.node_count();
-        for i in 0..m {
-            for j in 0..k {
-                self.recompute_entry(ComponentId::from_index(i), NodeId::from_index(j));
+        let rows = gain.chunks_exact_mut(k).zip(self_gain.chunks_exact_mut(k));
+        for (r, (gain_row, self_gain_row)) in rows.enumerate() {
+            let i = ComponentId::from_index(first_row + r);
+            for (j, (g, s)) in gain_row.iter_mut().zip(self_gain_row).enumerate() {
+                (*g, *s) = self.entry(scratch, i, NodeId::from_index(j));
             }
         }
     }
@@ -484,10 +667,10 @@ impl PerformanceMatrix {
                 node_changed[j] = true;
                 self.node_demand[j] = n.demand;
                 self.node_samples[j].clone_from(&n.samples);
-                self.current_state[j] = None;
+                self.scratch.node_changed(j);
             }
         }
-        self.row_state = None;
+        self.scratch.forget_rows();
 
         // Diff component state and placement.
         let mut comp_changed = vec![false; m];
@@ -600,6 +783,7 @@ impl PerformanceMatrix {
             let dirty_cols: Vec<usize> = (0..k)
                 .filter(|&j| node_dirty[j] || node_stage_dirty[j])
                 .collect();
+            let mut scratch = self.take_scratch();
             for i in 0..m {
                 let home = self.allocation[i].index();
                 let ci = ComponentId::from_index(i);
@@ -610,16 +794,17 @@ impl PerformanceMatrix {
                     || node_stage_dirty[home]
                 {
                     for j in 0..k {
-                        self.recompute_entry(ci, NodeId::from_index(j));
+                        self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
                     }
                     entries_recomputed += k;
                 } else {
                     for &j in &dirty_cols {
-                        self.recompute_entry(ci, NodeId::from_index(j));
+                        self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
                         entries_recomputed += 1;
                     }
                 }
             }
+            self.put_scratch(scratch);
         }
         self.build_time = start.elapsed();
         RefreshStats {
@@ -633,94 +818,106 @@ impl PerformanceMatrix {
     }
 
     /// Recomputes `L[i][j]` and the associated self-gain.
-    fn recompute_entry(&mut self, i: ComponentId, j: NodeId) {
-        let k = self.node_count();
-        let slot = i.index() * k + j.index();
-        let origin = self.allocation[i.index()];
-        if origin == j {
-            self.gain[slot] = 0.0;
-            self.self_gain[slot] = 0.0;
-            return;
-        }
-        let (gain, self_gain) = self.evaluate_migration(i, j);
-        self.gain[slot] = gain;
-        self.self_gain[slot] = self_gain;
+    fn recompute_entry(&mut self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) {
+        let slot = i.index() * self.node_count() + j.index();
+        (self.gain[slot], self.self_gain[slot]) = self.entry(scratch, i, j);
     }
 
-    /// Evaluates Eq. 5 for a candidate migration. Logically read-only:
-    /// the only mutation is filling the current-state what-if cache.
-    fn evaluate_migration(&mut self, i: ComponentId, j: NodeId) -> (f64, f64) {
+    /// `(L[i][j], self-gain)` from current state: zero for the component's
+    /// own node, Eq. 5 elsewhere.
+    fn entry(&self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) -> (f64, f64) {
+        if self.allocation[i.index()] == j {
+            (0.0, 0.0)
+        } else {
+            self.evaluate_migration(scratch, i, j)
+        }
+    }
+
+    /// Evaluates Eq. 5 for a candidate migration. Read-only but for the
+    /// caches in `scratch`, which must be sized for this matrix.
+    fn evaluate_migration(
+        &self,
+        scratch: &mut EvalScratch,
+        i: ComponentId,
+        j: NodeId,
+    ) -> (f64, f64) {
         let origin = self.allocation[i.index()];
         let d_ci = self.comps[i.index()].demand;
-
-        // Reusable per-entry override buffer: the migrant + residents of
-        // the two touched nodes.
-        let mut overrides = std::mem::take(&mut self.overrides_buf);
-        overrides.clear();
 
         // Migrant: Table III row 1 — experiences the destination's
         // pre-migration aggregate. That state is shared by every row of
         // the destination's matrix column, so it comes from the per-node
-        // cache (take/put-back to keep the borrows disjoint).
-        let mut dest_now = self.current_state[j.index()]
-            .take()
-            .unwrap_or_else(|| self.what_if(j, self.node_demand[j.index()]));
-        let li_new = self.latency_with(&mut dest_now, i);
-        self.current_state[j.index()] = Some(dest_now);
+        // memo.
+        let dest_now = &mut scratch.current[j.index()];
+        if !scratch.current_valid[j.index()] {
+            self.prepare_what_if(j, self.node_demand[j.index()], dest_now);
+            scratch.current_valid[j.index()] = true;
+        }
+        let li_new = self.latency_with(dest_now, i);
+
+        // Origin co-residents: Table III row 2 — `U − U_ci`. Their
+        // latencies are the same for every destination column of row `i`,
+        // so they are computed once per row. A migrant living alone has
+        // nobody to re-evaluate.
+        if scratch.row != Some(i) {
+            scratch.origin_overrides.clear();
+            let residents = &self.node_components[origin.index()];
+            if residents.len() > 1 {
+                let origin_after = &mut scratch.hypothetical;
+                let origin_demand = self.node_demand[origin.index()].saturating_sub(&d_ci);
+                self.prepare_what_if(origin, origin_demand, origin_after);
+                for &c in residents {
+                    if c != i {
+                        let lat = self.latency_with(origin_after, c);
+                        scratch.origin_overrides.push((c, lat));
+                    }
+                }
+            }
+            scratch.row = Some(i);
+        }
+
+        // The overrides: the migrant, the origin co-residents, then the
+        // destination co-residents (Table III row 3 — `U + U_ci`; an empty
+        // destination has nobody to re-evaluate).
+        let overrides = &mut scratch.overrides;
+        overrides.clear();
         overrides.push((i, li_new));
-
-        // Origin co-residents: Table III row 2 — `U − U_ci`. The state is
-        // shared across the whole row (every destination column of `i`)
-        // *and* by all origin co-residents, so it rides a one-row cache.
-        // A migrant living alone skips the hypothetical entirely: the
-        // loop would evaluate nobody.
-        if self.node_components[origin.index()].len() > 1 {
-            let mut origin_after = match self.row_state.take() {
-                Some((row, state)) if row == i => state,
-                _ => {
-                    let origin_demand = self.node_demand[origin.index()].saturating_sub(&d_ci);
-                    self.what_if(origin, origin_demand)
-                }
-            };
-            for &c in &self.node_components[origin.index()] {
-                if c == i {
-                    continue;
-                }
-                overrides.push((c, self.latency_with(&mut origin_after, c)));
-            }
-            self.row_state = Some((i, origin_after));
-        }
-
-        // Destination co-residents: Table III row 3 — `U + U_ci` (an
-        // empty destination has nobody to re-evaluate).
-        if !self.node_components[j.index()].is_empty() {
-            let dest_demand = self.node_demand[j.index()] + d_ci;
-            let mut dest_after = self.what_if(j, dest_demand);
-            for &c in &self.node_components[j.index()] {
-                overrides.push((c, self.latency_with(&mut dest_after, c)));
+        overrides.extend_from_slice(&scratch.origin_overrides);
+        let residents = &self.node_components[j.index()];
+        if !residents.is_empty() {
+            let dest_after = &mut scratch.hypothetical;
+            self.prepare_what_if(j, self.node_demand[j.index()] + d_ci, dest_after);
+            for &c in residents {
+                overrides.push((c, self.latency_with(dest_after, c)));
             }
         }
 
-        let l_overall_new = self.index.overall_with_overrides(&overrides);
+        let l_overall_new = self.index.overall_with_overrides(overrides);
         let gain = self.index.overall() - l_overall_new;
         let self_gain = self.base_latency[i.index()] - li_new;
-        self.overrides_buf = overrides;
         (gain, self_gain)
     }
 
-    /// Prepares the evaluation of one hypothetical node state ("what if
-    /// node `node` carried aggregate demand `demand`"): the normalised
-    /// contention, the shifted sample window (per-sample mode only), and
-    /// an empty per-class profile memo.
+    /// A fresh [`NodeWhatIf`]: see [`Self::prepare_what_if`].
     fn what_if(&self, node: NodeId, demand: ResourceVector) -> NodeWhatIf {
+        let mut what_if = NodeWhatIf::default();
+        self.prepare_what_if(node, demand, &mut what_if);
+        what_if
+    }
+
+    /// Prepares, in `out`'s buffers, the evaluation of one hypothetical
+    /// node state ("what if node `node` carried aggregate demand
+    /// `demand`"): the normalised contention, the shifted sample window
+    /// (per-sample mode only), and an empty per-class profile memo.
+    fn prepare_what_if(&self, node: NodeId, demand: ResourceVector, out: &mut NodeWhatIf) {
         let cap = &self.caps[node.index()];
-        let mean_u = cap.normalize(&demand);
-        let shifted = match self.config.mode {
-            PredictionMode::MeanContention => Vec::new(),
-            PredictionMode::PerSample => {
-                // Shift the node's observed samples by the demand delta of
-                // this what-if (zero for the node's current state).
-                let delta = cap.normalize(&(demand - self.node_demand[node.index()]));
+        out.mean_u = cap.normalize(&demand);
+        out.shifted.clear();
+        if self.config.mode == PredictionMode::PerSample {
+            // Shift the node's observed samples by the demand delta of
+            // this what-if (zero for the node's current state).
+            let delta = cap.normalize(&(demand - self.node_demand[node.index()]));
+            out.shifted.extend(
                 self.node_samples[node.index()]
                     .iter()
                     .map(|s| ContentionVector {
@@ -728,15 +925,10 @@ impl PerformanceMatrix {
                         cache_mpki: (s.cache_mpki + delta.cache_mpki).max(0.0),
                         disk_util: (s.disk_util + delta.disk_util).max(0.0),
                         net_util: (s.net_util + delta.net_util).max(0.0),
-                    })
-                    .collect()
-            }
-        };
-        NodeWhatIf {
-            mean_u,
-            shifted,
-            profiles: [None; CLASS_MEMO],
+                    }),
+            );
         }
+        out.profiles = [None; CLASS_MEMO];
     }
 
     /// Predicts component `c`'s latency under a prepared node state,
@@ -965,6 +1157,82 @@ mod tests {
                     b.self_gain(ci, jn).to_bits(),
                     "self-gain entry ({i}, {j})"
                 );
+            }
+        }
+    }
+
+    /// `m` components on `k` nodes over up to three stages, with node 0
+    /// pinned at the saturating demand a dead node is given and, for
+    /// per-sample mode, a contention window on every node.
+    fn wide_inputs(m: usize, k: usize, per_sample: bool) -> MatrixInputs {
+        let stage_count = m.min(3);
+        let nodes = (0..k)
+            .map(|j| {
+                let demand = if j == 0 {
+                    ResourceVector::new(48.0, 0.0, 800.0, 500.0)
+                } else {
+                    ResourceVector::new((j % 7) as f64, 0.0, (j % 5) as f64 * 10.0, 0.0)
+                };
+                let samples = if per_sample {
+                    (0..3)
+                        .map(|s| {
+                            let usage = demand.cores / 12.0 * (0.9 + 0.1 * s as f64);
+                            ContentionVector::new(usage, 0.0, 0.0, 0.0)
+                        })
+                        .collect()
+                } else {
+                    Vec::new()
+                };
+                NodeInput {
+                    id: NodeId::from_index(j),
+                    capacity: NodeCapacity::new(12.0, 200.0, 125.0),
+                    demand,
+                    samples,
+                }
+            })
+            .collect();
+        let components = (0..m)
+            .map(|i| ComponentInput {
+                id: ComponentId::from_index(i),
+                class: 0,
+                stage: i % stage_count,
+                node: NodeId::from_index(i * 7 % k),
+                demand: ResourceVector::new(0.5 + (i % 4) as f64 * 0.1, 0.0, 1.0, 0.0),
+                arrival_rate: 20.0 + (i % 9) as f64,
+                scv: 1.0,
+            })
+            .collect();
+        MatrixInputs {
+            nodes,
+            components,
+            stage_count,
+        }
+    }
+
+    #[test]
+    fn rebuild_is_bit_identical_for_any_worker_count() {
+        let models = linear_model();
+        // 191 rows (prime, so no worker count divides them) × 180 columns
+        // is past the one-worker threshold; a single row cannot be split.
+        for (m, k, mode) in [
+            (191, 180, PredictionMode::MeanContention),
+            (191, 180, PredictionMode::PerSample),
+            (1, 40, PredictionMode::MeanContention),
+        ] {
+            assert!(m == 1 || m * k > MIN_ENTRIES_PER_WORKER);
+            let inputs = wide_inputs(m, k, mode == PredictionMode::PerSample);
+            let config = MatrixConfig {
+                mode,
+                ..MatrixConfig::default()
+            };
+            let built = PerformanceMatrix::build(&inputs, &models, config);
+            for workers in [1, 2, 3, 8] {
+                let mut rebuilt = built.clone();
+                // Poison every entry so a row no worker wrote shows up.
+                rebuilt.gain.fill(f64::NAN);
+                rebuilt.self_gain.fill(f64::NAN);
+                rebuilt.rebuild_entries_with(workers);
+                assert_bit_identical(&rebuilt, &built);
             }
         }
     }

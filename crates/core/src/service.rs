@@ -101,15 +101,17 @@ impl StageLatencyIndex {
         // Start from the cached Eq. 4 total and adjust only the stages an
         // override touches.
         let mut total = self.overall;
-        // Small dedup of touched stages (overrides are ~a dozen entries).
-        let mut touched: Vec<usize> = Vec::with_capacity(overrides.len());
-        for &(c, _) in overrides {
+        // Visit each touched stage once, in first-occurrence order: a stage
+        // is skipped if an earlier override already touched it (overrides
+        // are ~a dozen entries, and this allocates nothing).
+        for (n, &(c, _)) in overrides.iter().enumerate() {
             let si = self.stage_of[c.index()];
-            if !touched.contains(&si) {
-                touched.push(si);
+            if overrides[..n]
+                .iter()
+                .any(|(earlier, _)| self.stage_of[earlier.index()] == si)
+            {
+                continue;
             }
-        }
-        for &si in &touched {
             let stage = &self.stages[si];
             let old_max = stage[0].0;
             // Highest unaffected latency in this stage: walk the sorted

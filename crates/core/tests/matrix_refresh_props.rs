@@ -198,6 +198,34 @@ proptest! {
         }
     }
 
+    /// A refresh that must re-evaluate every entry of a matrix large
+    /// enough for the row-parallel rebuild (past 32,768 entries, so it
+    /// splits across the available cores) still equals a fresh `build`.
+    #[test]
+    fn parallel_refresh_fallback_is_bit_identical_to_rebuild(
+        seed in 0u64..10_000,
+        extra_rows in 0usize..40,
+        per_sample_flag in 0u8..2,
+    ) {
+        let per_sample = per_sample_flag == 1;
+        let mode = if per_sample {
+            PredictionMode::PerSample
+        } else {
+            PredictionMode::MeanContention
+        };
+        let config = MatrixConfig { mode, ..MatrixConfig::default() };
+        let models = models();
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (m, k) = (400 + extra_rows, 90);
+        let mut inputs = initial_inputs(&mut rng, m, k, 3, per_sample);
+        let mut carried = PerformanceMatrix::build(&inputs, &models, config);
+        mutate(&mut rng, &mut inputs, per_sample);
+        let stats = carried.refresh(&inputs);
+        prop_assert_eq!(stats.entries_recomputed, stats.entries_total);
+        let rebuilt = PerformanceMatrix::build(&inputs, &models, config);
+        assert_bit_identical(&carried, &rebuilt, 0);
+    }
+
     /// A quiet interval (identical monitored inputs) is free: nothing is
     /// re-predicted, nothing re-evaluated, and the matrix is untouched.
     #[test]

@@ -95,6 +95,33 @@ fn near_vec(a: &ResourceVector, b: &ResourceVector) -> bool {
         && near(a.net_mbps, b.net_mbps)
 }
 
+/// The greedy's initial candidate mask: every component without a
+/// migration in flight. The world ignores orders for in-flight components,
+/// so they are masked before evacuation and search; otherwise a plan could
+/// rest on a move that is never enacted.
+fn idle_components(ctx: &SchedulerContext<'_>) -> Vec<bool> {
+    ctx.components.iter().map(|c| !c.migrating).collect()
+}
+
+/// The interval's decisions as migration orders (none names an in-flight
+/// component: [`idle_components`] masked them).
+fn orders(ctx: &SchedulerContext<'_>, decisions: &[MigrationDecision]) -> Vec<MigrationRequest> {
+    decisions
+        .iter()
+        .map(|d| {
+            debug_assert!(
+                !ctx.components[d.component.index()].migrating,
+                "decision for in-flight component {}",
+                d.component
+            );
+            MigrationRequest {
+                component: d.component,
+                to: d.to,
+            }
+        })
+        .collect()
+}
+
 /// The PCS scheduling framework: monitors → predictor → matrix → greedy
 /// migrations.
 #[derive(Debug, Clone)]
@@ -385,7 +412,6 @@ impl PcsController {
             predicted_overall,
             decisions: decisions
                 .iter()
-                .filter(|d| !ctx.components[d.component.index()].migrating)
                 .map(|d| AuditDecision {
                     component: d.component,
                     from: d.from,
@@ -554,7 +580,7 @@ impl PcsController {
         if let Some(policy) = self.threshold {
             config.epsilon_secs = policy.resolve(matrix.overall_latency());
         }
-        let mut candidates = vec![true; ctx.components.len()];
+        let mut candidates = idle_components(ctx);
         let evacuations = self.evacuate_orphans(ctx, &config, &mut matrix, &mut candidates);
 
         // Level 1 walks racks; level 2 is the bounded greedy within each
@@ -581,15 +607,7 @@ impl PcsController {
         );
         self.cost.greedy_iterations += outcome.iterations as u64;
         outcome.decisions.splice(0..0, evacuations);
-        let migrations = outcome
-            .decisions
-            .iter()
-            .filter(|d| !ctx.components[d.component.index()].migrating)
-            .map(|d| MigrationRequest {
-                component: d.component,
-                to: d.to,
-            })
-            .collect();
+        let migrations = orders(ctx, &outcome.decisions);
         self.record_audit(ctx, predicted_overall, &outcome.decisions);
         migrations
     }
@@ -621,7 +639,7 @@ impl SchedulerHook for PcsController {
             config.epsilon_secs = policy.resolve(matrix.overall_latency());
         }
 
-        let mut candidates = vec![true; ctx.components.len()];
+        let mut candidates = idle_components(ctx);
         let evacuations = self.evacuate_orphans(ctx, &config, &mut matrix, &mut candidates);
 
         let mut outcome = ComponentScheduler::new(config).run_masked(
@@ -631,15 +649,7 @@ impl SchedulerHook for PcsController {
         );
         self.cost.greedy_iterations += outcome.iterations as u64;
         outcome.decisions.splice(0..0, evacuations);
-        let migrations = outcome
-            .decisions
-            .iter()
-            .filter(|d| !ctx.components[d.component.index()].migrating)
-            .map(|d| MigrationRequest {
-                component: d.component,
-                to: d.to,
-            })
-            .collect();
+        let migrations = orders(ctx, &outcome.decisions);
         self.record_audit(ctx, predicted_overall, &outcome.decisions);
         migrations
     }
@@ -931,6 +941,151 @@ mod tests {
         assert_eq!(report.faults.stats.orphaned, 2);
         assert_eq!(report.faults.stats.evacuated, 2);
         assert_eq!(report.faults.unresolved_orphans, 0);
+    }
+
+    /// Three nodes (hot, warm, cool) with two components of one parallel
+    /// stage sharing the hot node; `in_flight` marks components whose
+    /// migration is already under way.
+    fn hot_node_orders(in_flight: &[usize]) -> Vec<MigrationRequest> {
+        use pcs_sim::policy::ComponentMeta;
+        use pcs_sim::NodeStatus;
+        use pcs_types::{ComponentId, SimTime};
+        let topology = ServiceTopology::nutch(4);
+        let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
+        let mut controller = PcsController::new(
+            models,
+            pcs_core::SchedulerConfig {
+                epsilon_secs: 1e-9,
+                max_migrations: Some(1),
+                full_rebuild: false,
+            },
+            MatrixConfig::default(),
+        );
+        let components: Vec<ComponentMeta> = [0, 0, 1, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| ComponentMeta {
+                id: ComponentId::from_index(i),
+                class: 1,
+                stage: 0,
+                node: NodeId::from_index(node),
+                migrating: in_flight.contains(&i),
+                own_demand: ResourceVector::new(1.0, 2.0, 5.0, 3.0),
+            })
+            .collect();
+        let windows = [
+            vec![ContentionVector::new(0.9, 20.0, 0.6, 0.4); 5],
+            vec![ContentionVector::new(0.5, 10.0, 0.3, 0.2); 5],
+            vec![ContentionVector::new(0.05, 2.0, 0.02, 0.01); 5],
+        ];
+        controller.on_interval(&SchedulerContext {
+            now: SimTime::ZERO,
+            components: &components,
+            node_capacities: &[NodeCapacity::XEON_E5645; 3],
+            sampled_windows: &windows,
+            arrival_rates: &[50.0; 4],
+            service_scv: &[1.0; 4],
+            stage_count: 1,
+            ground_truth_demand: &[ResourceVector::ZERO; 3],
+            node_status: &[NodeStatus::Up; 3],
+            replica_peers: &[],
+            demand_versions: &[],
+            rack_of: &[],
+        })
+    }
+
+    /// The interval's one-migration budget goes to a move the world can
+    /// enact: with the greedy's first choice already in flight, the next
+    /// best component is ordered instead of nothing.
+    #[test]
+    fn in_flight_components_are_masked_before_the_search() {
+        let idle = hot_node_orders(&[]);
+        assert_eq!(idle.len(), 1);
+        let busy = idle[0].component.index();
+        let orders = hot_node_orders(&[busy]);
+        assert_eq!(
+            orders.len(),
+            1,
+            "the budget must not go to an in-flight move"
+        );
+        assert_ne!(orders[0].component.index(), busy);
+    }
+
+    /// Wraps the controller and checks every interval: the audited plan is
+    /// exactly the orders, and no order names an in-flight component.
+    struct PlanChecker {
+        inner: PcsController,
+        tally: std::sync::Arc<std::sync::Mutex<(u64, u64)>>,
+    }
+
+    impl SchedulerHook for PlanChecker {
+        fn on_interval(&mut self, ctx: &SchedulerContext<'_>) -> Vec<MigrationRequest> {
+            let orders = self.inner.on_interval(ctx);
+            let planned: Vec<MigrationRequest> = self
+                .inner
+                .take_interval_audit()
+                .map(|audit| {
+                    audit
+                        .decisions
+                        .iter()
+                        .map(|d| MigrationRequest {
+                            component: d.component,
+                            to: d.to,
+                        })
+                        .collect()
+                })
+                .unwrap_or_default();
+            assert_eq!(planned, orders, "every planned decision is ordered");
+            for order in &orders {
+                assert!(!ctx.components[order.component.index()].migrating);
+            }
+            let mut tally = self.tally.lock().unwrap();
+            tally.0 += u64::from(ctx.components.iter().any(|c| c.migrating));
+            tally.1 += orders.len() as u64;
+            orders
+        }
+    }
+
+    /// Migrations outlast the scheduling interval, so components are in
+    /// flight at later ticks; the plan still never rests on them and the
+    /// world enacts every order.
+    #[test]
+    fn slow_migrations_leave_every_planned_decision_enacted() {
+        let topology = ServiceTopology::nutch(8);
+        let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
+        let mut inner = PcsController::new(
+            models,
+            pcs_core::SchedulerConfig {
+                epsilon_secs: 0.00005,
+                max_migrations: None,
+                full_rebuild: false,
+            },
+            MatrixConfig::default(),
+        );
+        inner.enable_audit();
+        let tally = std::sync::Arc::new(std::sync::Mutex::new((0, 0)));
+        let checker = PlanChecker {
+            inner,
+            tally: tally.clone(),
+        };
+        let mut config = SimConfig::paper_like(topology, 100.0, 21);
+        config.node_count = 10;
+        config.horizon = SimDuration::from_secs(30);
+        config.warmup = SimDuration::from_secs(4);
+        config.scheduler_interval = SimDuration::from_secs(2);
+        config.migration_latency = SimDuration::from_secs(5);
+        let report =
+            Simulation::new(config, Box::new(pcs_sim::BasicPolicy), Box::new(checker)).run();
+        let (ticks_with_in_flight, ordered) = *tally.lock().unwrap();
+        assert!(
+            ticks_with_in_flight > 0,
+            "some tick must see a migration in flight"
+        );
+        assert!(ordered > 0);
+        assert_eq!(
+            report.stats.migrations, ordered,
+            "the world enacts every order"
+        );
     }
 
     #[test]
