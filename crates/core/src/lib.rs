@@ -42,7 +42,7 @@ pub mod training;
 
 pub use hierarchical::HierarchicalScheduler;
 pub use inputs::{ComponentInput, MatrixInputs, NodeInput};
-pub use matrix::{MatrixConfig, PerformanceMatrix, RefreshStats};
+pub use matrix::{MatrixConfig, PerformanceMatrix};
 pub use predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
 pub use scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
 pub use service::StageLatencyIndex;

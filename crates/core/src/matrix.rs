@@ -62,27 +62,6 @@ impl Default for MatrixConfig {
     }
 }
 
-/// Counters describing one incremental [`PerformanceMatrix::refresh`].
-///
-/// All fields are deterministic functions of the inputs (no wall clock),
-/// so they can feed pinned scenario reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RefreshStats {
-    /// Nodes whose aggregate demand (or sample window) differed from the
-    /// carried state.
-    pub nodes_changed: usize,
-    /// Components whose own state (demand, arrival rate, SCV) changed.
-    pub components_changed: usize,
-    /// Components whose hosting node changed since the last build/refresh.
-    pub components_moved: usize,
-    /// Base latencies re-predicted (components on touched nodes).
-    pub latencies_recomputed: usize,
-    /// Matrix entries re-evaluated (`entries_total` on a full refresh).
-    pub entries_recomputed: usize,
-    /// Total entries `m·k`.
-    pub entries_total: usize,
-}
-
 /// The best migration candidate found in the matrix (Algorithm 1 lines
 /// 6–8).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,7 +87,7 @@ const MIN_ENTRIES_PER_WORKER: usize = 32_768;
 
 /// One hypothetical node state under evaluation: see
 /// [`PerformanceMatrix::prepare_what_if`].
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct NodeWhatIf {
     mean_u: ContentionVector,
     /// Shifted sample window ([`PredictionMode::PerSample`] only).
@@ -125,7 +104,7 @@ struct NodeWhatIf {
 /// Workers' scratches sit side by side in the pool and are written on
 /// every entry, so each starts on its own 128-byte pair of cache lines:
 /// without the alignment, false sharing made two workers slower than one.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 #[repr(align(128))]
 struct EvalScratch {
     /// Memoised *current-state* what-if per node (the Table III row-1
@@ -153,23 +132,10 @@ impl EvalScratch {
 }
 
 /// One [`EvalScratch`] per rebuild worker; the first also serves the serial
-/// paths (Algorithm 2 and the partial refresh). The matrix owns the pool and
-/// the calling thread sizes it, so workers neither allocate nor free.
-#[derive(Debug, Default)]
+/// Algorithm 2 path. The matrix owns the pool and the calling thread sizes
+/// it, so workers neither allocate nor free.
+#[derive(Debug, Default, Clone)]
 struct ScratchPool(Vec<EvalScratch>);
-
-impl Clone for ScratchPool {
-    /// A pool of one empty scratch of the same size: caches are not copied.
-    /// The copy a controller schedules on each interval needs that scratch
-    /// for Algorithm 2; allocating it here, next to the rest of the copy,
-    /// rather than on first use keeps `scale` 1000-node peak RSS ~4 MB
-    /// lower (heap placement).
-    fn clone(&self) -> Self {
-        let mut scratch = EvalScratch::default();
-        scratch.fit(self.0.first().map_or(0, |s| s.current.len()));
-        ScratchPool(vec![scratch])
-    }
-}
 
 impl ScratchPool {
     /// Node `j`'s demand changed: drop its current-state memos.
@@ -342,8 +308,7 @@ impl PerformanceMatrix {
         self.node_demand[j.index()]
     }
 
-    /// Wall-clock time of the most recent full construction ([`Self::build`])
-    /// or incremental [`Self::refresh`].
+    /// Wall-clock time of the construction ([`Self::build`]).
     pub fn build_time(&self) -> Duration {
         self.build_time
     }
@@ -490,8 +455,8 @@ impl PerformanceMatrix {
     }
 
     /// Recomputes every entry from current state: the naïve alternative to
-    /// Algorithm 2, and the path of [`Self::build`], of a [`Self::refresh`]
-    /// that must re-evaluate everything, and of the full-rebuild ablation.
+    /// Algorithm 2, and the path of [`Self::build`] and of the full-rebuild
+    /// ablation.
     ///
     /// Rows are split into contiguous chunks evaluated in parallel, one
     /// worker per 32,768 entries (`MIN_ENTRIES_PER_WORKER`) up to the
@@ -607,213 +572,6 @@ impl PerformanceMatrix {
             for (j, (g, s)) in gain_row.iter_mut().zip(self_gain_row).enumerate() {
                 (*g, *s) = self.entry(scratch, i, NodeId::from_index(j));
             }
-        }
-    }
-
-    /// Incrementally reconciles the matrix with fresh monitored inputs
-    /// (the between-intervals analogue of Algorithm 2): instead of
-    /// rebuilding all `m·k` entries, only rows and columns whose bitwise
-    /// dependencies changed are re-evaluated. The result is **bit-identical**
-    /// to `PerformanceMatrix::build(inputs, ..)` — verified by the
-    /// `matrix_refresh_props` property suite — because an entry is reused
-    /// only when every value it was computed from is unchanged:
-    ///
-    /// * entry `(i, j)` reads component `i`'s state, the demand and
-    ///   residents of nodes `A[i]` and `j`, and the stage data of every
-    ///   stage touched by the overrides (migrant + co-residents), and
-    /// * every entry reads the cached Eq. 4 `l_overall` (the gain is
-    ///   `overall − overall_with_overrides`, and float subtraction does
-    ///   not cancel), so a bitwise change of the overall dirties the whole
-    ///   matrix.
-    ///
-    /// The caller passes the same shape of [`MatrixInputs`] it would hand
-    /// to `build`; topology must be unchanged (same components on the same
-    /// stages, same nodes with the same capacities) — only demands,
-    /// arrival rates, SCVs, sample windows, and component placements may
-    /// differ.
-    ///
-    /// # Panics
-    /// Panics on invalid inputs, a changed component/node count, a changed
-    /// capacity, class, or stage.
-    pub fn refresh(&mut self, inputs: &MatrixInputs) -> RefreshStats {
-        inputs.validate();
-        let start = Instant::now();
-        let m = self.component_count();
-        let k = self.node_count();
-        assert_eq!(
-            inputs.component_count(),
-            m,
-            "refresh cannot change the component count"
-        );
-        assert_eq!(
-            inputs.node_count(),
-            k,
-            "refresh cannot change the node count"
-        );
-        assert_eq!(
-            inputs.stage_count,
-            self.index.stage_count(),
-            "refresh cannot change the stage count"
-        );
-
-        // Diff node state; fold changes in as they are found.
-        let mut node_changed = vec![false; k];
-        for (j, n) in inputs.nodes.iter().enumerate() {
-            assert_eq!(
-                n.capacity, self.caps[j],
-                "refresh cannot change node capacities"
-            );
-            if n.demand != self.node_demand[j] || n.samples != self.node_samples[j] {
-                node_changed[j] = true;
-                self.node_demand[j] = n.demand;
-                self.node_samples[j].clone_from(&n.samples);
-                self.scratch.node_changed(j);
-            }
-        }
-        self.scratch.forget_rows();
-
-        // Diff component state and placement.
-        let mut comp_changed = vec![false; m];
-        let mut moved = vec![false; m];
-        let mut membership_changed = vec![false; k];
-        let mut any_moved = false;
-        for (i, c) in inputs.components.iter().enumerate() {
-            let s = &mut self.comps[i];
-            assert_eq!(
-                c.class, s.class,
-                "refresh cannot change a component's class"
-            );
-            assert_eq!(
-                c.stage, s.stage,
-                "refresh cannot change a component's stage"
-            );
-            if c.demand != s.demand || c.arrival_rate != s.arrival_rate || c.scv != s.scv {
-                comp_changed[i] = true;
-                s.demand = c.demand;
-                s.arrival_rate = c.arrival_rate;
-                s.scv = c.scv;
-            }
-            if c.node != self.allocation[i] {
-                moved[i] = true;
-                any_moved = true;
-                membership_changed[self.allocation[i].index()] = true;
-                membership_changed[c.node.index()] = true;
-                self.allocation[i] = c.node;
-            }
-        }
-        if any_moved {
-            // Rebuild residency in component-id order — the same order
-            // `build` produces, so downstream iteration is identical.
-            for residents in &mut self.node_components {
-                residents.clear();
-            }
-            for (i, c) in inputs.components.iter().enumerate() {
-                self.node_components[c.node.index()].push(ComponentId::from_index(i));
-            }
-        }
-
-        // A node's matrix contributions (override values of its residents)
-        // are stale if its demand changed, its resident set changed, or a
-        // resident's own state changed.
-        let mut node_dirty = node_changed.clone();
-        for (j, &changed) in membership_changed.iter().enumerate() {
-            if changed {
-                node_dirty[j] = true;
-            }
-        }
-        for i in 0..m {
-            if comp_changed[i] {
-                node_dirty[self.allocation[i].index()] = true;
-            }
-        }
-
-        // Re-predict base latencies for components whose node state or own
-        // state changed; track which stages saw a bitwise change (their
-        // sorted data — hence any override evaluation touching them — is
-        // different now).
-        let mut dirty_stage = vec![false; self.index.stage_count()];
-        let mut changes: Vec<(ComponentId, f64)> = Vec::new();
-        let mut latencies_recomputed = 0;
-        for j in 0..k {
-            let node = NodeId::from_index(j);
-            let need_node = node_changed[j];
-            if !need_node
-                && !self.node_components[j]
-                    .iter()
-                    .any(|c| comp_changed[c.index()] || moved[c.index()])
-            {
-                continue;
-            }
-            let mut state = self.what_if(node, self.node_demand[j]);
-            // Split borrow: residents list vs predictor state.
-            let residents = std::mem::take(&mut self.node_components);
-            for &c in &residents[j] {
-                if !(need_node || comp_changed[c.index()] || moved[c.index()]) {
-                    continue;
-                }
-                let lat = self.latency_with(&mut state, c);
-                latencies_recomputed += 1;
-                if lat.to_bits() != self.base_latency[c.index()].to_bits() {
-                    dirty_stage[self.comps[c.index()].stage] = true;
-                }
-                self.base_latency[c.index()] = lat;
-                changes.push((c, lat));
-            }
-            self.node_components = residents;
-        }
-        let old_overall = self.index.overall();
-        self.index.apply(&changes);
-        let overall_changed = self.index.overall().to_bits() != old_overall.to_bits();
-
-        // Nodes hosting a component in a dirty stage: migrating to/from
-        // them overrides such a component, so the touched-stage delta in
-        // Eq. 5 is evaluated against changed stage data.
-        let mut entries_recomputed = 0;
-        if overall_changed {
-            self.rebuild_entries();
-            entries_recomputed = m * k;
-        } else {
-            let node_stage_dirty: Vec<bool> = (0..k)
-                .map(|j| {
-                    self.node_components[j]
-                        .iter()
-                        .any(|c| dirty_stage[self.comps[c.index()].stage])
-                })
-                .collect();
-            let dirty_cols: Vec<usize> = (0..k)
-                .filter(|&j| node_dirty[j] || node_stage_dirty[j])
-                .collect();
-            let mut scratch = self.take_scratch();
-            for i in 0..m {
-                let home = self.allocation[i].index();
-                let ci = ComponentId::from_index(i);
-                if comp_changed[i]
-                    || moved[i]
-                    || node_dirty[home]
-                    || dirty_stage[self.comps[i].stage]
-                    || node_stage_dirty[home]
-                {
-                    for j in 0..k {
-                        self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
-                    }
-                    entries_recomputed += k;
-                } else {
-                    for &j in &dirty_cols {
-                        self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
-                        entries_recomputed += 1;
-                    }
-                }
-            }
-            self.put_scratch(scratch);
-        }
-        self.build_time = start.elapsed();
-        RefreshStats {
-            nodes_changed: node_changed.iter().filter(|&&b| b).count(),
-            components_changed: comp_changed.iter().filter(|&&b| b).count(),
-            components_moved: moved.iter().filter(|&&b| b).count(),
-            latencies_recomputed,
-            entries_recomputed,
-            entries_total: m * k,
         }
     }
 
@@ -1235,64 +993,6 @@ mod tests {
                 assert_bit_identical(&rebuilt, &built);
             }
         }
-    }
-
-    #[test]
-    fn refresh_with_unchanged_inputs_recomputes_nothing() {
-        let models = linear_model();
-        let inputs = two_node_inputs();
-        let mut m = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        let reference = m.clone();
-        let stats = m.refresh(&inputs);
-        assert_eq!(stats.nodes_changed, 0);
-        assert_eq!(stats.components_moved, 0);
-        assert_eq!(stats.latencies_recomputed, 0);
-        assert_eq!(stats.entries_recomputed, 0);
-        assert_eq!(stats.entries_total, 4);
-        assert_bit_identical(&m, &reference);
-    }
-
-    #[test]
-    fn refresh_after_demand_change_matches_full_build() {
-        let models = linear_model();
-        let mut inputs = two_node_inputs();
-        let mut carried = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        // Node 0's monitored demand drops; component 1 gets busier.
-        inputs.nodes[0].demand = ResourceVector::new(5.0, 0.0, 0.0, 0.0);
-        inputs.components[1].arrival_rate = 40.0;
-        let stats = carried.refresh(&inputs);
-        assert_eq!(stats.nodes_changed, 1);
-        assert_eq!(stats.components_changed, 1);
-        assert!(stats.entries_recomputed > 0);
-        let rebuilt = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        assert_bit_identical(&carried, &rebuilt);
-    }
-
-    #[test]
-    fn refresh_after_component_move_matches_full_build() {
-        let models = linear_model();
-        let mut inputs = two_node_inputs();
-        let mut carried = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        // Component 0 migrated to node 1 between intervals; the monitor
-        // sees the demand on its new home.
-        inputs.components[0].node = NodeId::new(1);
-        inputs.nodes[0].demand = ResourceVector::new(7.0, 0.0, 0.0, 0.0);
-        inputs.nodes[1].demand = ResourceVector::new(1.0, 0.0, 0.0, 0.0);
-        let stats = carried.refresh(&inputs);
-        assert_eq!(stats.components_moved, 1);
-        let rebuilt = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        assert_bit_identical(&carried, &rebuilt);
-        assert_eq!(carried.allocation()[0], NodeId::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "refresh cannot change node capacities")]
-    fn refresh_rejects_capacity_changes() {
-        let models = linear_model();
-        let mut inputs = two_node_inputs();
-        let mut m = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        inputs.nodes[1].capacity = NodeCapacity::new(24.0, 200.0, 125.0);
-        m.refresh(&inputs);
     }
 
     #[test]

@@ -308,12 +308,6 @@ impl Cluster {
         }
     }
 
-    /// Demand versions per node, densely indexed (see
-    /// [`Cluster::demand_version`]).
-    pub fn demand_versions(&self) -> Vec<u64> {
-        self.nodes.iter().map(|n| n.demand_version).collect()
-    }
-
     /// Total demand per node, densely indexed.
     pub fn demands(&self) -> Vec<ResourceVector> {
         self.nodes.iter().map(|n| n.total_demand()).collect()

@@ -164,13 +164,6 @@ pub struct SchedulerContext<'a> {
     /// component with one of its peers is rejected by the world, so
     /// destination-picking hooks should skip peer-hosting nodes.
     pub replica_peers: &'a [Vec<ComponentId>],
-    /// Monotonic per-node demand-version counters, bumped on every
-    /// demand mutation (job start/finish, component demand update,
-    /// kill). An unchanged version since the previous interval
-    /// guarantees the node's demand composition is unchanged, so
-    /// incremental maintainers (the hierarchical PCS controller's
-    /// matrix refresh) can skip re-deriving its state.
-    pub demand_versions: &'a [u64],
     /// Rack index per node (balanced contiguous blocks; all zeros on a
     /// single-rack cluster). Rack-aware hooks group components by the
     /// rack of their hosting node.
@@ -205,9 +198,7 @@ impl SchedulerContext<'_> {
 ///
 /// Every field is an event count, never a wall-clock measurement, so the
 /// numbers are reproducible across machines and thread counts and safe to
-/// pin in scenario reports. `entries_recomputed / entries_total` is the
-/// fraction of performance-matrix work an incremental maintainer actually
-/// performed relative to rebuilding from scratch at every interval.
+/// pin in scenario reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedulerCost {
     /// Scheduling intervals on which analysis ran (the early-out path for
@@ -215,9 +206,12 @@ pub struct SchedulerCost {
     pub intervals: u64,
     /// Full performance-matrix constructions.
     pub matrix_builds: u64,
-    /// Incremental performance-matrix refreshes.
+    /// Incremental performance-matrix refreshes. No controller refreshes
+    /// a matrix any more (every interval builds one), so this stays 0; the
+    /// field is kept for the readers of the counter set.
     pub matrix_refreshes: u64,
-    /// Matrix entries actually recomputed (builds count every entry).
+    /// Matrix entries actually recomputed (builds count every entry). With
+    /// no refreshes this equals `entries_total`.
     pub entries_recomputed: u64,
     /// Matrix entries a full rebuild at every counted interval would have
     /// recomputed (`m * k` per interval).
@@ -322,7 +316,6 @@ mod tests {
             ground_truth_demand: &[],
             node_status: &[],
             replica_peers: &[],
-            demand_versions: &[],
             rack_of: &[],
         };
         assert!(hook.on_interval(&ctx).is_empty());

@@ -30,7 +30,6 @@ struct CtxBuffers {
     /// Node capacities never change mid-run: filled once at construction.
     caps: Vec<pcs_types::NodeCapacity>,
     status: Vec<crate::faults::NodeStatus>,
-    versions: Vec<u64>,
     /// Node→rack assignment; static like `caps`, filled once.
     racks: Vec<usize>,
 }
@@ -49,7 +48,6 @@ fn empty_context(now: SimTime) -> SchedulerContext<'static> {
         ground_truth_demand: &[],
         node_status: &[],
         replica_peers: &[],
-        demand_versions: &[],
         rack_of: &[],
     }
 }
@@ -1351,7 +1349,6 @@ impl Simulation {
         );
         bufs.demands.clear();
         bufs.status.clear();
-        bufs.versions.clear();
         let mut suspected: u64 = 0;
         for n in 0..self.cluster.len() {
             let node = self.cluster.node(NodeId::from_index(n));
@@ -1404,8 +1401,6 @@ impl Simulation {
                 }
             };
             bufs.status.push(status);
-            bufs.versions
-                .push(self.cluster.demand_version(NodeId::from_index(n)));
         }
         if self.config.detector.is_some() {
             self.suspected_down = suspected;
@@ -1421,7 +1416,6 @@ impl Simulation {
             ground_truth_demand: &bufs.demands,
             node_status: &bufs.status,
             replica_peers: &self.replica_peers,
-            demand_versions: &bufs.versions,
             rack_of: &bufs.racks,
         };
         let migrations = self.hook.on_interval(&ctx);

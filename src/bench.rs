@@ -11,13 +11,11 @@
 //!   pinned scenario grids: the fig6 smoke grid (Basic/RED-2/PCS at
 //!   80 req/s) and the failures smoke grid (Basic/LL/PCS under a
 //!   single-kill outage), plus heavier full-grid cells outside `--smoke`.
-//! * **scheduler-cost benches** — the per-interval cost of maintaining
-//!   and running the scheduler at growing cluster sizes (`m = k` = 100,
-//!   400, 1000), flat full-rebuild + global greedy versus the `PCS-H`
-//!   loop (incremental [`pcs_core::PerformanceMatrix::refresh`] +
-//!   rack-grouped bounded greedy) over an identical monitored-drift
-//!   sequence. Reports wall-clock *and* the deterministic
-//!   entries-recomputed-per-interval.
+//! * **scheduler-cost benches** — the per-interval cost of building the
+//!   matrix and running the scheduler at growing cluster sizes (`m = k` =
+//!   100, 400, 1000): the global greedy versus the `PCS-H` rack-grouped
+//!   bounded greedy over an identical monitored-drift sequence. Reports
+//!   wall-clock and the deterministic entries and greedy iterations.
 //! * **elastic benches** — the elastic scenario's `steady`-preset
 //!   diurnal cell per evacuation capability (Basic/LL/PCS), reporting
 //!   wall-clock, events/sec and the deterministic node-hours each
@@ -204,17 +202,13 @@ const SCHED_NODES_PER_RACK: usize = 20;
 /// Group cap of the hierarchical rows (the `hier` registry default).
 const SCHED_GROUP_CAP: usize = 64;
 
-/// The synthetic cluster the scheduler-cost benches maintain a matrix
-/// over: `size` components packed on the first `size / 2` nodes, the
-/// other half spare migration targets carrying only background (batch)
-/// load. Between intervals only a rotating handful of **spare** nodes'
-/// background demand drifts ([`sched_drift`]) — the steady-state regime
-/// Algorithm 2 targets: topology and placements fixed, a few nodes'
-/// external load moves. An incremental refresh then re-evaluates just
-/// the dirtied columns, while a flat rebuild always pays all `m·k`
-/// entries; resident components' own estimates are untouched so the
-/// Eq. 4 overall is bit-stable and the refresh never has to fall back
-/// to a full rebuild.
+/// The synthetic cluster the scheduler-cost benches build a matrix over
+/// every interval: `size` components packed on the first `size / 2`
+/// nodes, the other half spare migration targets carrying only background
+/// (batch) load. Between intervals a rotating handful of spare nodes'
+/// background demand drifts ([`sched_drift`]), so each interval's build
+/// and search see different inputs while topology and placements stay
+/// fixed.
 fn sched_inputs(size: usize, seed: u64) -> MatrixInputs {
     assert!(size >= 2);
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -255,8 +249,7 @@ fn sched_inputs(size: usize, seed: u64) -> MatrixInputs {
 }
 
 /// Interval `t`'s monitored drift: ~10% of the spare nodes (rotating
-/// with `t`) report a new background demand. Resident components are
-/// untouched, so this is exactly the partial-refresh case.
+/// with `t`) report a new background demand.
 fn sched_drift(inputs: &mut MatrixInputs, t: usize) {
     let size = inputs.nodes.len();
     let packed = size / 2;
@@ -286,7 +279,6 @@ struct SchedRow {
     name: String,
     size: usize,
     wall_ms: f64,
-    entries: u64,
     migrations: u64,
     iterations: u64,
 }
@@ -306,7 +298,7 @@ impl SchedRow {
             ),
             (
                 "entries_per_interval".into(),
-                Json::Num(self.entries as f64 / intervals),
+                Json::from(self.size * self.size),
             ),
             ("migrations".into(), Json::from(self.migrations)),
             ("greedy_iterations".into(), Json::from(self.iterations)),
@@ -314,19 +306,18 @@ impl SchedRow {
     }
 }
 
-/// The per-interval cost of maintaining and running the scheduler, flat
-/// vs hierarchical, at growing cluster sizes (`m = k = size`).
+/// The per-interval cost of building the matrix and running the
+/// scheduler, flat vs hierarchical, at growing cluster sizes
+/// (`m = k = size`). Every interval builds the full matrix from that
+/// interval's inputs, as both controllers do; the rows differ only in the
+/// greedy:
 ///
-/// * `scheduler/flat@N` — every interval rebuilds the full matrix and
-///   runs the global greedy, the baseline controller's loop.
-/// * `scheduler/hier@N` — one build up front (excluded from the timed
-///   region: the controller pays it once per run, not per interval),
-///   then every interval incrementally refreshes the carried matrix,
-///   clones it, and runs the rack-grouped bounded greedy — the
-///   `PCS-H` controller's loop.
+/// * `scheduler/flat@N` — the global greedy, flat PCS's;
+/// * `scheduler/hier@N` — the rack-grouped bounded greedy
+///   ([`HierarchicalScheduler::run_grouped`]), `PCS-H`'s.
 ///
-/// Both variants replay the identical drift sequence, so wall-clock and
-/// the deterministic `entries_per_interval` are directly comparable.
+/// Both variants replay the identical drift sequence, so their
+/// wall-clocks are directly comparable.
 fn scheduler_benches(smoke: bool, repeats: usize) -> Vec<SchedRow> {
     let sizes: &[usize] = if smoke { &[100] } else { &[100, 400, 1000] };
     let models = fig7::synthetic_models();
@@ -336,68 +327,44 @@ fn scheduler_benches(smoke: bool, repeats: usize) -> Vec<SchedRow> {
         full_rebuild: false,
     };
     let matrix_config = MatrixConfig::default();
+    let flat = ComponentScheduler::new(config);
+    let hier = HierarchicalScheduler::new(config, SCHED_GROUP_CAP);
     let mut rows = Vec::new();
     for &size in sizes {
         let seed = 62015 + size as u64;
-
-        eprintln!("bench: scheduler/flat@{size} ...");
-        let scheduler = ComponentScheduler::new(config);
-        let mut flat = SchedRow {
-            name: format!("scheduler/flat@{size}"),
-            size,
-            wall_ms: f64::INFINITY,
-            entries: (size * size * SCHED_INTERVALS) as u64,
-            migrations: 0,
-            iterations: 0,
-        };
-        for _ in 0..repeats {
-            let mut inputs = sched_inputs(size, seed);
-            let started = Instant::now();
-            let (mut migrations, mut iterations) = (0u64, 0u64);
-            for t in 0..SCHED_INTERVALS {
-                sched_drift(&mut inputs, t);
-                let mut matrix = PerformanceMatrix::build(&inputs, &models, matrix_config);
-                let outcome = scheduler.run(&mut matrix);
-                migrations += outcome.decisions.len() as u64;
-                iterations += outcome.iterations as u64;
+        for grouped in [false, true] {
+            let name = format!("scheduler/{}@{size}", if grouped { "hier" } else { "flat" });
+            eprintln!("bench: {name} ...");
+            let mut row = SchedRow {
+                name,
+                size,
+                wall_ms: f64::INFINITY,
+                migrations: 0,
+                iterations: 0,
+            };
+            for _ in 0..repeats {
+                let mut inputs = sched_inputs(size, seed);
+                let groups = sched_rack_groups(&inputs);
+                let allowed = vec![true; size];
+                let started = Instant::now();
+                let (mut migrations, mut iterations) = (0u64, 0u64);
+                for t in 0..SCHED_INTERVALS {
+                    sched_drift(&mut inputs, t);
+                    let mut matrix = PerformanceMatrix::build(&inputs, &models, matrix_config);
+                    let outcome = if grouped {
+                        hier.run_grouped(&mut matrix, &groups, &allowed, 0)
+                    } else {
+                        flat.run(&mut matrix)
+                    };
+                    migrations += outcome.decisions.len() as u64;
+                    iterations += outcome.iterations as u64;
+                }
+                row.wall_ms = row.wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
+                row.migrations = migrations;
+                row.iterations = iterations;
             }
-            flat.wall_ms = flat.wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            flat.migrations = migrations;
-            flat.iterations = iterations;
+            rows.push(row);
         }
-        rows.push(flat);
-
-        eprintln!("bench: scheduler/hier@{size} ...");
-        let hier_scheduler = HierarchicalScheduler::new(config, SCHED_GROUP_CAP);
-        let mut hier = SchedRow {
-            name: format!("scheduler/hier@{size}"),
-            size,
-            wall_ms: f64::INFINITY,
-            entries: 0,
-            migrations: 0,
-            iterations: 0,
-        };
-        for _ in 0..repeats {
-            let mut inputs = sched_inputs(size, seed);
-            let groups = sched_rack_groups(&inputs);
-            let allowed = vec![true; size];
-            let mut carried = PerformanceMatrix::build(&inputs, &models, matrix_config);
-            let started = Instant::now();
-            let (mut entries, mut migrations, mut iterations) = (0u64, 0u64, 0u64);
-            for t in 0..SCHED_INTERVALS {
-                sched_drift(&mut inputs, t);
-                entries += carried.refresh(&inputs).entries_recomputed as u64;
-                let mut matrix = carried.clone();
-                let outcome = hier_scheduler.run_grouped(&mut matrix, &groups, &allowed, 0);
-                migrations += outcome.decisions.len() as u64;
-                iterations += outcome.iterations as u64;
-            }
-            hier.wall_ms = hier.wall_ms.min(started.elapsed().as_secs_f64() * 1e3);
-            hier.entries = entries;
-            hier.migrations = migrations;
-            hier.iterations = iterations;
-        }
-        rows.push(hier);
     }
     rows
 }
@@ -1113,55 +1080,17 @@ mod tests {
         assert!(check_report("{\"schema\":\"other\"}").is_err());
     }
 
-    /// The load-bearing claim of the scheduler section: under the
-    /// steady-state drift (spare-node background load moves, placements
-    /// and resident estimates do not), the incremental refresh
-    /// re-evaluates a small fraction of the matrix while the flat loop
-    /// always pays all m·k entries — and the refreshed matrix plus the
-    /// grouped greedy still find real migrations.
+    /// Both scheduler rows at a size time the same drift sequence, and
+    /// both greedies find real migrations on it.
     #[test]
-    fn hierarchical_maintenance_recomputes_a_fraction_of_the_matrix() {
+    fn scheduler_rows_replay_the_drift_and_find_migrations() {
         let rows = scheduler_benches(true, 1);
         assert_eq!(rows.len(), 2);
         let flat = &rows[0];
         let hier = &rows[1];
-        assert!(flat.name.starts_with("scheduler/flat@"));
-        assert!(hier.name.starts_with("scheduler/hier@"));
-        assert_eq!(flat.entries, (100 * 100 * SCHED_INTERVALS) as u64);
-        assert!(
-            hier.entries * 4 < flat.entries,
-            "incremental refresh must recompute < 25% of the flat rebuild's entries, \
-             got {} vs {}",
-            hier.entries,
-            flat.entries
-        );
+        assert_eq!(flat.name, "scheduler/flat@100");
+        assert_eq!(hier.name, "scheduler/hier@100");
         assert!(flat.migrations > 0 && hier.migrations > 0);
         assert!(flat.iterations > 0 && hier.iterations > 0);
-    }
-
-    /// The refresh the hier rows time is bit-identical to a fresh build
-    /// on the same drifted inputs (the Algorithm 2 contract, re-checked
-    /// here on the bench's own input shape).
-    #[test]
-    fn sched_drift_refresh_matches_full_build() {
-        let models = fig7::synthetic_models();
-        let mut inputs = sched_inputs(60, 7);
-        let mut carried = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-        for t in 0..3 {
-            sched_drift(&mut inputs, t);
-            let stats = carried.refresh(&inputs);
-            assert!(stats.entries_recomputed < stats.entries_total);
-            let fresh = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
-            for i in 0..60 {
-                for j in 0..60 {
-                    let (i, j) = (ComponentId::from_index(i), NodeId::from_index(j));
-                    assert_eq!(
-                        carried.gain(i, j).to_bits(),
-                        fresh.gain(i, j).to_bits(),
-                        "refresh must be bit-identical to build at ({i:?}, {j:?})"
-                    );
-                }
-            }
-        }
     }
 }

@@ -11,7 +11,7 @@
 
 use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, HierarchicalScheduler, MatrixConfig,
-    MatrixInputs, MigrationDecision, NodeInput, PerformanceMatrix, PredictionMode, SchedulerConfig,
+    MatrixInputs, MigrationDecision, NodeInput, PerformanceMatrix, SchedulerConfig,
     ThresholdPolicy,
 };
 use pcs_monitor::SamplerConfig;
@@ -38,20 +38,6 @@ const DEAD_NODE_CONTENTION: ContentionVector = ContentionVector {
     disk_util: 16.0,
     net_util: 16.0,
 };
-
-/// Relative change below which the hierarchical mode considers a
-/// monitored estimate unchanged and reuses the previous interval's value
-/// bit-for-bit. Sampling noise wiggles every estimate a little every
-/// interval; feeding those wiggles to [`PerformanceMatrix::refresh`]
-/// would dirty every row and defeat the incremental maintenance, so small
-/// moves are frozen until they accumulate past this dead-band. The flat
-/// controller re-estimates everything every interval and is unaffected.
-const ESTIMATE_HYSTERESIS: f64 = 0.05;
-
-/// True when `a` and `b` are within the estimate dead-band of each other.
-fn near(a: f64, b: f64) -> bool {
-    (a - b).abs() <= ESTIMATE_HYSTERESIS * a.abs().max(b.abs())
-}
 
 /// Seed salt of the prediction-noise RNG lane (`pcs-n<σ>` techniques).
 /// Mixed with the σ bit pattern so distinct noise levels draw distinct,
@@ -87,14 +73,6 @@ impl DemandNoise {
     }
 }
 
-/// Component-wise [`near`] over a demand vector.
-fn near_vec(a: &ResourceVector, b: &ResourceVector) -> bool {
-    near(a.cores, b.cores)
-        && near(a.mpki, b.mpki)
-        && near(a.disk_mbps, b.disk_mbps)
-        && near(a.net_mbps, b.net_mbps)
-}
-
 /// The greedy's initial candidate mask: every component without a
 /// migration in flight. The world ignores orders for in-flight components,
 /// so they are masked before evacuation and search; otherwise a plan could
@@ -120,6 +98,23 @@ fn orders(ctx: &SchedulerContext<'_>, decisions: &[MigrationDecision]) -> Vec<Mi
             }
         })
         .collect()
+}
+
+/// The hierarchical mode's level-1 walk: component indices grouped by the
+/// rack of their current host, in rack order, empty racks skipped. Without
+/// rack data every component falls in one group; on a single-rack cluster
+/// the greedy then degrades to plain cap-sized grouping.
+fn rack_groups(ctx: &SchedulerContext<'_>) -> Vec<Vec<usize>> {
+    if ctx.rack_of.len() != ctx.node_capacities.len() || ctx.rack_of.is_empty() {
+        return vec![(0..ctx.components.len()).collect()];
+    }
+    let rack_count = ctx.rack_of.iter().copied().max().unwrap_or(0) + 1;
+    let mut by_rack: Vec<Vec<usize>> = vec![Vec::new(); rack_count];
+    for (i, meta) in ctx.components.iter().enumerate() {
+        by_rack[ctx.rack_of[meta.node.index()]].push(i);
+    }
+    by_rack.retain(|g| !g.is_empty());
+    by_rack
 }
 
 /// The PCS scheduling framework: monitors → predictor → matrix → greedy
@@ -152,22 +147,6 @@ pub struct PcsController {
     /// Two-level hierarchical mode: per-group component cap (paper §VI-D).
     /// `None` (the default) is the flat Algorithm 1 controller.
     hier_group_cap: Option<usize>,
-    /// Carried performance matrix for the hierarchical mode's incremental
-    /// refresh. Kept pristine — the controller schedules on a clone, so
-    /// this copy never sees speculative migration state and the next
-    /// interval's [`PerformanceMatrix::refresh`] diffs against exactly
-    /// what the monitors reported last time.
-    carried: Option<PerformanceMatrix>,
-    /// The (post-hysteresis) inputs behind `carried`, used to freeze
-    /// estimates that have not moved past the dead-band.
-    carried_inputs: Option<MatrixInputs>,
-    /// Per-node demand versions at the previous interval: an unchanged
-    /// version proves the node's demand composition is unchanged, so its
-    /// estimate is reused without any comparison.
-    last_versions: Vec<u64>,
-    /// Per-node liveness at the previous interval (the version shortcut
-    /// only applies to nodes that stayed up across the interval).
-    last_up: Vec<bool>,
     /// Deterministic work counters surfaced via [`SchedulerHook::cost`].
     cost: SchedulerCost,
     /// Whether each analysed interval builds an [`IntervalAudit`]
@@ -204,10 +183,6 @@ impl PcsController {
             demand_noise: None,
             last_node_demand: Vec::new(),
             hier_group_cap: None,
-            carried: None,
-            carried_inputs: None,
-            last_versions: Vec::new(),
-            last_up: Vec::new(),
             cost: SchedulerCost::default(),
             audit_enabled: audit_print,
             audit_print,
@@ -269,11 +244,9 @@ impl PcsController {
     /// Switches the controller to the two-level hierarchical mode (paper
     /// §VI-D): components are grouped by the *rack* of their current host
     /// and scheduled rack by rack with the bounded greedy
-    /// ([`HierarchicalScheduler::run_grouped`]), and the performance
-    /// matrix is maintained incrementally across intervals
-    /// ([`PerformanceMatrix::refresh`]) — refreshing only rows and
-    /// columns whose node state actually changed — instead of rebuilt
-    /// from scratch every interval.
+    /// ([`HierarchicalScheduler::run_grouped`]). Everything else — inputs,
+    /// the per-interval matrix build, evacuation — is the flat
+    /// controller's.
     ///
     /// # Panics
     /// Panics on a zero group cap.
@@ -486,131 +459,6 @@ impl PcsController {
         }
         evacuations
     }
-
-    /// One hierarchical-mode interval: freeze estimates inside the
-    /// dead-band, refresh the carried matrix incrementally, then schedule
-    /// rack by rack on a clone.
-    fn on_interval_hier(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        group_cap: usize,
-    ) -> Vec<MigrationRequest> {
-        let mut inputs = self.build_inputs(ctx);
-        // Mean-contention predictions never read the sample windows, so
-        // drop them from the inputs: a freshly drained window every
-        // interval would otherwise mark every node changed and defeat
-        // the incremental refresh.
-        if self.matrix_config.mode != PredictionMode::PerSample {
-            for n in &mut inputs.nodes {
-                n.samples.clear();
-            }
-        }
-        // Freeze estimates that have not moved meaningfully since the
-        // previous interval, so the refresh's dirty set tracks *real*
-        // change instead of sampling noise. A node whose demand version
-        // is untouched provably has the same demand composition (no job
-        // started or finished, no component moved, no monitor update) —
-        // reuse its estimate without comparing anything.
-        if let Some(prev) = &self.carried_inputs {
-            if prev.node_count() == inputs.node_count()
-                && prev.component_count() == inputs.component_count()
-            {
-                for (j, node) in inputs.nodes.iter_mut().enumerate() {
-                    let stayed_up =
-                        ctx.node_status[j].is_up() && self.last_up.get(j).copied().unwrap_or(false);
-                    let same_version = self.last_versions.get(j) == Some(&ctx.demand_versions[j]);
-                    if (stayed_up && same_version) || near_vec(&node.demand, &prev.nodes[j].demand)
-                    {
-                        node.demand = prev.nodes[j].demand;
-                    }
-                }
-                for (i, comp) in inputs.components.iter_mut().enumerate() {
-                    let prev_c = &prev.components[i];
-                    if near_vec(&comp.demand, &prev_c.demand) {
-                        comp.demand = prev_c.demand;
-                    }
-                    if near(comp.arrival_rate, prev_c.arrival_rate) {
-                        comp.arrival_rate = prev_c.arrival_rate;
-                    }
-                    if near(comp.scv, prev_c.scv) {
-                        comp.scv = prev_c.scv;
-                    }
-                }
-            }
-        }
-        self.last_versions = ctx.demand_versions.to_vec();
-        self.last_up = ctx.node_status.iter().map(|s| s.is_up()).collect();
-
-        let mk = (inputs.component_count() * inputs.node_count()) as u64;
-        self.cost.intervals += 1;
-        self.cost.entries_total += mk;
-        let compatible = self.carried.as_ref().is_some_and(|m| {
-            m.component_count() == inputs.component_count() && m.node_count() == inputs.node_count()
-        });
-        if compatible {
-            let stats = self
-                .carried
-                .as_mut()
-                .expect("checked above")
-                .refresh(&inputs);
-            self.cost.matrix_refreshes += 1;
-            self.cost.entries_recomputed += stats.entries_recomputed as u64;
-        } else {
-            self.carried = Some(PerformanceMatrix::build(
-                &inputs,
-                &self.models,
-                self.matrix_config,
-            ));
-            self.cost.matrix_builds += 1;
-            self.cost.entries_recomputed += mk;
-        }
-        self.carried_inputs = Some(inputs);
-
-        // Schedule on a clone: apply_migration below is speculative (the
-        // world may still reject or delay moves), and next interval's
-        // refresh must diff against the monitors' view, not against the
-        // speculation.
-        let mut matrix = self
-            .carried
-            .as_ref()
-            .expect("carried matrix initialised above")
-            .clone();
-        let predicted_overall = matrix.overall_latency();
-        let mut config = self.scheduler_config;
-        if let Some(policy) = self.threshold {
-            config.epsilon_secs = policy.resolve(matrix.overall_latency());
-        }
-        let mut candidates = idle_components(ctx);
-        let evacuations = self.evacuate_orphans(ctx, &config, &mut matrix, &mut candidates);
-
-        // Level 1 walks racks; level 2 is the bounded greedy within each
-        // rack's component group (components grouped by the rack of
-        // their current host). On a single-rack cluster this degrades to
-        // plain cap-sized grouping.
-        let groups: Vec<Vec<usize>> =
-            if ctx.rack_of.len() == ctx.node_capacities.len() && !ctx.rack_of.is_empty() {
-                let rack_count = ctx.rack_of.iter().copied().max().unwrap_or(0) + 1;
-                let mut by_rack: Vec<Vec<usize>> = vec![Vec::new(); rack_count];
-                for (i, meta) in ctx.components.iter().enumerate() {
-                    by_rack[ctx.rack_of[meta.node.index()]].push(i);
-                }
-                by_rack.retain(|g| !g.is_empty());
-                by_rack
-            } else {
-                vec![(0..ctx.components.len()).collect()]
-            };
-        let mut outcome = HierarchicalScheduler::new(config, group_cap).run_grouped(
-            &mut matrix,
-            &groups,
-            &candidates,
-            evacuations.len(),
-        );
-        self.cost.greedy_iterations += outcome.iterations as u64;
-        outcome.decisions.splice(0..0, evacuations);
-        let migrations = orders(ctx, &outcome.decisions);
-        self.record_audit(ctx, predicted_overall, &outcome.decisions);
-        migrations
-    }
 }
 
 impl SchedulerHook for PcsController {
@@ -622,9 +470,6 @@ impl SchedulerHook for PcsController {
             && ctx.node_status.iter().all(|s| s.is_up())
         {
             return Vec::new();
-        }
-        if let Some(group_cap) = self.hier_group_cap {
-            return self.on_interval_hier(ctx, group_cap);
         }
         let inputs = self.build_inputs(ctx);
         let mut matrix = PerformanceMatrix::build(&inputs, &self.models, self.matrix_config);
@@ -642,11 +487,19 @@ impl SchedulerHook for PcsController {
         let mut candidates = idle_components(ctx);
         let evacuations = self.evacuate_orphans(ctx, &config, &mut matrix, &mut candidates);
 
-        let mut outcome = ComponentScheduler::new(config).run_masked(
-            &mut matrix,
-            &mut candidates,
-            evacuations.len(),
-        );
+        let mut outcome = match self.hier_group_cap {
+            Some(group_cap) => HierarchicalScheduler::new(config, group_cap).run_grouped(
+                &mut matrix,
+                &rack_groups(ctx),
+                &candidates,
+                evacuations.len(),
+            ),
+            None => ComponentScheduler::new(config).run_masked(
+                &mut matrix,
+                &mut candidates,
+                evacuations.len(),
+            ),
+        };
         self.cost.greedy_iterations += outcome.iterations as u64;
         outcome.decisions.splice(0..0, evacuations);
         let migrations = orders(ctx, &outcome.decisions);
@@ -866,12 +719,11 @@ mod tests {
         );
     }
 
-    /// The hierarchical mode on a multi-rack cluster: rack-grouped greedy
-    /// over an incrementally refreshed matrix must still find migrations,
-    /// and the cost counters must show exactly one full build with every
-    /// later interval served by a refresh.
+    /// The hierarchical mode on a multi-rack cluster: the rack-grouped
+    /// greedy must still find migrations, and like the flat controller it
+    /// builds a fresh matrix every interval.
     #[test]
-    fn hierarchical_controller_schedules_and_refreshes_incrementally() {
+    fn hierarchical_controller_schedules_on_a_fresh_matrix_every_interval() {
         let topology = ServiceTopology::nutch(8);
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
@@ -900,11 +752,52 @@ mod tests {
         );
         let cost = report.scheduler_cost.expect("controller tracks cost");
         assert!(cost.intervals >= 2, "several intervals must run: {cost:?}");
-        assert_eq!(cost.matrix_builds, 1, "only the first interval builds");
-        assert_eq!(cost.matrix_refreshes, cost.intervals - 1);
+        assert_eq!(cost.matrix_builds, cost.intervals, "every interval builds");
+        assert_eq!(cost.matrix_refreshes, 0);
         assert_eq!(cost.entries_total, cost.intervals * 10 * 10);
-        assert!(cost.entries_recomputed <= cost.entries_total);
+        assert_eq!(cost.entries_recomputed, cost.entries_total);
         assert!(cost.greedy_iterations > 0);
+    }
+
+    /// On one rack with a group cap covering every component, the
+    /// rack-grouped greedy is the flat greedy: the whole run, scheduler
+    /// cost included, matches flat PCS.
+    #[test]
+    fn hierarchical_controller_on_one_rack_reduces_to_flat() {
+        let topology = ServiceTopology::nutch(8);
+        let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
+        let flat = PcsController::new(
+            models,
+            pcs_core::SchedulerConfig {
+                epsilon_secs: 0.00005,
+                max_migrations: None,
+                full_rebuild: false,
+            },
+            MatrixConfig::default(),
+        );
+        // One greedy run over every component: the cap must not split them.
+        let cap = topology.component_count();
+        let hier = flat.clone().with_hierarchical(cap);
+        let mut config = SimConfig::paper_like(topology, 100.0, 21);
+        config.node_count = 10;
+        config.horizon = SimDuration::from_secs(20);
+        config.warmup = SimDuration::from_secs(4);
+        config.scheduler_interval = SimDuration::from_secs(2);
+        assert_eq!(config.rack_count, 1);
+        let run = |hook: PcsController| {
+            Simulation::new(
+                config.clone(),
+                Box::new(pcs_sim::BasicPolicy),
+                Box::new(hook),
+            )
+            .run()
+        };
+        let flat = run(flat);
+        assert!(
+            flat.stats.migrations > 0,
+            "the reduction must cover real moves"
+        );
+        assert_eq!(format!("{flat:?}"), format!("{:?}", run(hier)));
     }
 
     /// A small group cap (forcing several groups per interval) must not
@@ -989,7 +882,6 @@ mod tests {
             ground_truth_demand: &[ResourceVector::ZERO; 3],
             node_status: &[NodeStatus::Up; 3],
             replica_peers: &[],
-            demand_versions: &[],
             rack_of: &[],
         })
     }

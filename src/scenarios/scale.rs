@@ -6,14 +6,13 @@
 //! scenario closes the loop in-simulation: deep-chain and wide-fanout
 //! services sized proportionally to the cluster run under diurnal and
 //! bursty (MMPP) traffic at 100, 400 and 1000 nodes, comparing flat PCS
-//! (full matrix rebuild + single global greedy, every interval) against
-//! the two-level hierarchical variant `PCS-H` (rack-grouped greedy +
-//! incremental matrix refresh). Every cell reports the usual quality
-//! metrics *and* the scheduler's deterministic work counters
-//! ([`pcs_sim::SchedulerCost`]) — `sched_entries_recomputed` versus
-//! `sched_entries_total` is the per-interval matrix cost, and
-//! `sched_greedy_iterations` the search cost, both safe to byte-pin
-//! because they count events, never wall-clock.
+//! (single global greedy) against the two-level hierarchical variant
+//! `PCS-H` (rack-grouped bounded greedy); both build the full matrix
+//! every interval. Every cell reports the usual quality metrics *and* the
+//! scheduler's deterministic work counters ([`pcs_sim::SchedulerCost`]) —
+//! `sched_entries_total` is the matrix cost and `sched_greedy_iterations`
+//! the search cost, both safe to byte-pin because they count events,
+//! never wall-clock.
 //!
 //! Flat PCS is dropped from the default grid at [`FLAT_PCS_MAX_NODES`]
 //! and beyond: a full m×k rebuild per 2 s interval at 1000 components ×
@@ -160,24 +159,24 @@ fn scheduler_cost_metrics(report: &pcs_sim::RunReport) -> Vec<(String, Json)> {
     let per_interval = if c.intervals == 0 {
         0.0
     } else {
-        c.entries_recomputed as f64 / c.intervals as f64
+        c.entries_total as f64 / c.intervals as f64
     };
     vec![
         kv("sched_intervals", c.intervals),
         kv("sched_matrix_builds", c.matrix_builds),
-        kv("sched_matrix_refreshes", c.matrix_refreshes),
-        kv("sched_entries_recomputed", c.entries_recomputed),
         kv("sched_entries_total", c.entries_total),
         kv("sched_entries_per_interval", per_interval),
         kv("sched_greedy_iterations", c.greedy_iterations),
     ]
 }
 
-/// Cross-cell reduction: for every PCS-H cell, the flat-PCS cell on the
-/// same trace (size, service, traffic, rate), with the tail-latency
-/// delta and the matrix-work ratio. Sizes where flat PCS is absent (the
-/// default grid at ≥ [`FLAT_PCS_MAX_NODES`]) report the hierarchical
-/// cost alone.
+/// Cross-cell reduction: for every PCS-H cell, the flat-PCS cell of the
+/// same size, service, traffic and rate, with the tail-latency delta.
+/// The two cells share a seed, not an arrival sequence: arrivals draw
+/// from the same RNG as service times and monitoring, so different
+/// scheduling decisions re-roll the rest of the trace. Sizes where flat
+/// PCS is absent (the default grid at ≥ [`FLAT_PCS_MAX_NODES`]) report
+/// the hierarchical cost alone.
 fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
     let technique = |c: &CellOutcome| {
         c.value("technique")
@@ -185,33 +184,28 @@ fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
             .unwrap_or_default()
             .to_string()
     };
-    let same_trace = |a: &CellOutcome, b: &CellOutcome| {
+    let same_cell = |a: &CellOutcome, b: &CellOutcome| {
         ["size", "service", "traffic", "rate"]
             .iter()
             .all(|k| a.value(k) == b.value(k))
     };
     let mut rows = Vec::new();
     let mut tail_deltas = Vec::new();
-    let mut work_ratios = Vec::new();
     for cell in cells {
         if !technique(cell).starts_with("PCS-H") {
             continue;
         }
         let flat = cells
             .iter()
-            .find(|c| technique(c) == "PCS" && same_trace(c, cell));
+            .find(|c| technique(c) == "PCS" && same_cell(c, cell));
         let ratio = |metric: &str| -> Option<f64> {
             let hier = cell.value_f64(metric)?;
             let flat = flat?.value_f64(metric)?;
             (flat > 0.0 && flat.is_finite() && hier.is_finite()).then_some(hier / flat)
         };
         let tail_delta = ratio("p99_component_ms").map(|r| (r - 1.0) * 100.0);
-        let work_ratio = ratio("sched_entries_recomputed").map(|r| r * 100.0);
         if let Some(d) = tail_delta {
             tail_deltas.push(d);
-        }
-        if let Some(w) = work_ratio {
-            work_ratios.push(w);
         }
         let opt = |v: Option<f64>| v.map(Json::Num).unwrap_or(Json::Null);
         rows.push(Json::object(vec![
@@ -232,7 +226,6 @@ fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
                 cell.value_f64("sched_entries_per_interval").unwrap_or(0.0),
             ),
             ("tail_delta_vs_flat_pct".to_string(), opt(tail_delta)),
-            ("matrix_work_vs_flat_pct".to_string(), opt(work_ratio)),
         ]));
     }
     let mean = |v: &[f64]| {
@@ -244,7 +237,6 @@ fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
     };
     vec![
         kv("hier_mean_tail_delta_pct", mean(&tail_deltas)),
-        kv("hier_mean_matrix_work_pct", mean(&work_ratios)),
         ("hier_vs_flat_per_cell".to_string(), Json::Array(rows)),
     ]
 }
@@ -324,8 +316,8 @@ impl Scenario for ScaleScenario {
             {
                 for (traffic_idx, &traffic) in traffics.iter().enumerate() {
                     for &rate in &cfg.rates {
-                        // One trace per (size, service, traffic, rate):
-                        // techniques compete on identical arrivals/churn.
+                        // One seed per (size, service, traffic, rate),
+                        // shared by the techniques (see `scale_summary`).
                         let trace_seed = seed::mix_f64(
                             seed::mix(
                                 seed::mix(seed::mix(cfg.seed, size as u64), service_idx as u64),
@@ -355,8 +347,8 @@ impl Scenario for ScaleScenario {
                                     kv("rate", rate),
                                     kv("technique", technique.name()),
                                 ],
-                                // Runner seed unused: cells in one trace
-                                // group share `trace_seed` (see above).
+                                // Runner seed unused: cells in one group
+                                // share `trace_seed` (see above).
                                 run: Box::new(move |_cell_seed| {
                                     let mut sim_config =
                                         scale_config(size, service, rate, trace_seed, smoke);
@@ -473,24 +465,31 @@ mod tests {
             ],
             metrics: vec![
                 kv("p99_component_ms", p99),
-                kv("sched_entries_recomputed", entries),
                 kv("sched_entries_per_interval", entries / 10.0),
             ],
         };
         let cells = vec![
             mk("PCS", 100, 10.0, 1000.0),
-            mk("PCS-H64", 100, 10.5, 250.0),
+            mk("PCS-H64", 100, 10.5, 1000.0),
             mk("PCS-H64", 1000, 20.0, 5000.0),
         ];
         let summary = scale_summary(&cells);
+        assert_eq!(summary.len(), 2);
         assert_eq!(summary[0].0, "hier_mean_tail_delta_pct");
         assert!((summary[0].1.as_f64().unwrap() - 5.0).abs() < 1e-9);
-        assert_eq!(summary[1].0, "hier_mean_matrix_work_pct");
-        assert!((summary[1].1.as_f64().unwrap() - 25.0).abs() < 1e-9);
         // Two PCS-H rows; the 1000-node one has no flat partner.
-        let Json::Array(rows) = &summary[2].1 else {
+        let Json::Array(rows) = &summary[1].1 else {
             panic!("rows must be an array")
         };
         assert_eq!(rows.len(), 2);
+        let delta = |row: &Json| row.get("tail_delta_vs_flat_pct").and_then(Json::as_f64);
+        assert!((delta(&rows[0]).unwrap() - 5.0).abs() < 1e-9);
+        assert_eq!(delta(&rows[1]), None);
+        assert_eq!(
+            rows[1]
+                .get("hier_entries_per_interval")
+                .and_then(Json::as_f64),
+            Some(500.0)
+        );
     }
 }

@@ -4,10 +4,10 @@
 //! in hierarchical mode: components are grouped by the rack of their
 //! current host and scheduled rack by rack with the bounded greedy
 //! (level 1 walks racks, level 2 optimises within a rack's group, capped
-//! at `cap` components per greedy run), and the performance matrix is
-//! maintained incrementally across intervals instead of rebuilt. Initial
-//! placement is rack-aware (rack-striped anti-affinity) so replica
-//! groups start on distinct racks.
+//! at `cap` components per greedy run). Inputs, the per-interval matrix
+//! build and the evacuation pass are flat PCS's; only the greedy differs.
+//! Initial placement is rack-aware (rack-striped anti-affinity) so
+//! replica groups start on distinct racks.
 
 use super::{TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
@@ -22,8 +22,7 @@ pub const MAX_GROUP_CAP: usize = 1024;
 /// The group cap the bare `hier` alias selects.
 pub const DEFAULT_GROUP_CAP: usize = 64;
 
-/// `PCS-H<cap>`: hierarchical rack-aware PCS with incremental matrix
-/// maintenance.
+/// `PCS-H<cap>`: hierarchical rack-aware PCS.
 #[derive(Debug, Clone, Copy)]
 pub struct HierPcsSpec {
     cap: usize,
@@ -50,7 +49,7 @@ impl TechniqueSpec for HierPcsSpec {
 
     fn description(&self) -> String {
         format!(
-            "hierarchical rack-aware PCS, groups of <= {} components, incremental matrix refresh",
+            "hierarchical rack-aware PCS, rack-grouped greedy of <= {} components",
             self.cap
         )
     }

@@ -139,8 +139,8 @@ pub fn pcs_budgeted(n: usize) -> TechniqueRef {
     Arc::new(BudgetedPcsSpec::new(n))
 }
 
-/// `PCS-H<cap>`: hierarchical rack-aware PCS with incremental matrix
-/// maintenance, at most `cap` components per greedy group.
+/// `PCS-H<cap>`: hierarchical rack-aware PCS, at most `cap` components
+/// per greedy group.
 ///
 /// # Panics
 /// Panics unless `1 <= cap <= MAX_GROUP_CAP`.

@@ -219,7 +219,6 @@ mod tests {
             ground_truth_demand: demand,
             node_status: status,
             replica_peers: &[],
-            demand_versions: &[],
             rack_of: &[],
         }
     }
@@ -344,7 +343,6 @@ mod tests {
             ground_truth_demand: &demand,
             node_status: &status,
             replica_peers: &peers,
-            demand_versions: &[],
             rack_of: &[],
         };
         let mut hook = LeastLoadedHook::default();
