@@ -1,28 +1,21 @@
 //! Elastic capacity: a deterministic autoscaling subsystem.
 //!
 //! The paper's production pitch is not just lower tails — it is running
-//! *hotter* (fewer nodes) at the same tail SLO. This module supplies the
-//! third membership path beside fault kill/restore: an
+//! *hotter* (fewer nodes) at the same tail SLO. This module supplies an
 //! [`AutoscalePolicy`] control loop, evaluated at every monitor-interval
 //! boundary over *observed* signals only (per-component utilisation
 //! EWMAs, queue depth, a windowed tail estimate — never the simulator's
-//! ground truth), that emits node **join** and **scale-in** actions.
-//!
-//! Node lifecycle (modeled on the invoker/cold-start/idle-container
-//! lifecycle of dslab-faas):
-//!
-//! ```text
-//! Retired ──join──▶ Warming ──cold start elapses──▶ Active
-//!    ▲                                                 │
-//!    └──────── drained (zero components) ── Draining ◀─┘ scale-in
-//! ```
+//! ground truth), that emits node **join** and **scale-in** actions. It
+//! moves nodes through the [`NodePhase`] lifecycle of the run's
+//! [`Membership`] and keeps only its control state and accounting:
 //!
 //! * **Warming** — the node is visible to scheduler hooks (as
-//!   [`NodeStatus::Warming`]) but accepts no placements until its
-//!   configured cold-start has elapsed: delayed capacity, exactly like a
-//!   container that is pulled but not yet serving.
+//!   [`NodeStatus::Warming`](crate::faults::NodeStatus::Warming)) but
+//!   accepts no placements until its configured cold-start has elapsed:
+//!   delayed capacity, exactly like a container that is pulled but not
+//!   yet serving.
 //! * **Draining** — no new placements; the components it hosts are
-//!   evacuated by the scheduler hook through the existing PR 4 evacuation
+//!   evacuated by the scheduler hook through the fault-evacuation
 //!   machinery (both the PCS controller's batched evacuation pass and
 //!   LL's one-per-interval reactive pass key off `!is_up()`). In-queue
 //!   work rides each migration with its component, so **zero requests are
@@ -35,12 +28,13 @@
 //!
 //! Runs start fully provisioned at [`AutoscaleConfig::max_nodes`]; the
 //! autoscaler's job is to shed nodes it can prove idle and re-join them
-//! ahead of demand. The whole subsystem is opt-in:
+//! ahead of demand. Fault kills compose with the lifecycle by the rules
+//! in [`crate::membership`]. The whole subsystem is opt-in:
 //! `SimConfig::autoscale = None` (the default everywhere) leaves the
 //! simulation bit-for-bit identical to every previous release.
 
-use crate::faults::NodeStatus;
-use pcs_types::{SimDuration, SimTime};
+use crate::membership::{Membership, NodePhase};
+use pcs_types::{NodeId, SimDuration, SimTime};
 
 /// Fraction of the target utilisation the *projected* post-scale-in
 /// utilisation must stay under before a drain is ordered: the headroom
@@ -126,25 +120,6 @@ impl AutoscaleConfig {
             "autoscale P99 SLO must be positive"
         );
     }
-
-    /// The initial placement mask: the first `max_nodes` nodes form the
-    /// fully-provisioned starting fleet, the rest start retired.
-    pub fn initial_alive(&self, node_count: usize) -> Vec<bool> {
-        (0..node_count).map(|n| n < self.max_nodes).collect()
-    }
-}
-
-/// Where a node stands in the elastic lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodePhase {
-    /// In the fleet, serving and accepting placements.
-    Active,
-    /// Joined but cold-starting: visible, no placements yet.
-    Warming,
-    /// Leaving the fleet: no new placements, components evacuating.
-    Draining,
-    /// Out of the fleet: hosts nothing, bills no node-seconds.
-    Retired,
 }
 
 /// Mechanism counters of the autoscaling subsystem. All zero on a run
@@ -217,18 +192,13 @@ pub struct AutoscaleSignals {
     pub component_count: usize,
 }
 
-/// The autoscaler: control-loop policy plus per-node lifecycle state and
-/// accounting. Owned by the world when `SimConfig::autoscale` is set;
-/// entirely RNG-free, so membership decisions are a pure function of the
-/// observed trace.
+/// The autoscaler: control-loop policy plus its accounting. Owned by the
+/// world when `SimConfig::autoscale` is set; it moves nodes through the
+/// lifecycle on the world's [`Membership`] and is entirely RNG-free, so
+/// membership decisions are a pure function of the observed trace.
 #[derive(Debug)]
 pub struct AutoscalePolicy {
     config: AutoscaleConfig,
-    phase: Vec<NodePhase>,
-    /// Join time of each warming node.
-    warming_since: Vec<Option<SimTime>>,
-    /// Drain-order time of each draining node.
-    drain_since: Vec<Option<SimTime>>,
     /// Last scale action, for the cooldown.
     last_action_at: Option<SimTime>,
     /// Completion latencies (seconds) observed since the last monitor
@@ -240,8 +210,6 @@ pub struct AutoscalePolicy {
     /// Monitor ticks seen (the t = 0 tick carries no evidence).
     ticks_seen: u64,
     stats: AutoscaleStats,
-    /// In-fleet node count (active + warming + draining).
-    in_fleet: usize,
     /// Node-seconds accumulated up to `last_change`.
     node_seconds: f64,
     last_change: SimTime,
@@ -252,31 +220,17 @@ pub struct AutoscalePolicy {
 }
 
 impl AutoscalePolicy {
-    /// Builds the policy for a validated config: the first
-    /// [`AutoscaleConfig::max_nodes`] nodes start active, the rest
-    /// retired.
-    pub fn new(config: AutoscaleConfig, node_count: usize) -> Self {
-        config.validate(node_count);
-        let phase = (0..node_count)
-            .map(|n| {
-                if n < config.max_nodes {
-                    NodePhase::Active
-                } else {
-                    NodePhase::Retired
-                }
-            })
-            .collect();
+    /// Builds the policy for a validated config over a membership that
+    /// starts with the first [`AutoscaleConfig::max_nodes`] nodes active
+    /// ([`Membership::from_config`]).
+    pub fn new(config: AutoscaleConfig) -> Self {
         AutoscalePolicy {
             config,
-            phase,
-            warming_since: vec![None; node_count],
-            drain_since: vec![None; node_count],
             last_action_at: None,
             window_latencies: Vec::new(),
             tail_est_ms: 0.0,
             ticks_seen: 0,
             stats: AutoscaleStats::default(),
-            in_fleet: config.max_nodes,
             node_seconds: 0.0,
             last_change: SimTime::ZERO,
             drain_sum: 0.0,
@@ -284,40 +238,6 @@ impl AutoscalePolicy {
             slo_violation_windows: 0,
             measured_windows: 0,
         }
-    }
-
-    /// The configured knobs.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.config
-    }
-
-    /// Current lifecycle phase of a node.
-    pub fn phase(&self, node: usize) -> NodePhase {
-        self.phase[node]
-    }
-
-    /// The node status scheduler hooks see: active maps to `Up`; warming
-    /// and draining map to their own variants (visible, not placeable);
-    /// retired reads as `Down`.
-    pub fn status(&self, node: usize) -> NodeStatus {
-        match self.phase[node] {
-            NodePhase::Active => NodeStatus::Up,
-            NodePhase::Warming => NodeStatus::Warming,
-            NodePhase::Draining => NodeStatus::Draining,
-            NodePhase::Retired => NodeStatus::Down,
-        }
-    }
-
-    /// Whether the world may accept a migration *onto* this node: only
-    /// active members of the fleet take placements.
-    pub fn accepts_placements(&self, node: usize) -> bool {
-        self.phase[node] == NodePhase::Active
-    }
-
-    /// Whether the node is draining (the world checks this after each
-    /// migration completes to detect an emptied node).
-    pub fn is_draining(&self, node: usize) -> bool {
-        self.phase[node] == NodePhase::Draining
     }
 
     /// Records one completed sub-request latency for the windowed tail
@@ -333,17 +253,20 @@ impl AutoscalePolicy {
     /// scale in when the *projected* consolidated utilisation still
     /// clears the target with headroom and the tail is comfortably
     /// inside the SLO.
-    pub fn on_monitor_tick(&mut self, now: SimTime, signals: &AutoscaleSignals, in_warmup: bool) {
+    pub fn on_monitor_tick(
+        &mut self,
+        now: SimTime,
+        signals: &AutoscaleSignals,
+        in_warmup: bool,
+        members: &mut Membership,
+    ) {
         // Cold-start promotions first: capacity that finished warming is
         // usable from this window on.
-        for n in 0..self.phase.len() {
-            if self.phase[n] != NodePhase::Warming {
-                continue;
-            }
-            let since = self.warming_since[n].expect("warming node has a join time");
-            if now - since >= self.config.cold_start {
-                self.phase[n] = NodePhase::Active;
-                self.warming_since[n] = None;
+        for node in (0..members.phases().len()).map(NodeId::from_index) {
+            if members.phase(node) == NodePhase::Warming
+                && now - members.phase_since(node) >= self.config.cold_start
+            {
+                members.set_phase(node, NodePhase::Active, now);
                 self.stats.cold_starts_completed += 1;
             }
         }
@@ -379,16 +302,16 @@ impl AutoscalePolicy {
             }
         }
 
-        let active = self.count(NodePhase::Active);
-        let warming = self.count(NodePhase::Warming);
-        let draining = self.count(NodePhase::Draining);
+        let active = members.count(NodePhase::Active);
+        let warming = members.count(NodePhase::Warming);
+        let draining = members.count(NodePhase::Draining);
         let capacity = (active + warming).max(1) as f64;
         let util = signals.busy_utilization / capacity;
         let queue_per_comp = signals.queue_depth as f64 / signals.component_count.max(1) as f64;
         let tail_hot = self.tail_est_ms > self.config.slo_p99_ms;
 
         if util > self.config.target_utilization || tail_hot || queue_per_comp > QUEUE_HIGH {
-            self.scale_out(now);
+            self.scale_out(now, members);
             return;
         }
 
@@ -407,42 +330,44 @@ impl AutoscalePolicy {
             && self.tail_est_ms <= self.config.slo_p99_ms * SLO_SAFETY
             && queue_per_comp <= QUEUE_LOW
         {
-            self.scale_in(now);
+            self.scale_in(now, members);
         }
     }
 
     /// Adds up to `step` nodes: cancelled drains first (still warm, still
     /// placed), then retired nodes through the cold-start pipeline.
-    fn scale_out(&mut self, now: SimTime) {
+    fn scale_out(&mut self, now: SimTime, members: &mut Membership) {
         let mut budget = self.config.step;
         let mut changed = false;
         // Un-drain the most recently drained node first: LIFO keeps the
         // oscillation cost of a reversed decision minimal.
         while budget > 0 {
-            let victim = (0..self.phase.len())
-                .filter(|&n| self.phase[n] == NodePhase::Draining)
-                .max_by_key(|&n| self.drain_since[n].expect("draining node has a drain time"));
-            let Some(n) = victim else { break };
-            self.phase[n] = NodePhase::Active;
-            self.drain_since[n] = None;
+            let victim = (0..members.phases().len())
+                .map(NodeId::from_index)
+                .filter(|&n| members.phase(n) == NodePhase::Draining)
+                .max_by_key(|&n| members.phase_since(n));
+            let Some(node) = victim else { break };
+            members.set_phase(node, NodePhase::Active, now);
             self.stats.drains_cancelled += 1;
             budget -= 1;
             changed = true;
         }
-        while budget > 0 && self.in_fleet < self.config.max_nodes {
-            let Some(n) = (0..self.phase.len()).find(|&n| self.phase[n] == NodePhase::Retired)
+        while budget > 0 && in_fleet(members) < self.config.max_nodes {
+            let Some(n) = members
+                .phases()
+                .iter()
+                .position(|&p| p == NodePhase::Retired)
             else {
                 break;
             };
-            self.bump_node_seconds(now);
-            self.in_fleet += 1;
+            self.bump_node_seconds(now, members);
             self.stats.nodes_joined += 1;
-            if self.config.cold_start.is_zero() {
-                self.phase[n] = NodePhase::Active;
+            let phase = if self.config.cold_start.is_zero() {
+                NodePhase::Active
             } else {
-                self.phase[n] = NodePhase::Warming;
-                self.warming_since[n] = Some(now);
-            }
+                NodePhase::Warming
+            };
+            members.set_phase(NodeId::from_index(n), phase, now);
             budget -= 1;
             changed = true;
         }
@@ -454,20 +379,20 @@ impl AutoscalePolicy {
 
     /// Starts draining up to `step` active nodes, highest index first,
     /// respecting the floor.
-    fn scale_in(&mut self, now: SimTime) {
+    fn scale_in(&mut self, now: SimTime, members: &mut Membership) {
         let mut started = 0;
         for _ in 0..self.config.step {
-            if self.count(NodePhase::Active) <= self.config.min_nodes {
+            if members.count(NodePhase::Active) <= self.config.min_nodes {
                 break;
             }
-            let Some(n) = (0..self.phase.len())
-                .rev()
-                .find(|&n| self.phase[n] == NodePhase::Active)
+            let Some(n) = members
+                .phases()
+                .iter()
+                .rposition(|&p| p == NodePhase::Active)
             else {
                 break;
             };
-            self.phase[n] = NodePhase::Draining;
-            self.drain_since[n] = Some(now);
+            members.set_phase(NodeId::from_index(n), NodePhase::Draining, now);
             self.stats.drains_started += 1;
             started += 1;
         }
@@ -482,25 +407,23 @@ impl AutoscalePolicy {
     ///
     /// # Panics
     /// Panics if the node was not draining.
-    pub fn note_drained(&mut self, node: usize, now: SimTime) {
+    pub fn note_drained(&mut self, node: NodeId, now: SimTime, members: &mut Membership) {
         assert_eq!(
-            self.phase[node],
+            members.phase(node),
             NodePhase::Draining,
             "only draining nodes retire"
         );
-        let since = self.drain_since[node].take().expect("drain time recorded");
-        let secs = (now - since).as_secs_f64();
+        let secs = (now - members.phase_since(node)).as_secs_f64();
         self.drain_sum += secs;
         self.drain_max = self.drain_max.max(secs);
         self.stats.drains_completed += 1;
-        self.bump_node_seconds(now);
-        self.in_fleet -= 1;
-        self.phase[node] = NodePhase::Retired;
+        self.bump_node_seconds(now, members);
+        members.set_phase(node, NodePhase::Retired, now);
     }
 
     /// Closes the node-seconds integral at the end of the run.
-    pub fn finalize(&mut self, end: SimTime) {
-        self.bump_node_seconds(end);
+    pub fn finalize(&mut self, end: SimTime, members: &Membership) {
+        self.bump_node_seconds(end, members);
     }
 
     /// Assembles the report.
@@ -519,16 +442,18 @@ impl AutoscalePolicy {
         }
     }
 
-    fn count(&self, phase: NodePhase) -> usize {
-        self.phase.iter().filter(|&&p| p == phase).count()
-    }
-
     /// Integrates the in-fleet count up to `now` (called before every
-    /// membership change and at run end).
-    fn bump_node_seconds(&mut self, now: SimTime) {
-        self.node_seconds += self.in_fleet as f64 * (now - self.last_change).as_secs_f64();
+    /// join or retirement and at run end). Billing is by phase: a killed
+    /// in-fleet node keeps billing.
+    fn bump_node_seconds(&mut self, now: SimTime, members: &Membership) {
+        self.node_seconds += in_fleet(members) as f64 * (now - self.last_change).as_secs_f64();
         self.last_change = now;
     }
+}
+
+/// In-fleet node count: active + warming + draining.
+fn in_fleet(members: &Membership) -> usize {
+    members.phases().len() - members.count(NodePhase::Retired)
 }
 
 /// The 99th percentile of an unsorted sample window (sorts in place);
@@ -545,6 +470,7 @@ fn window_p99(samples: &mut [f64]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::NodeStatus;
 
     fn config() -> AutoscaleConfig {
         AutoscaleConfig {
@@ -570,40 +496,52 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    fn n(index: usize) -> NodeId {
+        NodeId::from_index(index)
+    }
+
+    /// A policy and the membership it drives, fully provisioned.
+    fn fleet(cfg: AutoscaleConfig, nodes: usize) -> (AutoscalePolicy, Membership) {
+        (
+            AutoscalePolicy::new(cfg),
+            Membership::new(nodes, cfg.max_nodes),
+        )
+    }
+
     #[test]
     fn starts_fully_provisioned() {
-        let a = AutoscalePolicy::new(config(), 8);
-        for n in 0..6 {
-            assert_eq!(a.phase(n), NodePhase::Active);
-            assert!(a.accepts_placements(n));
-            assert_eq!(a.status(n), NodeStatus::Up);
+        let (a, m) = fleet(config(), 8);
+        for i in 0..6 {
+            assert_eq!(m.phase(n(i)), NodePhase::Active);
+            assert!(m.accepts_placements(n(i)));
+            assert_eq!(m.status(n(i)), NodeStatus::Up);
         }
-        for n in 6..8 {
-            assert_eq!(a.phase(n), NodePhase::Retired);
-            assert!(!a.accepts_placements(n));
-            assert_eq!(a.status(n), NodeStatus::Down);
+        for i in 6..8 {
+            assert_eq!(m.phase(n(i)), NodePhase::Retired);
+            assert!(!m.accepts_placements(n(i)));
+            assert_eq!(m.status(n(i)), NodeStatus::Down);
         }
         assert_eq!(
-            config().initial_alive(8),
+            m.initial_mask(&crate::faults::FaultPlan::none()),
             vec![true, true, true, true, true, true, false, false]
         );
+        assert_eq!(a.report().stats, AutoscaleStats::default());
     }
 
     #[test]
     fn idle_fleet_drains_highest_index_first() {
-        let mut a = AutoscalePolicy::new(config(), 6);
-        a.on_monitor_tick(t(0), &quiet(10), true); // no evidence yet
-        a.on_monitor_tick(t(1), &quiet(10), true);
-        assert_eq!(a.phase(5), NodePhase::Draining);
-        assert_eq!(a.status(5), NodeStatus::Draining);
-        assert!(!a.accepts_placements(5));
-        assert!(a.is_draining(5));
+        let (mut a, mut m) = fleet(config(), 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m); // no evidence yet
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Draining);
+        assert_eq!(m.status(n(5)), NodeStatus::Draining);
+        assert!(!m.accepts_placements(n(5)));
         // One drain batch at a time: nothing else drains until it lands.
-        a.on_monitor_tick(t(4), &quiet(10), true);
-        assert_eq!(a.phase(4), NodePhase::Active);
+        a.on_monitor_tick(t(4), &quiet(10), true, &mut m);
+        assert_eq!(m.phase(n(4)), NodePhase::Active);
 
-        a.note_drained(5, t(5));
-        assert_eq!(a.phase(5), NodePhase::Retired);
+        a.note_drained(n(5), t(5), &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Retired);
         let report = a.report();
         assert_eq!(report.stats.scale_in_actions, 1);
         assert_eq!(report.stats.drains_completed, 1);
@@ -618,29 +556,33 @@ mod tests {
     fn floor_is_never_violated() {
         let mut cfg = config();
         cfg.step = 4;
-        let mut a = AutoscalePolicy::new(cfg, 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
-        a.on_monitor_tick(t(1), &quiet(10), true);
+        let (mut a, mut m) = fleet(cfg, 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m);
         // Step 4 against a floor of 2: exactly 4 drains.
         let report = a.report();
         assert_eq!(report.stats.drains_started, 4);
-        assert_eq!(a.phase(1), NodePhase::Active);
-        assert_eq!(a.phase(2), NodePhase::Draining);
+        assert_eq!(m.phase(n(1)), NodePhase::Active);
+        assert_eq!(m.phase(n(2)), NodePhase::Draining);
     }
 
     #[test]
     fn pressure_cancels_drains_before_joining() {
-        let mut a = AutoscalePolicy::new(config(), 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
-        a.on_monitor_tick(t(1), &quiet(10), true);
-        assert_eq!(a.phase(5), NodePhase::Draining);
+        let (mut a, mut m) = fleet(config(), 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Draining);
         let hot = AutoscaleSignals {
             busy_utilization: 5.0,
             queue_depth: 0,
             component_count: 10,
         };
-        a.on_monitor_tick(t(3), &hot, true);
-        assert_eq!(a.phase(5), NodePhase::Active, "un-drained, not re-joined");
+        a.on_monitor_tick(t(3), &hot, true, &mut m);
+        assert_eq!(
+            m.phase(n(5)),
+            NodePhase::Active,
+            "un-drained, not re-joined"
+        );
         let report = a.report();
         assert_eq!(report.stats.drains_cancelled, 1);
         assert_eq!(report.stats.nodes_joined, 0);
@@ -649,25 +591,28 @@ mod tests {
 
     #[test]
     fn joins_pass_through_the_cold_start() {
-        let mut a = AutoscalePolicy::new(config(), 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
-        a.on_monitor_tick(t(1), &quiet(10), true);
-        a.note_drained(5, t(2));
+        let (mut a, mut m) = fleet(config(), 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m);
+        a.note_drained(n(5), t(2), &mut m);
         // Sustained pressure re-joins the retired node, warming first.
         let hot = AutoscaleSignals {
             busy_utilization: 5.0,
             queue_depth: 0,
             component_count: 10,
         };
-        a.on_monitor_tick(t(4), &hot, false);
-        assert_eq!(a.phase(5), NodePhase::Warming);
-        assert_eq!(a.status(5), NodeStatus::Warming);
-        assert!(!a.accepts_placements(5), "warming nodes take no placements");
+        a.on_monitor_tick(t(4), &hot, false, &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Warming);
+        assert_eq!(m.status(n(5)), NodeStatus::Warming);
+        assert!(
+            !m.accepts_placements(n(5)),
+            "warming nodes take no placements"
+        );
         // Cold start is 2 s: not yet at +1 s, promoted at +2 s.
-        a.on_monitor_tick(t(5), &hot, false);
-        assert_eq!(a.phase(5), NodePhase::Warming);
-        a.on_monitor_tick(t(6), &hot, false);
-        assert_eq!(a.phase(5), NodePhase::Active);
+        a.on_monitor_tick(t(5), &hot, false, &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Warming);
+        a.on_monitor_tick(t(6), &hot, false, &mut m);
+        assert_eq!(m.phase(n(5)), NodePhase::Active);
         let report = a.report();
         assert_eq!(report.stats.nodes_joined, 1);
         assert_eq!(report.stats.cold_starts_completed, 1);
@@ -677,23 +622,23 @@ mod tests {
     fn cooldown_spaces_actions() {
         let mut cfg = config();
         cfg.cooldown = SimDuration::from_secs(10);
-        let mut a = AutoscalePolicy::new(cfg, 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
-        a.on_monitor_tick(t(1), &quiet(10), true);
-        a.note_drained(5, t(2));
+        let (mut a, mut m) = fleet(cfg, 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m);
+        a.note_drained(n(5), t(2), &mut m);
         // Well inside the cooldown: no further action despite idleness.
-        a.on_monitor_tick(t(3), &quiet(10), true);
-        a.on_monitor_tick(t(5), &quiet(10), true);
+        a.on_monitor_tick(t(3), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(5), &quiet(10), true, &mut m);
         assert_eq!(a.report().stats.scale_in_actions, 1);
         // Past the cooldown the next drain is ordered.
-        a.on_monitor_tick(t(12), &quiet(10), true);
+        a.on_monitor_tick(t(12), &quiet(10), true, &mut m);
         assert_eq!(a.report().stats.scale_in_actions, 2);
     }
 
     #[test]
     fn tail_estimate_blocks_scale_in_and_counts_violations() {
-        let mut a = AutoscalePolicy::new(config(), 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
+        let (mut a, mut m) = fleet(config(), 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
         // A window whose P99 (80 ms) breaches the 50 ms SLO: measured,
         // counted, and scale-in is suppressed even though the fleet is
         // idle — the breach forces a scale-out attempt instead (a no-op
@@ -701,7 +646,7 @@ mod tests {
         for _ in 0..100 {
             a.observe_latency(SimDuration::from_millis(80));
         }
-        a.on_monitor_tick(t(1), &quiet(10), false);
+        a.on_monitor_tick(t(1), &quiet(10), false, &mut m);
         let report = a.report();
         assert_eq!(report.measured_windows, 1);
         assert_eq!(report.slo_violation_windows, 1);
@@ -716,11 +661,11 @@ mod tests {
     fn node_seconds_integrate_membership() {
         let mut cfg = config();
         cfg.min_nodes = 5;
-        let mut a = AutoscalePolicy::new(cfg, 6);
-        a.on_monitor_tick(t(0), &quiet(10), true);
-        a.on_monitor_tick(t(1), &quiet(10), true); // drain ordered at 1 s
-        a.note_drained(5, t(10)); // fleet 6 until 10 s
-        a.finalize(t(20)); // fleet 5 for the rest
+        let (mut a, mut m) = fleet(cfg, 6);
+        a.on_monitor_tick(t(0), &quiet(10), true, &mut m);
+        a.on_monitor_tick(t(1), &quiet(10), true, &mut m); // drain ordered at 1 s
+        a.note_drained(n(5), t(10), &mut m); // fleet 6 until 10 s
+        a.finalize(t(20), &m); // fleet 5 for the rest
         let report = a.report();
         assert!((report.node_seconds - (6.0 * 10.0 + 5.0 * 10.0)).abs() < 1e-9);
         assert!((report.node_hours() - 110.0 / 3600.0).abs() < 1e-12);

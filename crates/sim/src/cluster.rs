@@ -6,15 +6,12 @@
 //! service components themselves. Batch jobs churn (arrive/depart);
 //! component demand moves with migrations.
 
-use crate::faults::NodeStatus;
 use pcs_types::{ContentionVector, JobId, NodeCapacity, NodeId, ResourceVector};
 
 /// One physical machine.
 #[derive(Debug, Clone)]
 pub struct NodeState {
     capacity: NodeCapacity,
-    /// False while the node is killed (fault injection).
-    alive: bool,
     /// Resident batch jobs and their demands.
     jobs: Vec<(JobId, ResourceVector)>,
     /// Cached sum of batch-job demand.
@@ -41,7 +38,6 @@ impl NodeState {
     fn new(capacity: NodeCapacity) -> Self {
         NodeState {
             capacity,
-            alive: true,
             jobs: Vec::new(),
             batch_demand: ResourceVector::ZERO,
             component_demand: ResourceVector::ZERO,
@@ -71,19 +67,9 @@ impl NodeState {
         self.jobs.len()
     }
 
-    /// True unless the node is currently killed.
-    pub fn is_alive(&self) -> bool {
-        self.alive
-    }
-
     /// Current service-time multiplier (1.0 when healthy).
     pub fn slowdown(&self) -> f64 {
         self.slowdown
-    }
-
-    /// True while the node is a straggler (slowdown above 1.0).
-    pub fn is_degraded(&self) -> bool {
-        self.slowdown > 1.0
     }
 }
 
@@ -92,6 +78,8 @@ impl NodeState {
 pub struct Cluster {
     nodes: Vec<NodeState>,
     next_job: u32,
+    /// Nodes with a slowdown above 1.0.
+    degraded: usize,
 }
 
 impl Cluster {
@@ -115,6 +103,7 @@ impl Cluster {
         Cluster {
             nodes: capacities.into_iter().map(NodeState::new).collect(),
             next_job: 0,
+            degraded: 0,
         }
     }
 
@@ -173,41 +162,19 @@ impl Cluster {
         true
     }
 
-    /// True unless the node is currently killed.
-    pub fn is_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].alive
-    }
-
-    /// Kills a node: it stops serving, its batch jobs vanish and its
-    /// registered component demand is cleared (the caller zeroes the
-    /// matching per-component contributions). Returns `false` if the node
-    /// was already dead (idempotent).
-    pub fn kill_node(&mut self, node: NodeId) -> bool {
+    /// Empties a killed node: its batch jobs vanish and its registered
+    /// component demand is cleared (the caller zeroes the matching
+    /// per-component contributions). Liveness itself lives in
+    /// [`crate::membership::Membership`]. The slowdown survives, so a
+    /// gray node rejoins gray until an explicit
+    /// [`crate::faults::FaultKind::Recover`] event.
+    pub fn kill_node(&mut self, node: NodeId) {
         let n = &mut self.nodes[node.index()];
-        if !n.alive {
-            return false;
-        }
-        n.alive = false;
         n.jobs.clear();
         n.batch_demand = ResourceVector::ZERO;
         n.component_demand = ResourceVector::ZERO;
         n.demand_version += 1;
         n.cached_contention = None;
-        true
-    }
-
-    /// Restores a killed node: it comes back empty and may serve again.
-    /// Returns `false` if the node was already alive (idempotent). A
-    /// slowdown set before the kill survives the restore — the gray node
-    /// rejoins gray until an explicit [`crate::faults::FaultKind::Recover`]
-    /// event.
-    pub fn restore_node(&mut self, node: NodeId) -> bool {
-        let n = &mut self.nodes[node.index()];
-        if n.alive {
-            return false;
-        }
-        n.alive = true;
-        true
     }
 
     /// Degrades a node: service times drawn on it are scaled by `factor`
@@ -229,6 +196,7 @@ impl Cluster {
         let was_healthy = n.slowdown == 1.0;
         n.slowdown = factor;
         n.demand_version += 1;
+        self.degraded = self.degraded + usize::from(factor > 1.0) - usize::from(!was_healthy);
         was_healthy
     }
 
@@ -241,6 +209,7 @@ impl Cluster {
         }
         n.slowdown = 1.0;
         n.demand_version += 1;
+        self.degraded -= 1;
         true
     }
 
@@ -250,23 +219,9 @@ impl Cluster {
         self.nodes[node.index()].slowdown
     }
 
-    /// Number of currently degraded nodes.
+    /// Number of currently degraded nodes (O(1)).
     pub fn degraded_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_degraded()).count()
-    }
-
-    /// Per-node liveness, densely indexed (for scheduler hooks).
-    pub fn statuses(&self) -> Vec<NodeStatus> {
-        self.nodes
-            .iter()
-            .map(|n| {
-                if n.alive {
-                    NodeStatus::Up
-                } else {
-                    NodeStatus::Down
-                }
-            })
-            .collect()
+        self.degraded
     }
 
     /// Adds a component's own demand to a node (placement or migration
@@ -392,27 +347,18 @@ mod tests {
     }
 
     #[test]
-    fn kill_clears_jobs_and_restore_is_idempotent() {
+    fn kill_clears_jobs() {
         let mut c = Cluster::new(2, NodeCapacity::XEON_E5645);
         let n0 = NodeId::new(0);
         let job = c.start_job(n0, demand(3.0));
         c.add_component_demand(n0, demand(1.0));
-        assert!(c.is_alive(n0));
 
-        assert!(c.kill_node(n0), "first kill takes effect");
-        assert!(!c.kill_node(n0), "killing a dead node is a no-op");
-        assert!(!c.is_alive(n0));
+        c.kill_node(n0);
         assert_eq!(c.node(n0).job_count(), 0);
         assert_eq!(c.node(n0).total_demand(), ResourceVector::ZERO);
-        assert_eq!(c.statuses(), vec![NodeStatus::Down, NodeStatus::Up]);
 
         // The job's departure event finds nothing — tolerated, not fatal.
         assert!(!c.finish_job(n0, job));
-
-        assert!(c.restore_node(n0), "first restore takes effect");
-        assert!(!c.restore_node(n0), "restoring a live node is a no-op");
-        assert!(c.is_alive(n0));
-        assert_eq!(c.statuses(), vec![NodeStatus::Up, NodeStatus::Up]);
     }
 
     #[test]
@@ -425,7 +371,6 @@ mod tests {
         let v0 = c.demand_version(n0);
         assert!(c.degrade_node(n0, 3.0), "first degrade finds it healthy");
         assert_eq!(c.slowdown(n0), 3.0);
-        assert!(c.node(n0).is_degraded());
         assert_eq!(c.degraded_count(), 1);
         assert!(
             c.demand_version(n0) > v0,
@@ -447,8 +392,7 @@ mod tests {
         c.degrade_node(n0, 2.0);
         c.kill_node(n0);
         assert_eq!(c.slowdown(n0), 2.0);
-        c.restore_node(n0);
-        assert!(c.node(n0).is_degraded());
+        assert_eq!(c.degraded_count(), 1);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::autoscale::AutoscaleConfig;
 use crate::faults::{FailoverPolicy, FailureDetector, FaultPlan};
+use crate::membership::Membership;
 use crate::observe::ObserveConfig;
 use pcs_monitor::SamplerConfig;
 use pcs_types::{NodeCapacity, SimDuration};
@@ -119,15 +120,16 @@ pub struct SimConfig {
     /// receive ([`crate::faults::FailureDetector`]). `None` — the default
     /// everywhere — keeps today's exact-liveness bytes; a configured
     /// detector distorts only hook perception (its own seeded RNG lane),
-    /// never the world's dispatch or migration legality. Mutually
-    /// exclusive with autoscaling (the autoscaler already owns the
-    /// warming/draining status channel).
+    /// never the world's dispatch or migration legality. On elastic runs
+    /// it distorts only the liveness bit: a warming or draining node
+    /// never reads `Up` ([`crate::membership`]).
     pub detector: Option<FailureDetector>,
     /// Elastic capacity: the autoscaler's knobs ([`crate::autoscale`]).
     /// `None` — the default everywhere — disables the subsystem and
     /// leaves the run bit-for-bit identical to a build without it.
-    /// Mutually exclusive with a non-empty fault plan: kill/restore and
-    /// join/drain are separate membership experiments.
+    /// Composes with a fault plan: a killed node reads down and takes no
+    /// placements whatever its phase, returns to its phase on restore,
+    /// and keeps billing by phase ([`crate::membership`]).
     pub autoscale: Option<AutoscaleConfig>,
     /// Tail-attribution observability ([`crate::observe`]). `None` — the
     /// default everywhere — disables the layer and leaves the run
@@ -264,41 +266,23 @@ impl SimConfig {
         self.faults.validate(self.node_count);
         if let Some(det) = &self.detector {
             det.validate();
-            assert!(
-                self.autoscale.is_none(),
-                "a failure detector and autoscaling are mutually exclusive: \
-                 the autoscaler already owns the warming/draining status channel"
-            );
         }
         if let Some(ac) = &self.autoscale {
             ac.validate(self.node_count);
-            assert!(
-                self.faults.is_empty(),
-                "autoscaling and fault plans are mutually exclusive membership \
-                 experiments; configure one or the other"
-            );
-            assert!(
-                self.deployment.replication <= ac.max_nodes,
-                "replicas of a partition must fit on distinct nodes of the \
-                 initial elastic fleet ({} > {})",
-                self.deployment.replication,
-                ac.max_nodes
-            );
         }
         if let Some(obs) = &self.observe {
             obs.validate();
         }
-        let initially_alive = self
-            .faults
-            .initial_alive(self.node_count)
+        let placeable = Membership::from_config(self)
+            .initial_mask(&self.faults)
             .iter()
             .filter(|&&a| a)
             .count();
         assert!(
-            initially_alive >= self.deployment.replication,
-            "a fault plan may not kill so many nodes at t=0 that replicas \
-             cannot be placed on distinct live nodes ({initially_alive} alive, \
-             replication {})",
+            placeable >= self.deployment.replication,
+            "replicas of a partition must fit on distinct nodes of the initial \
+             fleet: the initial elastic fleet less the nodes a fault plan kills \
+             at t=0 ({placeable} placeable, replication {})",
             self.deployment.replication
         );
     }
@@ -469,8 +453,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mutually exclusive")]
-    fn elastic_with_faults_rejected() {
+    fn elastic_with_faults_validates() {
         use crate::faults::FaultPlan;
         use pcs_types::SimTime;
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(8), 100.0, 1);
@@ -527,13 +510,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "detector and autoscaling are mutually exclusive")]
-    fn detector_with_autoscale_rejected() {
+    fn detector_with_autoscale_validates() {
         use crate::faults::FailureDetector;
+        use pcs_types::SimTime;
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(8), 100.0, 1);
         cfg.node_count = 12;
         elastic(&mut cfg);
         cfg.detector = Some(FailureDetector::perfect());
+        cfg.validate();
+        // All three membership sources at once.
+        cfg.faults =
+            FaultPlan::kill_restore(12, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
+        cfg.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "(1 placeable, replication 2)")]
+    fn time_zero_kills_shrink_the_initial_elastic_fleet() {
+        use crate::faults::{FaultEvent, FaultKind};
+        use pcs_types::{NodeId, SimTime};
+        let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(8), 100.0, 1);
+        cfg.node_count = 12;
+        elastic(&mut cfg);
+        if let Some(ac) = &mut cfg.autoscale {
+            ac.min_nodes = 2;
+            ac.max_nodes = 2;
+        }
+        cfg.deployment = DeploymentConfig { replication: 2 };
+        cfg.faults = FaultPlan::new(vec![FaultEvent {
+            at: SimTime::ZERO,
+            node: NodeId::new(0),
+            kind: FaultKind::Kill,
+        }]);
         cfg.validate();
     }
 

@@ -469,7 +469,7 @@ impl FailureDetector {
             && self.false_negative_rate == 0.0
     }
 
-    /// Checks rates and latency.
+    /// Checks the error rates (every detection latency is valid).
     ///
     /// # Panics
     /// Panics if either rate is outside `[0, 1]` or non-finite.

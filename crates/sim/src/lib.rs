@@ -33,6 +33,10 @@
 //!   returns component→node migrations each interval; they take effect
 //!   after a configurable delay without interrupting in-flight work,
 //!   mirroring the paper's Storm/ZooKeeper deployment path.
+//! * **Membership** ([`membership`]): one model of which nodes serve and
+//!   which take placements — fault liveness, the elastic lifecycle and the
+//!   failure detector's perceived view — fed by fault plans and the
+//!   autoscaler.
 //! * **Elastic capacity** ([`autoscale`]): an opt-in autoscaler evaluated
 //!   at monitor boundaries joins nodes through a cold-start phase and
 //!   retires them through a lossless drain, reporting node-hours against
@@ -57,6 +61,7 @@ pub mod config;
 pub mod engine;
 pub mod faults;
 pub mod ground_truth;
+pub mod membership;
 pub mod metrics;
 pub mod observe;
 pub mod placement;

@@ -155,7 +155,8 @@ pub struct SchedulerContext<'a> {
     /// When [`crate::SimConfig::detector`] is set, this is the noisy
     /// failure detector's *suspected* liveness, not ground truth: a dead
     /// node may still read `Up` (detection latency, false negatives) and
-    /// a healthy one `Down` (false positives). Dispatch, failover and
+    /// a healthy one `Down` (false positives), but a warming or draining
+    /// node never reads `Up` ([`crate::membership`]). Dispatch, failover and
     /// migration legality always use ground truth — only the hook's
     /// perception is distorted.
     pub node_status: &'a [NodeStatus],

@@ -7,7 +7,8 @@ use crate::config::SimConfig;
 use crate::engine::{Event, EventQueue};
 use crate::faults::{FailoverPolicy, FaultKind};
 use crate::ground_truth::GroundTruth;
-use crate::metrics::{Collectors, FaultPhase, RunReport};
+use crate::membership::{Membership, NodePhase};
+use crate::metrics::{Collectors, RunReport};
 use crate::observe::{Observer, StageChain, WindowSample};
 use crate::placement;
 use crate::policy::{ComponentMeta, DispatchPolicy, SchedulerContext, SchedulerHook};
@@ -106,29 +107,9 @@ pub struct Simulation {
     /// The elastic-capacity control loop ([`crate::autoscale`]); `None`
     /// (the default) leaves every handler on its historical path.
     autoscaler: Option<crate::autoscale::AutoscalePolicy>,
-    /// Number of currently killed nodes (0 on the fault-free fast path).
-    down_nodes: usize,
-    /// Whether any kill has struck yet (fault-phase classification).
-    kills_seen: bool,
-    /// Number of currently degraded (straggling) nodes — 0 on plans
-    /// without degrade events, so the clean paths never branch on it.
-    degraded_nodes: usize,
-    /// The failure detector's dedicated RNG lane
-    /// ([`SimConfig::detector`]); `None` without a detector. Drawing
-    /// suspicion from its own seeded stream keeps the main event stream
-    /// bit-identical whether or not a detector is configured — only
-    /// *hook decisions* made on the distorted view can change the run.
-    detector_rng: Option<SmallRng>,
-    /// Per node: when its liveness last changed (kill/restore), for the
-    /// detector's detection latency.
-    liveness_changed_at: Vec<SimTime>,
-    /// Per node: the liveness before the last change (what a
-    /// still-unsettled detector keeps reporting).
-    prev_alive: Vec<bool>,
-    /// Nodes the detector reported non-up at the most recent context
-    /// assembly (time-series gauge; 0 without a detector, and stale for
-    /// hooks that never request a context — nobody sees suspicion then).
-    suspected_down: u64,
+    /// Node liveness, lifecycle and detector perception
+    /// ([`crate::membership`]).
+    membership: Membership,
     /// The tail-attribution observer ([`crate::observe`]); `None` (the
     /// default) keeps every handler on its historical path. The observer
     /// is pure bookkeeping: it draws no randomness and schedules no
@@ -187,29 +168,25 @@ impl Simulation {
         let ground_truth = GroundTruth::new(config.topology.classes());
         let deployment = Deployment::new(&config.topology, config.deployment.replication);
         let mut comps = deployment.instantiate(&config.topology);
-        // Nodes a fault plan kills at t = 0 must not receive components:
-        // initial placement is liveness-aware like the scheduler hooks.
-        // On elastic runs (mutually exclusive with fault plans) the
-        // initial fleet is the autoscaler's fully-provisioned prefix.
-        let initial_alive = match &config.autoscale {
-            Some(ac) => ac.initial_alive(config.node_count),
-            None => config.faults.initial_alive(config.node_count),
-        };
+        // Initial placement targets only nodes that accept placements
+        // once the fault plan's t = 0 kills have applied.
+        let membership = Membership::from_config(&config);
+        let initial_mask = membership.initial_mask(&config.faults);
         match config.placement {
             crate::config::PlacementStrategy::AntiAffine => {
-                placement::anti_affine(&mut comps, &deployment, config.node_count, &initial_alive)
+                placement::anti_affine(&mut comps, &deployment, config.node_count, &initial_mask)
             }
             crate::config::PlacementStrategy::CapacityAware => placement::capacity_aware(
                 &mut comps,
                 &deployment,
                 &cluster.capacities(),
-                &initial_alive,
+                &initial_mask,
             ),
             crate::config::PlacementStrategy::RackAware => placement::rack_aware(
                 &mut comps,
                 &deployment,
                 &config.rack_assignments(),
-                &initial_alive,
+                &initial_mask,
             ),
         }
         debug_assert!(placement::replicas_on_distinct_nodes(&deployment, &comps));
@@ -288,21 +265,8 @@ impl Simulation {
             skip_noop_cancels,
             track_queued_mask,
             mean_cache,
-            autoscaler: config
-                .autoscale
-                .map(|ac| crate::autoscale::AutoscalePolicy::new(ac, config.node_count)),
-            down_nodes: 0,
-            kills_seen: false,
-            degraded_nodes: 0,
-            detector_rng: config.detector.as_ref().map(|_| {
-                SmallRng::seed_from_u64(pcs_harness::seed::mix(
-                    config.seed,
-                    crate::faults::SALT_DETECTOR,
-                ))
-            }),
-            liveness_changed_at: vec![SimTime::ZERO; config.node_count],
-            prev_alive: vec![true; config.node_count],
-            suspected_down: 0,
+            autoscaler: config.autoscale.map(crate::autoscale::AutoscalePolicy::new),
+            membership,
             observer: config.observe.map(|oc| Observer::new(&oc)),
             ctx_bufs: CtxBuffers::default(),
             config,
@@ -401,7 +365,7 @@ impl Simulation {
         let ended_at = self.queue.now();
         let autoscale = match &mut self.autoscaler {
             Some(a) => {
-                a.finalize(ended_at);
+                a.finalize(ended_at, &self.membership);
                 a.report()
             }
             None => crate::autoscale::AutoscaleReport::default(),
@@ -419,17 +383,6 @@ impl Simulation {
             events_processed,
             scheduler_cost: self.hook.cost(),
             observe: self.observer.take().map(Observer::finalize),
-        }
-    }
-
-    /// Which fault window a latency recorded *now* belongs to.
-    fn fault_phase(&self) -> FaultPhase {
-        if self.down_nodes > 0 {
-            FaultPhase::During
-        } else if self.kills_seen {
-            FaultPhase::Post
-        } else {
-            FaultPhase::Pre
         }
     }
 
@@ -493,7 +446,7 @@ impl Simulation {
         let now = self.queue.now();
         // Liveness filter, paid only while nodes are down: the fault-free
         // fast path hands the policy the deployment's group directly.
-        let filtered = self.down_nodes > 0;
+        let filtered = self.membership.down_count() > 0;
         let mut live = std::mem::take(&mut self.live_buf);
         if filtered {
             live.clear();
@@ -502,7 +455,7 @@ impl Simulation {
                     .replicas(stage, partition)
                     .iter()
                     .copied()
-                    .filter(|c| self.cluster.is_alive(self.comps[c.index()].node)),
+                    .filter(|c| self.membership.is_alive(self.comps[c.index()].node)),
             );
             if live.is_empty() {
                 self.live_buf = live;
@@ -552,7 +505,7 @@ impl Simulation {
             self.rate_estimators[t.index()].record(now);
             let ci = t.index();
             debug_assert!(
-                self.cluster.is_alive(self.comps[ci].node),
+                self.membership.is_alive(self.comps[ci].node),
                 "a killed node must receive zero new work"
             );
             if self.comps[ci].in_service.is_some() {
@@ -602,7 +555,7 @@ impl Simulation {
     fn enqueue_sub(&mut self, target: ComponentId, item: QueueItem) {
         let now = self.queue.now();
         debug_assert!(
-            self.cluster.is_alive(self.comps[target.index()].node),
+            self.membership.is_alive(self.comps[target.index()].node),
             "a killed node must receive zero new work"
         );
         self.rate_estimators[target.index()].record(now);
@@ -618,7 +571,7 @@ impl Simulation {
         let now = self.queue.now();
         let node = self.comps[ci].node;
         debug_assert!(
-            self.cluster.is_alive(node),
+            self.membership.is_alive(node),
             "a dead node's component must never begin service"
         );
         // The expected service time is a pure function of (class, node
@@ -787,11 +740,11 @@ impl Simulation {
             // Fault-phase windows exist only when faults are planned, so
             // a fault-free run's report stays pristine.
             if !self.config.faults.is_empty() {
-                let phase = self.fault_phase();
+                let phase = self.membership.fault_phase();
                 self.collectors.phase_latency[phase as usize].record(latency);
                 // The straggler window is orthogonal to the kill phases:
                 // completions while any node is gray.
-                if self.degraded_nodes > 0 {
+                if self.cluster.degraded_count() > 0 {
                     self.collectors.degraded_latency.record(latency);
                 }
             }
@@ -977,7 +930,10 @@ impl Simulation {
         let mut target = None;
         while let Some(idx) = p.next_unused(group.len()) {
             p.mark_used(idx);
-            if self.cluster.is_alive(self.comps[group[idx].index()].node) {
+            if self
+                .membership
+                .is_alive(self.comps[group[idx].index()].node)
+            {
                 target = Some((group[idx], idx));
                 break;
             }
@@ -1030,7 +986,7 @@ impl Simulation {
                     .replicas(item.stage, item.partition)
                     .iter()
                     .copied()
-                    .find(|c| self.cluster.is_alive(self.comps[c.index()].node));
+                    .find(|c| self.membership.is_alive(self.comps[c.index()].node));
                 match target {
                     Some(target) => {
                         self.collectors.fault_stats.failed_over += 1;
@@ -1056,15 +1012,10 @@ impl Simulation {
         let now = self.queue.now();
         match kind {
             FaultKind::Kill => {
-                if !self.cluster.kill_node(node) {
+                if !self.membership.set_alive(node, false, now) {
                     return; // already dead: idempotent
                 }
-                self.down_nodes += 1;
-                self.kills_seen = true;
-                // Detector bookkeeping: the change becomes visible to
-                // hooks only after the detection latency elapses.
-                self.prev_alive[node.index()] = true;
-                self.liveness_changed_at[node.index()] = now;
+                self.cluster.kill_node(node);
                 self.collectors.fault_stats.kills += 1;
                 if let Some(obs) = &mut self.observer {
                     obs.set_fault_active(true);
@@ -1108,16 +1059,12 @@ impl Simulation {
                 }
             }
             FaultKind::Restore => {
-                if !self.cluster.restore_node(node) {
+                if !self.membership.set_alive(node, true, now) {
                     return; // already alive: idempotent
                 }
-                self.down_nodes -= 1;
-                self.prev_alive[node.index()] = false;
-                self.liveness_changed_at[node.index()] = now;
                 self.collectors.fault_stats.restores += 1;
-                let still_down = self.down_nodes > 0;
                 if let Some(obs) = &mut self.observer {
-                    obs.set_fault_active(still_down);
+                    obs.set_fault_active(self.membership.down_count() > 0);
                 }
                 // Components still stranded here resume in place: the
                 // node's return re-places them without a migration.
@@ -1142,9 +1089,8 @@ impl Simulation {
                     return; // same factor: idempotent
                 }
                 self.collectors.fault_stats.degrades += 1;
-                self.degraded_nodes = self.cluster.degraded_count();
                 if let Some(obs) = &mut self.observer {
-                    obs.set_degraded(self.degraded_nodes > 0);
+                    obs.set_degraded(self.cluster.degraded_count() > 0);
                 }
             }
             FaultKind::Recover => {
@@ -1152,9 +1098,8 @@ impl Simulation {
                     return; // not degraded: idempotent
                 }
                 self.collectors.fault_stats.recovers += 1;
-                self.degraded_nodes = self.cluster.degraded_count();
                 if let Some(obs) = &mut self.observer {
-                    obs.set_degraded(self.degraded_nodes > 0);
+                    obs.set_degraded(self.cluster.degraded_count() > 0);
                 }
             }
         }
@@ -1168,7 +1113,7 @@ impl Simulation {
         let job = gen.next_job(&mut self.rng);
         // A dead node runs no batch jobs, but its arrival process keeps
         // ticking so churn resumes the moment it is restored.
-        if self.cluster.is_alive(node) {
+        if self.membership.is_alive(node) {
             let id = self.cluster.start_job(node, job.demand);
             self.collectors.stats.batch_jobs_started += 1;
             self.queue
@@ -1191,7 +1136,9 @@ impl Simulation {
                 // Stranded components serve nothing and register no
                 // demand; their state resumes updating once re-placed
                 // (or their node restored).
-                if self.down_nodes > 0 && !self.cluster.is_alive(self.comps[ci].node) {
+                if self.membership.down_count() > 0
+                    && !self.membership.is_alive(self.comps[ci].node)
+                {
                     continue;
                 }
                 let mut busy = self.comps[ci].busy_accum;
@@ -1222,26 +1169,19 @@ impl Simulation {
         // over the same observed state the hooks see (never ground
         // truth). Absent an autoscaler this is a no-op and the event
         // stream stays bit-identical to previous releases.
-        if self.autoscaler.is_some() {
+        if let Some(a) = &mut self.autoscaler {
             let signals = crate::autoscale::AutoscaleSignals {
                 busy_utilization: self.comps.iter().map(|c| c.utilization).sum(),
                 queue_depth: self.comps.iter().map(|c| c.queue_len() as u64).sum(),
                 component_count: self.comps.len(),
             };
-            let in_warmup = self.in_warmup;
-            let a = self.autoscaler.as_mut().expect("checked above");
-            a.on_monitor_tick(now, &signals, in_warmup);
+            a.on_monitor_tick(now, &signals, self.in_warmup, &mut self.membership);
             // A drain of a node that hosts nothing (possible the moment
             // the order lands on a sparsely-placed cluster) needs no
             // evacuation, so the migration-complete retirement path
             // would never fire: retire empty draining nodes here.
             for n in 0..self.cluster.len() {
-                let draining = self.autoscaler.as_ref().is_some_and(|a| a.is_draining(n));
-                if draining && self.comps.iter().all(|c| c.node.index() != n) {
-                    if let Some(a) = &mut self.autoscaler {
-                        a.note_drained(n, now);
-                    }
-                }
+                self.retire_if_drained(NodeId::from_index(n), now);
             }
         }
         // One time-series row per monitor window: per-node state plus
@@ -1255,26 +1195,10 @@ impl Simulation {
                 util[c.node.index()] += c.utilization;
                 depth[c.node.index()] += c.queue_len() as u64;
             }
-            let (warming, draining, autoscale_actions) = match &self.autoscaler {
-                Some(a) => {
-                    let mut warming = 0u64;
-                    let mut draining = 0u64;
-                    for n in 0..self.cluster.len() {
-                        match a.status(n) {
-                            crate::faults::NodeStatus::Warming => warming += 1,
-                            crate::faults::NodeStatus::Draining => draining += 1,
-                            _ => {}
-                        }
-                    }
-                    let stats = a.report().stats;
-                    (
-                        warming,
-                        draining,
-                        stats.scale_out_actions + stats.scale_in_actions,
-                    )
-                }
-                None => (0, 0, 0),
-            };
+            let autoscale_actions = self.autoscaler.as_ref().map_or(0, |a| {
+                let stats = a.report().stats;
+                stats.scale_out_actions + stats.scale_in_actions
+            });
             let sample = WindowSample {
                 at: now,
                 node_utilization: util,
@@ -1282,11 +1206,11 @@ impl Simulation {
                 migrations: self.collectors.stats.migrations,
                 reissues: self.collectors.stats.reissues,
                 autoscale_actions,
-                warming_nodes: warming,
-                draining_nodes: draining,
-                down_nodes: self.down_nodes as u64,
-                degraded_nodes: self.degraded_nodes as u64,
-                suspected_nodes: self.suspected_down,
+                warming_nodes: self.membership.count(NodePhase::Warming) as u64,
+                draining_nodes: self.membership.count(NodePhase::Draining) as u64,
+                down_nodes: self.membership.down_count() as u64,
+                degraded_nodes: self.cluster.degraded_count() as u64,
+                suspected_nodes: self.membership.suspected(),
             };
             observer.record_window(sample);
         }
@@ -1348,63 +1272,11 @@ impl Simulation {
                 .map(|i| self.service_windows[i].scv_or(self.class_scv[self.comps[i].class])),
         );
         bufs.demands.clear();
-        bufs.status.clear();
-        let mut suspected: u64 = 0;
-        for n in 0..self.cluster.len() {
-            let node = self.cluster.node(NodeId::from_index(n));
-            bufs.demands.push(node.total_demand());
-            // On elastic runs the autoscaler owns membership status
-            // (warming/draining nodes stay cluster-alive: batch churn
-            // continues); otherwise status is fault liveness — filtered
-            // through the failure detector when one is configured.
-            let status = match &self.autoscaler {
-                Some(a) => a.status(n),
-                None => {
-                    let truth_up = node.is_alive();
-                    match (&self.config.detector, &mut self.detector_rng) {
-                        (Some(det), Some(rng)) => {
-                            // Until the detection latency elapses the
-                            // detector still reports the pre-change
-                            // liveness; afterwards it sees the truth but
-                            // flips it with the configured error rates.
-                            // One draw per (tick, node), consumed
-                            // unconditionally, keeps the detector lane
-                            // aligned whatever the statuses are.
-                            let settled =
-                                now >= self.liveness_changed_at[n] + det.detection_latency;
-                            let believed_up = if settled {
-                                truth_up
-                            } else {
-                                self.prev_alive[n]
-                            };
-                            let u: f64 = rng.gen();
-                            let reported_up = if believed_up {
-                                u >= det.false_positive_rate
-                            } else {
-                                u < det.false_negative_rate
-                            };
-                            if reported_up {
-                                crate::faults::NodeStatus::Up
-                            } else {
-                                suspected += 1;
-                                crate::faults::NodeStatus::Down
-                            }
-                        }
-                        _ => {
-                            if truth_up {
-                                crate::faults::NodeStatus::Up
-                            } else {
-                                crate::faults::NodeStatus::Down
-                            }
-                        }
-                    }
-                }
-            };
-            bufs.status.push(status);
-        }
-        if self.config.detector.is_some() {
-            self.suspected_down = suspected;
-        }
+        bufs.demands.extend(
+            (0..self.cluster.len())
+                .map(|n| self.cluster.node(NodeId::from_index(n)).total_demand()),
+        );
+        self.membership.perceive_into(now, &mut bufs.status);
         let ctx = SchedulerContext {
             now,
             components: &bufs.metas,
@@ -1424,15 +1296,8 @@ impl Simulation {
             if ci >= self.comps.len() || mr.to.index() >= self.cluster.len() {
                 continue; // ignore malformed orders
             }
-            if !self.cluster.is_alive(mr.to) {
-                continue; // never migrate onto a dead node
-            }
-            if self
-                .autoscaler
-                .as_ref()
-                .is_some_and(|a| !a.accepts_placements(mr.to.index()))
-            {
-                continue; // warming/draining/retired nodes take no placements
+            if !self.membership.accepts_placements(mr.to) {
+                continue; // dead, warming, draining and retired nodes take none
             }
             if self.comps[ci].migrating_to.is_some() || self.comps[ci].node == mr.to {
                 continue;
@@ -1480,20 +1345,10 @@ impl Simulation {
         if self.comps[ci].migrating_to != Some(to) {
             return; // superseded
         }
-        if !self.cluster.is_alive(to) {
-            // The destination died while the migration was in flight:
-            // abort, keeping the component where it is (the scheduler
-            // will re-order against live nodes next interval).
-            self.comps[ci].migrating_to = None;
-            return;
-        }
-        if self
-            .autoscaler
-            .as_ref()
-            .is_some_and(|a| !a.accepts_placements(to.index()))
-        {
-            // The destination left the active fleet (drain or retirement
-            // ordered mid-flight): abort the same way.
+        if !self.membership.accepts_placements(to) {
+            // The destination died or left the active fleet while the
+            // migration was in flight: abort, keeping the component where
+            // it is (the scheduler re-orders next interval).
             self.comps[ci].migrating_to = None;
             return;
         }
@@ -1513,10 +1368,16 @@ impl Simulation {
         // A draining node retires the moment its last component leaves.
         // The queue and in-flight work moved with the component, so the
         // drain loses nothing by construction.
-        let now = self.queue.now();
+        self.retire_if_drained(from, self.queue.now());
+    }
+
+    /// Retires `node` if it is draining and hosts no component.
+    fn retire_if_drained(&mut self, node: NodeId, now: SimTime) {
         if let Some(a) = &mut self.autoscaler {
-            if a.is_draining(from.index()) && self.comps.iter().all(|c| c.node != from) {
-                a.note_drained(from.index(), now);
+            if self.membership.phase(node) == NodePhase::Draining
+                && self.comps.iter().all(|c| c.node != node)
+            {
+                a.note_drained(node, now, &mut self.membership);
             }
         }
     }
@@ -2147,6 +2008,135 @@ mod tests {
         assert!((x.component_latency.p99 - y.component_latency.p99).abs() < 1e-15);
     }
 
+    /// Evacuates like [`Evacuator`] and also orders one healthy component
+    /// per interval onto each magnet, whatever the magnet's status.
+    struct MagnetEvacuator {
+        magnets: Vec<NodeId>,
+    }
+    impl SchedulerHook for MagnetEvacuator {
+        fn on_interval(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+        ) -> Vec<crate::policy::MigrationRequest> {
+            let mut orders = Evacuator.on_interval(ctx);
+            let mut movable = ctx.components.iter().filter(|c| {
+                !c.migrating
+                    && c.node != NodeId::new(0)
+                    && !self.magnets.contains(&c.node)
+                    && ctx.node_status[c.node.index()].is_up()
+            });
+            for &magnet in &self.magnets {
+                if let Some(c) = movable.next() {
+                    orders.push(crate::policy::MigrationRequest {
+                        component: c.id,
+                        to: magnet,
+                    });
+                }
+            }
+            orders
+        }
+    }
+
+    /// Kill/restore under autoscaling. The autoscaler's first drain
+    /// (node 5, ordered at 1 s) is struck by a kill at 1.5 s, and active
+    /// node 1 dies at the same instant; both come back at 4.5 s.
+    /// Liveness overrides the lifecycle: a dead node takes no placement
+    /// although a hook keeps ordering them onto it, the drained node
+    /// retires only once it hosts nothing, and every request is
+    /// accounted for.
+    #[test]
+    fn kill_and_restore_compose_with_autoscaling() {
+        let (active, draining) = (NodeId::new(1), NodeId::new(5));
+        let mut cfg = elastic_cfg(20.0, 19);
+        cfg.warmup = SimDuration::ZERO;
+        let outage = FaultPlan::kill_restore(
+            6,
+            4,
+            SimTime::ZERO + SimDuration::from_millis(1500),
+            SimDuration::from_secs(3),
+        );
+        assert_eq!(outage.events()[0].node, draining);
+        let mut events = outage.events().to_vec();
+        events.extend([kill_at(1, 1.5), restore_at(1, 4.5)]);
+        cfg.faults = FaultPlan::new(events);
+        let mut sim = Simulation::new(
+            cfg,
+            Box::new(BasicPolicy),
+            Box::new(MagnetEvacuator {
+                magnets: vec![active, draining],
+            }),
+        );
+        let hosted = |sim: &Simulation, n: NodeId| -> Vec<ComponentId> {
+            sim.comps
+                .iter()
+                .filter(|c| c.node == n)
+                .map(|c| c.id)
+                .collect()
+        };
+        let mut arrived = 0u64;
+        let mut at_kill = [(None, Vec::new()), (None, Vec::new())];
+        let mut retired_at = None;
+        while let Some((t, event)) = sim.queue.pop() {
+            if t > sim.end_cap {
+                break;
+            }
+            if matches!(event, Event::RequestArrival) {
+                arrived += 1;
+            }
+            let was_alive = [active, draining].map(|n| sim.membership.is_alive(n));
+            sim.handle(event);
+            for (i, n) in [active, draining].into_iter().enumerate() {
+                if sim.membership.is_alive(n) {
+                    continue;
+                }
+                if was_alive[i] {
+                    at_kill[i] = (Some(sim.membership.phase(n)), hosted(&sim, n));
+                }
+                assert!(
+                    hosted(&sim, n).iter().all(|c| at_kill[i].1.contains(c)),
+                    "dead {n} takes no placement (t = {t:?})"
+                );
+            }
+            if sim.membership.phase(draining) == NodePhase::Retired {
+                assert!(
+                    hosted(&sim, draining).is_empty(),
+                    "a retired node hosts nothing"
+                );
+                retired_at.get_or_insert(t);
+            }
+        }
+        assert_eq!(at_kill[0].0, Some(NodePhase::Active));
+        assert_eq!(at_kill[1].0, Some(NodePhase::Draining), "killed mid-drain");
+        assert!(!at_kill[1].1.is_empty(), "the drain was still evacuating");
+        assert!(retired_at.is_some(), "the drained node retires");
+        assert!(sim.membership.is_alive(draining), "restored");
+        assert_eq!(
+            sim.membership.status(draining),
+            crate::faults::NodeStatus::Down,
+            "retired"
+        );
+        assert!(
+            !hosted(&sim, active).is_empty(),
+            "the restored active node hosts again"
+        );
+
+        let stats = &sim.collectors.stats;
+        let faults = &sim.collectors.fault_stats;
+        assert_eq!(
+            arrived,
+            stats.requests_completed + faults.requests_lost + sim.requests.len() as u64,
+            "arrived = completed + lost + censored"
+        );
+        assert_eq!((faults.kills, faults.restores), (2, 2));
+        assert!(faults.evacuated > 0, "stranded components were evacuated");
+
+        let mut autoscaler = sim.autoscaler.take().expect("elastic run");
+        autoscaler.finalize(sim.queue.now(), &sim.membership);
+        let report = autoscaler.report();
+        assert!(report.stats.drains_completed >= 1, "{:?}", report.stats);
+        assert!(report.node_seconds > 0.0);
+    }
+
     // ---- observability ----------------------------------------------
 
     /// Turning the observer on must not perturb the simulated trajectory:
@@ -2307,9 +2297,9 @@ mod tests {
             }
             sim.handle(event);
         }
-        assert!(sim.cluster.node(NodeId::new(1)).is_alive());
+        assert!(sim.membership.is_alive(NodeId::new(1)));
         assert_eq!(sim.cluster.slowdown(NodeId::new(1)), 4.0);
-        assert_eq!(sim.degraded_nodes, 1);
+        assert_eq!(sim.cluster.degraded_count(), 1);
     }
 
     /// A perfect detector (zero latency, zero error rates) reproduces
@@ -2394,7 +2384,8 @@ mod tests {
             sim.handle(event);
         }
         assert_eq!(
-            sim.suspected_down, 6,
+            sim.membership.suspected(),
+            6,
             "every healthy node is suspected at fp rate 1"
         );
         assert_eq!(
@@ -2427,9 +2418,10 @@ mod tests {
             }
             sim.handle(event);
         }
-        assert!(!sim.cluster.node(NodeId::new(2)).is_alive());
+        assert!(!sim.membership.is_alive(NodeId::new(2)));
         assert_eq!(
-            sim.suspected_down, 0,
+            sim.membership.suspected(),
+            0,
             "the kill stays invisible inside the detection latency"
         );
     }

@@ -270,10 +270,13 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 let secs: f64 = value("--cooldown")?
                     .parse()
                     .map_err(|e| format!("--cooldown: {e}"))?;
-                if !(secs.is_finite() && secs > 0.0) {
+                // The clock ticks in microseconds: a cooldown that rounds
+                // to zero ticks is a zero cooldown.
+                if !secs.is_finite() || pcs_types::SimDuration::from_secs_f64(secs).is_zero() {
                     return Err(format!(
-                        "--cooldown: must be a positive number of seconds, got {secs} \
-                         (a zero cooldown would let the controller thrash every window)"
+                        "--cooldown: must be a positive number of seconds of at least \
+                         1 µs, got {secs} (a zero cooldown would let the controller \
+                         thrash every window)"
                     ));
                 }
                 params.cooldown_secs = Some(secs);

@@ -156,6 +156,18 @@ fn out_of_range_autoscaler_knobs_are_rejected() {
         &["run", "--scenario", "elastic", "--cooldown", "inf"],
         "positive number of seconds",
     );
+    // Positive, but below the simulator's 1 µs clock resolution.
+    rejected_with(
+        &[
+            "run",
+            "--scenario",
+            "elastic",
+            "--smoke",
+            "--cooldown",
+            "0.0000001",
+        ],
+        "positive number of seconds",
+    );
     rejected_with(
         &["run", "--scenario", "elastic", "--cooldown", "soon"],
         "--cooldown",

@@ -6,7 +6,8 @@
 //!   simulated trajectory identical to the clean run (only the
 //!   degrade/recover bookkeeping counters move);
 //! * a configured-but-perfect [`FailureDetector`] produces a report
-//!   identical to running with no detector at all, faults and all;
+//!   identical to running with no detector at all, faults and all, with
+//!   or without an autoscaler;
 //! * `pcs-n0` (prediction noise with σ = 0) is identical to plain `pcs`.
 //!
 //! Each property holds across techniques, arrival rates and seeds —
@@ -16,7 +17,7 @@ use pcs::controller::PcsController;
 use pcs::experiments::fig6;
 use pcs::techniques::{self, TechniqueRef};
 use pcs_core::ClassModelSet;
-use pcs_sim::{FailureDetector, FaultPlan, RunReport, SimConfig};
+use pcs_sim::{AutoscaleConfig, FailureDetector, FaultPlan, RunReport, SimConfig};
 use pcs_types::{NodeCapacity, SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -124,15 +125,28 @@ proptest! {
 
     /// A perfect detector (zero latency, zero error rates) relays ground
     /// truth, so configuring it is identical to configuring none — even
-    /// while a kill-restore outage exercises the liveness channel.
+    /// while a kill-restore outage exercises the liveness channel, and
+    /// on autoscaled runs whose warming and draining nodes share it.
     #[test]
     fn a_perfect_detector_reduces_to_no_detector(
         tech in 0usize..3,
         rate in 60.0f64..140.0,
         seed in 1u64..1_000_000,
+        elastic in (0u8..2).prop_map(|b| b == 1),
     ) {
         let technique = technique_under_test(tech);
         let (mut base, epsilon) = short_config(rate, seed);
+        if elastic {
+            base.autoscale = Some(AutoscaleConfig {
+                target_utilization: 0.6,
+                step: 1,
+                cooldown: SimDuration::from_secs(2),
+                cold_start: SimDuration::from_millis(500),
+                min_nodes: base.node_count / 2,
+                max_nodes: base.node_count,
+                slo_p99_ms: 50.0,
+            });
+        }
         base.faults = FaultPlan::kill_restore(
             base.node_count,
             seed,
@@ -145,6 +159,7 @@ proptest! {
         let plain = run(&base, &technique, epsilon);
         let observed = run(&detected, &technique, epsilon);
         prop_assert!(plain.faults.stats.kills > 0, "the outage must strike");
+        prop_assert_eq!(elastic, plain.autoscale.node_seconds > 0.0);
         assert_same_trajectory(&plain, &observed, "perfect detector");
         prop_assert_eq!(plain.events_processed, observed.events_processed);
     }

@@ -29,7 +29,7 @@ fn models() -> &'static ClassModelSet {
 }
 
 /// The disruption axis of the config space. Faults and autoscaling are
-/// mutually exclusive here as in the scenario families (`failures` vs
+/// kept apart here, as in the scenario families (`failures` vs
 /// `elastic`); both leave their mark on timelines and series rows.
 #[derive(Debug, Clone, Copy)]
 enum Disruption {
