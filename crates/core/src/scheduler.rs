@@ -34,7 +34,7 @@ pub struct SchedulerConfig {
     /// Rebuild the whole matrix after every accepted migration instead of
     /// running Algorithm 2's incremental update — the naïve alternative
     /// the paper's complexity analysis argues against. Exposed for the
-    /// ablation benches.
+    /// `ablation-rebuild` scenario.
     pub full_rebuild: bool,
 }
 

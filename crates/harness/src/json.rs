@@ -131,9 +131,10 @@ impl Json {
     /// The inverse of [`Json::render`]: everything the writer emits parses
     /// back to an equal value (objects keep their key order; numbers
     /// written with a `.`/exponent come back as [`Json::Num`], bare
-    /// integers as [`Json::Int`]). The harness consumes its own reports —
-    /// e.g. `pcs bench --baseline <previous report>` — so a full serde
-    /// stack stays unnecessary.
+    /// integers as [`Json::Int`]). Its callers read back the repo's own
+    /// output — the CLI's Chrome-trace round-trip check, the trace tests and
+    /// perfbench's `BENCHMARK.json` — so a full serde stack stays
+    /// unnecessary.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -329,35 +330,62 @@ impl Parser<'_> {
         Ok(())
     }
 
+    /// Exactly four ASCII hex digits (`u32::from_str_radix` would also
+    /// take a leading `+`).
     fn hex4(&mut self) -> Result<u32, String> {
-        let end = self.pos + 4;
         let hex = self
             .bytes
-            .get(self.pos..end)
+            .get(self.pos..self.pos + 4)
             .ok_or_else(|| format!("truncated \\u escape at byte {}", self.pos))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape".to_string())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|e| format!("bad \\u escape: {e}"))?;
-        self.pos = end;
+        let mut v = 0;
+        for &b in hex {
+            let digit = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            v = v * 16 + digit;
+        }
+        self.pos += 4;
         Ok(v)
     }
 
+    /// Advances over a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// JSON's number grammar, `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`,
+    /// checked here so leading zeros and empty fractions or exponents never
+    /// reach Rust's more lenient numeric parsers.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let int_start = self.pos;
+        let int_digits = self.digits();
+        let mut ok = int_digits == 1 || (int_digits > 1 && self.bytes[int_start] != b'0');
         let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            is_float = true;
+            ok &= self.digits() > 0;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            is_float = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
+            ok &= self.digits() > 0;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        if !ok {
+            return Err(format!("bad number `{text}` at byte {start}"));
+        }
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -565,6 +593,10 @@ mod tests {
             "[1e]",
             "\"\\q\"",
             "\"\\ud800x\"",
+            "\"\\u+041\"",
+            "01",
+            "-01",
+            "1.",
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` must be rejected");
         }

@@ -152,8 +152,8 @@ pub struct RunReport {
     /// [`crate::config::SimConfig::autoscale`] is `None`).
     pub autoscale: AutoscaleReport,
     /// Discrete events handled over the whole run (arrivals, completions,
-    /// timers, monitor/scheduler ticks, …). Fuels the bench harness's
-    /// events/sec metric; deliberately absent from scenario reports.
+    /// timers, monitor/scheduler ticks, …). Fuels perfbench's events/s
+    /// metric; deliberately absent from scenario reports.
     pub events_processed: u64,
     /// Deterministic scheduler work counters, if the technique's hook
     /// tracks them ([`SchedulerHook::cost`](crate::SchedulerHook::cost)).

@@ -16,7 +16,6 @@
 //! sweep report whose bytes are reproducible at a fixed seed for every
 //! scenario without wall-clock metrics.
 
-use pcs::bench;
 use pcs::scenarios;
 use pcs::tables;
 use pcs::techniques;
@@ -27,7 +26,6 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("list") => cmd_list(args.get(1).map(String::as_str)),
         Some("run") => cmd_run(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("--help") | Some("-h") | Some("help") | None => {
             print!("{}", usage());
             0
@@ -47,8 +45,6 @@ fn usage() -> String {
          USAGE:\n\
          \x20 pcs list [scenarios|techniques]   list the registries\n\
          \x20 pcs run --scenario <name>         run one scenario\n\
-         \x20 pcs bench [--smoke]               measure the perf trajectory\n\
-         \x20 pcs bench --check <path>          validate a bench report\n\
          \n\
          OPTIONS (run):\n\
          \x20 --scenario <name>    required; see `pcs list scenarios`\n\
@@ -76,17 +72,7 @@ fn usage() -> String {
          \x20                      JSON, loadable in Perfetto (requires --observe)\n\
          \x20 --smoke              tiny CI budgets (short horizon, small grid)\n\
          \x20 --json <path>        also write the machine-readable report\n\
-         \x20 --quiet              suppress the cell table\n\
-         \n\
-         OPTIONS (bench):\n\
-         \x20 --smoke              CI mode: smoke-grid cells, fewer repeats\n\
-         \x20 --scenarios <a,b>    restrict the scenario-sweep section\n\
-         \x20 --repeats <n>        measurement repeats (min wall-clock kept)\n\
-         \x20 --threads <n>        worker threads for the sweeps\n\
-         \x20 --label <text>       label recorded in the report (e.g. PR5)\n\
-         \x20 --baseline <path>    previous bench report to compare against\n\
-         \x20 --json <path>        write the bench report here\n\
-         \x20 --check <path>       validate an existing report and exit\n",
+         \x20 --quiet              suppress the cell table\n",
     );
     out.push_str("\nSCENARIOS:\n");
     for scenario in scenarios::registry() {
@@ -496,134 +482,6 @@ fn cmd_run(args: &[String]) -> i32 {
             return 1;
         }
         eprintln!("Chrome trace written to {path} (load in Perfetto or chrome://tracing)");
-    }
-    0
-}
-
-fn parse_bench_args(args: &[String]) -> Result<(bench::BenchParams, Option<String>), String> {
-    let mut params = bench::BenchParams::default();
-    let mut explicit_repeats = None;
-    let mut json_path = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--smoke" => params.smoke = true,
-            "--scenarios" => {
-                let list = value("--scenarios")?;
-                let names: Vec<String> = list
-                    .split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect();
-                if names.is_empty() {
-                    return Err("--scenarios: expected at least one scenario name".to_string());
-                }
-                params.scenarios = Some(names);
-            }
-            "--repeats" => {
-                let repeats: usize = value("--repeats")?
-                    .parse()
-                    .map_err(|e| format!("--repeats: {e}"))?;
-                if repeats == 0 {
-                    return Err(
-                        "--repeats: must be at least 1 (0 repeats would measure nothing)"
-                            .to_string(),
-                    );
-                }
-                explicit_repeats = Some(repeats);
-            }
-            "--threads" => {
-                let threads: usize = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if threads == 0 {
-                    return Err(
-                        "--threads: must be at least 1 (0 workers would run no cells)".to_string(),
-                    );
-                }
-                params.threads = threads;
-            }
-            "--label" => params.label = value("--label")?,
-            "--baseline" => {
-                let path = value("--baseline")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| format!("--baseline: reading {path}: {e}"))?;
-                let parsed =
-                    Json::parse(&text).map_err(|e| format!("--baseline: parsing {path}: {e}"))?;
-                // Fail on an incompatible baseline now, not after minutes
-                // of measurement.
-                if parsed.get("schema").and_then(Json::as_str) != Some(bench::SCHEMA) {
-                    return Err(format!(
-                        "--baseline: {path} has an unknown schema (want {})",
-                        bench::SCHEMA
-                    ));
-                }
-                params.baseline = Some(parsed);
-            }
-            "--json" => json_path = Some(value("--json")?),
-            other => return Err(format!("unknown option `{other}`")),
-        }
-    }
-    // An explicit --repeats wins regardless of flag order; otherwise CI
-    // smoke mode keeps the suite quick but still averages noise.
-    params.repeats = explicit_repeats.unwrap_or(if params.smoke { 2 } else { params.repeats });
-    Ok((params, json_path))
-}
-
-fn cmd_bench(args: &[String]) -> i32 {
-    // `--check <path>` is a standalone validation mode (the CI gate).
-    if args.first().map(String::as_str) == Some("--check") {
-        let Some(path) = args.get(1) else {
-            eprintln!("--check needs a report path");
-            return 2;
-        };
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(error) => {
-                eprintln!("reading {path}: {error}");
-                return 1;
-            }
-        };
-        return match bench::check_report(&text) {
-            Ok(()) => {
-                println!("{path}: ok (all scenario families covered)");
-                0
-            }
-            Err(problem) => {
-                eprintln!("{path}: {problem}");
-                1
-            }
-        };
-    }
-    let (params, json_path) = match parse_bench_args(args) {
-        Ok(parsed) => parsed,
-        Err(message) => {
-            eprintln!("{message}\n\n{}", usage());
-            return 2;
-        }
-    };
-    let report = match bench::run(&params) {
-        Ok(report) => report,
-        Err(error) => {
-            eprintln!("{error}");
-            return 1;
-        }
-    };
-    let rendered = report.render() + "\n";
-    match &json_path {
-        Some(path) => {
-            if let Err(error) = std::fs::write(path, &rendered) {
-                eprintln!("writing {path}: {error}");
-                return 1;
-            }
-            eprintln!("bench report written to {path}");
-        }
-        None => print!("{rendered}"),
     }
     0
 }

@@ -223,7 +223,7 @@ mod tests {
 
     #[test]
     fn figure5_reproduces_paper_error_bands() {
-        // Smaller sampling budget than the bench binary for test speed;
+        // Smaller sampling budget than the `fig5` scenario for test speed;
         // thresholds are looser than the paper's exact percentages but
         // assert the same qualitative claim: accurate prediction with a
         // low-single-digit mean error.

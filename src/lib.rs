@@ -64,7 +64,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod bench;
 pub mod controller;
 pub mod experiments;
 pub mod scenarios;

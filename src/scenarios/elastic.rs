@@ -34,8 +34,8 @@ use pcs_workloads::ArrivalPattern;
 
 /// Cluster size of the elastic sweep: twice the failures cluster, so
 /// there is real capacity to shed — the fleet can halve and still hold
-/// every component. Shared with the bench harness.
-pub(crate) const ELASTIC_NODE_COUNT: usize = 12;
+/// every component.
+const ELASTIC_NODE_COUNT: usize = 12;
 
 /// The floor of active nodes no preset drains below.
 const ELASTIC_MIN_NODES: usize = 4;
@@ -46,7 +46,7 @@ const ELASTIC_COLD_START_MS: f64 = 2000.0;
 
 /// The fixed P99 component-latency SLO (milliseconds) every cell is
 /// scored against — and the SLO the control loop itself defends.
-pub(crate) const ELASTIC_SLO_P99_MS: f64 = 60.0;
+const ELASTIC_SLO_P99_MS: f64 = 60.0;
 
 /// Diurnal modulation depth (as in the `diurnal` scenario).
 const DIURNAL_AMPLITUDE: f64 = 0.7;
@@ -140,17 +140,6 @@ fn autoscale_config(preset: &Preset, params: &SweepParams) -> AutoscaleConfig {
         max_nodes: ELASTIC_NODE_COUNT,
         slo_p99_ms: ELASTIC_SLO_P99_MS,
     }
-}
-
-/// The simulation config of one elastic bench cell — the `steady`
-/// preset under diurnal traffic, exactly as this scenario's grid builds
-/// it — so the bench harness replays an identical cell.
-pub(crate) fn bench_cell_config(cfg: &fig6::Fig6Config, rate: f64) -> pcs_sim::SimConfig {
-    let mut sim = fig6::cell_config(cfg, rate);
-    sim.node_count = ELASTIC_NODE_COUNT;
-    sim.arrival_pattern = Traffic::Diurnal.pattern();
-    sim.autoscale = Some(autoscale_config(&PRESETS[1], &SweepParams::default()));
-    sim
 }
 
 /// The elastic sweep's technique set: the no-op, reactive and

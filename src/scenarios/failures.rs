@@ -36,8 +36,6 @@ use pcs_types::SimTime;
 
 /// Node count of the failures cluster: small enough that every node
 /// hosts at least two components in both the smoke and the full grid.
-/// Shared with the bench harness, whose failures cells replay this
-/// scenario's grid.
 pub(crate) const FAIL_NODE_COUNT: usize = 6;
 
 /// One-shot and kill-restore victims are drawn from the first four
@@ -55,9 +53,8 @@ const PLANS: [&str; 3] = ["single-kill", "kill-restore", "cascade"];
 /// Builds one plan's fault schedule against a cell's simulation config.
 /// Timing scales with the horizon so `--smoke` keeps the same shape:
 /// kill at 25% of the measured span, restore 35% later, cascade kills
-/// 0.4 s apart (inside one scheduling interval). `pub(crate)` so the
-/// bench harness measures the identical outage.
-pub(crate) fn fault_plan(plan: &str, plan_seed: u64, sim: &SimConfig) -> FaultPlan {
+/// 0.4 s apart (inside one scheduling interval).
+fn fault_plan(plan: &str, plan_seed: u64, sim: &SimConfig) -> FaultPlan {
     let measured = sim.horizon - sim.warmup;
     let kill_at = SimTime::ZERO + sim.warmup + measured.mul_f64(0.25);
     let downtime = measured.mul_f64(0.35);

@@ -274,11 +274,10 @@ fn imperfect_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
     ]
 }
 
-/// The grid config of one `pcs bench` `imperfect`-section run: the
-/// scenario's own prologue (doubled horizon, and the smoke grid's denser
-/// component pool at 100 req/s), shared here so the bench measures
-/// exactly this scenario's cells.
-pub(crate) fn bench_grid(params: &SweepParams) -> fig6::Fig6Config {
+/// The scenario's grid: the base grid at 100 req/s with the horizon
+/// doubled (tripled under `--smoke`, which also keeps the full rate and a
+/// denser component pool).
+fn grid(params: &SweepParams) -> fig6::Fig6Config {
     let mut cfg = base_grid(params, &[100.0]);
     // Mitigation needs room to pay off inside the straggler window:
     // double the family default horizon (the `--smoke` shrink is applied
@@ -297,29 +296,6 @@ pub(crate) fn bench_grid(params: &SweepParams) -> fig6::Fig6Config {
         cfg.search_vm_budget = 24;
     }
     cfg
-}
-
-/// The simulation config (and PCS prediction-noise σ) of one bench cell:
-/// the named level's fault schedule and detector exactly as the grid
-/// builds them, so the bench replays an identical clean vs
-/// degraded-input pair per technique.
-pub(crate) fn bench_cell_config(
-    cfg: &fig6::Fig6Config,
-    rate: f64,
-    level_name: &str,
-) -> (SimConfig, f64) {
-    let (level_index, level) = LEVELS
-        .iter()
-        .enumerate()
-        .find(|(_, l)| l.name == level_name)
-        .expect("known imperfection level");
-    let plan_seed = seed::mix(fig6::rate_seed(cfg.seed, rate), level_index as u64);
-    let mut sim = fig6::cell_config(cfg, rate);
-    sim.node_count = FAIL_NODE_COUNT;
-    let eff = effective(level, &SweepParams::default(), sim.horizon - sim.warmup);
-    sim.faults = level_plan(level, plan_seed, &sim);
-    sim.detector = eff.detector;
-    (sim, eff.sigma)
 }
 
 /// The scenario registration.
@@ -343,7 +319,7 @@ impl Scenario for ImperfectScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let cfg = bench_grid(params);
+        let cfg = grid(params);
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {

@@ -1,6 +1,6 @@
 //! Plain-text table rendering for experiment output.
 //!
-//! The bench binaries print the same rows/series the paper's tables and
+//! The `pcs` CLI prints the same rows/series the paper's tables and
 //! figures report; this keeps the formatting in one place.
 
 /// Renders a table: a header row plus data rows, columns padded to the

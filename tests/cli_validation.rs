@@ -356,32 +356,6 @@ fn observe_is_rejected_on_wall_clock_scenarios() {
 }
 
 #[test]
-fn bench_knobs_are_validated() {
-    rejected_with(&["bench", "--threads", "0"], "at least 1");
-    rejected_with(&["bench", "--repeats", "0"], "at least 1");
-    rejected_with(&["bench", "--scenarios", ""], "at least one scenario");
-    rejected_with(&["bench", "--scenarios", "warp-drive"], "unknown scenario");
-    rejected_with(
-        &["bench", "--baseline", "/nonexistent/path.json"],
-        "--baseline",
-    );
-}
-
-#[test]
-fn bench_check_rejects_a_partial_report() {
-    // --check demands coverage of every registered family; an empty JSON
-    // object parses but covers nothing.
-    let dir = std::env::temp_dir().join("pcs-check-partial-report");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("partial.json");
-    std::fs::write(&path, "{\"schema\":\"pcs-bench/1\",\"scenarios\":[]}\n").unwrap();
-    let out = pcs(&["bench", "--check", path.to_str().unwrap()]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("missing from report"), "{stderr}");
-}
-
-#[test]
 fn unknown_technique_error_names_the_new_vocabulary() {
     let out = pcs(&[
         "run",

@@ -220,7 +220,9 @@ fn render_observed(name: &str, threads: usize, top_k: usize) -> String {
 /// audits are all event-derived), while the observe-off pins above prove
 /// the layer's *absence* still produces the historical bytes. The two
 /// reports differ only by the `observe_override` provenance key and the
-/// per-cell `observe` metrics.
+/// per-cell `observe` metrics; that switching the layer on leaves the
+/// simulated trajectory itself unchanged is asserted in
+/// `tests/observe_props.rs`.
 #[test]
 fn observed_fig6_smoke_report_is_thread_invariant_and_pinned() {
     let single = render_observed("fig6", 1, 3);

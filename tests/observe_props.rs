@@ -6,7 +6,8 @@
 //! timelines, and the time-series/audit streams must be well-formed —
 //! across random techniques (Basic/LL/PCS, RED-k replication, RI-p
 //! reissues) and random disruptions (one-shot kill, kill+restore,
-//! autoscale warming/draining).
+//! autoscale warming/draining). The layer is also neutral: the same cell
+//! with it off replays the identical trajectory.
 
 use pcs::controller::PcsController;
 use pcs::experiments::fig6;
@@ -39,20 +40,21 @@ enum Disruption {
     Autoscale,
 }
 
-/// Runs one short fig6-style cell with the observability layer retaining
-/// **every** measured timeline (`top_k` = `usize::MAX`).
+/// Runs one short fig6-style cell; with `observe`, the observability layer
+/// retains **every** measured timeline (`top_k` = `usize::MAX`).
 fn run_observed(
     technique: &TechniqueRef,
     rate: f64,
     seed: u64,
     disruption: Disruption,
+    observe: bool,
 ) -> RunReport {
     let grid = fig6::Fig6Config {
         seed,
         // 12 s horizon / 2 s warm-up: enough traffic for cohorts and
         // mechanism activity while keeping a proptest case sub-second.
         horizon_scale: 0.2,
-        observe: Some(usize::MAX),
+        observe: observe.then_some(usize::MAX),
         ..fig6::Fig6Config::default()
     };
     let mut config = fig6::cell_config(&grid, rate);
@@ -232,9 +234,19 @@ proptest! {
                 techniques::ri(99.0),
             ][tech].clone(),
         };
-        let report = run_observed(&technique, rate, seed, disruption);
+        let report = run_observed(&technique, rate, seed, disruption, true);
         prop_assert!(report.overall_latency.count > 0, "the cell must serve traffic");
         assert_observe_invariants(&report, 30);
+        // The layer consumes no randomness and schedules no events, so
+        // switching it off replays the identical trajectory.
+        let plain = run_observed(&technique, rate, seed, disruption, false);
+        prop_assert!(plain.observe.is_none());
+        prop_assert_eq!(plain.events_processed, report.events_processed);
+        prop_assert_eq!(plain.overall_latency.count, report.overall_latency.count);
+        prop_assert_eq!(
+            plain.component_p99_ms().to_bits(),
+            report.component_p99_ms().to_bits()
+        );
     }
 }
 
@@ -243,7 +255,7 @@ proptest! {
 /// [`SegmentKind::ReissueWait`], not queueing. Fixed seed — deterministic.
 #[test]
 fn reissue_wait_segments_appear_under_aggressive_reissue() {
-    let report = run_observed(&techniques::ri(90.0), 140.0, 7, Disruption::None);
+    let report = run_observed(&techniques::ri(90.0), 140.0, 7, Disruption::None, true);
     assert!(report.stats.reissues > 0, "RI-90 at 140 req/s must reissue");
     let obs = report.observe.as_ref().unwrap();
     let reissue_waits = obs
@@ -264,7 +276,7 @@ fn reissue_wait_segments_appear_under_aggressive_reissue() {
 /// fault flag. Fixed seed — deterministic.
 #[test]
 fn faults_mark_series_rows_and_segment_flags() {
-    let report = run_observed(&techniques::pcs(), 100.0, 11, Disruption::KillRestore);
+    let report = run_observed(&techniques::pcs(), 100.0, 11, Disruption::KillRestore, true);
     assert!(report.faults.stats.kills > 0);
     let obs = report.observe.as_ref().unwrap();
     assert!(
@@ -288,7 +300,7 @@ fn faults_mark_series_rows_and_segment_flags() {
 /// deterministic.
 #[test]
 fn autoscale_activity_reaches_the_time_series() {
-    let report = run_observed(&techniques::pcs(), 60.0, 13, Disruption::Autoscale);
+    let report = run_observed(&techniques::pcs(), 60.0, 13, Disruption::Autoscale, true);
     let actions =
         report.autoscale.stats.scale_out_actions + report.autoscale.stats.scale_in_actions;
     assert!(actions > 0, "a 55% target at 60 req/s must consolidate");
