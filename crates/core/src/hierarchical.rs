@@ -11,12 +11,17 @@
 //! implementation, [`ComponentScheduler::run_masked`]: the performance
 //! matrix is built once over the whole cluster, then the flat greedy runs
 //! per group (each group's components as the candidate set), with matrix
-//! state carried across groups so later groups see earlier groups'
-//! migrations. Because every group run *is* `run_masked`, the grouped
-//! scheduler inherits everything the flat path has — liveness saturation,
-//! budget accounting against prior migrations (the controller's
-//! evacuation pass), and candidate exclusions — instead of duplicating
-//! the loop.
+//! state carried across groups. Later groups see earlier groups'
+//! migrations only in part. The allocation, node demands, base latencies
+//! and stage maxima are current, and each accepted move is applied to
+//! them. But Algorithm 2 refreshes only the running group's rows, so a
+//! later group's rows still hold the entries of the build (or of the
+//! controller's evacuation moves), even in the columns an earlier group
+//! touched. Because every group run *is* `run_masked`, the grouped
+//! scheduler inherits everything the flat path has — liveness
+//! saturation, budget accounting against prior migrations (the
+//! controller's evacuation pass), and candidate exclusions — instead of
+//! duplicating the loop.
 //!
 //! Groups come in two shapes:
 //!

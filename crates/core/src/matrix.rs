@@ -81,8 +81,10 @@ pub struct BestEntry {
 const CLASS_MEMO: usize = 8;
 
 /// Matrix entries a rebuild worker must be given before it is worth a
-/// thread. An entry costs ~0.2 µs, so a worker's share is at least ~6.5 ms
-/// and a spawn (tens of µs) stays under 5% of it.
+/// thread. An evaluated (hot) entry costs ~0.2 µs, so a worker's share of
+/// a fully hot matrix is at least ~6.5 ms and a spawn (tens of µs) stays
+/// under 5% of it. Pruned entries cost next to nothing, so on a mostly
+/// cold matrix the split buys less than this suggests.
 const MIN_ENTRIES_PER_WORKER: usize = 32_768;
 
 /// One hypothetical node state under evaluation: see
@@ -190,6 +192,10 @@ pub struct PerformanceMatrix {
     base_latency: Vec<f64>,
     /// Eq. 3/4 evaluation structure over `base_latency`.
     index: StageLatencyIndex,
+    /// Per node: does it host a stage-max holder
+    /// ([`StageLatencyIndex::stage_max_holders`])? Refreshed whenever
+    /// `index` changes; entries with neither endpoint hot are pruned.
+    hot_node: Vec<bool>,
     /// `L[i][j]`, row-major m×k.
     gain: Vec<f64>,
     /// Migrant's own latency reduction per entry, row-major m×k.
@@ -204,7 +210,8 @@ impl PerformanceMatrix {
     /// Builds the matrix from monitored inputs and trained class models.
     ///
     /// This is the "analysis" phase of the paper's scalability discussion:
-    /// O(m·k) entries, each touching the residents of two nodes.
+    /// O(m·k) entries, each touching the residents of two nodes. Only
+    /// entries with a hot endpoint (see [`Self::gain`]) are evaluated.
     ///
     /// # Panics
     /// Panics on inconsistent inputs (see [`MatrixInputs::validate`]) or a
@@ -254,6 +261,7 @@ impl PerformanceMatrix {
             base_latency: vec![0.0; m],
             // Placeholder; replaced right below once base latencies exist.
             index: StageLatencyIndex::build(&vec![0.0; m.max(1)], &vec![0; m.max(1)], 1),
+            hot_node: vec![false; k],
             gain: vec![0.0; m * k],
             self_gain: vec![0.0; m * k],
             scratch: ScratchPool::default(),
@@ -277,6 +285,11 @@ impl PerformanceMatrix {
 
     /// `L[i][j]`: predicted overall-latency reduction (seconds) for
     /// migrating component `i` to node `j`.
+    ///
+    /// Entries proven ≤ 0 read 0.0, self-gain included: when neither the
+    /// component's node nor `j` hosts a stage-max holder, the move cannot
+    /// lower any stage maximum, so it is not evaluated. The greedy skips
+    /// every entry ≤ 0 either way; [`Self::evaluate`] gives the exact value.
     #[inline]
     pub fn gain(&self, i: ComponentId, j: NodeId) -> f64 {
         self.gain[i.index() * self.node_count() + j.index()]
@@ -412,6 +425,7 @@ impl PerformanceMatrix {
             }
         }
         self.index.apply(&changes);
+        self.refresh_hot_nodes();
 
         self.update_matrix(origin, destination, candidates);
         origin
@@ -427,28 +441,27 @@ impl PerformanceMatrix {
     ///    destination node is recomputed in full (those components'
     ///    current latencies — hence the gain of migrating them anywhere —
     ///    changed).
+    ///
+    /// Each entry is evaluated once: a row refreshed in full already covers
+    /// its origin and destination columns.
     #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and allocation
     fn update_matrix(&mut self, origin: NodeId, destination: NodeId, candidates: &[bool]) {
         let m = self.component_count();
+        let k = self.node_count();
         let mut scratch = self.take_scratch();
-        let mut rows_to_refresh: Vec<usize> = Vec::new();
         for i in 0..m {
             if !candidates[i] {
                 continue;
             }
             let ci = ComponentId::from_index(i);
-            self.recompute_entry(&mut scratch, ci, origin);
-            self.recompute_entry(&mut scratch, ci, destination);
             let home = self.allocation[i];
             if home == origin || home == destination {
-                rows_to_refresh.push(i);
-            }
-        }
-        let k = self.node_count();
-        for i in rows_to_refresh {
-            let ci = ComponentId::from_index(i);
-            for j in 0..k {
-                self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
+                for j in 0..k {
+                    self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
+                }
+            } else {
+                self.recompute_entry(&mut scratch, ci, origin);
+                self.recompute_entry(&mut scratch, ci, destination);
             }
         }
         self.put_scratch(scratch);
@@ -582,13 +595,62 @@ impl PerformanceMatrix {
     }
 
     /// `(L[i][j], self-gain)` from current state: zero for the component's
-    /// own node, Eq. 5 elsewhere.
+    /// own node and for pruned entries, Eq. 5 elsewhere.
+    ///
+    /// An entry is pruned when neither the origin nor `j` is hot. Its
+    /// overrides (the migrant, the origin co-residents, `j`'s residents)
+    /// then hold no stage's maximum, so every stage it touches keeps its
+    /// top latency unoverridden, each `new_max − old_max` term of
+    /// [`StageLatencyIndex::overall_with_overrides`] is ≥ 0, and the
+    /// exact gain is ≤ 0 in IEEE arithmetic.
     fn entry(&self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) -> (f64, f64) {
-        if self.allocation[i.index()] == j {
+        let origin = self.allocation[i.index()];
+        if origin == j || !(self.hot_node[origin.index()] || self.hot_node[j.index()]) {
             (0.0, 0.0)
         } else {
             self.evaluate_migration(scratch, i, j)
         }
+    }
+
+    /// The exact `(L[i][j], self-gain)` from current state, evaluated even
+    /// where the stored entry is pruned (see [`Self::gain`]) or stale (a
+    /// row Algorithm 2 no longer refreshes): zero for the component's own
+    /// node, Eq. 5 elsewhere.
+    pub fn evaluate(&mut self, i: ComponentId, j: NodeId) -> (f64, f64) {
+        if self.allocation[i.index()] == j {
+            return (0.0, 0.0);
+        }
+        let mut scratch = self.take_scratch();
+        let out = self.evaluate_migration(&mut scratch, i, j);
+        self.put_scratch(scratch);
+        out
+    }
+
+    /// The exact self-gain of migrating `i` to `j` from current state (the
+    /// second half of [`Self::evaluate`]): Table III row 1 only, with no
+    /// override list, so a whole row is cheap to scan. Zero for the
+    /// component's own node.
+    pub fn migrant_self_gain(&mut self, i: ComponentId, j: NodeId) -> f64 {
+        if self.allocation[i.index()] == j {
+            return 0.0;
+        }
+        let mut scratch = self.take_scratch();
+        let li_new = self.migrant_latency(&mut scratch, i, j);
+        self.put_scratch(scratch);
+        self.base_latency[i.index()] - li_new
+    }
+
+    /// Component `i`'s latency on node `j` under Table III row 1: the
+    /// destination's pre-migration aggregate. That state is shared by every
+    /// row of the destination's matrix column, so it comes from the
+    /// per-node memo.
+    fn migrant_latency(&self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) -> f64 {
+        let dest_now = &mut scratch.current[j.index()];
+        if !scratch.current_valid[j.index()] {
+            self.prepare_what_if(j, self.node_demand[j.index()], dest_now);
+            scratch.current_valid[j.index()] = true;
+        }
+        self.latency_with(dest_now, i)
     }
 
     /// Evaluates Eq. 5 for a candidate migration. Read-only but for the
@@ -602,16 +664,7 @@ impl PerformanceMatrix {
         let origin = self.allocation[i.index()];
         let d_ci = self.comps[i.index()].demand;
 
-        // Migrant: Table III row 1 — experiences the destination's
-        // pre-migration aggregate. That state is shared by every row of
-        // the destination's matrix column, so it comes from the per-node
-        // memo.
-        let dest_now = &mut scratch.current[j.index()];
-        if !scratch.current_valid[j.index()] {
-            self.prepare_what_if(j, self.node_demand[j.index()], dest_now);
-            scratch.current_valid[j.index()] = true;
-        }
-        let li_new = self.latency_with(dest_now, i);
+        let li_new = self.migrant_latency(scratch, i, j);
 
         // Origin co-residents: Table III row 2 — `U − U_ci`. Their
         // latencies are the same for every destination column of row `i`,
@@ -730,6 +783,16 @@ impl PerformanceMatrix {
         self.base_latency = base;
         let stages: Vec<usize> = self.comps.iter().map(|c| c.stage).collect();
         self.index = StageLatencyIndex::build(&self.base_latency, &stages, stage_count);
+        self.refresh_hot_nodes();
+    }
+
+    /// Recomputes `hot_node` from the index: a node is hot when it hosts a
+    /// stage-max holder.
+    fn refresh_hot_nodes(&mut self) {
+        self.hot_node.fill(false);
+        for c in self.index.stage_max_holders() {
+            self.hot_node[self.allocation[c.index()].index()] = true;
+        }
     }
 }
 

@@ -88,6 +88,20 @@ impl StageLatencyIndex {
         self.stages.len()
     }
 
+    /// The components that hold their stage's maximum: in every stage,
+    /// each component whose latency equals the stage latency (all of a
+    /// tied top). Only an override of one of these can lower
+    /// [`Self::overall_with_overrides`] below [`Self::overall`].
+    pub fn stage_max_holders(&self) -> impl Iterator<Item = ComponentId> + '_ {
+        self.stages.iter().flat_map(|stage| {
+            let top = stage[0].0;
+            stage
+                .iter()
+                .take_while(move |&&(lat, _)| lat == top)
+                .map(|&(_, id)| id)
+        })
+    }
+
     /// Evaluates `l'_overall` (Eq. 4) as if the components in `overrides`
     /// had the given latencies, without mutating the index.
     ///
@@ -270,6 +284,36 @@ mod tests {
         // Both stage-1 components overridden.
         let got = idx.overall_with_overrides(&[(c(1), 0.003), (c(2), 0.004)]);
         assert!((got - (0.002 + 0.004 + 0.010)).abs() < 1e-15);
+    }
+
+    fn holders(idx: &StageLatencyIndex) -> Vec<ComponentId> {
+        let mut out: Vec<ComponentId> = idx.stage_max_holders().collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn stage_max_holders_include_every_tied_top() {
+        // Stage 0: c0 and c2 tie at the top, c1 below; stage 1: c3 and c4
+        // tie; stage 2: c5 alone.
+        let idx = StageLatencyIndex::build(
+            &[0.030, 0.010, 0.030, 0.005, 0.005, 0.002],
+            &[0, 0, 0, 1, 1, 2],
+            3,
+        );
+        assert_eq!(holders(&idx), vec![c(0), c(2), c(3), c(4), c(5)]);
+    }
+
+    #[test]
+    fn stage_max_holder_moves_when_apply_demotes_the_maximum() {
+        let mut idx = figure_like_index();
+        assert_eq!(holders(&idx), vec![c(0), c(1), c(3)]);
+        // c1 (stage 1's 30 ms max) drops below c2's 25 ms.
+        idx.apply(&[(c(1), 0.001)]);
+        assert_eq!(holders(&idx), vec![c(0), c(2), c(3)]);
+        // Raising c1 to exactly c2's latency makes both hold the stage.
+        idx.apply(&[(c(1), 0.025)]);
+        assert_eq!(holders(&idx), vec![c(0), c(1), c(2), c(3)]);
     }
 
     #[test]

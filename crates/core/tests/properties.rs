@@ -71,8 +71,181 @@ fn arb_inputs() -> impl Strategy<Value = MatrixInputs> {
     })
 }
 
+/// Multi-stage matrix inputs with forced top-latency ties: 1–4 stages,
+/// components that may have a twin on their node, and nodes that may have
+/// a twin carrying the same load and copies of all their residents. A
+/// twin's latency equals its original's bit for bit, so stage maxima are
+/// often held by several components on several nodes.
+fn arb_tied_inputs() -> impl Strategy<Value = MatrixInputs> {
+    (1usize..5, 2usize..5).prop_flat_map(|(stages, k)| {
+        (
+            proptest::collection::vec(0.0f64..8.0, k),
+            proptest::collection::vec(
+                (0usize..stages, 0usize..k, 0.0f64..300.0, 0u8..2),
+                stages..stages + 6,
+            ),
+            proptest::collection::vec(0u8..2, k),
+        )
+            .prop_map(move |(loads, comps, node_twins)| {
+                // Residents per base node as (stage, rate), in order.
+                let mut residents: Vec<Vec<(usize, f64)>> = vec![Vec::new(); k];
+                for (n, &(stage, node, rate, twin)) in comps.iter().enumerate() {
+                    // The first `stages` components cover every stage once.
+                    let stage = if n < stages { n } else { stage };
+                    residents[node].push((stage, rate));
+                    if twin == 1 {
+                        residents[node].push((stage, rate));
+                    }
+                }
+                let mut hosts: Vec<(f64, Vec<(usize, f64)>)> = Vec::new();
+                for (j, list) in residents.into_iter().enumerate() {
+                    if node_twins[j] == 1 {
+                        hosts.push((loads[j], list.clone()));
+                    }
+                    hosts.push((loads[j], list));
+                }
+                let demand = ResourceVector::new(0.9, 2.0, 5.0, 2.0);
+                let mut nodes = Vec::new();
+                let mut components = Vec::new();
+                for (j, (cores, list)) in hosts.into_iter().enumerate() {
+                    let mut node_demand =
+                        ResourceVector::new(cores, cores * 2.0, cores * 8.0, cores * 4.0);
+                    for (stage, rate) in list {
+                        node_demand += demand;
+                        components.push(ComponentInput {
+                            id: ComponentId::from_index(components.len()),
+                            class: 0,
+                            stage,
+                            node: NodeId::from_index(j),
+                            demand,
+                            arrival_rate: rate,
+                            scv: 1.0,
+                        });
+                    }
+                    nodes.push(NodeInput {
+                        id: NodeId::from_index(j),
+                        capacity: NodeCapacity::XEON_E5645,
+                        demand: node_demand,
+                        samples: vec![],
+                    });
+                }
+                MatrixInputs {
+                    nodes,
+                    components,
+                    stage_count: stages,
+                }
+            })
+    })
+}
+
+/// Checks the entries of `rows` that Algorithm 2 keeps fresh (`columns`
+/// of every row, plus every column of the rows homed on `columns`; all
+/// columns when `columns` is `None`) against an exact evaluation. An
+/// entry with an endpoint hosting a stage-max holder (recomputed here
+/// from the current latencies) must equal it bit for bit; any other entry
+/// must read 0.0 and be exactly ≤ 0.
+fn check_pruned_entries(
+    matrix: &mut PerformanceMatrix,
+    stages: &[usize],
+    rows: &[bool],
+    columns: Option<[NodeId; 2]>,
+) -> Result<(), TestCaseError> {
+    let m = matrix.component_count();
+    let k = matrix.node_count();
+    let latency = |i: usize| matrix.component_latency(ComponentId::from_index(i));
+    let mut top = vec![0.0f64; stages.iter().max().map_or(0, |&s| s + 1)];
+    for i in 0..m {
+        top[stages[i]] = top[stages[i]].max(latency(i));
+    }
+    let mut hot = vec![false; k];
+    for i in 0..m {
+        if latency(i) == top[stages[i]] {
+            hot[matrix.allocation()[i].index()] = true;
+        }
+    }
+    for i in (0..m).filter(|&i| rows[i]) {
+        let c = ComponentId::from_index(i);
+        let home = matrix.allocation()[i];
+        let whole_row = columns.is_none_or(|cols| cols.contains(&home));
+        for j in 0..k {
+            let n = NodeId::from_index(j);
+            if !whole_row && !columns.is_some_and(|cols| cols.contains(&n)) {
+                continue;
+            }
+            let stored = (matrix.gain(c, n), matrix.self_gain(c, n));
+            let exact = matrix.evaluate(c, n);
+            if hot[home.index()] || hot[j] {
+                prop_assert!(
+                    stored.0.to_bits() == exact.0.to_bits()
+                        && stored.1.to_bits() == exact.1.to_bits(),
+                    "hot entry ({}, {}) stores {:?}, exact {:?}",
+                    i,
+                    j,
+                    stored,
+                    exact
+                );
+            } else {
+                prop_assert!(
+                    stored == (0.0, 0.0),
+                    "cold entry ({}, {}) stores {:?}",
+                    i,
+                    j,
+                    stored
+                );
+                prop_assert!(
+                    exact.0 <= 0.0,
+                    "cold entry ({}, {}) gains {}",
+                    i,
+                    j,
+                    exact.0
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Algorithm 1's loop over the components `candidates` marks, checking
+/// the pruned entries after every accepted move.
+fn greedy_checking_pruning(
+    matrix: &mut PerformanceMatrix,
+    stages: &[usize],
+    candidates: &mut [bool],
+) -> Result<(), TestCaseError> {
+    while let Some(best) = matrix.best_candidate(candidates) {
+        candidates[best.component.index()] = false;
+        let origin = matrix.apply_migration(best.component, best.destination, candidates);
+        check_pruned_entries(matrix, stages, candidates, Some([origin, best.destination]))?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Stage-max pruning never changes what the greedy can see: after the
+    /// build and after every accepted move of a flat and of a grouped
+    /// greedy, each fresh entry equals its exact evaluation, or reads 0.0
+    /// where the exact gain is ≤ 0.
+    #[test]
+    fn stage_max_pruning_is_exact(inputs in arb_tied_inputs()) {
+        let models = linear_models();
+        let stages: Vec<usize> = inputs.components.iter().map(|c| c.stage).collect();
+        let m = inputs.component_count();
+        let built = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+
+        let mut flat = built.clone();
+        check_pruned_entries(&mut flat, &stages, &vec![true; m], None)?;
+        greedy_checking_pruning(&mut flat, &stages, &mut vec![true; m])?;
+
+        // Two groups, the second running on the first's moves.
+        let mut grouped = built;
+        for group in [0..m / 2, m / 2..m] {
+            let mut mask = vec![false; m];
+            mask[group].fill(true);
+            greedy_checking_pruning(&mut grouped, &stages, &mut mask)?;
+        }
+    }
 
     /// The own-node column of the matrix is always exactly zero.
     #[test]

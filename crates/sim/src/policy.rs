@@ -211,11 +211,14 @@ pub struct SchedulerCost {
     /// a matrix any more (every interval builds one), so this stays 0; the
     /// field is kept for the readers of the counter set.
     pub matrix_refreshes: u64,
-    /// Matrix entries actually recomputed (builds count every entry). With
-    /// no refreshes this equals `entries_total`.
+    /// Matrix entries covered by builds and refreshes (a build covers all
+    /// `m * k`). It counts coverage, not evaluations: the build evaluates
+    /// only entries with a node hosting a stage maximum at one end and
+    /// stores the provably non-positive rest as 0.0. With no refreshes
+    /// this equals `entries_total`.
     pub entries_recomputed: u64,
     /// Matrix entries a full rebuild at every counted interval would have
-    /// recomputed (`m * k` per interval).
+    /// covered (`m * k` per interval), evaluated or not.
     pub entries_total: u64,
     /// Greedy candidate-selection iterations across all intervals.
     pub greedy_iterations: u64,

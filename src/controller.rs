@@ -407,11 +407,12 @@ impl PcsController {
     /// moving either leaves the stage max at the other's saturated
     /// latency, so every single move shows ~zero *overall* gain and
     /// Algorithm 1 would strand both. Each orphan instead goes to the
-    /// live node with the best predicted latency for it (the matrix's
-    /// self-gain column), applied through the same incremental update
-    /// so later placements see earlier ones; the moves consume the
-    /// interval's migration budget. Evacuated components are cleared
-    /// from `candidates` so the greedy cannot move them again.
+    /// live node with the best predicted latency for it (its current
+    /// self-gain, computed fresh: pruned matrix entries store none),
+    /// applied through the same incremental update so later placements
+    /// see earlier ones; the moves consume the interval's migration
+    /// budget. Evacuated components are cleared from `candidates` so the
+    /// greedy cannot move them again.
     fn evacuate_orphans(
         &self,
         ctx: &SchedulerContext<'_>,
@@ -439,15 +440,14 @@ impl PcsController {
                     continue;
                 }
                 let dest = NodeId::from_index(j);
-                let self_gain = matrix.self_gain(i, dest);
+                let self_gain = matrix.migrant_self_gain(i, dest);
                 if best.is_none_or(|(s, _)| self_gain > s) {
                     best = Some((self_gain, dest));
                 }
             }
             let Some((_, dest)) = best else { continue }; // nowhere legal for this orphan
             candidates[i.index()] = false;
-            let gain = matrix.gain(i, dest);
-            let self_gain = matrix.self_gain(i, dest);
+            let (gain, self_gain) = matrix.evaluate(i, dest);
             let from = matrix.apply_migration(i, dest, candidates);
             evacuations.push(MigrationDecision {
                 component: i,

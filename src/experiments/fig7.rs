@@ -48,6 +48,9 @@ impl Fig7Point {
 /// every straggler migration has positive gain and the greedy loop does
 /// full O(m²·k) work, which is what this harness must measure (a wide
 /// single stage would let the loop exit immediately on its flat max).
+/// It also makes every component its stage's maximum, so every occupied
+/// node is hot and the matrix's stage-max pruning skips no entry: the
+/// analysis time stays that of the unpruned O(m·k) build.
 pub fn synthetic_inputs(m: usize, k: usize, seed: u64) -> MatrixInputs {
     assert!(m > 0 && k > 0);
     let mut rng = SmallRng::seed_from_u64(seed);

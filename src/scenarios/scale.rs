@@ -10,9 +10,10 @@
 //! `PCS-H` (rack-grouped bounded greedy); both build the full matrix
 //! every interval. Every cell reports the usual quality metrics *and* the
 //! scheduler's deterministic work counters ([`pcs_sim::SchedulerCost`]) —
-//! `sched_entries_total` is the matrix cost and `sched_greedy_iterations`
-//! the search cost, both safe to byte-pin because they count events,
-//! never wall-clock.
+//! `sched_entries_total` is the matrix size the builds covered (m·k per
+//! interval, not the entries stage-max pruning leaves to evaluate) and
+//! `sched_greedy_iterations` the search cost, both safe to byte-pin
+//! because they count events, never wall-clock.
 //!
 //! Flat PCS is dropped from the default grid at [`FLAT_PCS_MAX_NODES`]
 //! and beyond: a full m×k rebuild per 2 s interval at 1000 components ×
