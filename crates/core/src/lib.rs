@@ -45,6 +45,6 @@ pub use inputs::{ComponentInput, MatrixInputs, NodeInput};
 pub use matrix::{MatrixConfig, PerformanceMatrix};
 pub use predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
 pub use scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
-pub use service::StageLatencyIndex;
+pub use service::{OverrideMarks, StageLatencyIndex};
 pub use threshold::ThresholdPolicy;
 pub use training::train_class_models;

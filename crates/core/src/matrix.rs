@@ -26,7 +26,7 @@
 
 use crate::inputs::MatrixInputs;
 use crate::predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
-use crate::service::StageLatencyIndex;
+use crate::service::{OverrideMarks, StageLatencyIndex};
 use pcs_queueing::SaturationPolicy;
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 use std::time::{Duration, Instant};
@@ -123,6 +123,8 @@ struct EvalScratch {
     hypothetical: NodeWhatIf,
     /// The override list of the entry being evaluated.
     overrides: Vec<(ComponentId, f64)>,
+    /// Scratch of the Eq. 4 what-if over `overrides`.
+    marks: OverrideMarks,
 }
 
 impl EvalScratch {
@@ -211,7 +213,10 @@ impl PerformanceMatrix {
     ///
     /// This is the "analysis" phase of the paper's scalability discussion:
     /// O(m·k) entries, each touching the residents of two nodes. Only
-    /// entries with a hot endpoint (see [`Self::gain`]) are evaluated.
+    /// entries with a hot endpoint (see [`Self::gain`]) are evaluated, each
+    /// in O(r) for the r residents of its origin and destination: one
+    /// latency prediction per resident (memoised per class) and a linear
+    /// Eq. 4 what-if ([`StageLatencyIndex::overall_with_overrides`]).
     ///
     /// # Panics
     /// Panics on inconsistent inputs (see [`MatrixInputs::validate`]) or a
@@ -525,8 +530,8 @@ impl PerformanceMatrix {
 
     /// Sizes the first `workers` scratches of the pool for this matrix, on
     /// the calling thread, so that evaluation never grows a buffer: the
-    /// override lists for the fullest node, and in per-sample mode every
-    /// shifted window.
+    /// override lists for the fullest node, the override marks, and in
+    /// per-sample mode every shifted window.
     fn reserve_scratch(&mut self, workers: usize) {
         let k = self.node_count();
         let residents = self.node_components.iter().map(Vec::len).max().unwrap_or(0);
@@ -540,6 +545,7 @@ impl PerformanceMatrix {
             s.fit(k);
             reserve_to(&mut s.origin_overrides, residents);
             reserve_to(&mut s.overrides, 2 * residents);
+            s.marks.fit(&self.index);
             if per_sample {
                 for (what_if, samples) in s.current.iter_mut().zip(&self.node_samples) {
                     reserve_to(&mut what_if.shifted, samples.len());
@@ -703,7 +709,9 @@ impl PerformanceMatrix {
             }
         }
 
-        let l_overall_new = self.index.overall_with_overrides(overrides);
+        let l_overall_new = self
+            .index
+            .overall_with_overrides(overrides, &mut scratch.marks);
         let gain = self.index.overall() - l_overall_new;
         let self_gain = self.base_latency[i.index()] - li_new;
         (gain, self_gain)

@@ -7,11 +7,13 @@
 //! ```
 //!
 //! The performance matrix evaluates `l'_overall` for every candidate
-//! migration; each evaluation perturbs only a handful of component
-//! latencies (the migrant plus the co-residents of the origin and
-//! destination nodes — Table III). [`StageLatencyIndex`] keeps each
-//! stage's latencies sorted so a what-if evaluation costs
-//! O(overrides + stages) instead of O(m).
+//! migration; each evaluation overrides the latencies of the migrant and
+//! of every co-resident of the origin and destination nodes (Table III).
+//! That is a handful on a large, sparse cluster and dozens on a small,
+//! dense one. [`StageLatencyIndex`] keeps each stage's latencies sorted
+//! and [`OverrideMarks`] flags the overridden components, so a what-if
+//! evaluation costs O(overrides + scanned stage prefix), never O(m) or
+//! O(overrides²).
 
 use pcs_types::ComponentId;
 
@@ -105,47 +107,59 @@ impl StageLatencyIndex {
     /// Evaluates `l'_overall` (Eq. 4) as if the components in `overrides`
     /// had the given latencies, without mutating the index.
     ///
-    /// `overrides` is a small slice of `(component, new_latency)` pairs; a
-    /// component may appear at most once (the first occurrence wins).
-    /// Cost is O(overrides²) — independent of the number of stages and
-    /// components, which is what keeps matrix construction at the paper's
-    /// O(m·k) (an entry evaluation only perturbs the residents of two
-    /// nodes).
-    pub fn overall_with_overrides(&self, overrides: &[(ComponentId, f64)]) -> f64 {
-        // Start from the cached Eq. 4 total and adjust only the stages an
-        // override touches.
-        let mut total = self.overall;
-        // Visit each touched stage once, in first-occurrence order: a stage
-        // is skipped if an earlier override already touched it (overrides
-        // are ~a dozen entries, and this allocates nothing).
-        for (n, &(c, _)) in overrides.iter().enumerate() {
+    /// `overrides` is a slice of `(component, new_latency)` pairs, each
+    /// component at most once (checked by a `debug_assert`). `marks` is
+    /// reusable scratch: it grows to fit this index on first use and is
+    /// left clean for the next call.
+    ///
+    /// Cost is O(overrides + scanned stage prefix), independent of the
+    /// number of stages and components: the scan of a touched stage stops
+    /// at its first component not overridden. That keeps matrix
+    /// construction at the paper's O(m·k) even when a node hosts dozens of
+    /// components (an entry only perturbs the residents of two nodes).
+    ///
+    /// Bit-identical to folding `max` over each touched stage's
+    /// overrides in input order: `max` over finite, non-negative latencies
+    /// only selects, and the stages are summed in first-occurrence order.
+    pub fn overall_with_overrides(
+        &self,
+        overrides: &[(ComponentId, f64)],
+        marks: &mut OverrideMarks,
+    ) -> f64 {
+        marks.fit(self);
+        // Pass 1: mark each override and fold its latency into its stage's
+        // maximum; a stage's first override lists it as touched.
+        for &(c, lat) in overrides {
+            let overridden = &mut marks.overridden[c.index()];
+            debug_assert!(!*overridden, "{c} overridden twice");
+            *overridden = true;
             let si = self.stage_of[c.index()];
-            if overrides[..n]
-                .iter()
-                .any(|(earlier, _)| self.stage_of[earlier.index()] == si)
-            {
-                continue;
+            let stage_max = &mut marks.stage_max[si];
+            if *stage_max == UNTOUCHED {
+                marks.touched.push(si);
+                *stage_max = lat;
+            } else {
+                *stage_max = stage_max.max(lat);
             }
+        }
+        // Pass 2: start from the cached Eq. 4 total and adjust only the
+        // touched stages. The highest unaffected latency is the first
+        // unmarked entry of the sorted stage (0.0 if all are overridden).
+        let mut total = self.overall;
+        for &si in &marks.touched {
             let stage = &self.stages[si];
-            let old_max = stage[0].0;
-            // Highest unaffected latency in this stage: walk the sorted
-            // list and skip overridden components. Overrides are few, so
-            // the scan almost always stops within a couple of elements.
-            let mut unaffected = 0.0;
-            for &(lat, id) in stage {
-                if !overrides.iter().any(|(oc, _)| *oc == id) {
-                    unaffected = lat;
-                    break;
-                }
-            }
-            // Highest override belonging to this stage.
-            let mut new_max = unaffected;
-            for &(oc, lat) in overrides {
-                if self.stage_of[oc.index()] == si {
-                    new_max = new_max.max(lat);
-                }
-            }
-            total += new_max - old_max;
+            let unaffected = stage
+                .iter()
+                .find(|(_, id)| !marks.overridden[id.index()])
+                .map_or(0.0, |&(lat, _)| lat);
+            total += unaffected.max(marks.stage_max[si]) - stage[0].0;
+        }
+        // Pass 3: clear the marks.
+        for si in marks.touched.drain(..) {
+            marks.stage_max[si] = UNTOUCHED;
+        }
+        for &(c, _) in overrides {
+            marks.overridden[c.index()] = false;
         }
         total
     }
@@ -188,6 +202,37 @@ impl StageLatencyIndex {
     }
 }
 
+/// `OverrideMarks::stage_max` of a stage no override touches.
+const UNTOUCHED: f64 = f64::NEG_INFINITY;
+
+/// Reusable scratch for [`StageLatencyIndex::overall_with_overrides`]:
+/// clean (nothing marked, no stage touched) between calls.
+#[derive(Debug, Clone, Default)]
+pub struct OverrideMarks {
+    /// Per component: overridden in the call under way?
+    overridden: Vec<bool>,
+    /// Per stage: the running maximum of its override latencies, or
+    /// `UNTOUCHED`.
+    stage_max: Vec<f64>,
+    /// The stages with an override, in first-occurrence order.
+    touched: Vec<usize>,
+}
+
+impl OverrideMarks {
+    /// Grows the marks to fit `index`'s components and stages (never
+    /// shrinks), so that evaluating against it allocates nothing.
+    pub fn fit(&mut self, index: &StageLatencyIndex) {
+        let (m, stages) = (index.stage_of.len(), index.stages.len());
+        if self.overridden.len() < m {
+            self.overridden.resize(m, false);
+        }
+        if self.stage_max.len() < stages {
+            self.stage_max.resize(stages, UNTOUCHED);
+            self.touched.reserve(stages);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,6 +247,10 @@ mod tests {
     /// 57 with different numbers; we just need Eq. 3/4 semantics here.
     fn figure_like_index() -> StageLatencyIndex {
         StageLatencyIndex::build(&[0.002, 0.030, 0.025, 0.010], &[0, 1, 1, 2], 3)
+    }
+
+    fn what_if(idx: &StageLatencyIndex, overrides: &[(ComponentId, f64)]) -> f64 {
+        idx.overall_with_overrides(overrides, &mut OverrideMarks::default())
     }
 
     #[test]
@@ -223,7 +272,7 @@ mod tests {
     fn override_of_non_max_component_below_max_changes_nothing() {
         let idx = figure_like_index();
         // c2 (25ms) rises to 28ms: still below c1's 30ms.
-        let got = idx.overall_with_overrides(&[(c(2), 0.028)]);
+        let got = what_if(&idx, &[(c(2), 0.028)]);
         assert!((got - 0.042).abs() < 1e-15);
     }
 
@@ -231,7 +280,7 @@ mod tests {
     fn override_becoming_new_max_raises_stage() {
         let idx = figure_like_index();
         // c2 rises to 40ms and becomes the stage max.
-        let got = idx.overall_with_overrides(&[(c(2), 0.040)]);
+        let got = what_if(&idx, &[(c(2), 0.040)]);
         assert!((got - 0.052).abs() < 1e-15);
     }
 
@@ -239,7 +288,7 @@ mod tests {
     fn override_of_max_component_falls_to_second() {
         let idx = figure_like_index();
         // c1 (30ms max) drops to 1ms; stage max becomes c2's 25ms.
-        let got = idx.overall_with_overrides(&[(c(1), 0.001)]);
+        let got = what_if(&idx, &[(c(1), 0.001)]);
         assert!((got - 0.037).abs() < 1e-15);
     }
 
@@ -247,14 +296,14 @@ mod tests {
     fn multiple_overrides_across_stages() {
         let idx = figure_like_index();
         // c0: 2→5ms; c1: 30→10ms (stage max now c2 at 25); c3: 10→20ms.
-        let got = idx.overall_with_overrides(&[(c(0), 0.005), (c(1), 0.010), (c(3), 0.020)]);
+        let got = what_if(&idx, &[(c(0), 0.005), (c(1), 0.010), (c(3), 0.020)]);
         assert!((got - (0.005 + 0.025 + 0.020)).abs() < 1e-15);
     }
 
     #[test]
     fn overrides_do_not_mutate() {
         let idx = figure_like_index();
-        let _ = idx.overall_with_overrides(&[(c(1), 0.999)]);
+        let _ = what_if(&idx, &[(c(1), 0.999)]);
         assert!((idx.overall() - 0.042).abs() < 1e-15);
     }
 
@@ -273,7 +322,7 @@ mod tests {
     fn apply_then_override_composes() {
         let mut idx = figure_like_index();
         idx.apply(&[(c(1), 0.020)]);
-        let got = idx.overall_with_overrides(&[(c(2), 0.001)]);
+        let got = what_if(&idx, &[(c(2), 0.001)]);
         // Stage 1 max: c1 at 20ms (c2 overridden to 1ms).
         assert!((got - (0.002 + 0.020 + 0.010)).abs() < 1e-15);
     }
@@ -282,8 +331,15 @@ mod tests {
     fn whole_stage_overridden() {
         let idx = figure_like_index();
         // Both stage-1 components overridden.
-        let got = idx.overall_with_overrides(&[(c(1), 0.003), (c(2), 0.004)]);
+        let got = what_if(&idx, &[(c(1), 0.003), (c(2), 0.004)]);
         assert!((got - (0.002 + 0.004 + 0.010)).abs() < 1e-15);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "overridden twice")]
+    fn duplicate_override_rejected() {
+        let _ = what_if(&figure_like_index(), &[(c(1), 0.001), (c(1), 0.002)]);
     }
 
     fn holders(idx: &StageLatencyIndex) -> Vec<ComponentId> {

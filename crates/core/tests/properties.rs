@@ -3,7 +3,7 @@
 
 use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixConfig, MatrixInputs, NodeInput,
-    PerformanceMatrix, SchedulerConfig,
+    OverrideMarks, PerformanceMatrix, SchedulerConfig, StageLatencyIndex,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -220,8 +220,122 @@ fn greedy_checking_pruning(
     Ok(())
 }
 
+/// Latencies drawn from this pool tie often, at the top of a stage too.
+const TIED_LATENCIES: [f64; 5] = [0.0, 0.001, 0.0025, 0.0025, 0.004];
+
+/// One override call: per component, whether it is overridden, its new
+/// latency's pool slot and a sort key that orders the list; plus a stage
+/// whose members are all overridden (none when out of range).
+type OverrideCall = (Vec<(u8, usize, u32)>, usize);
+
+/// An Eq. 3/4 index over 1–4 stages with latencies from
+/// [`TIED_LATENCIES`], followed by override calls against it.
+fn arb_index_and_calls() -> impl Strategy<Value = (Vec<usize>, Vec<f64>, Vec<OverrideCall>)> {
+    (1usize..5, 0usize..12).prop_flat_map(|(stages, extra)| {
+        let m = stages + extra;
+        let call = (
+            proptest::collection::vec((0u8..2, 0..TIED_LATENCIES.len(), 0u32..1000), m),
+            0..stages + 2,
+        );
+        (
+            proptest::collection::vec(0..stages, m),
+            proptest::collection::vec(0..TIED_LATENCIES.len(), m),
+            proptest::collection::vec(call, 1..24),
+        )
+            .prop_map(move |(stage_of, slots, calls)| {
+                // The first `stages` components cover every stage once.
+                let stage_of = stage_of
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| if i < stages { i } else { s })
+                    .collect();
+                let latencies = slots.iter().map(|&n| TIED_LATENCIES[n]).collect();
+                (stage_of, latencies, calls)
+            })
+    })
+}
+
+/// The override list of one call, in its sort-key order.
+fn override_list(stage_of: &[usize], (picks, whole): &OverrideCall) -> Vec<(ComponentId, f64)> {
+    let mut keyed: Vec<(u32, ComponentId, f64)> = picks
+        .iter()
+        .enumerate()
+        .filter(|&(i, &(pick, _, _))| pick == 1 || stage_of[i] == *whole)
+        .map(|(i, &(_, slot, key))| (key, ComponentId::from_index(i), TIED_LATENCIES[slot]))
+        .collect();
+    keyed.sort_by_key(|&(key, c, _)| (key, c));
+    keyed.into_iter().map(|(_, c, lat)| (c, lat)).collect()
+}
+
+/// The quadratic Eq. 4 what-if, the reference for the linear one: for
+/// each touched stage in first-occurrence order, the highest unoverridden
+/// latency folded with `max` over the stage's overrides in list order.
+fn quadratic_overall(
+    index: &StageLatencyIndex,
+    latencies: &[f64],
+    stage_of: &[usize],
+    overrides: &[(ComponentId, f64)],
+) -> f64 {
+    let mut total = index.overall();
+    for (n, &(c, _)) in overrides.iter().enumerate() {
+        let si = stage_of[c.index()];
+        if overrides[..n]
+            .iter()
+            .any(|(e, _)| stage_of[e.index()] == si)
+        {
+            continue;
+        }
+        let mut new_max = (0..latencies.len())
+            .filter(|&i| stage_of[i] == si)
+            .filter(|&i| !overrides.iter().any(|(o, _)| o.index() == i))
+            .map(|i| latencies[i])
+            .fold(0.0, f64::max);
+        for &(o, lat) in overrides {
+            if stage_of[o.index()] == si {
+                new_max = new_max.max(lat);
+            }
+        }
+        total += new_max - index.stage_latency(si);
+    }
+    total
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The linear Eq. 4 what-if equals the quadratic reference bit for
+    /// bit, with one set of marks reused across every call, halfway
+    /// through against an index that an `apply` changed.
+    #[test]
+    fn linear_what_if_matches_the_quadratic_reference(
+        (stage_of, latencies, calls) in arb_index_and_calls()
+    ) {
+        let stage_count = stage_of.iter().max().unwrap() + 1;
+        let mut latencies = latencies;
+        let mut index = StageLatencyIndex::build(&latencies, &stage_of, stage_count);
+        let mut marks = OverrideMarks::default();
+        let half = calls.len() / 2;
+        for (n, call) in calls.iter().enumerate() {
+            let overrides = override_list(&stage_of, call);
+            if n == half {
+                index.apply(&overrides);
+                for &(c, lat) in &overrides {
+                    latencies[c.index()] = lat;
+                }
+                continue;
+            }
+            let got = index.overall_with_overrides(&overrides, &mut marks);
+            let want = quadratic_overall(&index, &latencies, &stage_of, &overrides);
+            prop_assert!(
+                got.to_bits() == want.to_bits(),
+                "call {}: {:?} gives {}, reference {}",
+                n,
+                overrides,
+                got,
+                want
+            );
+        }
+    }
 
     /// Stage-max pruning never changes what the greedy can see: after the
     /// build and after every accepted move of a flat and of a grouped

@@ -456,15 +456,16 @@ fn in_fleet(members: &Membership) -> usize {
     members.phases().len() - members.count(NodePhase::Retired)
 }
 
-/// The 99th percentile of an unsorted sample window (sorts in place);
-/// `None` on an empty window.
+/// The 99th percentile of an unsorted sample window (reorders it in
+/// place); `None` on an empty window. A linear-time selection returns the
+/// same order statistic, bit for bit, as sorting by `f64::total_cmp`.
 fn window_p99(samples: &mut [f64]) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
-    samples.sort_unstable_by(f64::total_cmp);
     let rank = ((samples.len() as f64) * 0.99).ceil() as usize;
-    Some(samples[rank.saturating_sub(1).min(samples.len() - 1)])
+    let idx = rank.saturating_sub(1).min(samples.len() - 1);
+    Some(*samples.select_nth_unstable_by(idx, f64::total_cmp).1)
 }
 
 #[cfg(test)]
@@ -686,6 +687,35 @@ mod tests {
         assert_eq!(window_p99(&mut w), Some(99.0));
         assert_eq!(window_p99(&mut [5.0]), Some(5.0));
         assert_eq!(window_p99(&mut []), None);
+    }
+
+    #[test]
+    fn window_p99_selects_the_sorted_rank_bit_for_bit() {
+        // Pools with duplicates and signed zeros; the second makes a zero
+        // the window's top, where `total_cmp` ranks -0.0 below 0.0.
+        let pools: [&[f64]; 2] = [
+            &[0.0, -0.0, 1e-3, 1e-3, 2.5e-2, 7.0, 7.0, 0.5, 3.0],
+            &[0.0, -0.0, -0.0, -1e-3, -1e-3],
+        ];
+        let mut state = 0x9e37_79b9_u64;
+        for pool in pools {
+            for len in 1..=250 {
+                let window: Vec<f64> = (0..len)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                        pool[(state >> 33) as usize % pool.len()]
+                    })
+                    .collect();
+                let mut sorted = window.clone();
+                sorted.sort_unstable_by(f64::total_cmp);
+                let rank = ((len as f64) * 0.99).ceil() as usize;
+                let want = sorted[rank.saturating_sub(1).min(len - 1)];
+                let got = window_p99(&mut window.clone()).unwrap();
+                assert_eq!(got.to_bits(), want.to_bits(), "window of {len}");
+            }
+        }
     }
 
     #[test]
