@@ -39,7 +39,7 @@
 //! across all groups (a single O(m) allocation per run, not one per
 //! group).
 
-use crate::matrix::{MatrixConfig, PerformanceMatrix};
+use crate::matrix::PerformanceMatrix;
 use crate::predictor::ClassModelSet;
 use crate::scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
 use crate::MatrixInputs;
@@ -71,13 +71,8 @@ impl HierarchicalScheduler {
     }
 
     /// Builds the matrix once and schedules group by group.
-    pub fn schedule(
-        &self,
-        inputs: &MatrixInputs,
-        models: &ClassModelSet,
-        matrix_config: MatrixConfig,
-    ) -> ScheduleOutcome {
-        let mut matrix = PerformanceMatrix::build(inputs, models, matrix_config);
+    pub fn schedule(&self, inputs: &MatrixInputs, models: &ClassModelSet) -> ScheduleOutcome {
+        let mut matrix = PerformanceMatrix::build(inputs, models);
         self.run(&mut matrix)
     }
 
@@ -186,7 +181,6 @@ mod tests {
                 id: NodeId::from_index(j),
                 capacity: NodeCapacity::XEON_E5645,
                 demand: ResourceVector::new((j % 5) as f64 * 2.0, 0.0, 0.0, 0.0),
-                samples: vec![],
             })
             .collect();
         let components = (0..m)
@@ -215,8 +209,7 @@ mod tests {
     fn config() -> SchedulerConfig {
         SchedulerConfig {
             epsilon_secs: 1e-6,
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         }
     }
 
@@ -224,13 +217,8 @@ mod tests {
     fn matches_flat_scheduler_when_under_cap() {
         let models = linear_models();
         let inputs = inputs(12, 6);
-        let flat =
-            ComponentScheduler::new(config()).schedule(&inputs, &models, MatrixConfig::default());
-        let hier = HierarchicalScheduler::new(config(), 64).schedule(
-            &inputs,
-            &models,
-            MatrixConfig::default(),
-        );
+        let flat = ComponentScheduler::new(config()).schedule(&inputs, &models);
+        let hier = HierarchicalScheduler::new(config(), 64).schedule(&inputs, &models);
         assert_eq!(flat.decisions, hier.decisions);
         assert_eq!(flat.final_allocation, hier.final_allocation);
     }
@@ -245,13 +233,8 @@ mod tests {
         let models = linear_models();
         let mut inputs = inputs(18, 6);
         inputs.nodes[2].demand = ResourceVector::new(192.0, 400.0, 3200.0, 2000.0);
-        let flat =
-            ComponentScheduler::new(config()).schedule(&inputs, &models, MatrixConfig::default());
-        let hier = HierarchicalScheduler::new(config(), 64).schedule(
-            &inputs,
-            &models,
-            MatrixConfig::default(),
-        );
+        let flat = ComponentScheduler::new(config()).schedule(&inputs, &models);
+        let hier = HierarchicalScheduler::new(config(), 64).schedule(&inputs, &models);
         assert_eq!(flat.decisions, hier.decisions);
         assert_eq!(flat.final_allocation, hier.final_allocation);
         assert!(!flat.decisions.is_empty(), "the hot cluster must migrate");
@@ -264,11 +247,7 @@ mod tests {
     fn grouped_scheduling_still_improves() {
         let models = linear_models();
         let inputs = inputs(48, 8);
-        let hier = HierarchicalScheduler::new(config(), 16).schedule(
-            &inputs,
-            &models,
-            MatrixConfig::default(),
-        );
+        let hier = HierarchicalScheduler::new(config(), 16).schedule(&inputs, &models);
         assert!(
             !hier.decisions.is_empty(),
             "imbalanced cluster must trigger migrations"
@@ -287,11 +266,7 @@ mod tests {
         // ids 0..10, then 10..20, then 20..25.
         let models = linear_models();
         let inputs = inputs(25, 5);
-        let hier = HierarchicalScheduler::new(config(), 10).schedule(
-            &inputs,
-            &models,
-            MatrixConfig::default(),
-        );
+        let hier = HierarchicalScheduler::new(config(), 10).schedule(&inputs, &models);
         let mut last_group = 0;
         for d in &hier.decisions {
             let group = d.component.index() / 10;
@@ -315,7 +290,7 @@ mod tests {
         let mut allowed = vec![true; 20];
         allowed[0] = false;
         allowed[7] = false;
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let hier = HierarchicalScheduler::new(config(), 64);
         let outcome = hier.run_grouped(&mut matrix, &[evens, odds], &allowed, 0);
         let mut seen_odd = false;
@@ -338,16 +313,16 @@ mod tests {
         let cfg = SchedulerConfig {
             epsilon_secs: 1e-6,
             max_migrations: Some(2),
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         };
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let hier = HierarchicalScheduler::new(cfg, 10);
         let outcome = hier.run_grouped(&mut matrix, &[(0..30).collect::<Vec<_>>()], &[true; 30], 2);
         assert!(outcome.decisions.is_empty());
         assert_eq!(outcome.iterations, 0);
 
         // And a budget that runs out mid-walk caps the total.
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let outcome = hier.run(&mut matrix);
         assert!(outcome.decisions.len() <= 2);
     }
@@ -357,7 +332,7 @@ mod tests {
     fn overlapping_groups_are_rejected() {
         let models = linear_models();
         let inputs = inputs(6, 3);
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let hier = HierarchicalScheduler::new(config(), 4);
         let _ = hier.run_grouped(&mut matrix, &[vec![0, 1, 2], vec![2, 3]], &[true; 6], 0);
     }
@@ -370,11 +345,7 @@ mod tests {
         let models = linear_models();
         let inputs = inputs(200, 20);
         let cap = 25;
-        let hier = HierarchicalScheduler::new(config(), cap).schedule(
-            &inputs,
-            &models,
-            MatrixConfig::default(),
-        );
+        let hier = HierarchicalScheduler::new(config(), cap).schedule(&inputs, &models);
         let groups = 200usize.div_ceil(cap);
         assert!(hier.iterations <= groups * (cap + 1));
     }

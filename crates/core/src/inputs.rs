@@ -6,7 +6,7 @@
 //! particular monitoring pipeline — the simulator's glue fills them from
 //! its monitors, unit tests construct them by hand.
 
-use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
+use pcs_types::{ComponentId, NodeCapacity, NodeId, ResourceVector};
 
 /// One node's monitored state.
 #[derive(Debug, Clone)]
@@ -20,10 +20,6 @@ pub struct NodeInput {
     /// is the monitored `U` of every component hosted here, before
     /// normalisation.
     pub demand: ResourceVector,
-    /// Recent per-sample contention observations for this node, if the
-    /// caller wants paper-faithful per-sample variance estimation
-    /// ([`crate::PredictionMode::PerSample`]). May be empty.
-    pub samples: Vec<ContentionVector>,
 }
 
 /// One component's monitored state.
@@ -122,7 +118,6 @@ mod tests {
                 id: NodeId::new(0),
                 capacity: NodeCapacity::default(),
                 demand: ResourceVector::ZERO,
-                samples: vec![],
             }],
             components: vec![ComponentInput {
                 id: ComponentId::new(0),

@@ -37,14 +37,12 @@ pub mod matrix;
 pub mod predictor;
 pub mod scheduler;
 pub mod service;
-pub mod threshold;
 pub mod training;
 
 pub use hierarchical::HierarchicalScheduler;
 pub use inputs::{ComponentInput, MatrixInputs, NodeInput};
-pub use matrix::{MatrixConfig, PerformanceMatrix};
-pub use predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
+pub use matrix::PerformanceMatrix;
+pub use predictor::ClassModelSet;
 pub use scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
 pub use service::{OverrideMarks, StageLatencyIndex};
-pub use threshold::ThresholdPolicy;
 pub use training::train_class_models;

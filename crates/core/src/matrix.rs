@@ -25,42 +25,10 @@
 //! heterogeneous clusters are handled correctly.
 
 use crate::inputs::MatrixInputs;
-use crate::predictor::{ClassModelSet, LatencyPredictor, PredictionMode, ServiceProfile};
+use crate::predictor::{mg1_latency, ClassModelSet};
 use crate::service::{OverrideMarks, StageLatencyIndex};
-use pcs_queueing::SaturationPolicy;
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 use std::time::{Duration, Instant};
-
-/// Matrix construction options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MatrixConfig {
-    /// How latencies are predicted (mean-contention vs per-sample).
-    pub mode: PredictionMode,
-    /// Saturation handling for the M/G/1 term.
-    pub saturation: SaturationPolicy,
-    /// Relative tolerance for the Algorithm 1 line-6 tie set `SL`: entries
-    /// whose gain is within this fraction of the maximum count as tied and
-    /// are resolved by the line-7 self-gain tie-break.
-    ///
-    /// With a wide parallel stage the top entries' overall gains cluster
-    /// (several components straggle near the stage max, so removing any
-    /// one of them shaves nearly the same amount off Eq. 4); the paper's
-    /// worked example (Figure 4) shows exactly such a tie, resolved by the
-    /// migrated component's own latency reduction. A strictly-exact tie
-    /// test would almost never fire on floating-point values, so the tie
-    /// set is defined by this tolerance. 0 recovers exact ties.
-    pub tie_tolerance: f64,
-}
-
-impl Default for MatrixConfig {
-    fn default() -> Self {
-        MatrixConfig {
-            mode: PredictionMode::MeanContention,
-            saturation: SaturationPolicy::DEFAULT,
-            tie_tolerance: 0.25,
-        }
-    }
-}
 
 /// The best migration candidate found in the matrix (Algorithm 1 lines
 /// 6–8).
@@ -76,8 +44,9 @@ pub struct BestEntry {
     pub self_gain: f64,
 }
 
-/// Classes covered by the per-what-if profile memo (components of higher
-/// class indices — none exist in current topologies — just skip the memo).
+/// Classes covered by the per-what-if service-time memo (components of
+/// higher class indices — none exist in current topologies — just skip
+/// the memo).
 const CLASS_MEMO: usize = 8;
 
 /// Matrix entries a rebuild worker must be given before it is worth a
@@ -92,10 +61,8 @@ const MIN_ENTRIES_PER_WORKER: usize = 32_768;
 #[derive(Debug, Default, Clone)]
 struct NodeWhatIf {
     mean_u: ContentionVector,
-    /// Shifted sample window ([`PredictionMode::PerSample`] only).
-    shifted: Vec<ContentionVector>,
-    /// Per-class memo of the Eq. 1 service profile under this state.
-    profiles: [Option<ServiceProfile>; CLASS_MEMO],
+    /// Per-class memo of the Eq. 1 service time under this state.
+    service_times: [Option<f64>; CLASS_MEMO],
 }
 
 /// The evaluation caches of one thread (see
@@ -178,13 +145,10 @@ struct CompState {
 /// The m×k performance matrix with the state needed to maintain it.
 #[derive(Debug, Clone)]
 pub struct PerformanceMatrix {
-    config: MatrixConfig,
     models: ClassModelSet,
     caps: Vec<NodeCapacity>,
     /// Aggregate demand per node (all resident programs); demand units.
     node_demand: Vec<ResourceVector>,
-    /// Per-node contention sample windows (PerSample mode only).
-    node_samples: Vec<Vec<ContentionVector>>,
     comps: Vec<CompState>,
     /// `A[i]`: current hosting node per component.
     allocation: Vec<NodeId>,
@@ -221,7 +185,7 @@ impl PerformanceMatrix {
     /// # Panics
     /// Panics on inconsistent inputs (see [`MatrixInputs::validate`]) or a
     /// class index missing from `models`.
-    pub fn build(inputs: &MatrixInputs, models: &ClassModelSet, config: MatrixConfig) -> Self {
+    pub fn build(inputs: &MatrixInputs, models: &ClassModelSet) -> Self {
         inputs.validate();
         let start = Instant::now();
         let m = inputs.component_count();
@@ -229,8 +193,6 @@ impl PerformanceMatrix {
 
         let caps: Vec<NodeCapacity> = inputs.nodes.iter().map(|n| n.capacity).collect();
         let node_demand: Vec<ResourceVector> = inputs.nodes.iter().map(|n| n.demand).collect();
-        let node_samples: Vec<Vec<ContentionVector>> =
-            inputs.nodes.iter().map(|n| n.samples.clone()).collect();
         let comps: Vec<CompState> = inputs
             .components
             .iter()
@@ -255,11 +217,9 @@ impl PerformanceMatrix {
         }
 
         let mut matrix = PerformanceMatrix {
-            config,
             models: models.clone(),
             caps,
             node_demand,
-            node_samples,
             comps,
             allocation,
             node_components,
@@ -332,13 +292,14 @@ impl PerformanceMatrix {
     }
 
     /// Finds the best migration per Algorithm 1 lines 6–7: build the set
-    /// `SL` of entries with the largest value (up to the configured tie
-    /// tolerance), then pick the entry in `SL` with the largest reduction
-    /// of the migrated component's own latency. Only rows whose component
-    /// is still a candidate are considered. Returns `None` if no candidate
-    /// entry has positive gain.
+    /// `SL` of entries whose value is within `tie_tolerance` (a fraction,
+    /// see [`crate::SchedulerConfig::tie_tolerance`]) of the largest, then
+    /// pick the entry in `SL` with the largest reduction of the migrated
+    /// component's own latency. Only rows whose component is still a
+    /// candidate are considered. Returns `None` if no candidate entry has
+    /// positive gain.
     #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and the gain matrix
-    pub fn best_candidate(&self, candidates: &[bool]) -> Option<BestEntry> {
+    pub fn best_candidate(&self, candidates: &[bool], tie_tolerance: f64) -> Option<BestEntry> {
         assert_eq!(candidates.len(), self.component_count());
         let k = self.node_count();
         // Pass 1 (line 6): the largest entry value.
@@ -355,7 +316,7 @@ impl PerformanceMatrix {
             return None;
         }
         // Pass 2 (line 7): among the tie set, the largest self-reduction.
-        let threshold = max_gain * (1.0 - self.config.tie_tolerance.clamp(0.0, 1.0));
+        let threshold = max_gain * (1.0 - tie_tolerance.clamp(0.0, 1.0));
         let mut best: Option<BestEntry> = None;
         for i in 0..self.component_count() {
             if !candidates[i] {
@@ -418,7 +379,8 @@ impl PerformanceMatrix {
 
         // Refresh base latencies of every component on the two touched
         // nodes (their monitored contention changed); residents of one
-        // node share a what-if, so each class's profile is predicted once.
+        // node share a what-if, so each class's service time is predicted
+        // once.
         let mut changes: Vec<(ComponentId, f64)> = Vec::new();
         for node in [origin, destination] {
             let demand = self.node_demand[node.index()];
@@ -530,13 +492,10 @@ impl PerformanceMatrix {
 
     /// Sizes the first `workers` scratches of the pool for this matrix, on
     /// the calling thread, so that evaluation never grows a buffer: the
-    /// override lists for the fullest node, the override marks, and in
-    /// per-sample mode every shifted window.
+    /// override lists for the fullest node and the override marks.
     fn reserve_scratch(&mut self, workers: usize) {
         let k = self.node_count();
         let residents = self.node_components.iter().map(Vec::len).max().unwrap_or(0);
-        let per_sample = self.config.mode == PredictionMode::PerSample;
-        let window = self.node_samples.iter().map(Vec::len).max().unwrap_or(0);
         let pool = &mut self.scratch.0;
         if pool.len() < workers {
             pool.resize_with(workers, EvalScratch::default);
@@ -546,12 +505,6 @@ impl PerformanceMatrix {
             reserve_to(&mut s.origin_overrides, residents);
             reserve_to(&mut s.overrides, 2 * residents);
             s.marks.fit(&self.index);
-            if per_sample {
-                for (what_if, samples) in s.current.iter_mut().zip(&self.node_samples) {
-                    reserve_to(&mut what_if.shifted, samples.len());
-                }
-                reserve_to(&mut s.hypothetical.shifted, window);
-            }
         }
     }
 
@@ -724,62 +677,41 @@ impl PerformanceMatrix {
         what_if
     }
 
-    /// Prepares, in `out`'s buffers, the evaluation of one hypothetical
-    /// node state ("what if node `node` carried aggregate demand
-    /// `demand`"): the normalised contention, the shifted sample window
-    /// (per-sample mode only), and an empty per-class profile memo.
+    /// Prepares, in `out`, the evaluation of one hypothetical node state
+    /// ("what if node `node` carried aggregate demand `demand`"): the
+    /// normalised contention and an empty per-class service-time memo.
     fn prepare_what_if(&self, node: NodeId, demand: ResourceVector, out: &mut NodeWhatIf) {
-        let cap = &self.caps[node.index()];
-        out.mean_u = cap.normalize(&demand);
-        out.shifted.clear();
-        if self.config.mode == PredictionMode::PerSample {
-            // Shift the node's observed samples by the demand delta of
-            // this what-if (zero for the node's current state).
-            let delta = cap.normalize(&(demand - self.node_demand[node.index()]));
-            out.shifted.extend(
-                self.node_samples[node.index()]
-                    .iter()
-                    .map(|s| ContentionVector {
-                        core_usage: (s.core_usage + delta.core_usage).max(0.0),
-                        cache_mpki: (s.cache_mpki + delta.cache_mpki).max(0.0),
-                        disk_util: (s.disk_util + delta.disk_util).max(0.0),
-                        net_util: (s.net_util + delta.net_util).max(0.0),
-                    }),
-            );
-        }
-        out.profiles = [None; CLASS_MEMO];
+        out.mean_u = self.caps[node.index()].normalize(&demand);
+        out.service_times = [None; CLASS_MEMO];
     }
 
     /// Predicts component `c`'s latency under a prepared node state,
-    /// memoising the class-level Eq. 1 profile — a pure function of
+    /// memoising the class-level Eq. 1 service time — a pure function of
     /// `(class, node state)`, so replaying it for co-resident components
     /// of the same class is bit-identical to recomputing.
     fn latency_with(&self, what_if: &mut NodeWhatIf, c: ComponentId) -> f64 {
         let state = &self.comps[c.index()];
-        let predictor = LatencyPredictor::new(&self.models, self.config.mode)
-            .with_saturation(self.config.saturation);
-        let profile = match what_if.profiles.get(state.class) {
-            Some(Some(profile)) => *profile,
+        let service_time = match what_if.service_times.get(state.class) {
+            Some(Some(x)) => *x,
             slot => {
-                let profile = predictor
-                    .service_profile(state.class, &what_if.mean_u, &what_if.shifted)
+                let x = self
+                    .models
+                    .service_time(state.class, &what_if.mean_u)
                     .expect("class validated at build time");
                 if slot.is_some() {
-                    what_if.profiles[state.class] = Some(profile);
+                    what_if.service_times[state.class] = Some(x);
                 }
-                profile
+                x
             }
         };
-        predictor
-            .latency_from_profile(profile, state.arrival_rate, state.scv)
-            .latency
+        mg1_latency(service_time, state.arrival_rate, state.scv)
     }
 
     /// Recomputes every base latency and the Eq. 3/4 index from scratch.
     fn refresh_base_latencies(&mut self, stage_count: usize) {
         // Node by node, so co-residents share one what-if (and its
-        // per-class profile memo). Order is irrelevant: each base latency
-        // is a pure function of its component and node state.
+        // per-class service-time memo). Order is irrelevant: each base
+        // latency is a pure function of its component and node state.
         let mut base = std::mem::take(&mut self.base_latency);
         for j in 0..self.node_count() {
             let node = NodeId::from_index(j);
@@ -833,13 +765,11 @@ mod tests {
                     id: NodeId::new(0),
                     capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                     demand: ResourceVector::new(8.0, 0.0, 0.0, 0.0),
-                    samples: vec![],
                 },
                 NodeInput {
                     id: NodeId::new(1),
                     capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                     demand: ResourceVector::ZERO,
-                    samples: vec![],
                 },
             ],
             components: vec![
@@ -869,7 +799,7 @@ mod tests {
     #[test]
     fn base_latency_reflects_node_load() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
         // Node 0 usage: 8/12 = 0.667 → x = 1ms · 1.667.
         let expected = 0.001 * (1.0 + 8.0 / 12.0);
         let got = m.component_latency(ComponentId::new(0));
@@ -886,7 +816,7 @@ mod tests {
     #[test]
     fn moving_to_idle_node_has_positive_gain() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
         let gain = m.gain(ComponentId::new(0), NodeId::new(1));
         // Migrant latency at idle node: 1ms (usage 0, Table III: U_nj).
         // But the stage max is the *other* component, which improves to
@@ -904,7 +834,7 @@ mod tests {
     #[test]
     fn self_column_is_zero() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
         assert_eq!(m.gain(ComponentId::new(0), NodeId::new(0)), 0.0);
         assert_eq!(m.self_gain(ComponentId::new(1), NodeId::new(0)), 0.0);
     }
@@ -912,7 +842,7 @@ mod tests {
     #[test]
     fn self_gain_is_migrants_own_reduction() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
         let sg = m.self_gain(ComponentId::new(0), NodeId::new(1));
         // Own latency: 1.667ms on node 0 → 1.0ms on idle node 1 (U_nj = 0).
         let expected = 0.001 * (8.0 / 12.0);
@@ -922,7 +852,7 @@ mod tests {
     #[test]
     fn apply_migration_moves_demand_and_updates_state() {
         let models = linear_model();
-        let mut m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let mut m = PerformanceMatrix::build(&two_node_inputs(), &models);
         let candidates = vec![true, true];
         let before_overall = m.overall_latency();
         let origin = m.apply_migration(ComponentId::new(0), NodeId::new(1), &candidates);
@@ -944,8 +874,7 @@ mod tests {
     #[test]
     fn update_matrix_matches_full_rebuild_on_touched_entries() {
         let models = linear_model();
-        let mut incremental =
-            PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
+        let mut incremental = PerformanceMatrix::build(&two_node_inputs(), &models);
         let candidates = vec![false, true]; // component 0 gets migrated
         incremental.apply_migration(ComponentId::new(0), NodeId::new(1), &candidates);
 
@@ -991,9 +920,8 @@ mod tests {
     }
 
     /// `m` components on `k` nodes over up to three stages, with node 0
-    /// pinned at the saturating demand a dead node is given and, for
-    /// per-sample mode, a contention window on every node.
-    fn wide_inputs(m: usize, k: usize, per_sample: bool) -> MatrixInputs {
+    /// pinned at the saturating demand a dead node is given.
+    fn wide_inputs(m: usize, k: usize) -> MatrixInputs {
         let stage_count = m.min(3);
         let nodes = (0..k)
             .map(|j| {
@@ -1002,21 +930,10 @@ mod tests {
                 } else {
                     ResourceVector::new((j % 7) as f64, 0.0, (j % 5) as f64 * 10.0, 0.0)
                 };
-                let samples = if per_sample {
-                    (0..3)
-                        .map(|s| {
-                            let usage = demand.cores / 12.0 * (0.9 + 0.1 * s as f64);
-                            ContentionVector::new(usage, 0.0, 0.0, 0.0)
-                        })
-                        .collect()
-                } else {
-                    Vec::new()
-                };
                 NodeInput {
                     id: NodeId::from_index(j),
                     capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                     demand,
-                    samples,
                 }
             })
             .collect();
@@ -1043,18 +960,9 @@ mod tests {
         let models = linear_model();
         // 191 rows (prime, so no worker count divides them) × 180 columns
         // is past the one-worker threshold; a single row cannot be split.
-        for (m, k, mode) in [
-            (191, 180, PredictionMode::MeanContention),
-            (191, 180, PredictionMode::PerSample),
-            (1, 40, PredictionMode::MeanContention),
-        ] {
+        for (m, k) in [(191, 180), (1, 40)] {
             assert!(m == 1 || m * k > MIN_ENTRIES_PER_WORKER);
-            let inputs = wide_inputs(m, k, mode == PredictionMode::PerSample);
-            let config = MatrixConfig {
-                mode,
-                ..MatrixConfig::default()
-            };
-            let built = PerformanceMatrix::build(&inputs, &models, config);
+            let built = PerformanceMatrix::build(&wide_inputs(m, k), &models);
             for workers in [1, 2, 3, 8] {
                 let mut rebuilt = built.clone();
                 // Poison every entry so a row no worker wrote shows up.
@@ -1069,8 +977,8 @@ mod tests {
     #[test]
     fn best_candidate_prefers_larger_gain() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
-        let best = m.best_candidate(&[true, true]).unwrap();
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
+        let best = m.best_candidate(&[true, true], 0.25).unwrap();
         assert_eq!(best.destination, NodeId::new(1));
         assert!(best.gain > 0.0);
     }
@@ -1078,32 +986,9 @@ mod tests {
     #[test]
     fn best_candidate_respects_candidate_mask() {
         let models = linear_model();
-        let m = PerformanceMatrix::build(&two_node_inputs(), &models, MatrixConfig::default());
-        let best = m.best_candidate(&[false, true]).unwrap();
+        let m = PerformanceMatrix::build(&two_node_inputs(), &models);
+        let best = m.best_candidate(&[false, true], 0.25).unwrap();
         assert_eq!(best.component, ComponentId::new(1));
-        assert!(m.best_candidate(&[false, false]).is_none());
-    }
-
-    #[test]
-    fn per_sample_mode_builds_and_agrees_on_means() {
-        let models = linear_model();
-        let mut inputs = two_node_inputs();
-        // Constant samples equal to the node mean → PerSample adds zero
-        // contention variance and must agree with MeanContention.
-        inputs.nodes[0].samples = vec![ContentionVector::new(8.0 / 12.0, 0.0, 0.0, 0.0); 10];
-        inputs.nodes[1].samples = vec![ContentionVector::ZERO; 10];
-        let cfg_mean = MatrixConfig::default();
-        let cfg_ps = MatrixConfig {
-            mode: PredictionMode::PerSample,
-            ..MatrixConfig::default()
-        };
-        let a = PerformanceMatrix::build(&inputs, &models, cfg_mean);
-        let b = PerformanceMatrix::build(&inputs, &models, cfg_ps);
-        let g1 = a.gain(ComponentId::new(0), NodeId::new(1));
-        let g2 = b.gain(ComponentId::new(0), NodeId::new(1));
-        assert!(
-            (g1 - g2).abs() < 1e-9,
-            "constant samples must reproduce mean-contention gains: {g1} vs {g2}"
-        );
+        assert!(m.best_candidate(&[false, false], 0.25).is_none());
     }
 }

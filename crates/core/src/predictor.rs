@@ -7,38 +7,20 @@
 //! component's monitored contention and arrival rate to an expected
 //! latency.
 //!
-//! ## Variance estimation modes
+//! ## One prediction path
 //!
-//! Eq. 2 needs the mean *and* variance of the service time over the
-//! scheduling interval. The paper derives both from the interval's
-//! contention samples: "a set of resource contention vectors can be
-//! collected for each component. By substituting them into Equation 1, the
-//! component's corresponding service time x can be estimated, so its mean
-//! and variance can be calculated" (§IV-B). [`PredictionMode::PerSample`]
-//! implements that faithfully. [`PredictionMode::MeanContention`] is the
-//! fast variant — one regression evaluation on the mean contention vector,
-//! with the SCV taken from the component snapshot — used where the matrix
-//! must be cheap (it is what lets the 640×128 Figure 7 configuration run
-//! in sub-second time, matching the paper's reported scalability). An
-//! ablation bench compares the two.
+//! Eq. 1 is evaluated once, on the interval's mean contention vector,
+//! giving the mean service time x̄. Eq. 2 takes that x̄, the monitored
+//! arrival rate, and the SCV of the component's monitored service-time
+//! window, with the M/G/1 term continued linearly past the default
+//! saturation knee ([`pcs_queueing::SaturationPolicy::DEFAULT`]). One
+//! regression evaluation per (class, node state) is what lets the 640×128
+//! Figure 7 configuration run in sub-second time, matching the paper's
+//! reported scalability.
 
-use pcs_queueing::{Mg1, Moments, SaturationPolicy};
+use pcs_queueing::Mg1;
 use pcs_regression::CombinedServiceTimeModel;
 use pcs_types::{ContentionVector, PcsError};
-
-/// How the predictor turns an interval's contention into Eq. 2 inputs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PredictionMode {
-    /// One regression evaluation on the mean contention vector; SCV from
-    /// the component snapshot. Fast; the default for matrix construction.
-    #[default]
-    MeanContention,
-    /// Map every contention sample through Eq. 1 and take the mean and
-    /// variance of the predicted service times (paper §IV-B verbatim).
-    /// Falls back to [`PredictionMode::MeanContention`] when no samples
-    /// are available.
-    PerSample,
-}
 
 /// The trained Eq. 1 models, one per component class.
 #[derive(Debug, Clone)]
@@ -73,132 +55,25 @@ impl ClassModelSet {
     pub fn is_empty(&self) -> bool {
         self.models.is_empty()
     }
-}
-
-/// Composes Eq. 1 and Eq. 2 into a latency predictor.
-#[derive(Debug, Clone)]
-pub struct LatencyPredictor<'m> {
-    models: &'m ClassModelSet,
-    mode: PredictionMode,
-    saturation: SaturationPolicy,
-}
-
-/// A predicted component latency with its intermediate quantities, useful
-/// for diagnostics and tests.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LatencyBreakdown {
-    /// Predicted mean service time x̄ (seconds).
-    pub service_time: f64,
-    /// SCV used in Eq. 2.
-    pub scv: f64,
-    /// Predicted latency (seconds).
-    pub latency: f64,
-    /// Server utilisation ρ.
-    pub utilization: f64,
-    /// Whether the saturation continuation was used.
-    pub saturated: bool,
-}
-
-impl<'m> LatencyPredictor<'m> {
-    /// Creates a predictor over a trained model set.
-    pub fn new(models: &'m ClassModelSet, mode: PredictionMode) -> Self {
-        LatencyPredictor {
-            models,
-            mode,
-            saturation: SaturationPolicy::DEFAULT,
-        }
-    }
-
-    /// Overrides the saturation policy (default: knee at ρ = 0.995).
-    #[must_use]
-    pub fn with_saturation(mut self, policy: SaturationPolicy) -> Self {
-        self.saturation = policy;
-        self
-    }
-
-    /// The prediction mode.
-    pub fn mode(&self) -> PredictionMode {
-        self.mode
-    }
 
     /// Predicts the mean service time for a class under a contention
     /// vector (Eq. 1), clamped to be non-negative.
-    pub fn service_time(&self, class: usize, u: &ContentionVector) -> Result<f64, PcsError> {
-        Ok(self.models.get(class)?.predict_clamped(u))
-    }
-
-    /// The class-level half of [`LatencyPredictor::latency`]: the Eq. 1
-    /// service-time prediction under one node state, independent of any
-    /// particular component's arrival rate or intrinsic SCV.
     ///
-    /// Because the profile depends only on `(class, node state)`, callers
-    /// evaluating many co-resident components against the same
-    /// hypothetical node (the matrix's Table III rows) compute it once
-    /// per class and finish each component with
-    /// [`LatencyPredictor::latency_from_profile`] — the split is exactly
-    /// the original computation, factored, so results are bit-identical.
+    /// It depends only on `(class, node state)`, so callers evaluating many
+    /// co-resident components against the same hypothetical node (the
+    /// matrix's Table III rows) compute it once per class and finish each
+    /// component with [`mg1_latency`]; the result is bit-identical to
+    /// [`ClassModelSet::latency`].
     ///
     /// # Errors
     /// Unknown class index.
-    pub fn service_profile(
-        &self,
-        class: usize,
-        mean_u: &ContentionVector,
-        samples: &[ContentionVector],
-    ) -> Result<ServiceProfile, PcsError> {
-        let model = self.models.get(class)?;
-        Ok(match self.mode {
-            PredictionMode::PerSample if !samples.is_empty() => {
-                let mut moments = Moments::new();
-                for s in samples {
-                    moments.push(model.predict_clamped(s));
-                }
-                ServiceProfile {
-                    xbar: moments.mean(),
-                    scv_contention: Some(moments.scv()),
-                }
-            }
-            _ => ServiceProfile {
-                xbar: model.predict_clamped(mean_u),
-                scv_contention: None,
-            },
-        })
+    pub fn service_time(&self, class: usize, u: &ContentionVector) -> Result<f64, PcsError> {
+        Ok(self.get(class)?.predict_clamped(u))
     }
 
-    /// The component-level half of [`LatencyPredictor::latency`]: Eq. 2
-    /// over an already-computed [`ServiceProfile`].
-    pub fn latency_from_profile(
-        &self,
-        profile: ServiceProfile,
-        arrival_rate: f64,
-        fallback_scv: f64,
-    ) -> LatencyBreakdown {
-        // The per-sample variance captures contention variability; the
-        // component's intrinsic variability (fallback SCV) adds on top.
-        // Variances of independent effects add, so SCVs combine as:
-        // scv_total ≈ scv_contention + scv_intrinsic.
-        let scv = match profile.scv_contention {
-            Some(contention) => contention + fallback_scv,
-            None => fallback_scv,
-        };
-        let est = Mg1::new(arrival_rate, profile.xbar, scv).estimate_with(self.saturation);
-        LatencyBreakdown {
-            service_time: profile.xbar,
-            scv,
-            latency: est.latency,
-            utilization: est.utilization,
-            saturated: est.saturated,
-        }
-    }
-
-    /// Predicts a component's expected latency (Eq. 2).
-    ///
-    /// * `mean_u` — the interval's mean contention vector;
-    /// * `samples` — the interval's per-sample contention vectors (used in
-    ///   [`PredictionMode::PerSample`]; may be empty);
-    /// * `arrival_rate` — monitored λ (req/s);
-    /// * `fallback_scv` — SCV used in [`PredictionMode::MeanContention`]
-    ///   or when no samples exist.
+    /// Predicts a component's expected latency in seconds (Eq. 1 on the
+    /// interval's mean contention `mean_u`, then Eq. 2 with the monitored
+    /// arrival rate λ and service-time SCV).
     ///
     /// # Errors
     /// Unknown class index.
@@ -206,24 +81,19 @@ impl<'m> LatencyPredictor<'m> {
         &self,
         class: usize,
         mean_u: &ContentionVector,
-        samples: &[ContentionVector],
         arrival_rate: f64,
-        fallback_scv: f64,
-    ) -> Result<LatencyBreakdown, PcsError> {
-        let profile = self.service_profile(class, mean_u, samples)?;
-        Ok(self.latency_from_profile(profile, arrival_rate, fallback_scv))
+        scv: f64,
+    ) -> Result<f64, PcsError> {
+        let service_time = self.service_time(class, mean_u)?;
+        Ok(mg1_latency(service_time, arrival_rate, scv))
     }
 }
 
-/// The class-level service-time prediction under one node state: Eq. 1's
-/// x̄ plus, in [`PredictionMode::PerSample`], the contention-induced SCV.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ServiceProfile {
-    /// Predicted mean service time (seconds).
-    pub xbar: f64,
-    /// SCV contributed by contention variability (`None` outside
-    /// per-sample mode — the component's intrinsic SCV applies alone).
-    pub scv_contention: Option<f64>,
+/// Eq. 2: the M/G/1 latency (seconds) of a component with predicted mean
+/// service time `service_time`, arrival rate λ and service-time SCV, under
+/// the default saturation knee.
+pub fn mg1_latency(service_time: f64, arrival_rate: f64, scv: f64) -> f64 {
+    Mg1::new(arrival_rate, service_time, scv).estimate().latency
 }
 
 #[cfg(test)]
@@ -246,9 +116,8 @@ mod tests {
     #[test]
     fn service_time_tracks_contention() {
         let models = linear_models();
-        let p = LatencyPredictor::new(&models, PredictionMode::MeanContention);
-        let idle = p.service_time(0, &ContentionVector::ZERO).unwrap();
-        let busy = p
+        let idle = models.service_time(0, &ContentionVector::ZERO).unwrap();
+        let busy = models
             .service_time(0, &ContentionVector::new(0.8, 8.0, 0.4, 0.2))
             .unwrap();
         assert!(
@@ -261,55 +130,19 @@ mod tests {
     #[test]
     fn latency_includes_queueing_delay() {
         let models = linear_models();
-        let p = LatencyPredictor::new(&models, PredictionMode::MeanContention);
         let u = ContentionVector::new(0.5, 5.0, 0.25, 0.125);
-        let light = p.latency(0, &u, &[], 10.0, 1.0).unwrap();
-        let heavy = p.latency(0, &u, &[], 500.0, 1.0).unwrap();
-        assert!(heavy.latency > light.latency);
-        assert!(heavy.utilization > light.utilization);
-        assert!(light.latency >= light.service_time);
-    }
-
-    #[test]
-    fn per_sample_mode_accounts_for_contention_variability() {
-        let models = linear_models();
-        let steady = [ContentionVector::new(0.5, 5.0, 0.25, 0.125); 16];
-        let mut varying = Vec::new();
-        for i in 0..16 {
-            let t = if i % 2 == 0 { 0.1 } else { 0.9 };
-            varying.push(ContentionVector::new(t, 10.0 * t, 0.5 * t, 0.25 * t));
-        }
-        let p = LatencyPredictor::new(&models, PredictionMode::PerSample);
-        let mean_u = ContentionVector::new(0.5, 5.0, 0.25, 0.125);
-        let steady_pred = p.latency(0, &mean_u, &steady, 300.0, 0.0).unwrap();
-        let varying_pred = p.latency(0, &mean_u, &varying, 300.0, 0.0).unwrap();
-        assert!(
-            varying_pred.scv > steady_pred.scv,
-            "oscillating contention must raise the predicted SCV"
-        );
-        assert!(
-            varying_pred.latency > steady_pred.latency,
-            "higher variability must predict higher latency at equal mean"
-        );
-    }
-
-    #[test]
-    fn per_sample_falls_back_without_samples() {
-        let models = linear_models();
-        let p = LatencyPredictor::new(&models, PredictionMode::PerSample);
-        let u = ContentionVector::new(0.5, 5.0, 0.25, 0.125);
-        let a = p.latency(0, &u, &[], 100.0, 1.0).unwrap();
-        let q = LatencyPredictor::new(&models, PredictionMode::MeanContention);
-        let b = q.latency(0, &u, &[], 100.0, 1.0).unwrap();
-        assert_eq!(a, b);
+        let service_time = models.service_time(0, &u).unwrap();
+        let light = models.latency(0, &u, 10.0, 1.0).unwrap();
+        let heavy = models.latency(0, &u, 500.0, 1.0).unwrap();
+        assert!(heavy > light);
+        assert!(light >= service_time);
     }
 
     #[test]
     fn unknown_class_is_an_error() {
         let models = linear_models();
-        let p = LatencyPredictor::new(&models, PredictionMode::MeanContention);
         assert!(matches!(
-            p.service_time(9, &ContentionVector::ZERO),
+            models.service_time(9, &ContentionVector::ZERO),
             Err(PcsError::UnknownEntity { .. })
         ));
     }

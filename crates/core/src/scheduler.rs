@@ -18,7 +18,7 @@
 //! measuring that migrating 10–20 components completes within 3 seconds.
 
 use crate::inputs::MatrixInputs;
-use crate::matrix::{MatrixConfig, PerformanceMatrix};
+use crate::matrix::PerformanceMatrix;
 use crate::predictor::ClassModelSet;
 use pcs_types::{ComponentId, NodeId};
 use std::time::{Duration, Instant};
@@ -36,14 +36,28 @@ pub struct SchedulerConfig {
     /// the paper's complexity analysis argues against. Exposed for the
     /// `ablation-rebuild` scenario.
     pub full_rebuild: bool,
+    /// Relative tolerance for the Algorithm 1 line-6 tie set `SL`: entries
+    /// whose gain is within this fraction of the maximum count as tied and
+    /// are resolved by the line-7 self-gain tie-break.
+    ///
+    /// With a wide parallel stage the top entries' overall gains cluster
+    /// (several components straggle near the stage max, so removing any
+    /// one of them shaves nearly the same amount off Eq. 4); the paper's
+    /// worked example (Figure 4) shows exactly such a tie, resolved by the
+    /// migrated component's own latency reduction. A strictly-exact tie
+    /// test would almost never fire on floating-point values, so the tie
+    /// set is defined by this tolerance. 0 recovers exact ties.
+    pub tie_tolerance: f64,
 }
 
 impl SchedulerConfig {
-    /// The paper's configuration: ε = 5 ms, no extra cap.
+    /// The paper's configuration: ε = 5 ms, no extra cap, Algorithm 2
+    /// updates, a 25 % tie set.
     pub const PAPER: SchedulerConfig = SchedulerConfig {
         epsilon_secs: 0.005,
         max_migrations: None,
         full_rebuild: false,
+        tie_tolerance: 0.25,
     };
 }
 
@@ -121,13 +135,8 @@ impl ComponentScheduler {
 
     /// Builds the matrix from monitored inputs and runs one scheduling
     /// interval.
-    pub fn schedule(
-        &self,
-        inputs: &MatrixInputs,
-        models: &ClassModelSet,
-        matrix_config: MatrixConfig,
-    ) -> ScheduleOutcome {
-        let mut matrix = PerformanceMatrix::build(inputs, models, matrix_config);
+    pub fn schedule(&self, inputs: &MatrixInputs, models: &ClassModelSet) -> ScheduleOutcome {
+        let mut matrix = PerformanceMatrix::build(inputs, models);
         self.run(&mut matrix)
     }
 
@@ -181,7 +190,7 @@ impl ComponentScheduler {
             }
             iterations += 1;
             // Lines 6–8: best entry with self-gain tie-break.
-            let Some(best) = matrix.best_candidate(candidates) else {
+            let Some(best) = matrix.best_candidate(candidates, self.config.tie_tolerance) else {
                 break;
             };
             // Line 9: threshold test (strictly greater, as in the paper).
@@ -246,7 +255,6 @@ mod tests {
                 id: NodeId::from_index(i),
                 capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                 demand: ResourceVector::new(cores, 0.0, 0.0, 0.0),
-                samples: vec![],
             })
             .collect();
         let components = placement
@@ -276,10 +284,9 @@ mod tests {
         let inputs = inputs(&[9.0, 0.0, 0.0], &[0, 0]);
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: 1e-6,
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         assert!(!outcome.decisions.is_empty(), "must migrate something");
         assert!(outcome.predicted_after < outcome.predicted_before);
         // No component may be migrated twice in one interval.
@@ -297,10 +304,9 @@ mod tests {
         let inputs = inputs(&[9.0, 0.0], &[0, 0]);
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: 10.0, // absurdly high
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         assert!(outcome.decisions.is_empty());
         assert_eq!(outcome.predicted_before, outcome.predicted_after);
     }
@@ -311,7 +317,7 @@ mod tests {
         // Identical nodes, identical loads: every gain is ~0.
         let inputs = inputs(&[4.0, 4.0, 4.0], &[0, 1, 2]);
         let scheduler = ComponentScheduler::new(SchedulerConfig::PAPER);
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         assert!(outcome.decisions.is_empty());
     }
 
@@ -319,12 +325,11 @@ mod tests {
     fn predicted_latency_never_increases_along_greedy_sequence() {
         let models = linear_models();
         let inputs = inputs(&[10.0, 6.0, 0.0, 2.0], &[0, 0, 1, 1]);
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let before = matrix.overall_latency();
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: 0.00001,
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
         let outcome = scheduler.run(&mut matrix);
         // Each accepted gain is positive, so the end-to-end prediction
@@ -339,9 +344,9 @@ mod tests {
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: 0.00001,
             max_migrations: Some(1),
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         assert!(outcome.decisions.len() <= 1);
     }
 
@@ -352,22 +357,22 @@ mod tests {
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: 0.00001,
             max_migrations: Some(2),
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
         // Components 0 and 1 are masked out: nothing movable remains on
         // the hot nodes, so the greedy finds no worthwhile move.
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let outcome = scheduler.run_masked(&mut matrix, &mut [false, false, true, true], 0);
         assert!(outcome.decisions.is_empty());
 
         // A prior spend of 2 exhausts the interval budget outright.
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let outcome = scheduler.run_masked(&mut matrix, &mut [true; 4], 2);
         assert!(outcome.decisions.is_empty());
         assert_eq!(outcome.iterations, 0);
 
         // With one prior migration, at most one more is accepted.
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let outcome = scheduler.run_masked(&mut matrix, &mut [true; 4], 1);
         assert!(outcome.decisions.len() <= 1);
     }
@@ -377,7 +382,7 @@ mod tests {
         let models = linear_models();
         let inputs = inputs(&[9.0, 0.0], &[0, 0]);
         let scheduler = ComponentScheduler::new(SchedulerConfig::PAPER);
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         // Timings exist (may be tiny, but measured).
         assert!(outcome.analysis_time.as_nanos() > 0);
         assert!(outcome.iterations >= 1);

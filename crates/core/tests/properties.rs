@@ -2,8 +2,8 @@
 //! scheduler: the structural invariants DESIGN.md commits to.
 
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, MatrixConfig, MatrixInputs, NodeInput,
-    OverrideMarks, PerformanceMatrix, SchedulerConfig, StageLatencyIndex,
+    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, OverrideMarks,
+    PerformanceMatrix, SchedulerConfig, StageLatencyIndex,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -42,7 +42,6 @@ fn arb_inputs() -> impl Strategy<Value = MatrixInputs> {
                         id: NodeId::from_index(j),
                         capacity: NodeCapacity::XEON_E5645,
                         demand: ResourceVector::new(cores, cores * 2.0, cores * 8.0, cores * 4.0),
-                        samples: vec![],
                     })
                     .collect();
                 let components: Vec<ComponentInput> = placement
@@ -126,7 +125,6 @@ fn arb_tied_inputs() -> impl Strategy<Value = MatrixInputs> {
                         id: NodeId::from_index(j),
                         capacity: NodeCapacity::XEON_E5645,
                         demand: node_demand,
-                        samples: vec![],
                     });
                 }
                 MatrixInputs {
@@ -212,7 +210,7 @@ fn greedy_checking_pruning(
     stages: &[usize],
     candidates: &mut [bool],
 ) -> Result<(), TestCaseError> {
-    while let Some(best) = matrix.best_candidate(candidates) {
+    while let Some(best) = matrix.best_candidate(candidates, SchedulerConfig::PAPER.tie_tolerance) {
         candidates[best.component.index()] = false;
         let origin = matrix.apply_migration(best.component, best.destination, candidates);
         check_pruned_entries(matrix, stages, candidates, Some([origin, best.destination]))?;
@@ -346,7 +344,7 @@ proptest! {
         let models = linear_models();
         let stages: Vec<usize> = inputs.components.iter().map(|c| c.stage).collect();
         let m = inputs.component_count();
-        let built = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let built = PerformanceMatrix::build(&inputs, &models);
 
         let mut flat = built.clone();
         check_pruned_entries(&mut flat, &stages, &vec![true; m], None)?;
@@ -365,7 +363,7 @@ proptest! {
     #[test]
     fn own_node_entries_are_zero(inputs in arb_inputs()) {
         let models = linear_models();
-        let m = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&inputs, &models);
         for (i, c) in inputs.components.iter().enumerate() {
             prop_assert_eq!(m.gain(ComponentId::from_index(i), c.node), 0.0);
             prop_assert_eq!(m.self_gain(ComponentId::from_index(i), c.node), 0.0);
@@ -377,7 +375,7 @@ proptest! {
     #[test]
     fn entries_are_finite_and_bounded(inputs in arb_inputs()) {
         let models = linear_models();
-        let m = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let m = PerformanceMatrix::build(&inputs, &models);
         let overall = m.overall_latency();
         prop_assert!(overall.is_finite() && overall > 0.0);
         for i in 0..m.component_count() {
@@ -396,10 +394,9 @@ proptest! {
         let models = linear_models();
         let scheduler = ComponentScheduler::new(SchedulerConfig {
             epsilon_secs: eps,
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         });
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         let mut seen = std::collections::HashSet::new();
         for d in &outcome.decisions {
             prop_assert!(seen.insert(d.component), "component migrated twice");
@@ -416,9 +413,9 @@ proptest! {
     #[test]
     fn update_matrix_matches_rebuild_on_fresh_entries(inputs in arb_inputs()) {
         let models = linear_models();
-        let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+        let mut matrix = PerformanceMatrix::build(&inputs, &models);
         let mut candidates = vec![true; matrix.component_count()];
-        let Some(best) = matrix.best_candidate(&candidates) else { return Ok(()); };
+        let Some(best) = matrix.best_candidate(&candidates, SchedulerConfig::PAPER.tie_tolerance) else { return Ok(()); };
         candidates[best.component.index()] = false;
         let origin = matrix.apply_migration(best.component, best.destination, &candidates);
 
@@ -446,14 +443,13 @@ proptest! {
     }
 
     /// `best_candidate` honours the tie set: the returned entry's gain is
-    /// within the configured tolerance of the true maximum.
+    /// within the given tolerance of the true maximum.
     #[test]
     fn best_candidate_stays_within_tie_tolerance(inputs in arb_inputs(), tol in 0.0f64..0.5) {
         let models = linear_models();
-        let config = MatrixConfig { tie_tolerance: tol, ..MatrixConfig::default() };
-        let matrix = PerformanceMatrix::build(&inputs, &models, config);
+        let matrix = PerformanceMatrix::build(&inputs, &models);
         let candidates = vec![true; matrix.component_count()];
-        if let Some(best) = matrix.best_candidate(&candidates) {
+        if let Some(best) = matrix.best_candidate(&candidates, tol) {
             let mut max_gain: f64 = 0.0;
             for i in 0..matrix.component_count() {
                 for j in 0..matrix.node_count() {

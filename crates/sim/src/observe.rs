@@ -33,7 +33,6 @@
 
 use pcs_types::{ComponentId, NodeId, RequestId, SimDuration, SimTime};
 use std::collections::HashMap;
-use std::fmt;
 
 /// Knobs of the observability layer ([`crate::SimConfig::observe`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,30 +219,6 @@ pub struct IntervalAudit {
     /// completions in this interval's window minus the mean over the
     /// previous window. `None` when either window saw no completion.
     pub realized_delta: Option<f64>,
-}
-
-impl fmt::Display for IntervalAudit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[audit] t={:.3}s interval={} predicted_overall={:.6}",
-            self.at.as_secs_f64(),
-            self.interval,
-            self.predicted_overall
-        )?;
-        match self.realized_delta {
-            Some(d) => write!(f, " realized_delta={d:.6}")?,
-            None => write!(f, " realized_delta=-")?,
-        }
-        for d in &self.decisions {
-            write!(
-                f,
-                " {}:{}->{} gain={:.6} self={:.6}",
-                d.component, d.from, d.to, d.predicted_gain, d.predicted_self_gain
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// How many blame entries the attribution keeps (the heaviest
@@ -1001,9 +976,6 @@ mod tests {
         let delta = report.audits[0].realized_delta.unwrap();
         assert!((delta - (-1.0)).abs() < 1e-9);
         assert_eq!(report.audits[1].realized_delta, None);
-        let line = report.audits[0].to_string();
-        assert!(line.contains("[audit]"), "{line}");
-        assert!(line.contains("c1:n0->n2"), "{line}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --example quickstart --release`
 
 use pcs::controller::PcsController;
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, NoopScheduler, SimConfig, Simulation};
 use pcs_types::NodeCapacity;
 use pcs_workloads::ServiceTopology;
@@ -37,10 +37,8 @@ fn main() {
         models,
         SchedulerConfig {
             epsilon_secs: 1e-6,
-            max_migrations: None,
-            full_rebuild: false,
+            ..SchedulerConfig::PAPER
         },
-        MatrixConfig::default(),
     );
     let pcs = Simulation::new(config, Box::new(BasicPolicy), Box::new(controller)).run();
 

@@ -5,8 +5,8 @@
 //! Run with: `cargo run --example scheduler_trace --release`
 
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, MatrixConfig, MatrixInputs, NodeInput,
-    PerformanceMatrix, SchedulerConfig,
+    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
+    SchedulerConfig,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -41,7 +41,6 @@ fn main() {
             id: NodeId::from_index(j),
             capacity: NodeCapacity::XEON_E5645,
             demand: ResourceVector::new(cores, 0.0, 0.0, 0.0),
-            samples: vec![],
         })
         .collect();
     let components: Vec<ComponentInput> = placement
@@ -65,7 +64,7 @@ fn main() {
     };
 
     let models = linear_models();
-    let matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+    let matrix = PerformanceMatrix::build(&inputs, &models);
 
     println!("predicted component latencies (ms):");
     for i in 0..4 {
@@ -102,10 +101,9 @@ fn main() {
     // Run the greedy loop and narrate each decision (Figure 4's loop).
     let scheduler = ComponentScheduler::new(SchedulerConfig {
         epsilon_secs: 1e-5,
-        max_migrations: None,
-        full_rebuild: false,
+        ..SchedulerConfig::PAPER
     });
-    let mut matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+    let mut matrix = PerformanceMatrix::build(&inputs, &models);
     let outcome = scheduler.run(&mut matrix);
 
     println!("\ngreedy loop (Algorithm 1):");

@@ -10,9 +10,8 @@
 //! like the real system would.
 
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, HierarchicalScheduler, MatrixConfig,
-    MatrixInputs, MigrationDecision, NodeInput, PerformanceMatrix, SchedulerConfig,
-    ThresholdPolicy,
+    ClassModelSet, ComponentInput, ComponentScheduler, HierarchicalScheduler, MatrixInputs,
+    MigrationDecision, NodeInput, PerformanceMatrix, SchedulerConfig,
 };
 use pcs_monitor::SamplerConfig;
 use pcs_queueing::distributions::{LogNormal, ServiceDistribution};
@@ -123,10 +122,6 @@ fn rack_groups(ctx: &SchedulerContext<'_>) -> Vec<Vec<usize>> {
 pub struct PcsController {
     models: ClassModelSet,
     scheduler_config: SchedulerConfig,
-    matrix_config: MatrixConfig,
-    /// How ε is chosen per interval; `None` uses the scheduler config's
-    /// fixed value.
-    threshold: Option<ThresholdPolicy>,
     /// When set, every component's SCV is overridden with this value in
     /// the matrix inputs — forcing 1.0 turns the Eq. 2 M/G/1 term into
     /// the M/M/1 special case (the queueing-model ablation).
@@ -151,12 +146,8 @@ pub struct PcsController {
     cost: SchedulerCost,
     /// Whether each analysed interval builds an [`IntervalAudit`]
     /// (predicted Eq. 4 gain per enacted decision). Turned on by the
-    /// observability layer via [`SchedulerHook::enable_audit`], or by the
-    /// `PCS_DEBUG_CONTROLLER` environment variable.
+    /// observability layer via [`SchedulerHook::enable_audit`].
     audit_enabled: bool,
-    /// When true (the `PCS_DEBUG_CONTROLLER` alias), every built audit is
-    /// also printed to stderr.
-    audit_print: bool,
     /// The audit of the interval that just ran, awaiting collection via
     /// [`SchedulerHook::take_interval_audit`].
     pending_audit: Option<IntervalAudit>,
@@ -164,38 +155,22 @@ pub struct PcsController {
 
 impl PcsController {
     /// Creates a controller from trained class models.
-    pub fn new(
-        models: ClassModelSet,
-        scheduler_config: SchedulerConfig,
-        matrix_config: MatrixConfig,
-    ) -> Self {
+    pub fn new(models: ClassModelSet, scheduler_config: SchedulerConfig) -> Self {
         // Validate the config eagerly (ComponentScheduler::new panics on
         // nonsense) even though the scheduler is rebuilt per interval.
         let _ = ComponentScheduler::new(scheduler_config);
-        let audit_print = std::env::var_os("PCS_DEBUG_CONTROLLER").is_some();
         PcsController {
             models,
             scheduler_config,
-            matrix_config,
-            threshold: None,
             scv_override: None,
             ground_truth: false,
             demand_noise: None,
             last_node_demand: Vec::new(),
             hier_group_cap: None,
             cost: SchedulerCost::default(),
-            audit_enabled: audit_print,
-            audit_print,
+            audit_enabled: false,
             pending_audit: None,
         }
-    }
-
-    /// Chooses ε adaptively per interval (the paper's noted future-work
-    /// extension): ε = policy.resolve(predicted overall latency).
-    #[must_use]
-    pub fn with_threshold_policy(mut self, policy: ThresholdPolicy) -> Self {
-        self.threshold = Some(policy);
-        self
     }
 
     /// Overrides every component's service-time SCV in the matrix inputs
@@ -341,7 +316,6 @@ impl PcsController {
                 id: pcs_types::NodeId::from_index(j),
                 capacity: ctx.node_capacities[j],
                 demand,
-                samples: window.clone(),
             });
         }
         let components = ctx
@@ -365,8 +339,7 @@ impl PcsController {
         }
     }
 
-    /// Builds (and, under `PCS_DEBUG_CONTROLLER`, prints) the interval's
-    /// decision audit from the enacted decisions: the predicted Eq. 4
+    /// Builds the interval's decision audit from the enacted decisions: the predicted Eq. 4
     /// overall latency at analysis time plus the predicted gain of every
     /// migration actually ordered. The observer assigns the interval
     /// index and fills the realised next-window delta at run end.
@@ -395,9 +368,6 @@ impl PcsController {
                 .collect(),
             realized_delta: None,
         };
-        if self.audit_print {
-            eprintln!("{audit}");
-        }
         self.pending_audit = Some(audit);
     }
 
@@ -416,7 +386,6 @@ impl PcsController {
     fn evacuate_orphans(
         &self,
         ctx: &SchedulerContext<'_>,
-        config: &SchedulerConfig,
         matrix: &mut PerformanceMatrix,
         candidates: &mut [bool],
     ) -> Vec<MigrationDecision> {
@@ -425,7 +394,7 @@ impl PcsController {
             if ctx.node_status[meta.node.index()].is_up() || meta.migrating {
                 continue;
             }
-            if let Some(cap) = config.max_migrations {
+            if let Some(cap) = self.scheduler_config.max_migrations {
                 if evacuations.len() >= cap {
                     break;
                 }
@@ -472,21 +441,18 @@ impl SchedulerHook for PcsController {
             return Vec::new();
         }
         let inputs = self.build_inputs(ctx);
-        let mut matrix = PerformanceMatrix::build(&inputs, &self.models, self.matrix_config);
+        let mut matrix = PerformanceMatrix::build(&inputs, &self.models);
         let mk = (inputs.component_count() * inputs.node_count()) as u64;
         self.cost.intervals += 1;
         self.cost.matrix_builds += 1;
         self.cost.entries_recomputed += mk;
         self.cost.entries_total += mk;
         let predicted_overall = matrix.overall_latency();
-        let mut config = self.scheduler_config;
-        if let Some(policy) = self.threshold {
-            config.epsilon_secs = policy.resolve(matrix.overall_latency());
-        }
 
         let mut candidates = idle_components(ctx);
-        let evacuations = self.evacuate_orphans(ctx, &config, &mut matrix, &mut candidates);
+        let evacuations = self.evacuate_orphans(ctx, &mut matrix, &mut candidates);
 
+        let config = self.scheduler_config;
         let mut outcome = match self.hier_group_cap {
             Some(group_cap) => HierarchicalScheduler::new(config, group_cap).run_grouped(
                 &mut matrix,
@@ -632,12 +598,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         // 5 nodes for 10 components: anti-affine round-robin puts two
         // components on every node, so the kill strands a *pair* — the
@@ -685,12 +649,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         let mut config = SimConfig::paper_like(topology, 100.0, 33);
         config.node_count = 5;
@@ -728,12 +690,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         )
         .with_hierarchical(64);
         let mut config = SimConfig::paper_like(topology, 100.0, 21);
@@ -768,12 +728,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let flat = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         // One greedy run over every component: the cap must not split them.
         let cap = topology.component_count();
@@ -811,12 +769,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         )
         .with_hierarchical(3);
         let mut config = SimConfig::paper_like(topology, 100.0, 21);
@@ -847,12 +803,11 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let mut controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 1e-9,
                 max_migrations: Some(1),
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         let components: Vec<ComponentMeta> = [0, 0, 1, 2]
             .iter()
@@ -947,12 +902,10 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let mut inner = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         inner.enable_audit();
         let tally = std::sync::Arc::new(std::sync::Mutex::new((0, 0)));
@@ -986,15 +939,13 @@ mod tests {
         let models = PcsController::train_for(&topology, NodeCapacity::XEON_E5645, 5).unwrap();
         let controller = PcsController::new(
             models,
-            pcs_core::SchedulerConfig {
+            SchedulerConfig {
                 // Must sit below the ~1e-4 s gains a 10-node nutch(8)
                 // scenario produces (fig6 uses 1e-6; 2e-4 silently
                 // suppressed every migration).
                 epsilon_secs: 0.00005,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         );
         let mut config = SimConfig::paper_like(topology, 100.0, 21);
         config.node_count = 10;

@@ -11,8 +11,7 @@
 //! paper's figure plots.
 
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, MatrixConfig, MatrixInputs, NodeInput,
-    SchedulerConfig,
+    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, SchedulerConfig,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -62,7 +61,6 @@ pub fn synthetic_inputs(m: usize, k: usize, seed: u64) -> MatrixInputs {
                 id: NodeId::from_index(j),
                 capacity,
                 demand: ResourceVector::new(load, load * 2.0, load * 12.0, load * 6.0),
-                samples: vec![],
             }
         })
         .collect::<Vec<_>>();
@@ -112,15 +110,14 @@ pub fn measure_point(m: usize, k: usize, repeats: usize, seed: u64) -> Fig7Point
     let models = synthetic_models();
     let scheduler = ComponentScheduler::new(SchedulerConfig {
         epsilon_secs: 0.0001,
-        max_migrations: None,
-        full_rebuild: false,
+        ..SchedulerConfig::PAPER
     });
     let mut analysis = 0.0;
     let mut search = 0.0;
     let mut migrations = 0;
     for r in 0..repeats {
         let inputs = synthetic_inputs(m, k, seed.wrapping_add(r as u64));
-        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+        let outcome = scheduler.schedule(&inputs, &models);
         analysis += outcome.analysis_time.as_secs_f64() * 1e3;
         search += outcome.search_time.as_secs_f64() * 1e3;
         migrations += outcome.decisions.len();

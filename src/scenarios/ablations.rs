@@ -3,7 +3,7 @@
 use super::{base_grid, kv, report_metrics, train_models};
 use crate::controller::PcsController;
 use crate::experiments::{fig6, fig7};
-use pcs_core::{ClassModelSet, ComponentScheduler, MatrixConfig, SchedulerConfig};
+use pcs_core::{ClassModelSet, ComponentScheduler, SchedulerConfig};
 use pcs_harness::{CellPlan, CellResult, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{BasicPolicy, Simulation};
 use pcs_types::SimDuration;
@@ -21,7 +21,6 @@ fn pcs_cell(
     label: String,
     params: Vec<(String, pcs_harness::Json)>,
     scheduler: SchedulerConfig,
-    matrix: MatrixConfig,
     scv_override: Option<f64>,
     interval: Option<SimDuration>,
 ) -> CellPlan {
@@ -36,7 +35,7 @@ fn pcs_cell(
             if let Some(interval) = interval {
                 sim_config.scheduler_interval = interval;
             }
-            let mut controller = PcsController::new((*models).clone(), scheduler, matrix);
+            let mut controller = PcsController::new((*models).clone(), scheduler);
             if let Some(scv) = scv_override {
                 controller = controller.with_scv_override(scv);
             }
@@ -46,14 +45,6 @@ fn pcs_cell(
                 metrics: report_metrics(&report),
             }
         }),
-    }
-}
-
-fn default_scheduler(epsilon_secs: f64) -> SchedulerConfig {
-    SchedulerConfig {
-        epsilon_secs,
-        max_migrations: None,
-        full_rebuild: false,
     }
 }
 
@@ -91,8 +82,10 @@ impl Scenario for ThresholdScenario {
                     rate,
                     format!("eps={eps} @ {rate} req/s"),
                     vec![kv("rate", rate), kv("epsilon_ms", eps * 1e3)],
-                    default_scheduler(eps),
-                    MatrixConfig::default(),
+                    SchedulerConfig {
+                        epsilon_secs: eps,
+                        ..SchedulerConfig::PAPER
+                    },
                     None,
                     None,
                 ));
@@ -139,10 +132,10 @@ impl Scenario for TiebreakScenario {
                     rate,
                     format!("tol={tol} @ {rate} req/s"),
                     vec![kv("rate", rate), kv("tie_tolerance", tol)],
-                    default_scheduler(1e-6),
-                    MatrixConfig {
+                    SchedulerConfig {
+                        epsilon_secs: 1e-6,
                         tie_tolerance: tol,
-                        ..MatrixConfig::default()
+                        ..SchedulerConfig::PAPER
                     },
                     None,
                     None,
@@ -188,8 +181,10 @@ impl Scenario for QueueingScenario {
                     rate,
                     format!("{label} @ {rate} req/s"),
                     vec![kv("rate", rate), kv("queue_model", label)],
-                    default_scheduler(1e-6),
-                    MatrixConfig::default(),
+                    SchedulerConfig {
+                        epsilon_secs: 1e-6,
+                        ..SchedulerConfig::PAPER
+                    },
                     scv_override,
                     None,
                 ));
@@ -238,8 +233,10 @@ impl Scenario for IntervalScenario {
                     rate,
                     format!("interval={interval}s @ {rate} req/s"),
                     vec![kv("rate", rate), kv("interval_s", interval)],
-                    default_scheduler(1e-6),
-                    MatrixConfig::default(),
+                    SchedulerConfig {
+                        epsilon_secs: 1e-6,
+                        ..SchedulerConfig::PAPER
+                    },
                     None,
                     Some(SimDuration::from_secs_f64(interval)),
                 ));
@@ -303,13 +300,14 @@ impl Scenario for RebuildScenario {
                             epsilon_secs: 0.0001,
                             max_migrations: Some(40),
                             full_rebuild,
+                            ..SchedulerConfig::PAPER
                         });
                         let inputs = fig7::synthetic_inputs(
                             m,
                             k,
                             pcs_harness::seed::mix(seed, (m as u64) << 16 | k as u64),
                         );
-                        let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+                        let outcome = scheduler.schedule(&inputs, &models);
                         CellResult {
                             metrics: vec![
                                 kv("search_ms", outcome.search_time.as_secs_f64() * 1e3),

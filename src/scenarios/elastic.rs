@@ -24,13 +24,12 @@
 //! to scale-in by construction (queued work rides each migration), and
 //! the summary pins that invariant.
 
-use super::{base_grid, kv, report_metrics, technique_grid, train_models};
+use super::{base_grid, kv, report_metrics, technique_grid, train_models, Traffic};
 use crate::experiments::fig6;
 use crate::techniques;
 use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{AutoscaleConfig, RunReport};
 use pcs_types::SimDuration;
-use pcs_workloads::ArrivalPattern;
 
 /// Cluster size of the elastic sweep: twice the failures cluster, so
 /// there is real capacity to shed — the fleet can halve and still hold
@@ -47,21 +46,6 @@ const ELASTIC_COLD_START_MS: f64 = 2000.0;
 /// The fixed P99 component-latency SLO (milliseconds) every cell is
 /// scored against — and the SLO the control loop itself defends.
 const ELASTIC_SLO_P99_MS: f64 = 60.0;
-
-/// Diurnal modulation depth (as in the `diurnal` scenario).
-const DIURNAL_AMPLITUDE: f64 = 0.7;
-
-/// The time-compressed day length of the diurnal traffic.
-const DIURNAL_PERIOD_SECS: u64 = 20;
-
-/// MMPP calm-state rate multiplier (as in the `mmpp` scenario).
-const MMPP_LOW: f64 = 0.25;
-
-/// MMPP burst-state rate multiplier.
-const MMPP_HIGH: f64 = 1.75;
-
-/// MMPP mean dwell time per state.
-const MMPP_DWELL_SECS: u64 = 4;
 
 /// One autoscaler aggressiveness preset: how hot the controller runs
 /// the fleet, how many nodes move per action, and how long it waits
@@ -96,37 +80,6 @@ const PRESETS: [Preset; 3] = [
         cooldown_secs: 2.0,
     },
 ];
-
-/// The traffic shapes swept (fixed-rate Poisson never rewards
-/// elasticity; both of these spend real time below the mean).
-#[derive(Clone, Copy)]
-enum Traffic {
-    Diurnal,
-    Mmpp,
-}
-
-impl Traffic {
-    fn name(self) -> &'static str {
-        match self {
-            Traffic::Diurnal => "diurnal",
-            Traffic::Mmpp => "mmpp",
-        }
-    }
-
-    fn pattern(self) -> ArrivalPattern {
-        match self {
-            Traffic::Diurnal => ArrivalPattern::Diurnal {
-                amplitude: DIURNAL_AMPLITUDE,
-                period: SimDuration::from_secs(DIURNAL_PERIOD_SECS),
-            },
-            Traffic::Mmpp => ArrivalPattern::Mmpp {
-                low: MMPP_LOW,
-                high: MMPP_HIGH,
-                mean_dwell: SimDuration::from_secs(MMPP_DWELL_SECS),
-            },
-        }
-    }
-}
 
 /// Builds one preset's autoscaler config, with the CLI's `--target-util`
 /// and `--cooldown` overrides (already validated there) applied on top.
@@ -276,6 +229,8 @@ impl Scenario for ElasticScenario {
         } else {
             &PRESETS[..]
         };
+        // Fixed-rate Poisson never rewards elasticity; both of these
+        // shapes spend real time below the mean.
         let traffic: &[Traffic] = if params.smoke {
             &[Traffic::Diurnal]
         } else {

@@ -10,12 +10,14 @@
 //! set — `pcs run --scenario hetero --techniques basic,cap,pcs` compares
 //! the capacity-aware placement baseline, for example.
 
-use super::{base_grid, kv, pcs_reduction_summary, report_metrics, technique_grid, train_models};
+use super::{
+    base_grid, kv, pcs_reduction_summary, report_metrics, technique_grid, train_models, Traffic,
+    DIURNAL_AMPLITUDE, DIURNAL_PERIOD_SECS, MMPP_DWELL_SECS, MMPP_HIGH, MMPP_LOW,
+};
 use crate::experiments::fig6;
 use crate::techniques;
 use pcs_harness::{CellPlan, CellResult, Scenario, SweepParams, SweepPlan};
-use pcs_types::{NodeCapacity, SimDuration};
-use pcs_workloads::ArrivalPattern;
+use pcs_types::NodeCapacity;
 
 /// Diurnal load: the paper sweeps fixed rates "to compare the latency
 /// reduction techniques under online services' diurnal variation in
@@ -24,12 +26,6 @@ use pcs_workloads::ArrivalPattern;
 /// over a time-compressed day (period 20 s against the 60 s horizon, so a
 /// run sees three full cycles including two rush-hour crests).
 pub struct DiurnalScenario;
-
-/// The modulation depth of the diurnal sweep.
-const DIURNAL_AMPLITUDE: f64 = 0.7;
-
-/// The time-compressed day length.
-const DIURNAL_PERIOD_SECS: u64 = 20;
 
 impl Scenario for DiurnalScenario {
     fn name(&self) -> &'static str {
@@ -74,10 +70,7 @@ impl Scenario for DiurnalScenario {
                     // replay the same trace (rate-keyed SplitMix64 seed).
                     run: Box::new(move |_cell_seed| {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
-                        sim_config.arrival_pattern = ArrivalPattern::Diurnal {
-                            amplitude: DIURNAL_AMPLITUDE,
-                            period: SimDuration::from_secs(DIURNAL_PERIOD_SECS),
-                        };
+                        sim_config.arrival_pattern = Traffic::Diurnal.pattern();
                         let report = fig6::run_cell_with_epsilon(
                             &sim_config,
                             technique.as_ref(),
@@ -206,17 +199,6 @@ impl Scenario for HeteroScenario {
 /// paper's families.
 pub struct MmppScenario;
 
-/// Calm-state rate multiplier.
-const MMPP_LOW: f64 = 0.25;
-
-/// Burst-state rate multiplier (`low + high = 2` keeps the long-run mean
-/// at the base rate).
-const MMPP_HIGH: f64 = 1.75;
-
-/// Mean dwell time in each state, time-compressed like the rest of the
-/// paper-like setting: ~15 phase switches per 60 s horizon.
-const MMPP_DWELL_SECS: u64 = 4;
-
 /// The MMPP sweep's default technique set: the extended comparison
 /// families plus the reactive and oracle baselines.
 fn mmpp_set() -> Vec<techniques::TechniqueRef> {
@@ -274,11 +256,7 @@ impl Scenario for MmppScenario {
                     // Runner seed unused: same-trace comparison per rate.
                     run: Box::new(move |_cell_seed| {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
-                        sim_config.arrival_pattern = ArrivalPattern::Mmpp {
-                            low: MMPP_LOW,
-                            high: MMPP_HIGH,
-                            mean_dwell: SimDuration::from_secs(MMPP_DWELL_SECS),
-                        };
+                        sim_config.arrival_pattern = Traffic::Mmpp.pattern();
                         let report = fig6::run_cell_with_epsilon(
                             &sim_config,
                             technique.as_ref(),

@@ -25,7 +25,7 @@
 //! visibly lags the PCS controller's batched evacuation, which is the
 //! point of the comparison.
 
-use super::{base_grid, kv, report_metrics, technique_grid, train_models};
+use super::{base_grid, kv, report_metrics, technique_grid, train_models, RACK_SIZE, VICTIM_POOL};
 use crate::experiments::fig6;
 use crate::techniques;
 use pcs_harness::{
@@ -37,15 +37,6 @@ use pcs_types::SimTime;
 /// Node count of the failures cluster: small enough that every node
 /// hosts at least two components in both the smoke and the full grid.
 pub(crate) const FAIL_NODE_COUNT: usize = 6;
-
-/// One-shot and kill-restore victims are drawn from the first four
-/// nodes, which host at least two components each under anti-affine
-/// placement in every grid this scenario builds (10 components smoke /
-/// 102 full over 6 nodes).
-const VICTIM_POOL: usize = 4;
-
-/// The correlated outage's rack width.
-const RACK_SIZE: usize = 2;
 
 /// The fault patterns swept per rate.
 const PLANS: [&str; 3] = ["single-kill", "kill-restore", "cascade"];

@@ -29,7 +29,7 @@
 //! The clean level runs with no fault plan, no detector and σ = 0 — its
 //! cells are byte-identical to the same techniques in a pristine world.
 
-use super::{base_grid, kv, report_metrics, train_models};
+use super::{base_grid, kv, report_metrics, train_models, RACK_SIZE, VICTIM_POOL};
 use crate::experiments::fig6;
 use crate::scenarios::failures::FAIL_NODE_COUNT;
 use crate::techniques::{self, TechniqueRef};
@@ -38,14 +38,6 @@ use pcs_harness::{
 };
 use pcs_sim::{FailureDetector, FaultKind, FaultPlan, RunReport, SimConfig};
 use pcs_types::{SimDuration, SimTime};
-
-/// Straggler and kill victims come from the first four nodes, which all
-/// host at least two components under anti-affine placement on the
-/// 6-node cluster (shared with the failures family).
-const VICTIM_POOL: usize = 4;
-
-/// The gray rack's width at the moderate and severe levels.
-const RACK_SIZE: usize = 2;
 
 /// One imperfection level: how wrong each information channel is.
 ///

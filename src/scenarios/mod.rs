@@ -47,8 +47,71 @@ use crate::techniques::{self, TechniqueRef};
 use pcs_core::ClassModelSet;
 use pcs_harness::{CellOutcome, Json, Scenario, SweepParams};
 use pcs_sim::RunReport;
-use pcs_types::NodeCapacity;
+use pcs_types::{NodeCapacity, SimDuration};
+use pcs_workloads::ArrivalPattern;
 use std::sync::Arc;
+
+/// Diurnal modulation depth: the rate swings ±70% around the base.
+pub(crate) const DIURNAL_AMPLITUDE: f64 = 0.7;
+
+/// The time-compressed day length of diurnal traffic (three full cycles
+/// per 60 s horizon).
+pub(crate) const DIURNAL_PERIOD_SECS: u64 = 20;
+
+/// MMPP calm-state rate multiplier.
+pub(crate) const MMPP_LOW: f64 = 0.25;
+
+/// MMPP burst-state rate multiplier (`low + high = 2` keeps the long-run
+/// mean at the base rate).
+pub(crate) const MMPP_HIGH: f64 = 1.75;
+
+/// MMPP mean dwell time in each state, time-compressed like the rest of
+/// the paper-like setting: ~15 phase switches per 60 s horizon.
+pub(crate) const MMPP_DWELL_SECS: u64 = 4;
+
+/// The time-varying traffic shapes of the `diurnal`, `mmpp`, `elastic`
+/// and `scale` scenarios.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Traffic {
+    /// Sinusoidally modulated Poisson arrivals.
+    Diurnal,
+    /// Two-state Markov-modulated Poisson arrivals.
+    Mmpp,
+}
+
+impl Traffic {
+    /// The shape's report name.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Traffic::Diurnal => "diurnal",
+            Traffic::Mmpp => "mmpp",
+        }
+    }
+
+    /// The arrival process of the shape.
+    pub(crate) fn pattern(self) -> ArrivalPattern {
+        match self {
+            Traffic::Diurnal => ArrivalPattern::Diurnal {
+                amplitude: DIURNAL_AMPLITUDE,
+                period: SimDuration::from_secs(DIURNAL_PERIOD_SECS),
+            },
+            Traffic::Mmpp => ArrivalPattern::Mmpp {
+                low: MMPP_LOW,
+                high: MMPP_HIGH,
+                mean_dwell: SimDuration::from_secs(MMPP_DWELL_SECS),
+            },
+        }
+    }
+}
+
+/// Fault victims of the `failures` and `imperfect` families come from the
+/// first four nodes, which all host at least two components under
+/// anti-affine placement on the 6-node cluster.
+pub(crate) const VICTIM_POOL: usize = 4;
+
+/// Rack width of the correlated outage (`failures`) and the gray rack
+/// (`imperfect`).
+pub(crate) const RACK_SIZE: usize = 2;
 
 /// Every registered scenario, in display order.
 pub fn registry() -> Vec<Box<dyn Scenario>> {

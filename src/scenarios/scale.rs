@@ -22,7 +22,7 @@
 //! grid at every size; `--sizes` and `--group-cap` override the cluster
 //! grid and the PCS-H group cap.
 
-use super::{kv, report_metrics, train_models};
+use super::{kv, report_metrics, train_models, Traffic};
 use crate::experiments::fig6::{self, Fig6Config};
 use crate::techniques::{self, TechniqueRef};
 use pcs_harness::{
@@ -30,7 +30,7 @@ use pcs_harness::{
 };
 use pcs_sim::SimConfig;
 use pcs_types::SimDuration;
-use pcs_workloads::{ArrivalPattern, ServiceTopology};
+use pcs_workloads::ServiceTopology;
 
 /// The default cluster-size grid (`--sizes` overrides it).
 pub const DEFAULT_SIZES: [usize; 3] = [100, 400, 1000];
@@ -61,15 +61,6 @@ const CHAIN_DEPTH: usize = 8;
 /// cluster; the rate stays moderate and fixed across sizes.
 const BASE_RATE: f64 = 25.0;
 
-/// Diurnal modulation depth / period (matches the `diurnal` scenario).
-const DIURNAL_AMPLITUDE: f64 = 0.7;
-const DIURNAL_PERIOD_SECS: u64 = 20;
-
-/// MMPP calm/burst multipliers and dwell (matches the `mmpp` scenario).
-const MMPP_LOW: f64 = 0.25;
-const MMPP_HIGH: f64 = 1.75;
-const MMPP_DWELL_SECS: u64 = 4;
-
 /// The service shapes swept at every cluster size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ScaleService {
@@ -99,36 +90,6 @@ impl ScaleService {
             ScaleService::WideFanout => {
                 ServiceTopology::wide_fanout((size * 9 / 10).max(1), (size / 20).max(1))
             }
-        }
-    }
-}
-
-/// The traffic shapes swept at every cluster size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScaleTraffic {
-    Diurnal,
-    Mmpp,
-}
-
-impl ScaleTraffic {
-    fn name(self) -> &'static str {
-        match self {
-            ScaleTraffic::Diurnal => "diurnal",
-            ScaleTraffic::Mmpp => "mmpp",
-        }
-    }
-
-    fn pattern(self) -> ArrivalPattern {
-        match self {
-            ScaleTraffic::Diurnal => ArrivalPattern::Diurnal {
-                amplitude: DIURNAL_AMPLITUDE,
-                period: SimDuration::from_secs(DIURNAL_PERIOD_SECS),
-            },
-            ScaleTraffic::Mmpp => ArrivalPattern::Mmpp {
-                low: MMPP_LOW,
-                high: MMPP_HIGH,
-                mean_dwell: SimDuration::from_secs(MMPP_DWELL_SECS),
-            },
         }
     }
 }
@@ -299,9 +260,9 @@ impl Scenario for ScaleScenario {
             );
         }
         let traffics = if params.smoke {
-            vec![ScaleTraffic::Diurnal]
+            vec![Traffic::Diurnal]
         } else {
-            vec![ScaleTraffic::Diurnal, ScaleTraffic::Mmpp]
+            vec![Traffic::Diurnal, Traffic::Mmpp]
         };
         let smoke = params.smoke;
         let observe = params.observe;

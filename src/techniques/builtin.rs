@@ -4,7 +4,7 @@
 use super::{TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
 use pcs_baselines::{RedundancyPolicy, ReissuePolicy};
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, DispatchPolicy, NoopScheduler, SchedulerHook};
 
 /// Renders a reissue percentile (in percent) as its minimal-exact
@@ -165,10 +165,8 @@ impl TechniqueSpec for PcsSpec {
             env.models.clone(),
             SchedulerConfig {
                 epsilon_secs: env.epsilon_secs,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         ))
     }
 }

@@ -11,7 +11,7 @@
 
 use super::{TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, DispatchPolicy, PlacementStrategy, SchedulerHook};
 
 /// Largest accepted per-group cap. The paper suggests groups of "640
@@ -68,10 +68,8 @@ impl TechniqueSpec for HierPcsSpec {
                 env.models.clone(),
                 SchedulerConfig {
                     epsilon_secs: env.epsilon_secs,
-                    max_migrations: None,
-                    full_rebuild: false,
+                    ..SchedulerConfig::PAPER
                 },
-                MatrixConfig::default(),
             )
             .with_hierarchical(self.cap),
         )

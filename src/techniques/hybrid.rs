@@ -15,7 +15,7 @@
 use super::{TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
 use pcs_baselines::RedundancyPolicy;
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, DispatchPolicy, SchedulerHook};
 
 /// `PCS+RED<k>`: predictive migration under RED-k request redundancy.
@@ -60,10 +60,8 @@ impl TechniqueSpec for HybridRedSpec {
             env.models.clone(),
             SchedulerConfig {
                 epsilon_secs: env.epsilon_secs,
-                max_migrations: None,
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         ))
     }
 }
@@ -120,9 +118,8 @@ impl TechniqueSpec for BudgetedPcsSpec {
             SchedulerConfig {
                 epsilon_secs: env.epsilon_secs,
                 max_migrations: Some(self.budget),
-                full_rebuild: false,
+                ..SchedulerConfig::PAPER
             },
-            MatrixConfig::default(),
         ))
     }
 }

@@ -11,7 +11,7 @@
 
 use super::{minimal_percent, TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, DispatchPolicy, SchedulerHook};
 
 /// Largest accepted noise σ. exp(4²/2) ≈ 3000× median-to-mean spread —
@@ -22,13 +22,16 @@ pub const MAX_NOISE_SIGMA: f64 = 4.0;
 /// The `PCS-N<σ>` technique: PCS under prediction-error injection.
 #[derive(Debug, Clone, Copy)]
 pub struct PcsNoiseSpec {
-    /// Noise parameter σ of the underlying normal. Stored as given so
-    /// the name round-trips the user's token exactly (like `RiSpec`).
+    /// Noise parameter σ of the underlying normal. Stored as given (−0
+    /// aside) so the name round-trips the user's token exactly (like
+    /// `RiSpec`).
     sigma: f64,
 }
 
 impl PcsNoiseSpec {
-    /// Creates PCS-N for a noise parameter σ, e.g. `0.3` or `1`.
+    /// Creates PCS-N for a noise parameter σ, e.g. `0.3` or `1`. A σ of
+    /// −0 passes the range check and is stored as 0, so it never names a
+    /// second `PCS-N-0` variant of plain PCS.
     ///
     /// # Panics
     /// Panics unless `0 <= sigma <= MAX_NOISE_SIGMA` and finite.
@@ -37,7 +40,8 @@ impl PcsNoiseSpec {
             sigma.is_finite() && (0.0..=MAX_NOISE_SIGMA).contains(&sigma),
             "PCS-N needs sigma in 0..={MAX_NOISE_SIGMA}, got {sigma}"
         );
-        PcsNoiseSpec { sigma }
+        // IEEE −0 + 0 = +0; every other σ is unchanged.
+        PcsNoiseSpec { sigma: sigma + 0.0 }
     }
 }
 
@@ -67,10 +71,8 @@ impl TechniqueSpec for PcsNoiseSpec {
                 env.models.clone(),
                 SchedulerConfig {
                     epsilon_secs: env.epsilon_secs,
-                    max_migrations: None,
-                    full_rebuild: false,
+                    ..SchedulerConfig::PAPER
                 },
-                MatrixConfig::default(),
             )
             .with_demand_noise(self.sigma),
         )

@@ -11,7 +11,7 @@
 
 use super::{TechniqueEnv, TechniqueSpec};
 use crate::controller::PcsController;
-use pcs_core::{MatrixConfig, SchedulerConfig};
+use pcs_core::SchedulerConfig;
 use pcs_sim::{BasicPolicy, DispatchPolicy, SchedulerHook};
 
 /// The `Oracle` technique: PCS with perfect demand monitoring.
@@ -41,10 +41,8 @@ impl TechniqueSpec for OracleSpec {
                 env.models.clone(),
                 SchedulerConfig {
                     epsilon_secs: env.epsilon_secs,
-                    max_migrations: None,
-                    full_rebuild: false,
+                    ..SchedulerConfig::PAPER
                 },
-                MatrixConfig::default(),
             )
             .with_ground_truth(),
         )

@@ -93,6 +93,48 @@ fn pcs_noisy_display_renders_minimally() {
     round_trips(parsed.as_ref());
 }
 
+/// Regression: `pcs-n-0` passes the `0..=4` range check as negative zero
+/// and must name plain PCS's σ = 0 variant, not a second `PCS-N-0`.
+#[test]
+fn negative_zero_noise_names_pcs_n0() {
+    assert_eq!(techniques::parse("pcs-n-0").unwrap().name(), "PCS-N0");
+    assert_eq!(techniques::pcs_noisy(-0.0).name(), "PCS-N0");
+}
+
+/// Every parameterised family's prefix, plus the bare names.
+const PARSE_PREFIXES: [&str; 12] = [
+    "pcs+red", "pcs-b", "pcs-h", "pcs-n", "red-", "ri-", "pcs", "basic", "hier", "ll", "oracle",
+    "cap",
+];
+
+/// Characters the fuzzed suffixes draw from: numeral syntax (signs,
+/// exponents, `inf`/`nan` letters), separators, whitespace and non-ASCII.
+const SUFFIX_CHARS: [char; 20] = [
+    '0', '1', '5', '9', '.', '-', '+', 'e', 'E', 'i', 'n', 'f', 'a', 'N', ',', ' ', '_', 'x', 'é',
+    '∞',
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `parse` never panics on a family prefix with an arbitrary suffix,
+    /// and every accepted token's name parses back to the same name.
+    #[test]
+    fn parse_never_panics_and_accepted_names_round_trip(
+        prefix in 0..PARSE_PREFIXES.len(),
+        suffix in proptest::collection::vec(0..SUFFIX_CHARS.len(), 0..8),
+    ) {
+        let suffix: String = suffix.into_iter().map(|c| SUFFIX_CHARS[c]).collect();
+        let token = format!("{}{suffix}", PARSE_PREFIXES[prefix]);
+        if let Ok(spec) = techniques::parse(&token) {
+            let name = spec.name();
+            let reparsed = techniques::parse(&name);
+            prop_assert!(reparsed.is_ok(), "{} (from {:?}) must parse", name, token);
+            prop_assert_eq!(reparsed.unwrap().name(), name);
+        }
+    }
+}
+
 /// `--techniques basic,pcs` on fig6 must select exactly those columns, in
 /// order, for every rate.
 #[test]

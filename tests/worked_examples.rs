@@ -8,8 +8,8 @@
 //! pattern of Algorithm 2.
 
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, MatrixConfig, MatrixInputs, NodeInput,
-    PerformanceMatrix, SchedulerConfig,
+    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
+    SchedulerConfig,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -43,7 +43,6 @@ fn figure3_inputs() -> MatrixInputs {
                 id: NodeId::from_index(j),
                 capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                 demand: ResourceVector::new(cores, 0.0, 0.0, 0.0),
-                samples: vec![],
             })
             .collect(),
         components: placement
@@ -76,7 +75,7 @@ fn expected_ms(aggregate_cores: f64) -> f64 {
 #[test]
 fn figure3_matrix_entry_is_overall_delta() {
     let models = linear_models();
-    let m = PerformanceMatrix::build(&figure3_inputs(), &models, MatrixConfig::default());
+    let m = PerformanceMatrix::build(&figure3_inputs(), &models);
 
     // Baseline latencies follow each node's monitored aggregate.
     let l_c0 = expected_ms(6.0); // n0
@@ -128,7 +127,6 @@ fn figure4_tie_breaks_by_self_gain() {
                 id: NodeId::from_index(j),
                 capacity: NodeCapacity::new(12.0, 200.0, 125.0),
                 demand: ResourceVector::new(cores, 0.0, 0.0, 0.0),
-                samples: vec![],
             })
             .collect(),
         components: placement
@@ -148,7 +146,7 @@ fn figure4_tie_breaks_by_self_gain() {
         stage_count: 3,
     };
     let models = linear_models();
-    let matrix = PerformanceMatrix::build(&inputs, &models, MatrixConfig::default());
+    let matrix = PerformanceMatrix::build(&inputs, &models);
 
     // Moving c1 to n1 or n2 has (nearly) the same overall gain…
     let g1 = matrix.gain(ComponentId::new(1), NodeId::new(1));
@@ -166,7 +164,12 @@ fn figure4_tie_breaks_by_self_gain() {
 
     // The greedy therefore routes c1 to n1, exactly like Figure 4 routes
     // c2 to the node with the larger self-reduction.
-    let best = matrix.best_candidate(&[false, true, false, false]).unwrap();
+    let best = matrix
+        .best_candidate(
+            &[false, true, false, false],
+            SchedulerConfig::PAPER.tie_tolerance,
+        )
+        .unwrap();
     assert_eq!(best.component, ComponentId::new(1));
     assert_eq!(best.destination, NodeId::new(1));
 }
@@ -179,19 +182,17 @@ fn migration_threshold_stops_the_loop() {
     let inputs = figure3_inputs();
     let scheduler = ComponentScheduler::new(SchedulerConfig {
         epsilon_secs: 0.005, // the paper's 5 ms — larger than any gain here
-        max_migrations: None,
-        full_rebuild: false,
+        ..SchedulerConfig::PAPER
     });
-    let outcome = scheduler.schedule(&inputs, &models, MatrixConfig::default());
+    let outcome = scheduler.schedule(&inputs, &models);
     assert!(outcome.decisions.is_empty());
 
     // With a micro-threshold the same state yields migrations.
     let eager = ComponentScheduler::new(SchedulerConfig {
         epsilon_secs: 1e-6,
-        max_migrations: None,
-        full_rebuild: false,
+        ..SchedulerConfig::PAPER
     });
-    let outcome = eager.schedule(&inputs, &models, MatrixConfig::default());
+    let outcome = eager.schedule(&inputs, &models);
     assert!(!outcome.decisions.is_empty());
     assert!(outcome.predicted_after < outcome.predicted_before);
 }
@@ -199,10 +200,12 @@ fn migration_threshold_stops_the_loop() {
 #[test]
 fn algorithm2_refreshes_touched_columns_and_rows() {
     let models = linear_models();
-    let mut matrix = PerformanceMatrix::build(&figure3_inputs(), &models, MatrixConfig::default());
+    let mut matrix = PerformanceMatrix::build(&figure3_inputs(), &models);
     // Accept the best migration for c1.
     let candidates = [true, true, true, true];
-    let best = matrix.best_candidate(&candidates).unwrap();
+    let best = matrix
+        .best_candidate(&candidates, SchedulerConfig::PAPER.tie_tolerance)
+        .unwrap();
     let mut candidates = candidates;
     candidates[best.component.index()] = false;
     let origin = matrix.apply_migration(best.component, best.destination, &candidates);
