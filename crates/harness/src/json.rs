@@ -127,6 +127,8 @@ impl Json {
     }
 
     /// Parses a JSON document (strict grammar, one top-level value).
+    /// Numbers must be finite as `f64`, and arrays and objects may nest at
+    /// most 128 levels deep; anything else is an error, never a panic.
     ///
     /// The inverse of [`Json::render`]: everything the writer emits parses
     /// back to an equal value (objects keep their key order; numbers
@@ -139,6 +141,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -150,10 +153,17 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so an unbounded depth would let a long run of `[` overflow the
+/// stack; the repo's own documents nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A minimal recursive-descent JSON parser over raw bytes.
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,8 +210,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!(
                 "unexpected {:?} at byte {}",
@@ -209,6 +219,21 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parses a container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nested deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -394,6 +419,11 @@ impl Parser<'_> {
         let v: f64 = text
             .parse()
             .map_err(|e| format!("bad number `{text}`: {e}"))?;
+        // Past f64's range the literal reads as ±∞, which renders as
+        // `null`: refuse it so every accepted document round-trips.
+        if !v.is_finite() {
+            return Err(format!("number `{text}` out of range at byte {start}"));
+        }
         Ok(Json::Num(v))
     }
 }
@@ -600,5 +630,33 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    /// Literals past `f64`'s range would read as ±∞ and render as `null`,
+    /// so they are refused; underflow reads as zero and round-trips.
+    #[test]
+    fn parse_rejects_numbers_out_of_f64_range() {
+        for bad in ["1e309", "-1E+400", "[0,99999e999]"] {
+            assert!(Json::parse(bad).is_err(), "`{bad}` must be rejected");
+        }
+        assert_eq!(Json::parse("1e-400"), Ok(Json::Num(0.0)));
+        assert_eq!(
+            Json::parse("1.7976931348623157e308"),
+            Ok(Json::Num(f64::MAX))
+        );
+        assert_eq!(
+            Json::parse("99999999999999999999"),
+            Ok(Json::Num(99999999999999999999.0))
+        );
+    }
+
+    /// Nesting is capped at `MAX_DEPTH`, so no input overflows the stack.
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::faults::FaultKind;
 use pcs_types::{ComponentId, JobId, NodeId, RequestId, SimTime};
+use std::hint::select_unpredictable;
 
 /// Everything that can happen in the simulated world.
 ///
@@ -128,15 +129,11 @@ const HEAP_ARITY: usize = 4;
 /// need both the maximum timestamp and the maximum sequence number).
 const SLOT_EMPTY: u128 = u128::MAX;
 
-/// Width of one completion-slot block: the per-block min-scan touches at
-/// most 64 keys — eight cache lines — regardless of deployment width.
-const SLOT_BLOCK: usize = 64;
-
 /// Completion slots cover component indices below this bound; completions
 /// of higher-indexed components take the general heap path. The bound
-/// exists only to cap slot memory against degenerate configs — the
-/// two-level block-min index keeps the slot path O(√m)-ish at any width,
-/// so the whole `scale` family (1000 components) stays on it. Both stores
+/// only caps slot memory against degenerate configs: the winner tree
+/// keeps every slot operation O(log m), so the whole `scale` family
+/// (1000 components, a 10-level tree) stays on the slot path. Both stores
 /// obey the same `(time, seq)` total order, so the split never changes
 /// delivery order.
 const SLOT_LIMIT: usize = 4096;
@@ -148,33 +145,39 @@ const SLOT_LIMIT: usize = 4096;
 /// invariant — each component has **at most one** outstanding completion
 /// (single-server queues; the fault path cancels the stale completion
 /// when a kill vaporises an execution). So completions live in a dense
-/// per-component slot array: scheduling one is a slot write, popping one
-/// is a min-scan over a flat `u128` key vector (components number in the
-/// tens to low hundreds — cheaper than sifting a heap whose traffic they
-/// would otherwise dominate). Everything else (arrivals, timers, ticks,
-/// cancellations) goes through a 4-ary min-heap. `pop` takes whichever
-/// store holds the globally smallest `(time, seq)` key, so the delivery
-/// order is *identical* to a single heap's — keys are unique, and both
-/// stores honour the same total order.
-/// The slot store's minimum is tracked at two levels: a per-block min
-/// over `SLOT_BLOCK`-wide key blocks and a cached global min over the
-/// block mins. Re-establishing the min after a pop therefore scans one
-/// block plus the block-min vector (~64 + m/64 keys) instead of all `m`
-/// keys, which is what keeps 1000-component deployments on the slot fast
-/// path instead of regressing to an O(m) scan per completion.
+/// per-component slot array, indexed by a winner (tournament) tree.
+/// Everything else (arrivals, timers, ticks, cancellations) goes through
+/// a 4-ary min-heap.
+///
+/// The tree has one leaf per slot, padded to a power of two `L`; node
+/// `n`'s children are `2n` and `2n + 1`, leaf `i` is node `L + i`, and
+/// `win[n]` is the slot holding the smallest key under `n`, so `win[1]`
+/// is the slot store's minimum. Nodes store slot indices, not keys: a
+/// replay then writes one `u32` per level. With `m` slots:
+///
+/// - `schedule` writes the slot and climbs from its leaf only while the
+///   new key beats the node's current winner, at most `log2 L` levels;
+/// - `pop` and [`EventQueue::cancel_completion`] empty the slot and
+///   replay its leaf-to-root path, one compare against the sibling's
+///   winner per level: `⌈log2 m⌉` levels (7 at the Nutch width of 102,
+///   10 at 1000).
+///
+/// `pop` takes whichever store holds the globally smallest `(time, seq)`
+/// key. The delivery order is therefore *identical* to a single heap's,
+/// whatever the stores' shapes: keys are unique (`seq` breaks ties), both
+/// stores honour the same total order, and the tree's winner is the exact
+/// minimum of its slots, not an approximation.
 #[derive(Debug)]
 pub struct EventQueue {
     heap: Vec<Entry>,
-    /// Per-component pending-completion key ([`SLOT_EMPTY`] = none).
+    /// Per-component pending-completion key ([`SLOT_EMPTY`] = none),
+    /// padded with empty slots to the tree's leaf count `L`.
     slot_keys: Vec<u128>,
     /// The epoch carried by each pending completion.
     slot_epochs: Vec<u32>,
-    /// Per-block minimum over `slot_keys` and the component holding it.
-    block_min: Vec<u128>,
-    block_min_comp: Vec<usize>,
-    /// Cached minimum over `slot_keys` and its index.
-    slot_min: u128,
-    slot_min_comp: usize,
+    /// The winner tree over `slot_keys`: `2L` nodes, `win[1]` the root,
+    /// `win[L + i] = i` the leaves (`win[0]` is unused).
+    win: Vec<u32>,
     /// Number of occupied completion slots.
     slots_pending: usize,
     seq: u64,
@@ -183,14 +186,13 @@ pub struct EventQueue {
 
 impl Default for EventQueue {
     fn default() -> Self {
+        // One empty slot (L = 1): the root is then always a valid slot
+        // index, so `pop` reads the slot minimum without a branch.
         EventQueue {
             heap: Vec::new(),
-            slot_keys: Vec::new(),
-            slot_epochs: Vec::new(),
-            block_min: Vec::new(),
-            block_min_comp: Vec::new(),
-            slot_min: SLOT_EMPTY,
-            slot_min_comp: 0,
+            slot_keys: vec![SLOT_EMPTY],
+            slot_epochs: vec![0],
+            win: vec![0, 0],
             slots_pending: 0,
             seq: 0,
             now: SimTime::ZERO,
@@ -205,8 +207,8 @@ impl EventQueue {
     }
 
     /// Creates an empty queue with a pre-reserved heap, sized from the
-    /// caller's expected number of concurrently pending events so the
-    /// steady-state event churn never reallocates.
+    /// caller's expected number of concurrently pending non-completion
+    /// events so the steady-state event churn never reallocates.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
@@ -233,46 +235,15 @@ impl EventQueue {
         );
         let seq = self.seq;
         self.seq += 1;
-        let key = ((at.as_micros() as u128) << 64) | seq as u128;
         if let Event::ServiceCompletion { component, epoch } = event {
             let ci = component.index();
-            if ci >= SLOT_LIMIT {
-                // Wide deployments: completions beyond the slot window
-                // ride the heap like any other event.
-                self.heap.push(Entry {
-                    time_us: at.as_micros(),
-                    seq,
-                    event,
-                });
-                self.sift_up(self.heap.len() - 1);
+            if ci < SLOT_LIMIT {
+                let key = ((at.as_micros() as u128) << 64) | seq as u128;
+                self.schedule_slot(ci, key, epoch);
                 return;
             }
-            if ci >= self.slot_keys.len() {
-                self.slot_keys.resize(ci + 1, SLOT_EMPTY);
-                self.slot_epochs.resize(ci + 1, 0);
-                let blocks = ci / SLOT_BLOCK + 1;
-                self.block_min.resize(blocks, SLOT_EMPTY);
-                self.block_min_comp.resize(blocks, 0);
-            }
-            debug_assert_eq!(
-                self.slot_keys[ci], SLOT_EMPTY,
-                "a single-server component cannot have two pending completions"
-            );
-            self.slot_keys[ci] = key;
-            self.slot_epochs[ci] = epoch;
-            self.slots_pending += 1;
-            let b = ci / SLOT_BLOCK;
-            if key < self.block_min[b] {
-                self.block_min[b] = key;
-                self.block_min_comp[b] = ci;
-                // The global min is the min over block mins, so only a new
-                // block min can improve it.
-                if key < self.slot_min {
-                    self.slot_min = key;
-                    self.slot_min_comp = ci;
-                }
-            }
-            return;
+            // Wide deployments: completions beyond the slot window ride
+            // the heap like any other event.
         }
         self.heap.push(Entry {
             time_us: at.as_micros(),
@@ -280,6 +251,75 @@ impl EventQueue {
             event,
         });
         self.sift_up(self.heap.len() - 1);
+    }
+
+    /// Fills component `ci`'s empty slot and lifts it up the tree while it
+    /// wins.
+    fn schedule_slot(&mut self, ci: usize, key: u128, epoch: u32) {
+        if ci >= self.slot_keys.len() {
+            self.grow_slots(ci + 1);
+        }
+        debug_assert_eq!(
+            self.slot_keys[ci], SLOT_EMPTY,
+            "a single-server component cannot have two pending completions"
+        );
+        self.slot_keys[ci] = key;
+        self.slot_epochs[ci] = epoch;
+        self.slots_pending += 1;
+        // `<=`, not `<`: a node whose subtree was all empty may name `ci`
+        // itself as its winner, and the climb must pass through it. Other
+        // occupied keys never tie (they are unique), so `<=` changes
+        // nothing else.
+        let mut n = (self.slot_keys.len() + ci) >> 1;
+        while n > 0 && key <= self.slot_keys[self.win[n] as usize] {
+            self.win[n] = ci as u32;
+            n >>= 1;
+        }
+    }
+
+    /// Widens the slot store to at least `slots` leaves (a power of two)
+    /// and rebuilds the tree bottom-up. Runs once per doubling, as
+    /// components first serve.
+    #[cold]
+    fn grow_slots(&mut self, slots: usize) {
+        let leaves = slots.next_power_of_two();
+        self.slot_keys.resize(leaves, SLOT_EMPTY);
+        self.slot_epochs.resize(leaves, 0);
+        self.win = vec![0; 2 * leaves];
+        for (i, w) in self.win[leaves..].iter_mut().enumerate() {
+            *w = i as u32;
+        }
+        for n in (1..leaves).rev() {
+            let (l, r) = (self.win[2 * n], self.win[2 * n + 1]);
+            self.win[n] = if self.slot_keys[r as usize] < self.slot_keys[l as usize] {
+                r
+            } else {
+                l
+            };
+        }
+    }
+
+    /// Re-establishes the winners on slot `ci`'s leaf-to-root path after
+    /// its key changed, one sibling compare per level. Which side wins is
+    /// data-dependent, so a branch would mispredict on about half the
+    /// levels. The select is therefore on the `u32` slot index (a
+    /// conditional move) and the winner's key is re-read: selecting the
+    /// `u128` key itself compiles back to a branch.
+    #[inline]
+    fn replay(&mut self, ci: usize) {
+        let keys = &self.slot_keys;
+        let win = &mut self.win;
+        let mut node = keys.len() + ci;
+        let mut best = ci as u32;
+        let mut best_key = keys[ci];
+        while node > 1 {
+            let sibling = win[node ^ 1];
+            let sibling_key = keys[sibling as usize];
+            best = select_unpredictable(sibling_key < best_key, sibling, best);
+            best_key = keys[best as usize];
+            node >>= 1;
+            win[node] = best;
+        }
     }
 
     /// Drops the pending completion of a component, if any — the fault
@@ -294,57 +334,20 @@ impl EventQueue {
         }
         self.slot_keys[ci] = SLOT_EMPTY;
         self.slots_pending -= 1;
-        let b = ci / SLOT_BLOCK;
-        if self.block_min_comp[b] == ci {
-            self.rescan_block(b);
-            if self.slot_min_comp == ci {
-                self.rescan_slot_min();
-            }
-        }
-    }
-
-    /// Re-establishes one block's cached min by scanning its keys.
-    fn rescan_block(&mut self, b: usize) {
-        let lo = b * SLOT_BLOCK;
-        let hi = ((b + 1) * SLOT_BLOCK).min(self.slot_keys.len());
-        let mut min = SLOT_EMPTY;
-        let mut comp = lo;
-        for (ci, &key) in self.slot_keys[lo..hi].iter().enumerate() {
-            if key < min {
-                min = key;
-                comp = lo + ci;
-            }
-        }
-        self.block_min[b] = min;
-        self.block_min_comp[b] = comp;
-    }
-
-    /// Re-establishes the global slot min from the block mins.
-    fn rescan_slot_min(&mut self) {
-        let mut min = SLOT_EMPTY;
-        let mut comp = 0;
-        for (b, &key) in self.block_min.iter().enumerate() {
-            if key < min {
-                min = key;
-                comp = self.block_min_comp[b];
-            }
-        }
-        self.slot_min = min;
-        self.slot_min_comp = comp;
+        self.replay(ci);
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         let heap_key = self.heap.first().map_or(u128::MAX, Entry::key);
-        if self.slot_min < heap_key {
+        let ci = self.win[1] as usize;
+        let key = self.slot_keys[ci];
+        if key < heap_key {
             // The globally next event is a completion slot.
-            let ci = self.slot_min_comp;
-            let key = self.slot_min;
             let epoch = self.slot_epochs[ci];
             self.slot_keys[ci] = SLOT_EMPTY;
             self.slots_pending -= 1;
-            self.rescan_block(ci / SLOT_BLOCK);
-            self.rescan_slot_min();
+            self.replay(ci);
             let time = SimTime::from_micros((key >> 64) as u64);
             debug_assert!(time >= self.now, "event queue went backwards");
             self.now = time;
@@ -519,9 +522,9 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The two-level slot index must deliver exactly the order a single
-    /// reference heap would, across widths straddling the old 64-slot
-    /// cap, with interleaved cancellations.
+    /// The slot index must deliver exactly the order a single reference
+    /// heap would, across widths straddling powers of two, with
+    /// interleaved cancellations.
     #[test]
     fn wide_slot_order_matches_reference_model() {
         use rand::rngs::SmallRng;
@@ -590,6 +593,149 @@ mod tests {
                     }
                 );
             }
+            assert!(q.pop().is_none(), "width {m}: queue fully drained");
+        }
+    }
+
+    /// Both stores together against a one-list reference model: slot
+    /// completions interleaved with heap events at colliding timestamps
+    /// (many at `now` itself), cancellations of the current slot minimum
+    /// and of arbitrary slots, and `len`/`is_empty` checked after every
+    /// operation. Widths straddle the tree's powers of two; `SLOT_LIMIT +
+    /// 3` also sends the top components' completions down the heap-spill
+    /// path, where `cancel_completion` is a no-op (the fault path's epoch
+    /// check drops those completions instead).
+    #[test]
+    fn mixed_queue_order_matches_reference_model() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        fn completion(ci: usize, epoch: u32) -> Event {
+            Event::ServiceCompletion {
+                component: ComponentId::from_index(ci),
+                epoch,
+            }
+        }
+        let widths = [
+            1usize,
+            2,
+            3,
+            63,
+            64,
+            65,
+            127,
+            128,
+            129,
+            1000,
+            SLOT_LIMIT + 3,
+        ];
+        for &m in &widths {
+            let mut rng = SmallRng::seed_from_u64(0x5eed_0000 + m as u64);
+            let mut q = EventQueue::new();
+            // Reference: every pending event with its (time_us, seq) key;
+            // the next event is the one with the smallest key.
+            let mut reference: Vec<(u64, u64, Event)> = Vec::new();
+            let mut pending = vec![false; m];
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let next_index = |reference: &[(u64, u64, Event)], slots_only: bool| {
+                reference
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (_, _, e))| {
+                        !slots_only
+                            || matches!(e, Event::ServiceCompletion { component, .. }
+                                if component.index() < SLOT_LIMIT)
+                    })
+                    .min_by_key(|(_, &(t, s, _))| (t, s))
+                    .map(|(i, _)| i)
+            };
+            for step in 0..6000 {
+                // A quarter of the picks hit the top indices: the last
+                // leaves of the tree, or the heap-spill components.
+                let ci = if rng.gen::<f64>() < 0.25 {
+                    m - 1 - (rng.gen::<f64>() * m.min(4) as f64) as usize % m.min(4)
+                } else {
+                    (rng.gen::<f64>() * m as f64) as usize % m
+                };
+                let at = now + (rng.gen::<f64>() * 8.0) as u64;
+                let op = rng.gen::<f64>();
+                if op < 0.40 {
+                    if pending[ci] {
+                        continue;
+                    }
+                    let event = completion(ci, (rng.gen::<f64>() * 4.0) as u32);
+                    q.schedule(SimTime::from_micros(at), event);
+                    reference.push((at, seq, event));
+                    seq += 1;
+                    pending[ci] = true;
+                } else if op < 0.55 {
+                    let event = match (rng.gen::<f64>() * 3.0) as u32 {
+                        0 => Event::RequestArrival,
+                        1 => Event::MonitorTick,
+                        _ => Event::CancelArrival {
+                            component: ComponentId::from_index(ci),
+                            request: RequestId::from_index(seq as usize),
+                            stage: 1,
+                            partition: 2,
+                        },
+                    };
+                    q.schedule(SimTime::from_micros(at), event);
+                    reference.push((at, seq, event));
+                    seq += 1;
+                } else if op < 0.70 {
+                    // Cancel the slot store's current minimum, if any.
+                    if let Some(i) = next_index(&reference, true) {
+                        let (_, _, Event::ServiceCompletion { component, .. }) =
+                            reference.remove(i)
+                        else {
+                            unreachable!("slots hold completions only");
+                        };
+                        q.cancel_completion(component);
+                        pending[component.index()] = false;
+                    }
+                } else if op < 0.78 {
+                    // Cancel an arbitrary component, pending or not.
+                    q.cancel_completion(ComponentId::from_index(ci));
+                    if ci < SLOT_LIMIT {
+                        reference.retain(|(_, _, e)| {
+                            !matches!(e, Event::ServiceCompletion { component, .. }
+                                if component.index() == ci)
+                        });
+                        pending[ci] = false;
+                    }
+                } else {
+                    let expected = next_index(&reference, false).map(|i| reference.remove(i));
+                    let got = q.pop();
+                    match expected {
+                        None => assert!(got.is_none(), "width {m}, step {step}: queue not empty"),
+                        Some((t, _, event)) => {
+                            assert_eq!(
+                                got,
+                                Some((SimTime::from_micros(t), event)),
+                                "width {m}, step {step}"
+                            );
+                            if let Event::ServiceCompletion { component, .. } = event {
+                                pending[component.index()] = false;
+                            }
+                            now = t;
+                            assert_eq!(q.now(), SimTime::from_micros(t));
+                        }
+                    }
+                }
+                assert_eq!(q.len(), reference.len(), "width {m}, step {step}: len");
+                assert_eq!(q.is_empty(), reference.is_empty(), "width {m}, step {step}");
+            }
+            // Drain and compare the tail.
+            while let Some(i) = next_index(&reference, false) {
+                let (t, _, event) = reference.remove(i);
+                assert_eq!(
+                    q.pop(),
+                    Some((SimTime::from_micros(t), event)),
+                    "width {m}: tail"
+                );
+                assert_eq!(q.len(), reference.len(), "width {m}: tail len");
+            }
+            assert!(q.is_empty(), "width {m}: queue fully drained");
             assert!(q.pop().is_none(), "width {m}: queue fully drained");
         }
     }

@@ -230,10 +230,12 @@ impl Simulation {
             }
         }
 
-        // Pre-reserve the event heap for the steady-state pending set:
-        // one in-service completion per component, per-node batch churn,
-        // timers and the periodic ticks — so event scheduling never
-        // reallocates mid-run.
+        // Pre-reserve the event heap for its steady-state pending set:
+        // per-node batch churn, cancellation messages and reissue timers
+        // (a few per component), arrivals and the periodic ticks — so
+        // event scheduling never reallocates mid-run. In-service
+        // completions live in the queue's per-component slots, not the
+        // heap (only components past `SLOT_LIMIT` spill onto it).
         let queue = EventQueue::with_capacity(1024 + 4 * m + config.node_count);
         let skip_noop_cancels = config.faults.is_empty() && !policy.reissues();
         let track_queued_mask = config.faults.is_empty() && deployment.replication() > 1;
