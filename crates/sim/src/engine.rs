@@ -3,10 +3,13 @@
 //! Events at equal timestamps are delivered in insertion order (a
 //! monotonically increasing sequence number breaks ties), which makes runs
 //! bit-reproducible under a fixed seed — floating-point latency draws never
-//! influence pop order of simultaneous events.
+//! influence pop order of simultaneous events. The queue keeps its pending
+//! events in four stores (per-component completion slots, two FIFO lanes
+//! for delayed messages and a general heap) under that one total order.
 
 use crate::faults::FaultKind;
 use pcs_types::{ComponentId, JobId, NodeId, RequestId, SimTime};
+use std::collections::VecDeque;
 use std::hint::select_unpredictable;
 
 /// Everything that can happen in the simulated world.
@@ -30,8 +33,9 @@ pub enum Event {
     ///
     /// Stage and partition are deliberately narrow (`u8`/`u16`, capacity
     /// asserted by the config validation): these two variants bound the
-    /// `Event` size, and every pending event is moved around the heap on
-    /// each sift, so the width is hot-path real estate.
+    /// `Event` size, and with it every pending entry's, whether it sits
+    /// in a delayed-message lane or is moved around the heap on each
+    /// sift, so the width is hot-path real estate.
     CancelArrival {
         /// Replica holding the (possibly still queued) duplicate.
         component: ComponentId,
@@ -118,7 +122,7 @@ impl Entry {
 
 /// Children per node of the event heap. A 4-ary heap halves the depth of
 /// the binary heap: pops move entries across half as many levels (the
-/// dominant cost — each level is a 32-byte entry swap plus up-to-4 key
+/// dominant cost — each level is a 40-byte entry swap plus up-to-4 key
 /// compares on one cache line of keys), and pushes get shallower too.
 /// The pop *order* is heap-shape-independent: keys are unique (`seq`
 /// breaks ties), so every correct min-heap yields the identical event
@@ -133,21 +137,50 @@ const SLOT_EMPTY: u128 = u128::MAX;
 /// of higher-indexed components take the general heap path. The bound
 /// only caps slot memory against degenerate configs: the winner tree
 /// keeps every slot operation O(log m), so the whole `scale` family
-/// (1000 components, a 10-level tree) stays on the slot path. Both stores
+/// (1000 components, a 10-level tree) stays on the slot path. All stores
 /// obey the same `(time, seq)` total order, so the split never changes
 /// delivery order.
 const SLOT_LIMIT: usize = 4096;
 
+/// The delayed-message lane of an event kind, if it has one:
+/// [`Event::CancelArrival`] is scheduled a fixed delay after the current
+/// time and [`Event::ReissueTimer`] a per-class one, so each kind's
+/// stream arrives sorted, or nearly so, and a FIFO holds it in order.
+#[inline]
+fn lane_of(event: &Event) -> Option<usize> {
+    match event {
+        Event::CancelArrival { .. } => Some(0),
+        Event::ReissueTimer { .. } => Some(1),
+        _ => None,
+    }
+}
+
 /// A deterministic time-ordered event queue.
 ///
-/// Two stores, one total order. [`Event::ServiceCompletion`] dominates
-/// the event stream (every execution is one) and obeys a structural
-/// invariant — each component has **at most one** outstanding completion
-/// (single-server queues; the fault path cancels the stale completion
-/// when a kill vaporises an execution). So completions live in a dense
-/// per-component slot array, indexed by a winner (tournament) tree.
-/// Everything else (arrivals, timers, ticks, cancellations) goes through
-/// a 4-ary min-heap.
+/// Four stores, one total order:
+///
+/// - **Completion slots.** [`Event::ServiceCompletion`] dominates the
+///   event stream (every execution is one) and obeys a structural
+///   invariant — each component has **at most one** outstanding
+///   completion (single-server queues; the fault path cancels the stale
+///   completion when a kill vaporises an execution). So completions live
+///   in a dense per-component slot array, indexed by a winner
+///   (tournament) tree.
+/// - **Two delayed-message lanes.** Redundancy cancellations
+///   ([`Event::CancelArrival`]) are always scheduled at `now +
+///   cancel_delay`, and since `now` never decreases their stream arrives
+///   in key order. Reissue timers ([`Event::ReissueTimer`]) are
+///   scheduled at `now +` the policy's per-class delay, in order too
+///   while the classes share a delay. Each kind gets a FIFO: an entry
+///   whose key is above its lane's back key is appended, O(1), and never
+///   sifted. On the Fig. 6 Nutch cell these two kinds are 58% of a RED-3
+///   run's events and 65% of an RI-90 run's. An entry that would break
+///   its lane's order (a reissue timer of a shorter-delay class) falls
+///   back to the heap, so the delivery order stays exact for any
+///   schedule sequence.
+/// - **The heap.** Everything else (arrivals, ticks, batch churn,
+///   migrations, faults, out-of-order lane entries) goes through a 4-ary
+///   min-heap.
 ///
 /// The tree has one leaf per slot, padded to a power of two `L`; node
 /// `n`'s children are `2n` and `2n + 1`, leaf `i` is node `L + i`, and
@@ -162,14 +195,18 @@ const SLOT_LIMIT: usize = 4096;
 ///   winner per level: `⌈log2 m⌉` levels (7 at the Nutch width of 102,
 ///   10 at 1000).
 ///
-/// `pop` takes whichever store holds the globally smallest `(time, seq)`
-/// key. The delivery order is therefore *identical* to a single heap's,
-/// whatever the stores' shapes: keys are unique (`seq` breaks ties), both
-/// stores honour the same total order, and the tree's winner is the exact
-/// minimum of its slots, not an approximation.
+/// `pop` takes whichever of the four heads (the tree's winner, the two
+/// lane fronts and the heap's root) holds the globally smallest `(time,
+/// seq)` key. The delivery order is therefore *identical* to a single
+/// heap's, whatever the stores' shapes: keys are unique (`seq` breaks
+/// ties), every store honours the same total order, each lane is sorted
+/// by construction, and the tree's winner is the exact minimum of its
+/// slots, not an approximation.
 #[derive(Debug)]
 pub struct EventQueue {
     heap: Vec<Entry>,
+    /// The delayed-message lanes ([`lane_of`]), each sorted by key.
+    lanes: [VecDeque<Entry>; 2],
     /// Per-component pending-completion key ([`SLOT_EMPTY`] = none),
     /// padded with empty slots to the tree's leaf count `L`.
     slot_keys: Vec<u128>,
@@ -190,6 +227,7 @@ impl Default for EventQueue {
         // index, so `pop` reads the slot minimum without a branch.
         EventQueue {
             heap: Vec::new(),
+            lanes: [VecDeque::new(), VecDeque::new()],
             slot_keys: vec![SLOT_EMPTY],
             slot_epochs: vec![0],
             win: vec![0, 0],
@@ -207,8 +245,10 @@ impl EventQueue {
     }
 
     /// Creates an empty queue with a pre-reserved heap, sized from the
-    /// caller's expected number of concurrently pending non-completion
-    /// events so the steady-state event churn never reallocates.
+    /// caller's expected number of concurrently pending events that are
+    /// neither completions nor delayed messages, so the steady-state event
+    /// churn never reallocates it. The lanes grow to their steady-state
+    /// depth within a run's first few doublings.
     pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
             heap: Vec::with_capacity(capacity),
@@ -235,21 +275,34 @@ impl EventQueue {
         );
         let seq = self.seq;
         self.seq += 1;
+        let entry = Entry {
+            time_us: at.as_micros(),
+            seq,
+            event,
+        };
         if let Event::ServiceCompletion { component, epoch } = event {
             let ci = component.index();
             if ci < SLOT_LIMIT {
-                let key = ((at.as_micros() as u128) << 64) | seq as u128;
-                self.schedule_slot(ci, key, epoch);
+                self.schedule_slot(ci, entry.key(), epoch);
                 return;
             }
             // Wide deployments: completions beyond the slot window ride
             // the heap like any other event.
+        } else if let Some(lane) = lane_of(&event) {
+            let lane = &mut self.lanes[lane];
+            if lane.back().is_none_or(|back| back.key() < entry.key()) {
+                lane.push_back(entry);
+                return;
+            }
+            debug_assert!(
+                !matches!(event, Event::CancelArrival { .. }),
+                "a CancelArrival is always scheduled at now + cancel_delay, \
+                 so it cannot arrive out of order"
+            );
+            // A reissue timer of a shorter-delay class than the lane's
+            // back: the heap keeps it in order.
         }
-        self.heap.push(Entry {
-            time_us: at.as_micros(),
-            seq,
-            event,
-        });
+        self.heap.push(entry);
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -340,9 +393,13 @@ impl EventQueue {
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         let heap_key = self.heap.first().map_or(u128::MAX, Entry::key);
+        let front = |lane: &VecDeque<Entry>| lane.front().map_or(u128::MAX, Entry::key);
+        let lane_keys = [front(&self.lanes[0]), front(&self.lanes[1])];
+        let lane = usize::from(lane_keys[1] < lane_keys[0]);
+        let lane_key = lane_keys[lane];
         let ci = self.win[1] as usize;
         let key = self.slot_keys[ci];
-        if key < heap_key {
+        if key < heap_key && key < lane_key {
             // The globally next event is a completion slot.
             let epoch = self.slot_epochs[ci];
             self.slot_keys[ci] = SLOT_EMPTY;
@@ -359,13 +416,18 @@ impl EventQueue {
                 },
             ));
         }
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.heap.swap_remove(0);
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
+        let entry = if lane_key < heap_key {
+            self.lanes[lane].pop_front()?
+        } else {
+            if self.heap.is_empty() {
+                return None;
+            }
+            let entry = self.heap.swap_remove(0);
+            if !self.heap.is_empty() {
+                self.sift_down(0);
+            }
+            entry
+        };
         let time = entry.time();
         debug_assert!(time >= self.now, "event queue went backwards");
         self.now = time;
@@ -412,12 +474,12 @@ impl EventQueue {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.slots_pending
+        self.heap.len() + self.slots_pending + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty() && self.slots_pending == 0
+        self.len() == 0
     }
 }
 
@@ -522,6 +584,51 @@ mod tests {
         assert!(q.is_empty());
     }
 
+    /// Bench-shape regression: the simulator's cancellation and reissue
+    /// streams (each a fixed delay after `now`) must ride their lanes,
+    /// never the heap, while the periodic tick keeps to the heap.
+    #[test]
+    fn delayed_message_streams_stay_off_the_heap() {
+        let tick = SimDuration::from_millis(100);
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::ZERO + tick, Event::MonitorTick);
+        for i in 0..10_000u16 {
+            let now = q.now();
+            let request = RequestId::from_index(i as usize);
+            q.schedule(
+                now + SimDuration::from_millis(3),
+                Event::CancelArrival {
+                    component: ComponentId::from_index(0),
+                    request,
+                    stage: 0,
+                    partition: i % 3,
+                },
+            );
+            q.schedule(
+                now + SimDuration::from_millis(7),
+                Event::ReissueTimer {
+                    request,
+                    stage: 0,
+                    partition: i % 3,
+                },
+            );
+            assert_eq!(
+                q.heap.len(),
+                1,
+                "step {i}: only the tick may sit on the heap"
+            );
+            // Build a backlog of 100 messages per lane, then drain as
+            // fast as the streams fill.
+            for _ in 0..if i < 100 { 0 } else { 2 } {
+                let (t, event) = q.pop().expect("queue stays loaded");
+                if event == Event::MonitorTick {
+                    q.schedule(t + tick, Event::MonitorTick);
+                }
+            }
+        }
+        assert!(q.lanes.iter().all(|lane| lane.len() >= 50));
+    }
+
     /// The slot index must deliver exactly the order a single reference
     /// heap would, across widths straddling powers of two, with
     /// interleaved cancellations.
@@ -597,16 +704,25 @@ mod tests {
         }
     }
 
-    /// Both stores together against a one-list reference model: slot
-    /// completions interleaved with heap events at colliding timestamps
-    /// (many at `now` itself), cancellations of the current slot minimum
-    /// and of arbitrary slots, and `len`/`is_empty` checked after every
-    /// operation. Widths straddle the tree's powers of two; `SLOT_LIMIT +
-    /// 3` also sends the top components' completions down the heap-spill
-    /// path, where `cancel_completion` is a no-op (the fault path's epoch
-    /// check drops those completions instead).
+    /// All four stores together against a one-list reference model: slot
+    /// completions interleaved with heap events and both delayed-message
+    /// streams at colliding timestamps (many at `now` itself),
+    /// cancellations of the current slot minimum and of arbitrary slots,
+    /// and `len`/`is_empty` checked after every operation.
+    ///
+    /// Cancellation messages arrive at `now + CANCEL_DELAY`, always in
+    /// order, as the simulator schedules them. Reissue timers come in two
+    /// classes: a steady `now + REISSUE_DELAY` stream that stays on its
+    /// lane, and timers at arbitrary offsets that often land before the
+    /// lane's back and must then fall back to the heap. Widths
+    /// straddle the tree's powers of two; `SLOT_LIMIT + 3` also sends the
+    /// top components' completions down the heap-spill path, where
+    /// `cancel_completion` is a no-op (the fault path's epoch check drops
+    /// those completions instead).
     #[test]
     fn mixed_queue_order_matches_reference_model() {
+        const CANCEL_DELAY: u64 = 3;
+        const REISSUE_DELAY: u64 = 5;
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         fn completion(ci: usize, epoch: u32) -> Event {
@@ -659,7 +775,7 @@ mod tests {
                 };
                 let at = now + (rng.gen::<f64>() * 8.0) as u64;
                 let op = rng.gen::<f64>();
-                if op < 0.40 {
+                if op < 0.35 {
                     if pending[ci] {
                         continue;
                     }
@@ -669,15 +785,26 @@ mod tests {
                     seq += 1;
                     pending[ci] = true;
                 } else if op < 0.55 {
-                    let event = match (rng.gen::<f64>() * 3.0) as u32 {
-                        0 => Event::RequestArrival,
-                        1 => Event::MonitorTick,
-                        _ => Event::CancelArrival {
-                            component: ComponentId::from_index(ci),
-                            request: RequestId::from_index(seq as usize),
-                            stage: 1,
-                            partition: 2,
-                        },
+                    let request = RequestId::from_index(seq as usize);
+                    let reissue = Event::ReissueTimer {
+                        request,
+                        stage: 1,
+                        partition: 2,
+                    };
+                    let (at, event) = match (rng.gen::<f64>() * 5.0) as u32 {
+                        0 => (at, Event::RequestArrival),
+                        1 => (at, Event::MonitorTick),
+                        2 => (
+                            now + CANCEL_DELAY,
+                            Event::CancelArrival {
+                                component: ComponentId::from_index(ci),
+                                request,
+                                stage: 1,
+                                partition: 2,
+                            },
+                        ),
+                        3 => (now + REISSUE_DELAY, reissue),
+                        _ => (at, reissue),
                     };
                     q.schedule(SimTime::from_micros(at), event);
                     reference.push((at, seq, event));

@@ -231,12 +231,13 @@ impl Simulation {
         }
 
         // Pre-reserve the event heap for its steady-state pending set:
-        // per-node batch churn, cancellation messages and reissue timers
-        // (a few per component), arrivals and the periodic ticks — so
-        // event scheduling never reallocates mid-run. In-service
-        // completions live in the queue's per-component slots, not the
-        // heap (only components past `SLOT_LIMIT` spill onto it).
-        let queue = EventQueue::with_capacity(1024 + 4 * m + config.node_count);
+        // per-node batch churn, arrivals, the periodic ticks, migrations
+        // and faults — so heap scheduling never reallocates mid-run.
+        // In-service completions live in the queue's per-component slots
+        // (only components past `SLOT_LIMIT` spill onto the heap), and
+        // cancellation messages and reissue timers in its delayed-message
+        // lanes, which grow to their own depth.
+        let queue = EventQueue::with_capacity(1024 + config.node_count);
         let skip_noop_cancels = config.faults.is_empty() && !policy.reissues();
         let track_queued_mask = config.faults.is_empty() && deployment.replication() > 1;
         let mean_cache = vec![(NodeId::new(0), u64::MAX, 0.0); m];

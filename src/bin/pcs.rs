@@ -22,7 +22,17 @@ use pcs::techniques;
 use pcs_harness::{run_sweep, Json, SweepOutcome, SweepParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Result<Vec<String>, _> = std::env::args_os()
+        .skip(1)
+        .map(std::ffi::OsString::into_string)
+        .collect();
+    let args = match args {
+        Ok(args) => args,
+        Err(bad) => {
+            eprintln!("argument {bad:?} is not valid UTF-8\n\n{}", usage());
+            std::process::exit(2);
+        }
+    };
     let code = match args.first().map(String::as_str) {
         Some("list") => cmd_list(args.get(1).map(String::as_str)),
         Some("run") => cmd_run(&args[1..]),
@@ -233,10 +243,13 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 let sizes: Result<Vec<usize>, _> =
                     list.split(',').map(|s| s.trim().parse::<usize>()).collect();
                 let sizes = sizes.map_err(|e| format!("--sizes: {e}"))?;
-                if let Some(bad) = sizes.iter().find(|s| **s < scenarios::scale::MIN_NODES) {
+                let (min, max) = (scenarios::scale::MIN_NODES, scenarios::scale::MAX_NODES);
+                if let Some(bad) = sizes.iter().find(|s| !(min..=max).contains(*s)) {
                     return Err(format!(
-                        "--sizes: cluster sizes must be >= {} nodes, got {bad}",
-                        scenarios::scale::MIN_NODES
+                        "--sizes: cluster sizes must be >= {min} and <= {max} nodes (the \
+                         wide-fanout service's worker stage holds at most {} partitions), \
+                         got {bad}",
+                        u16::MAX
                     ));
                 }
                 params.sizes = Some(sizes);

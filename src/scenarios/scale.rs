@@ -40,6 +40,13 @@ pub const DEFAULT_SIZES: [usize; 3] = [100, 400, 1000];
 /// rejects `--sizes` entries below this as degenerate.
 pub const MIN_NODES: usize = 8;
 
+/// Largest accepted cluster size: the wide-fanout service puts
+/// `size * 9 / 10` workers in one stage, and a stage holds at most
+/// `u16::MAX` partitions (the event queue's narrow partition field). The
+/// CLI rejects `--sizes` entries above this, which also keeps `size * 9`
+/// far from overflow.
+pub const MAX_NODES: usize = (u16::MAX as usize * 10 + 9) / 9;
+
 /// Node count of the `--smoke` grid: two racks, big enough for the
 /// rack-grouped level-1 walk to be non-trivial, small enough for CI.
 pub const SMOKE_NODES: usize = 40;
@@ -255,8 +262,8 @@ impl Scenario for ScaleScenario {
         });
         for &size in &sizes {
             assert!(
-                size >= MIN_NODES,
-                "scale cluster size must be >= {MIN_NODES}, got {size}"
+                (MIN_NODES..=MAX_NODES).contains(&size),
+                "scale cluster size must be >= {MIN_NODES} and <= {MAX_NODES}, got {size}"
             );
         }
         let traffics = if params.smoke {
@@ -408,6 +415,24 @@ mod tests {
     fn degenerate_sizes_are_rejected() {
         let params = SweepParams {
             sizes: Some(vec![4]),
+            smoke: true,
+            ..SweepParams::default()
+        };
+        let _ = ScaleScenario.plan(&params);
+    }
+
+    #[test]
+    fn max_nodes_is_the_widest_buildable_fanout() {
+        let widest = |size| ScaleService::WideFanout.topology(size).stages()[1].count;
+        assert_eq!(widest(MAX_NODES), u16::MAX as usize);
+        assert_eq!(widest(MAX_NODES + 1), u16::MAX as usize + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "<= 72817")]
+    fn oversized_sizes_are_rejected() {
+        let params = SweepParams {
+            sizes: Some(vec![100, MAX_NODES + 1]),
             smoke: true,
             ..SweepParams::default()
         };

@@ -1,10 +1,17 @@
 //! CLI input validation: malformed grids are rejected up front with a
 //! clear error instead of silently producing an empty (or crashing)
-//! sweep. Drives the real `pcs` binary via `CARGO_BIN_EXE_pcs`.
+//! sweep, and no argv makes the parser panic. Drives the real `pcs`
+//! binary via `CARGO_BIN_EXE_pcs`.
 
+use proptest::prelude::*;
+use std::ffi::OsString;
 use std::process::{Command, Output};
 
 fn pcs(args: &[&str]) -> Output {
+    pcs_os(args.iter().map(OsString::from).collect())
+}
+
+fn pcs_os(args: Vec<OsString>) -> Output {
     Command::new(env!("CARGO_BIN_EXE_pcs"))
         .args(args)
         .output()
@@ -105,6 +112,36 @@ fn degenerate_scale_sizes_are_rejected() {
     rejected_with(
         &["run", "--scenario", "scale", "--sizes", "100,tiny"],
         "--sizes",
+    );
+}
+
+#[test]
+fn oversized_scale_sizes_are_rejected() {
+    // The wide-fanout service puts 9/10 of the nodes in one stage, and a
+    // stage holds at most u16::MAX partitions: such a size must fail at
+    // parse time with exit 2, not panic in a sweep worker.
+    let out = pcs(&["run", "--scenario", "scale", "--sizes", "100000", "--smoke"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("<= 72817 nodes"));
+    rejected_with(
+        &["run", "--scenario", "scale", "--sizes", "100,72818"],
+        "<= 72817 nodes",
+    );
+    // `size * 9` would overflow here.
+    rejected_with(
+        &[
+            "run",
+            "--scenario",
+            "scale",
+            "--sizes",
+            &usize::MAX.to_string(),
+        ],
+        "<= 72817 nodes",
     );
 }
 
@@ -388,5 +425,114 @@ fn list_scenarios_includes_the_failures_and_scale_families() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for name in ["failures", "failures-rolling", "scale", "elastic"] {
         assert!(stdout.contains(name), "missing `{name}`:\n{stdout}");
+    }
+}
+
+/// Every option `pcs run` parses, except `--scenario`, which the fuzz
+/// pins to an unregistered name.
+const FLAGS: &[&str] = &[
+    "--techniques",
+    "--seed",
+    "--threads",
+    "--rates",
+    "--repeats",
+    "--sizes",
+    "--group-cap",
+    "--target-util",
+    "--cooldown",
+    "--detector-latency",
+    "--fp-rate",
+    "--fn-rate",
+    "--noise",
+    "--observe",
+    "--top-k",
+    "--trace-out",
+    "--smoke",
+    "--json",
+    "--quiet",
+];
+
+/// Flag values: plausible ones, boundary numbers (`-0`, `u64::MAX` and
+/// one past it, a literal past `f64`'s range), non-numbers, lists and
+/// non-ASCII text. A flag with no value, or followed by another flag,
+/// covers the missing-value path.
+const VALUES: &[&str] = &[
+    "",
+    " ",
+    "-0",
+    "0",
+    "1",
+    "-1",
+    "0.5",
+    "1e-7",
+    "NaN",
+    "inf",
+    "-inf",
+    "1e309",
+    "18446744073709551615",
+    "18446744073709551616",
+    "72818",
+    "1,2",
+    ",",
+    "8,,9",
+    "basic,pcs",
+    "red-3,ri-99.5",
+    "pcs-n0.3",
+    "pcs-h0",
+    "é",
+    "\u{1f600}",
+    "ß,ü",
+    "\t",
+];
+
+/// `pcs run --scenario <unregistered>` followed by up to eight flags,
+/// each with a value from [`VALUES`], no value, or (on Unix) a value
+/// that is not UTF-8.
+fn hostile_argv() -> impl Strategy<Value = Vec<OsString>> {
+    let item = (0..FLAGS.len(), 0..VALUES.len() + 2);
+    proptest::collection::vec(item, 0..9).prop_map(|items| {
+        let mut argv: Vec<OsString> = ["run", "--scenario", "no-such-scenario"]
+            .map(OsString::from)
+            .into();
+        for (flag, value) in items {
+            argv.push(FLAGS[flag].into());
+            match VALUES.get(value) {
+                Some(v) => argv.push(v.into()),
+                None if value == VALUES.len() => {}
+                None => argv.push(not_utf8()),
+            }
+        }
+        argv
+    })
+}
+
+#[cfg(unix)]
+fn not_utf8() -> OsString {
+    use std::os::unix::ffi::OsStringExt;
+    OsString::from_vec(vec![b'1', 0xff, 0xfe])
+}
+
+#[cfg(not(unix))]
+fn not_utf8() -> OsString {
+    OsString::from("\u{fffd}")
+}
+
+proptest! {
+    // Each case spawns one process, one after another.
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The whole parser runs on every argv (the scenario lookup comes
+    /// after it), and no simulation starts: every case must exit with
+    /// the usage code 2, never a panic's 101 or a signal.
+    #[test]
+    fn hostile_argv_exits_with_usage_error(argv in hostile_argv()) {
+        let out = pcs_os(argv.clone());
+        prop_assert!(
+            out.status.code() == Some(2),
+            "`pcs {:?}` exited with {:?}; stderr:\n{}",
+            argv,
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
 }
