@@ -30,9 +30,10 @@ fn main() {
         "{:>8} {:>18} {:>18} {:>10} {:>10}",
         "tech", "p99 component ms", "mean overall ms", "wasted", "migrations"
     );
+    let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
     for technique in techniques::paper_set() {
         let config = SimConfig::paper_like(fig6::topology(100), rate, fig6::rate_seed(seed, rate));
-        let report = fig6::run_cell(&config, technique.as_ref(), &models);
+        let report = fig6::run_cell(&config, technique.as_ref(), &models, epsilon_secs);
         println!(
             "{:>8} {:>18.2} {:>18.2} {:>10} {:>10}",
             technique.name(),

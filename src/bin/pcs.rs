@@ -144,6 +144,16 @@ struct RunArgs {
     quiet: bool,
 }
 
+/// The first value of a parsed grid list that an earlier entry already
+/// holds (`80` and `80.0` are the same rate).
+fn first_repeat<T: PartialEq>(values: &[T]) -> Option<&T> {
+    values
+        .iter()
+        .enumerate()
+        .find(|(i, v)| values[..*i].contains(v))
+        .map(|(_, v)| v)
+}
+
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut scenario = None;
     let mut params = SweepParams::default();
@@ -209,6 +219,12 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                         "--rates: rates must be finite and positive, got {bad}"
                     ));
                 }
+                if let Some(dup) = first_repeat(&rates) {
+                    return Err(format!(
+                        "--rates: rate {dup} is listed more than once (a repeated rate would \
+                         run and count the same cells twice)"
+                    ));
+                }
                 params.rates = Some(rates);
             }
             "--techniques" => {
@@ -250,6 +266,12 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                          wide-fanout service's worker stage holds at most {} partitions), \
                          got {bad}",
                         u16::MAX
+                    ));
+                }
+                if let Some(dup) = first_repeat(&sizes) {
+                    return Err(format!(
+                        "--sizes: cluster size {dup} is listed more than once (a repeated size \
+                         would run and count the same cells twice)"
                     ));
                 }
                 params.sizes = Some(sizes);

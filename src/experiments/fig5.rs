@@ -12,7 +12,7 @@
 //! of cases; mean error 2.68 %.
 
 use pcs_monitor::SamplerConfig;
-use pcs_regression::{error_buckets, CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_sim::profiler::{measure_mean_service, profile_class};
 use pcs_types::{NodeCapacity, ResourceVector};
 use pcs_workloads::{BatchWorkload, JobSpec, ServiceTopology};
@@ -32,17 +32,6 @@ pub struct Fig5Case {
     pub actual_ms: f64,
     /// Absolute percentage error.
     pub error_pct: f64,
-}
-
-/// The full Figure 5 result.
-#[derive(Debug, Clone)]
-pub struct Fig5Result {
-    /// All 90 cases (6 workloads × their input grids).
-    pub cases: Vec<Fig5Case>,
-    /// Fraction of cases with error below 3 %, 5 %, 8 %.
-    pub buckets: [f64; 3],
-    /// Mean absolute percentage error over all cases.
-    pub mean_error_pct: f64,
 }
 
 /// Experiment knobs (defaults reproduce the paper's setup).
@@ -91,37 +80,12 @@ fn background_demand(scale: f64, rng: &mut SmallRng) -> ResourceVector {
     )
 }
 
-/// Runs the Figure 5 experiment (serially; the `fig5` scenario fans the
-/// per-workload halves out on the sweep runner instead).
-pub fn run(config: Fig5Config) -> Fig5Result {
-    let mut cases = Vec::new();
-    for workload in BatchWorkload::ALL {
-        cases.extend(run_workload(workload, &config));
-    }
-    summarize(cases)
-}
-
-/// Reduces finished cases to the paper's Figure 5 headline statistics.
-pub fn summarize(cases: Vec<Fig5Case>) -> Fig5Result {
-    let errors: Vec<f64> = cases.iter().map(|c| c.error_pct).collect();
-    let buckets_v = error_buckets(&errors, &[3.0, 5.0, 8.0]);
-    let mean_error_pct = if errors.is_empty() {
-        0.0
-    } else {
-        errors.iter().sum::<f64>() / errors.len() as f64
-    };
-    Fig5Result {
-        cases,
-        buckets: [buckets_v[0], buckets_v[1], buckets_v[2]],
-        mean_error_pct,
-    }
-}
-
 /// Runs the leave-one-out accuracy cases of one workload.
 ///
 /// Workloads are mutually independent (every per-case RNG stream is
 /// derived from `config.seed`, the workload and the case index), so the
-/// sweep runner can execute them in parallel without changing any case.
+/// `fig5` scenario runs one workload per cell in parallel without
+/// changing any case.
 pub fn run_workload(workload: BatchWorkload, config: &Fig5Config) -> Vec<Fig5Case> {
     let topology = ServiceTopology::nutch(1);
     let classes = topology.classes();
@@ -220,6 +184,7 @@ pub fn run_workload(workload: BatchWorkload, config: &Fig5Config) -> Vec<Fig5Cas
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcs_regression::error_buckets;
 
     #[test]
     fn figure5_reproduces_paper_error_bands() {
@@ -227,24 +192,29 @@ mod tests {
         // thresholds are looser than the paper's exact percentages but
         // assert the same qualitative claim: accurate prediction with a
         // low-single-digit mean error.
-        let result = run(Fig5Config {
+        let config = Fig5Config {
             samples_per_point: 30,
             measure_draws: 8_000,
             ..Fig5Config::default()
-        });
-        assert_eq!(result.cases.len(), 3 * 20 + 3 * 10);
+        };
+        let errors: Vec<f64> = BatchWorkload::ALL
+            .into_iter()
+            .flat_map(|workload| run_workload(workload, &config))
+            .map(|case| case.error_pct)
+            .collect();
+        assert_eq!(errors.len(), 3 * 20 + 3 * 10);
+        let mean_error_pct = errors.iter().sum::<f64>() / errors.len() as f64;
         assert!(
-            result.mean_error_pct < 6.0,
-            "mean prediction error {:.2}% too high (paper: 2.68%)",
-            result.mean_error_pct
+            mean_error_pct < 6.0,
+            "mean prediction error {mean_error_pct:.2}% too high (paper: 2.68%)"
         );
+        let buckets = error_buckets(&errors, &[3.0, 5.0, 8.0]);
         assert!(
-            result.buckets[2] > 0.80,
-            "fewer than 80% of cases below 8% error (paper: 96.67%): {:?}",
-            result.buckets
+            buckets[2] > 0.80,
+            "fewer than 80% of cases below 8% error (paper: 96.67%): {buckets:?}"
         );
         // Buckets are cumulative by construction.
-        assert!(result.buckets[0] <= result.buckets[1]);
-        assert!(result.buckets[1] <= result.buckets[2]);
+        assert!(buckets[0] <= buckets[1]);
+        assert!(buckets[1] <= buckets[2]);
     }
 }

@@ -136,14 +136,6 @@ pub fn paper_series() -> Vec<(usize, usize)> {
     vec![(40, 8), (80, 16), (160, 32), (320, 64), (640, 128)]
 }
 
-/// Runs the full Figure 7 sweep.
-pub fn run(repeats: usize, seed: u64) -> Vec<Fig7Point> {
-    paper_series()
-        .into_iter()
-        .map(|(m, k)| measure_point(m, k, repeats, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -33,8 +33,9 @@
 //! that feeds the simulator's monitors into the core scheduler —
 //! [`techniques`]: the open registry of compared techniques (the paper's
 //! Basic/RED/RI/PCS plus reactive, oracle and capacity-aware baselines) —
-//! and [`experiments`]: drivers that regenerate every table and figure of
-//! the paper's evaluation.
+//! [`experiments`]: the per-cell building blocks of the paper's evaluation —
+//! and [`scenarios`]: the sweeps that regenerate every table and figure
+//! through the `pcs` CLI.
 //!
 //! ## Quickstart
 //!
@@ -42,17 +43,19 @@
 //! use pcs::controller::PcsController;
 //! use pcs::experiments::fig6;
 //! use pcs::techniques;
-//! use pcs_sim::{SimConfig, Simulation};
+//! use pcs_sim::SimConfig;
 //! use pcs_workloads::ServiceTopology;
 //!
 //! // Train the predictor once per component class (profiling campaign) …
 //! let topology = ServiceTopology::nutch(24);
 //! let models = PcsController::train_for(&topology, Default::default(), 1).unwrap();
 //!
-//! // … then run the service under any registered technique.
+//! // … then run the service under any registered technique, at the
+//! // Figure 6 grid's migration threshold ε.
 //! let config = SimConfig::paper_like(topology, 200.0, 42);
 //! let technique = techniques::parse("pcs").unwrap();
-//! let report = fig6::run_cell(&config, technique.as_ref(), &models);
+//! let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
+//! let report = fig6::run_cell(&config, technique.as_ref(), &models, epsilon_secs);
 //! println!(
 //!     "{} @200 req/s: component p99 {:.2} ms, overall mean {:.2} ms",
 //!     report.technique,

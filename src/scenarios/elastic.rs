@@ -24,10 +24,10 @@
 //! to scale-in by construction (queued work rides each migration), and
 //! the summary pins that invariant.
 
-use super::{base_grid, kv, report_metrics, technique_grid, train_models, Traffic};
+use super::{base_grid, kv, technique_cell, technique_grid, train_models, Traffic};
 use crate::experiments::fig6;
 use crate::techniques;
-use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan};
+use pcs_harness::{CellOutcome, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{AutoscaleConfig, RunReport};
 use pcs_types::SimDuration;
 
@@ -217,11 +217,8 @@ impl Scenario for ElasticScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let cfg = {
-            let mut cfg = base_grid(params, &[100.0]);
-            cfg.techniques = technique_grid(params, elastic_set(), elastic_set());
-            cfg
-        };
+        let cfg = base_grid(params, &[100.0]);
+        let techniques = technique_grid(params, elastic_set(), elastic_set());
         let models = train_models(&cfg);
         // `--smoke` keeps one mid-grid preset and the diurnal trace.
         let presets: &[Preset] = if params.smoke {
@@ -241,19 +238,17 @@ impl Scenario for ElasticScenario {
             for shape in traffic {
                 for preset in presets {
                     let autoscale = autoscale_config(preset, params);
-                    for technique in &cfg.techniques {
-                        let models = models.clone();
+                    for technique in &techniques {
                         let cfg = cfg.clone();
-                        let technique = technique.clone();
                         let shape = *shape;
-                        cells.push(CellPlan {
-                            label: format!(
+                        cells.push(technique_cell(
+                            format!(
                                 "{} @ ~{rate} req/s {} {}",
                                 technique.name(),
                                 shape.name(),
                                 preset.name
                             ),
-                            params: vec![
+                            vec![
                                 kv("rate", rate),
                                 kv("technique", technique.name()),
                                 kv("traffic", shape.name()),
@@ -262,25 +257,18 @@ impl Scenario for ElasticScenario {
                                 kv("step", preset.step),
                                 kv("cooldown_s", autoscale.cooldown.as_secs_f64()),
                             ],
-                            // Runner seed unused: techniques at one
-                            // (rate, traffic) replay the same trace, so
-                            // fleet sizes are comparable cell to cell.
-                            run: Box::new(move |_cell_seed| {
+                            technique.clone(),
+                            &models,
+                            cfg.epsilon_secs,
+                            move || {
                                 let mut sim_config = fig6::cell_config(&cfg, rate);
                                 sim_config.node_count = ELASTIC_NODE_COUNT;
                                 sim_config.arrival_pattern = shape.pattern();
                                 sim_config.autoscale = Some(autoscale);
-                                let report = fig6::run_cell_with_epsilon(
-                                    &sim_config,
-                                    technique.as_ref(),
-                                    &models,
-                                    cfg.epsilon_secs,
-                                );
-                                let mut metrics = report_metrics(&report);
-                                metrics.extend(autoscale_metrics(&report));
-                                CellResult { metrics }
-                            }),
-                        });
+                                sim_config
+                            },
+                            Some(autoscale_metrics),
+                        ));
                     }
                 }
             }

@@ -11,12 +11,12 @@
 //! the capacity-aware placement baseline, for example.
 
 use super::{
-    base_grid, kv, pcs_reduction_summary, report_metrics, technique_grid, train_models, Traffic,
+    base_grid, kv, pcs_reduction_summary, technique_cell, technique_grid, train_models, Traffic,
     DIURNAL_AMPLITUDE, DIURNAL_PERIOD_SECS, MMPP_DWELL_SECS, MMPP_HIGH, MMPP_LOW,
 };
 use crate::experiments::fig6;
 use crate::techniques;
-use pcs_harness::{CellPlan, CellResult, Scenario, SweepParams, SweepPlan};
+use pcs_harness::{Scenario, SweepParams, SweepPlan};
 use pcs_types::NodeCapacity;
 
 /// Diurnal load: the paper sweeps fixed rates "to compare the latency
@@ -45,8 +45,8 @@ impl Scenario for DiurnalScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[100.0, 250.0]);
-        cfg.techniques = technique_grid(
+        let cfg = base_grid(params, &[100.0, 250.0]);
+        let techniques = technique_grid(
             params,
             techniques::extended_set(),
             techniques::extended_smoke_set(),
@@ -54,34 +54,26 @@ impl Scenario for DiurnalScenario {
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &cfg.techniques {
-                let models = models.clone();
+            for technique in &techniques {
                 let cfg = cfg.clone();
-                let technique = technique.clone();
-                cells.push(CellPlan {
-                    label: format!("{} @ ~{rate} req/s diurnal", technique.name()),
-                    params: vec![
+                cells.push(technique_cell(
+                    format!("{} @ ~{rate} req/s diurnal", technique.name()),
+                    vec![
                         kv("rate", rate),
                         kv("technique", technique.name()),
                         kv("amplitude", DIURNAL_AMPLITUDE),
                         kv("period_s", DIURNAL_PERIOD_SECS),
                     ],
-                    // Runner seed unused: techniques at one base rate
-                    // replay the same trace (rate-keyed SplitMix64 seed).
-                    run: Box::new(move |_cell_seed| {
+                    technique.clone(),
+                    &models,
+                    cfg.epsilon_secs,
+                    move || {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
                         sim_config.arrival_pattern = Traffic::Diurnal.pattern();
-                        let report = fig6::run_cell_with_epsilon(
-                            &sim_config,
-                            technique.as_ref(),
-                            &models,
-                            cfg.epsilon_secs,
-                        );
-                        CellResult {
-                            metrics: report_metrics(&report),
-                        }
-                    }),
-                });
+                        sim_config
+                    },
+                    None,
+                ));
             }
         }
         SweepPlan {
@@ -141,8 +133,8 @@ impl Scenario for HeteroScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[100.0, 300.0]);
-        cfg.techniques = technique_grid(
+        let cfg = base_grid(params, &[100.0, 300.0]);
+        let techniques = technique_grid(
             params,
             techniques::extended_set(),
             techniques::extended_smoke_set(),
@@ -150,32 +142,25 @@ impl Scenario for HeteroScenario {
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &cfg.techniques {
-                let models = models.clone();
+            for technique in &techniques {
                 let cfg = cfg.clone();
-                let technique = technique.clone();
-                cells.push(CellPlan {
-                    label: format!("{} @ {rate} req/s mixed cluster", technique.name()),
-                    params: vec![
+                cells.push(technique_cell(
+                    format!("{} @ {rate} req/s mixed cluster", technique.name()),
+                    vec![
                         kv("rate", rate),
                         kv("technique", technique.name()),
                         kv("weak_node_fraction", 0.5),
                     ],
-                    // Runner seed unused: same-trace comparison per rate.
-                    run: Box::new(move |_cell_seed| {
+                    technique.clone(),
+                    &models,
+                    cfg.epsilon_secs,
+                    move || {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
                         sim_config.node_capacities = Some(mixed_capacities(sim_config.node_count));
-                        let report = fig6::run_cell_with_epsilon(
-                            &sim_config,
-                            technique.as_ref(),
-                            &models,
-                            cfg.epsilon_secs,
-                        );
-                        CellResult {
-                            metrics: report_metrics(&report),
-                        }
-                    }),
-                });
+                        sim_config
+                    },
+                    None,
+                ));
             }
         }
         SweepPlan {
@@ -235,39 +220,32 @@ impl Scenario for MmppScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[100.0, 250.0]);
-        cfg.techniques = technique_grid(params, mmpp_set(), mmpp_smoke_set());
+        let cfg = base_grid(params, &[100.0, 250.0]);
+        let techniques = technique_grid(params, mmpp_set(), mmpp_smoke_set());
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &cfg.techniques {
-                let models = models.clone();
+            for technique in &techniques {
                 let cfg = cfg.clone();
-                let technique = technique.clone();
-                cells.push(CellPlan {
-                    label: format!("{} @ ~{rate} req/s mmpp", technique.name()),
-                    params: vec![
+                cells.push(technique_cell(
+                    format!("{} @ ~{rate} req/s mmpp", technique.name()),
+                    vec![
                         kv("rate", rate),
                         kv("technique", technique.name()),
                         kv("low_multiplier", MMPP_LOW),
                         kv("high_multiplier", MMPP_HIGH),
                         kv("mean_dwell_s", MMPP_DWELL_SECS),
                     ],
-                    // Runner seed unused: same-trace comparison per rate.
-                    run: Box::new(move |_cell_seed| {
+                    technique.clone(),
+                    &models,
+                    cfg.epsilon_secs,
+                    move || {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
                         sim_config.arrival_pattern = Traffic::Mmpp.pattern();
-                        let report = fig6::run_cell_with_epsilon(
-                            &sim_config,
-                            technique.as_ref(),
-                            &models,
-                            cfg.epsilon_secs,
-                        );
-                        CellResult {
-                            metrics: report_metrics(&report),
-                        }
-                    }),
-                });
+                        sim_config
+                    },
+                    None,
+                ));
             }
         }
         SweepPlan {

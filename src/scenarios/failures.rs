@@ -25,13 +25,14 @@
 //! visibly lags the PCS controller's batched evacuation, which is the
 //! point of the comparison.
 
-use super::{base_grid, kv, report_metrics, technique_grid, train_models, RACK_SIZE, VICTIM_POOL};
+use super::{
+    base_grid, kill_victims, kv, technique_cell, technique_grid, train_models, RACK_SIZE,
+    VICTIM_POOL,
+};
 use crate::experiments::fig6;
 use crate::techniques;
-use pcs_harness::{
-    seed, CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan,
-};
-use pcs_sim::{FaultKind, FaultPlan, RunReport, SimConfig};
+use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
+use pcs_sim::{FaultPlan, RunReport, SimConfig};
 use pcs_types::SimTime;
 
 /// Node count of the failures cluster: small enough that every node
@@ -199,7 +200,7 @@ impl Scenario for RollingRestartScenario {
         // default (the `--smoke` shrink is applied first, so smoke runs
         // stay CI-sized).
         cfg.horizon_scale *= 2.0;
-        cfg.techniques = technique_grid(params, failures_set(), failures_smoke_set());
+        let techniques = technique_grid(params, failures_set(), failures_smoke_set());
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
@@ -208,41 +209,29 @@ impl Scenario for RollingRestartScenario {
             let mut sim_probe = fig6::cell_config(&cfg, rate);
             sim_probe.node_count = FAIL_NODE_COUNT;
             let schedule = rolling_plan(&sim_probe);
-            let victims: Vec<Json> = schedule
-                .events()
-                .iter()
-                .filter(|e| e.kind == FaultKind::Kill)
-                .map(|e| Json::from(e.node.index() as u64))
-                .collect();
-            for technique in &cfg.techniques {
-                let models = models.clone();
+            let victims = kill_victims(&schedule);
+            for technique in &techniques {
                 let cfg = cfg.clone();
-                let technique = technique.clone();
                 let schedule = schedule.clone();
-                cells.push(CellPlan {
-                    label: format!("{} @ {rate} req/s rolling-restart", technique.name()),
-                    params: vec![
+                cells.push(technique_cell(
+                    format!("{} @ {rate} req/s rolling-restart", technique.name()),
+                    vec![
                         kv("rate", rate),
                         kv("technique", technique.name()),
                         kv("plan", "rolling-restart".to_string()),
                         ("victims".to_string(), Json::Array(victims.clone())),
                     ],
-                    // Runner seed unused: techniques replay one trace.
-                    run: Box::new(move |_cell_seed| {
+                    technique.clone(),
+                    &models,
+                    cfg.epsilon_secs,
+                    move || {
                         let mut sim_config = fig6::cell_config(&cfg, rate);
                         sim_config.node_count = FAIL_NODE_COUNT;
                         sim_config.faults = schedule.clone();
-                        let report = fig6::run_cell_with_epsilon(
-                            &sim_config,
-                            technique.as_ref(),
-                            &models,
-                            cfg.epsilon_secs,
-                        );
-                        let mut metrics = report_metrics(&report);
-                        metrics.extend(fault_metrics(&report));
-                        CellResult { metrics }
-                    }),
-                });
+                        sim_config
+                    },
+                    Some(fault_metrics),
+                ));
             }
         }
         SweepPlan {
@@ -281,8 +270,8 @@ impl Scenario for FailuresScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[100.0]);
-        cfg.techniques = technique_grid(params, failures_set(), failures_smoke_set());
+        let cfg = base_grid(params, &[100.0]);
+        let techniques = technique_grid(params, failures_set(), failures_smoke_set());
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
@@ -296,42 +285,29 @@ impl Scenario for FailuresScenario {
                 let mut sim_probe = fig6::cell_config(&cfg, rate);
                 sim_probe.node_count = FAIL_NODE_COUNT;
                 let schedule = fault_plan(plan, plan_seed, &sim_probe);
-                let victims: Vec<Json> = schedule
-                    .events()
-                    .iter()
-                    .filter(|e| e.kind == FaultKind::Kill)
-                    .map(|e| Json::from(e.node.index() as u64))
-                    .collect();
-                for technique in &cfg.techniques {
-                    let models = models.clone();
+                let victims = kill_victims(&schedule);
+                for technique in &techniques {
                     let cfg = cfg.clone();
-                    let technique = technique.clone();
                     let schedule = schedule.clone();
-                    cells.push(CellPlan {
-                        label: format!("{} @ {rate} req/s {plan}", technique.name()),
-                        params: vec![
+                    cells.push(technique_cell(
+                        format!("{} @ {rate} req/s {plan}", technique.name()),
+                        vec![
                             kv("rate", rate),
                             kv("technique", technique.name()),
                             kv("plan", plan.to_string()),
                             ("victims".to_string(), Json::Array(victims.clone())),
                         ],
-                        // Runner seed unused: techniques at one (rate,
-                        // plan) replay the same trace and outage.
-                        run: Box::new(move |_cell_seed| {
+                        technique.clone(),
+                        &models,
+                        cfg.epsilon_secs,
+                        move || {
                             let mut sim_config = fig6::cell_config(&cfg, rate);
                             sim_config.node_count = FAIL_NODE_COUNT;
                             sim_config.faults = schedule.clone();
-                            let report = fig6::run_cell_with_epsilon(
-                                &sim_config,
-                                technique.as_ref(),
-                                &models,
-                                cfg.epsilon_secs,
-                            );
-                            let mut metrics = report_metrics(&report);
-                            metrics.extend(fault_metrics(&report));
-                            CellResult { metrics }
-                        }),
-                    });
+                            sim_config
+                        },
+                        Some(fault_metrics),
+                    ));
                 }
             }
         }

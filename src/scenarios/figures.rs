@@ -1,7 +1,7 @@
 //! Scenario registrations for the paper's Figures 5–7 and the §VI-C
 //! headline view.
 
-use super::{base_grid, kv, pcs_reduction_summary, report_metrics, technique_grid, train_models};
+use super::{base_grid, kv, pcs_reduction_summary, technique_cell, technique_grid, train_models};
 use crate::experiments::{fig5, fig6, fig7};
 use crate::techniques;
 use pcs_harness::{CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan};
@@ -52,8 +52,7 @@ impl Scenario for Fig5Scenario {
                 label: workload.name().to_string(),
                 params: vec![kv("workload", workload.name())],
                 // Per-case RNG streams are derived inside from
-                // (config.seed, workload, case); the runner seed is unused
-                // so the grid matches the serial fig5::run exactly.
+                // (config.seed, workload, case); the runner seed is unused.
                 run: Box::new(move |_cell_seed| {
                     let cases = fig5::run_workload(workload, &config);
                     let mean =
@@ -127,40 +126,34 @@ impl Scenario for Fig5Scenario {
     }
 }
 
-/// Builds the Figure 6 grid cells (shared by [`Fig6Scenario`] and
-/// [`HeadlineScenario`]): rates outer, techniques inner, every technique
-/// at a rate replaying one trace via [`fig6::rate_seed`].
-pub(crate) fn fig6_cells(cfg: &fig6::Fig6Config) -> Vec<CellPlan> {
-    let models = train_models(cfg);
+/// The Figure 6 grid, shared by [`Fig6Scenario`] and [`HeadlineScenario`]
+/// (they differ only in their notes): rates outer, techniques inner, every
+/// technique at a rate replaying one trace via [`fig6::rate_seed`], and the
+/// §VI-C reductions in the summary.
+fn fig6_plan(params: &SweepParams, note: &str) -> SweepPlan {
+    let cfg = base_grid(params, &[10.0, 20.0, 50.0, 100.0, 200.0, 500.0]);
+    let techniques = technique_grid(params, techniques::paper_set(), techniques::smoke_set());
+    let models = train_models(&cfg);
     let mut cells = Vec::new();
     for &rate in &cfg.rates {
-        for technique in &cfg.techniques {
-            let models = models.clone();
+        for technique in &techniques {
             let cfg = cfg.clone();
-            let technique = technique.clone();
-            cells.push(CellPlan {
-                label: format!("{} @ {rate} req/s", technique.name()),
-                params: vec![kv("rate", rate), kv("technique", technique.name())],
-                // The runner-derived per-cell seed is deliberately unused:
-                // the comparison property requires every technique at a
-                // rate to replay the same trace, so the sim seed is the
-                // SplitMix64 mix of (base seed, rate bits) instead.
-                run: Box::new(move |_cell_seed| {
-                    let sim_config = fig6::cell_config(&cfg, rate);
-                    let report = fig6::run_cell_with_epsilon(
-                        &sim_config,
-                        technique.as_ref(),
-                        &models,
-                        cfg.epsilon_secs,
-                    );
-                    CellResult {
-                        metrics: report_metrics(&report),
-                    }
-                }),
-            });
+            cells.push(technique_cell(
+                format!("{} @ {rate} req/s", technique.name()),
+                vec![kv("rate", rate), kv("technique", technique.name())],
+                technique.clone(),
+                &models,
+                cfg.epsilon_secs,
+                move || fig6::cell_config(&cfg, rate),
+                None,
+            ));
         }
     }
-    cells
+    SweepPlan {
+        cells,
+        summarize: Some(Box::new(pcs_reduction_summary)),
+        notes: vec![note.to_string()],
+    }
 }
 
 /// Figure 6: six techniques at six arrival rates, plus the headline
@@ -185,15 +178,10 @@ impl Scenario for Fig6Scenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[10.0, 20.0, 50.0, 100.0, 200.0, 500.0]);
-        cfg.techniques = technique_grid(params, techniques::paper_set(), techniques::smoke_set());
-        SweepPlan {
-            cells: fig6_cells(&cfg),
-            summarize: Some(Box::new(pcs_reduction_summary)),
-            notes: vec![
-                "paper headline: PCS cuts p99 component latency 67.05% and mean overall latency 64.16% vs redundancy/reissue".to_string(),
-            ],
-        }
+        fig6_plan(
+            params,
+            "paper headline: PCS cuts p99 component latency 67.05% and mean overall latency 64.16% vs redundancy/reissue",
+        )
     }
 }
 
@@ -219,13 +207,7 @@ impl Scenario for HeadlineScenario {
     }
 
     fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[10.0, 20.0, 50.0, 100.0, 200.0, 500.0]);
-        cfg.techniques = technique_grid(params, techniques::paper_set(), techniques::smoke_set());
-        SweepPlan {
-            cells: fig6_cells(&cfg),
-            summarize: Some(Box::new(pcs_reduction_summary)),
-            notes: vec!["paper: 67.05% tail, 64.16% overall".to_string()],
-        }
+        fig6_plan(params, "paper: 67.05% tail, 64.16% overall")
     }
 }
 

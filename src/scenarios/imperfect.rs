@@ -7,8 +7,8 @@
 //! and request loss degrade:
 //!
 //! * **stragglers** — gray nodes keep accepting work with service times
-//!   scaled by a factor ([`FaultKind::Degrade`]), so only latency betrays
-//!   them;
+//!   scaled by a factor ([`pcs_sim::FaultKind::Degrade`]), so only
+//!   latency betrays them;
 //! * **noisy failure detection** — hooks see a [`FailureDetector`]'s
 //!   *suspected* liveness (detection latency, false positives, false
 //!   negatives) instead of ground truth;
@@ -29,14 +29,12 @@
 //! The clean level runs with no fault plan, no detector and σ = 0 — its
 //! cells are byte-identical to the same techniques in a pristine world.
 
-use super::{base_grid, kv, report_metrics, train_models, RACK_SIZE, VICTIM_POOL};
+use super::{base_grid, kill_victims, kv, technique_cell, train_models, RACK_SIZE, VICTIM_POOL};
 use crate::experiments::fig6;
 use crate::scenarios::failures::FAIL_NODE_COUNT;
 use crate::techniques::{self, TechniqueRef};
-use pcs_harness::{
-    seed, CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan,
-};
-use pcs_sim::{FailureDetector, FaultKind, FaultPlan, RunReport, SimConfig};
+use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
+use pcs_sim::{FailureDetector, FaultPlan, RunReport, SimConfig};
 use pcs_types::{SimDuration, SimTime};
 
 /// One imperfection level: how wrong each information channel is.
@@ -329,12 +327,7 @@ impl Scenario for ImperfectScenario {
                 sim_probe.node_count = FAIL_NODE_COUNT;
                 let eff = effective(level, params, sim_probe.horizon - sim_probe.warmup);
                 let schedule = level_plan(level, plan_seed, &sim_probe);
-                let victims: Vec<Json> = schedule
-                    .events()
-                    .iter()
-                    .filter(|e| e.kind == FaultKind::Kill)
-                    .map(|e| Json::from(e.node.index() as u64))
-                    .collect();
+                let victims = kill_victims(&schedule);
                 let detector_params: Vec<(String, Json)> = vec![
                     kv(
                         "detector_latency_secs",
@@ -356,9 +349,7 @@ impl Scenario for ImperfectScenario {
                     level_set(eff.sigma, params.smoke),
                 );
                 for technique in &techniques {
-                    let models = models.clone();
                     let cfg = cfg.clone();
-                    let technique = technique.clone();
                     let schedule = schedule.clone();
                     let detector = eff.detector;
                     let mut cell_params = vec![
@@ -370,27 +361,21 @@ impl Scenario for ImperfectScenario {
                     ];
                     cell_params.extend(detector_params.iter().cloned());
                     cell_params.push(("victims".to_string(), Json::Array(victims.clone())));
-                    cells.push(CellPlan {
-                        label: format!("{} @ {rate} req/s {}", technique.name(), level.name),
-                        params: cell_params,
-                        // Runner seed unused: techniques at one (rate,
-                        // level) replay the same trace and plan.
-                        run: Box::new(move |_cell_seed| {
+                    cells.push(technique_cell(
+                        format!("{} @ {rate} req/s {}", technique.name(), level.name),
+                        cell_params,
+                        technique.clone(),
+                        &models,
+                        cfg.epsilon_secs,
+                        move || {
                             let mut sim_config = fig6::cell_config(&cfg, rate);
                             sim_config.node_count = FAIL_NODE_COUNT;
                             sim_config.faults = schedule.clone();
                             sim_config.detector = detector;
-                            let report = fig6::run_cell_with_epsilon(
-                                &sim_config,
-                                technique.as_ref(),
-                                &models,
-                                cfg.epsilon_secs,
-                            );
-                            let mut metrics = report_metrics(&report);
-                            metrics.extend(imperfect_metrics(&report));
-                            CellResult { metrics }
-                        }),
-                    });
+                            sim_config
+                        },
+                        Some(imperfect_metrics),
+                    ));
                 }
             }
         }
@@ -418,6 +403,7 @@ impl Scenario for ImperfectScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcs_sim::FaultKind;
 
     #[test]
     fn levels_are_monotone_in_every_dial() {
@@ -441,11 +427,7 @@ mod tests {
         assert!(level_plan(&LEVELS[0], 1, &probe).is_empty());
         // Non-clean levels schedule both the outage and the stragglers.
         let plan = level_plan(&LEVELS[2], 1, &probe);
-        let kills = plan
-            .events()
-            .iter()
-            .filter(|e| e.kind == FaultKind::Kill)
-            .count();
+        let kills = kill_victims(&plan).len();
         let degrades = plan
             .events()
             .iter()

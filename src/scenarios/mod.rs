@@ -31,7 +31,10 @@
 //!
 //! The comparison scenarios sweep the open technique registry
 //! ([`crate::techniques`]); `--techniques <list>` overrides any of their
-//! grids from the CLI.
+//! grids from the CLI. Every technique-comparison cell of every family is
+//! built by `technique_cell`, the one place that runs a technique on a
+//! cell's shared trace ([`crate::experiments::fig6::run_cell`]) and
+//! renders its metrics.
 
 pub mod ablations;
 pub mod elastic;
@@ -42,11 +45,11 @@ pub mod imperfect;
 pub mod scale;
 
 use crate::controller::PcsController;
-use crate::experiments::fig6::Fig6Config;
+use crate::experiments::fig6::{self, Fig6Config};
 use crate::techniques::{self, TechniqueRef};
 use pcs_core::ClassModelSet;
-use pcs_harness::{CellOutcome, Json, Scenario, SweepParams};
-use pcs_sim::RunReport;
+use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams};
+use pcs_sim::{FaultKind, FaultPlan, RunReport, SimConfig};
 use pcs_types::{NodeCapacity, SimDuration};
 use pcs_workloads::ArrivalPattern;
 use std::sync::Arc;
@@ -113,6 +116,16 @@ pub(crate) const VICTIM_POOL: usize = 4;
 /// (`imperfect`).
 pub(crate) const RACK_SIZE: usize = 2;
 
+/// The victims of a fault schedule, as cell-param provenance: the index
+/// of every killed node, in schedule order.
+pub(crate) fn kill_victims(plan: &FaultPlan) -> Vec<Json> {
+    plan.events()
+        .iter()
+        .filter(|e| e.kind == FaultKind::Kill)
+        .map(|e| Json::from(e.node.index() as u64))
+        .collect()
+}
+
 /// Every registered scenario, in display order.
 pub fn registry() -> Vec<Box<dyn Scenario>> {
     vec![
@@ -165,6 +178,43 @@ pub(crate) fn report_metrics(report: &RunReport) -> Vec<(String, Json)> {
     metrics
 }
 
+/// A family's per-cell metrics beyond [`report_metrics`] (fault,
+/// autoscaling, imperfect-information or scheduler-cost counters).
+pub(crate) type ExtraMetrics = fn(&RunReport) -> Vec<(String, Json)>;
+
+/// Builds one technique-comparison cell: runs `technique` on the
+/// simulation config `sim_config` builds and reports [`report_metrics`]
+/// followed by the family's `extra` metrics.
+///
+/// The runner-derived per-cell seed is deliberately unused: the
+/// comparison property requires every technique in a comparison group
+/// (one rate, plus the family's other trace coordinates) to replay the
+/// same trace, so `sim_config` seeds the simulation from those
+/// coordinates alone (e.g. [`fig6::rate_seed`]).
+pub(crate) fn technique_cell(
+    label: String,
+    params: Vec<(String, Json)>,
+    technique: TechniqueRef,
+    models: &Arc<ClassModelSet>,
+    epsilon_secs: f64,
+    sim_config: impl Fn() -> SimConfig + Send + Sync + 'static,
+    extra: Option<ExtraMetrics>,
+) -> CellPlan {
+    let models = models.clone();
+    CellPlan {
+        label,
+        params,
+        run: Box::new(move |_cell_seed| {
+            let report = fig6::run_cell(&sim_config(), technique.as_ref(), &models, epsilon_secs);
+            let mut metrics = report_metrics(&report);
+            if let Some(extra) = extra {
+                metrics.extend(extra(&report));
+            }
+            CellResult { metrics }
+        }),
+    }
+}
+
 /// The shared grid defaults for simulation-backed scenarios: CLI params
 /// applied over a [`Fig6Config`], with `--smoke` shrinking the searching
 /// pool, the horizon and the rate grid to CI-sized budgets (an explicit
@@ -202,7 +252,7 @@ pub(crate) fn technique_grid(
 /// Trains the PCS class models for a grid's topology (shared by every
 /// cell of a sweep, so this runs once in `plan`).
 pub(crate) fn train_models(cfg: &Fig6Config) -> Arc<ClassModelSet> {
-    let topology = crate::experiments::fig6::topology(cfg.search_vm_budget);
+    let topology = fig6::topology(cfg.search_vm_budget);
     Arc::new(
         PcsController::train_for(&topology, NodeCapacity::XEON_E5645, cfg.seed)
             .expect("profiling campaign trains"),
@@ -238,9 +288,9 @@ pub(crate) fn pcs_reduction_summary(cells: &[CellOutcome]) -> Vec<(String, Json)
             continue;
         };
         let Some(pcs) = pcs_at(rate) else { continue };
-        // Mirror `fig6::headline`: a degenerate comparison cell (no
-        // completed requests, so a zero or non-finite latency) contributes
-        // nothing rather than a clamped near-infinite "reduction".
+        // A degenerate comparison cell (no completed requests, so a zero
+        // or non-finite latency) contributes nothing rather than a clamped
+        // near-infinite "reduction".
         let reduction = |metric: &str| -> Option<f64> {
             let other = cell.value_f64(metric)?;
             let pcs = pcs.value_f64(metric)?;
@@ -348,9 +398,23 @@ mod tests {
         let cells = vec![mk("Basic", 20.0, 40.0), mk("PCS", 10.0, 20.0)];
         let summary = pcs_reduction_summary(&cells);
         assert!((summary[0].1.as_f64().unwrap() - 50.0).abs() < 1e-9);
+        // LL is not redundancy/reissue: beside a RED cell it stays out of
+        // the headline mean, which is the RED-3 reduction alone (LL's row
+        // is still reported).
+        let cells = vec![
+            mk("PCS", 10.0, 20.0),
+            mk("RED-3", 40.0, 80.0),
+            mk("LL", 20.0, 40.0),
+        ];
+        let summary = pcs_reduction_summary(&cells);
+        assert!((summary[0].1.as_f64().unwrap() - 75.0).abs() < 1e-9);
+        assert!((summary[1].1.as_f64().unwrap() - 75.0).abs() < 1e-9);
+        let Json::Array(rows) = &summary[2].1 else {
+            panic!("rows must be an array")
+        };
+        assert_eq!(rows.len(), 2);
         // A degenerate comparison cell (zero latency: nothing completed)
-        // is skipped, like fig6::headline does, not clamped into a
-        // near-infinite reduction.
+        // is skipped, not clamped into a near-infinite reduction.
         let cells = vec![mk("RED-3", 0.0, 0.0), mk("PCS", 10.0, 20.0)];
         let summary = pcs_reduction_summary(&cells);
         assert_eq!(summary[0].1.as_f64(), Some(0.0));

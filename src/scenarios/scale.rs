@@ -22,12 +22,10 @@
 //! grid at every size; `--sizes` and `--group-cap` override the cluster
 //! grid and the PCS-H group cap.
 
-use super::{kv, report_metrics, train_models, Traffic};
-use crate::experiments::fig6::{self, Fig6Config};
+use super::{kv, technique_cell, train_models, Traffic};
+use crate::experiments::fig6::Fig6Config;
 use crate::techniques::{self, TechniqueRef};
-use pcs_harness::{
-    seed, CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams, SweepPlan,
-};
+use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::SimConfig;
 use pcs_types::SimDuration;
 use pcs_workloads::ServiceTopology;
@@ -299,16 +297,14 @@ impl Scenario for ScaleScenario {
                             default_techniques(size, cap),
                         );
                         for technique in set {
-                            let models = models.clone();
-                            let epsilon_secs = cfg.epsilon_secs;
-                            cells.push(CellPlan {
-                                label: format!(
+                            cells.push(technique_cell(
+                                format!(
                                     "{} {} @ {size}n {}",
                                     technique.name(),
                                     service.name(),
                                     traffic.name()
                                 ),
-                                params: vec![
+                                vec![
                                     kv("size", size as u64),
                                     kv("racks", (size / NODES_PER_RACK).max(1) as u64),
                                     kv("service", service.name()),
@@ -316,25 +312,19 @@ impl Scenario for ScaleScenario {
                                     kv("rate", rate),
                                     kv("technique", technique.name()),
                                 ],
-                                // Runner seed unused: cells in one group
-                                // share `trace_seed` (see above).
-                                run: Box::new(move |_cell_seed| {
+                                technique,
+                                &models,
+                                cfg.epsilon_secs,
+                                move || {
                                     let mut sim_config =
                                         scale_config(size, service, rate, trace_seed, smoke);
                                     sim_config.arrival_pattern = traffic.pattern();
                                     sim_config.observe =
                                         observe.map(|top_k| pcs_sim::ObserveConfig { top_k });
-                                    let report = fig6::run_cell_with_epsilon(
-                                        &sim_config,
-                                        technique.as_ref(),
-                                        &models,
-                                        epsilon_secs,
-                                    );
-                                    let mut metrics = report_metrics(&report);
-                                    metrics.extend(scheduler_cost_metrics(&report));
-                                    CellResult { metrics }
-                                }),
-                            });
+                                    sim_config
+                                },
+                                Some(scheduler_cost_metrics),
+                            ));
                         }
                     }
                 }
@@ -356,6 +346,7 @@ impl Scenario for ScaleScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcs_harness::CellPlan;
 
     fn param<'a>(cell: &'a CellPlan, name: &str) -> Option<&'a Json> {
         cell.params.iter().find(|(k, _)| k == name).map(|(_, v)| v)

@@ -217,9 +217,8 @@ pub fn extended_smoke_set() -> Vec<TechniqueRef> {
 /// True for the techniques the paper's §VI-C headline averages over: the
 /// blind redundancy (`RED-k`) and reissue (`RI-p`) baselines, identified
 /// by their canonical display names. The single classification point for
-/// the headline reductions — `fig6::headline` and the scenarios' shared
-/// reduction summary both call this, so a new registry technique can
-/// never drift into the headline mean in one place but not the other.
+/// the headline reductions, which the scenarios' shared reduction summary
+/// computes.
 pub fn is_redundancy_or_reissue(name: &str) -> bool {
     name.starts_with("RED-") || name.starts_with("RI-")
 }
@@ -237,7 +236,7 @@ impl fmt::Display for TechniqueParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown technique `{}`: {}; valid techniques: basic, red-<k> (2..=8), \
+            "invalid technique `{}`: {}; valid techniques: basic, red-<k> (2..=8), \
              ri-<p> (percentile in (0,100), e.g. ri-99.5), pcs, pcs+red<k> (2..=8), \
              pcs-b<n> (1..=64), pcs-h<cap> (1..=1024; `hier` = pcs-h64), \
              pcs-n<sigma> (0..=4, e.g. pcs-n0.5), ll, oracle, cap",
@@ -344,14 +343,23 @@ pub fn parse(name: &str) -> Result<TechniqueRef, TechniqueParseError> {
 ///
 /// # Errors
 /// Fails on the first invalid token (empty tokens included), with the
-/// valid vocabulary in the message.
+/// valid vocabulary in the message, and on a technique named twice (by
+/// canonical name, so `pcs,PCS` and `ri-90,ri-90.0` are repeats): a
+/// repeated column would be counted twice in every cross-cell summary.
 pub fn parse_list(list: &str) -> Result<Vec<TechniqueRef>, TechniqueParseError> {
-    let mut out = Vec::new();
+    let mut out: Vec<TechniqueRef> = Vec::new();
     for token in list.split(',') {
         if token.trim().is_empty() {
             return Err(err(token, "empty technique name"));
         }
-        out.push(parse(token)?);
+        let spec = parse(token)?;
+        if out.iter().any(|seen| seen.name() == spec.name()) {
+            return Err(err(
+                token,
+                format!("`{}` is selected more than once", spec.name()),
+            ));
+        }
+        out.push(spec);
     }
     if out.is_empty() {
         return Err(err(list, "empty technique list"));

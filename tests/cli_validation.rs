@@ -57,6 +57,50 @@ fn non_positive_and_malformed_rates_are_rejected() {
     );
 }
 
+/// A repeated selection would run the same cells twice and count them
+/// twice in every cross-cell summary (`red-3,red-3,ri-90,pcs` would
+/// weigh RED-3 double in the headline mean). Repeats are judged on the
+/// parsed value, so spellings of one technique, rate or size collide.
+#[test]
+fn duplicate_selections_exit_with_usage_error() {
+    let cases: [(&[&str], &str); 6] = [
+        (&["--techniques", "red-3,red-3,ri-90,pcs"], "more than once"),
+        (&["--techniques", "ri-90,ri-90.0,pcs"], "`RI-90`"),
+        (
+            &["--techniques", "pcs,PCS"],
+            "`PCS` is selected more than once",
+        ),
+        (&["--rates", "80,80.0"], "rate 80 is listed more than once"),
+        (
+            &["--rates", "50, 100,50"],
+            "rate 50 is listed more than once",
+        ),
+        (&["--sizes", "40,40"], "size 40 is listed more than once"),
+    ];
+    for (flags, needle) in cases {
+        let scenario = if flags[0] == "--sizes" {
+            "scale"
+        } else {
+            "fig6"
+        };
+        let mut args = vec!["run", "--scenario", scenario, "--smoke"];
+        args.extend_from_slice(flags);
+        let out = pcs(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "`pcs {}`:\n{stderr}",
+            args.join(" ")
+        );
+        assert!(
+            stderr.contains(needle),
+            "`pcs {}` stderr must mention `{needle}`:\n{stderr}",
+            args.join(" ")
+        );
+    }
+}
+
 #[test]
 fn zero_repeats_is_rejected() {
     rejected_with(

@@ -24,7 +24,8 @@ fn cell(
     config.node_count = 16;
     config.horizon = SimDuration::from_secs(40);
     config.warmup = SimDuration::from_secs(8);
-    fig6::run_cell(&config, technique.as_ref(), models)
+    let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
+    fig6::run_cell(&config, technique.as_ref(), models, epsilon_secs)
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn short_config(rate: f64, seed: u64) -> (SimConfig, f64) {
 }
 
 fn run(config: &SimConfig, technique: &TechniqueRef, epsilon_secs: f64) -> RunReport {
-    fig6::run_cell_with_epsilon(config, technique.as_ref(), models(), epsilon_secs)
+    fig6::run_cell(config, technique.as_ref(), models(), epsilon_secs)
 }
 
 /// Field-by-field report equality for everything a trajectory determines

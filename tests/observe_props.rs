@@ -83,7 +83,7 @@ fn run_observed(
             });
         }
     }
-    fig6::run_cell_with_epsilon(&config, technique.as_ref(), models(), grid.epsilon_secs)
+    fig6::run_cell(&config, technique.as_ref(), models(), grid.epsilon_secs)
 }
 
 /// The layer's structural invariants, checked against a finished report.

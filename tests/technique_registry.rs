@@ -174,6 +174,30 @@ fn unknown_technique_names_are_rejected_with_the_vocabulary() {
     assert!(message.contains("oracle"), "{message}");
 }
 
+#[test]
+fn repeated_technique_names_are_rejected() {
+    // Repeats are judged by canonical name, so case and spelling
+    // variants of one technique collide too.
+    for list in [
+        "red-3,red-3",
+        "pcs,PCS",
+        "ri-90,ri-90.0,pcs",
+        "basic,hier,pcs-h64",
+    ] {
+        let error = techniques::parse_list(list)
+            .err()
+            .unwrap_or_else(|| panic!("`{list}` repeats a technique"));
+        assert!(error.reason.contains("more than once"), "{list}: {error}");
+    }
+    // Distinct family members are not repeats.
+    let names: Vec<String> = techniques::parse_list("red-3,red-5,ri-90,ri-99.5,pcs")
+        .unwrap()
+        .iter()
+        .map(|t| t.name())
+        .collect();
+    assert_eq!(names, ["RED-3", "RED-5", "RI-90", "RI-99.5", "PCS"]);
+}
+
 /// The new baselines run end to end in the extended scenarios: `ll` and
 /// `oracle` in diurnal, `cap` in hetero, and their cells land in the
 /// report with real measurements.
