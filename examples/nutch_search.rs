@@ -33,7 +33,7 @@ fn main() {
     let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
     for technique in techniques::paper_set() {
         let config = SimConfig::paper_like(fig6::topology(100), rate, fig6::rate_seed(seed, rate));
-        let report = fig6::run_cell(&config, technique.as_ref(), &models, epsilon_secs);
+        let report = fig6::run_cell(&config, &technique, &models, epsilon_secs);
         println!(
             "{:>8} {:>18.2} {:>18.2} {:>10} {:>10}",
             technique.name(),

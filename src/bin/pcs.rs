@@ -29,8 +29,7 @@ fn main() {
     let args = match args {
         Ok(args) => args,
         Err(bad) => {
-            eprintln!("argument {bad:?} is not valid UTF-8\n\n{}", usage());
-            std::process::exit(2);
+            std::process::exit(usage_error(&format!("argument {bad:?} is not valid UTF-8")))
         }
     };
     let code = match args.first().map(String::as_str) {
@@ -40,12 +39,25 @@ fn main() {
             print!("{}", usage());
             0
         }
-        Some(other) => {
-            eprintln!("unknown command `{other}`\n\n{}", usage());
-            2
-        }
+        Some(other) => usage_error(&format!("unknown command `{other}`")),
     };
     std::process::exit(code);
+}
+
+/// Reports a command-line error as the reason plus a pointer to the
+/// usage text, and returns the usage exit code.
+fn usage_error(reason: &str) -> i32 {
+    eprintln!("{reason}\nsee `pcs --help` for usage");
+    2
+}
+
+/// The line above the technique listing: the listed names are instances,
+/// and every member of a parameterised family parses.
+fn techniques_header() -> String {
+    format!(
+        "TECHNIQUES (any member of a parameterised family parses: {}):",
+        techniques::parameterised_families()
+    )
 }
 
 fn usage() -> String {
@@ -92,7 +104,7 @@ fn usage() -> String {
             scenario.description()
         ));
     }
-    out.push_str("\nTECHNIQUES (any `red-<k>` / `ri-<p>` parses, e.g. ri-99.5):\n");
+    out.push_str(&format!("\n{}\n", techniques_header()));
     for technique in techniques::registry() {
         out.push_str(&format!(
             "  {:<20} {}\n",
@@ -122,7 +134,7 @@ fn cmd_list(which: Option<&str>) -> i32 {
         None => {
             println!("SCENARIOS:");
             scenarios_section();
-            println!("\nTECHNIQUES (any `red-<k>` / `ri-<p>` parses, e.g. ri-99.5):");
+            println!("\n{}", techniques_header());
             techniques_section();
         }
         Some("scenarios") => scenarios_section(),
@@ -403,10 +415,7 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
 fn cmd_run(args: &[String]) -> i32 {
     let mut run = match parse_run_args(args) {
         Ok(run) => run,
-        Err(message) => {
-            eprintln!("{message}\n\n{}", usage());
-            return 2;
-        }
+        Err(message) => return usage_error(&message),
     };
     let Some(scenario) = scenarios::find(&run.scenario) else {
         eprintln!(

@@ -10,11 +10,11 @@
 //! the `fig6` and `headline` scenarios ([`crate::scenarios::figures`])
 //! sweep the grid and compute that mean in their summary.
 //!
-//! The technique axis is open: any [`crate::techniques::TechniqueSpec`]
-//! from the registry can occupy a grid column (`pcs run --scenario fig6
+//! The technique axis is open: any [`crate::techniques::Technique`] the
+//! registry parses can occupy a grid column (`pcs run --scenario fig6
 //! --techniques basic,ll,pcs`), not just the paper's six.
 
-use crate::techniques::{TechniqueEnv, TechniqueSpec};
+use crate::techniques::{Technique, TechniqueEnv};
 use pcs_core::ClassModelSet;
 use pcs_sim::{DeploymentConfig, RunReport, SimConfig, Simulation};
 use pcs_workloads::ServiceTopology;
@@ -27,7 +27,7 @@ use pcs_workloads::ServiceTopology;
 /// Basic/PCS).
 pub fn run_cell(
     config: &SimConfig,
-    technique: &dyn TechniqueSpec,
+    technique: &Technique,
     models: &ClassModelSet,
     epsilon_secs: f64,
 ) -> RunReport {

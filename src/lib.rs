@@ -55,7 +55,7 @@
 //! let config = SimConfig::paper_like(topology, 200.0, 42);
 //! let technique = techniques::parse("pcs").unwrap();
 //! let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
-//! let report = fig6::run_cell(&config, technique.as_ref(), &models, epsilon_secs);
+//! let report = fig6::run_cell(&config, &technique, &models, epsilon_secs);
 //! println!(
 //!     "{} @200 req/s: component p99 {:.2} ms, overall mean {:.2} ms",
 //!     report.technique,

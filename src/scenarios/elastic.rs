@@ -98,7 +98,7 @@ fn autoscale_config(preset: &Preset, params: &SweepParams) -> AutoscaleConfig {
 /// The elastic sweep's technique set: the no-op, reactive and
 /// predictive evacuators (same in full and `--smoke` — the comparison
 /// *is* the evacuation capability).
-fn elastic_set() -> Vec<techniques::TechniqueRef> {
+fn elastic_set() -> Vec<techniques::Technique> {
     vec![techniques::basic(), techniques::ll(), techniques::pcs()]
 }
 
@@ -238,7 +238,7 @@ impl Scenario for ElasticScenario {
             for shape in traffic {
                 for preset in presets {
                     let autoscale = autoscale_config(preset, params);
-                    for technique in &techniques {
+                    for &technique in &techniques {
                         let cfg = cfg.clone();
                         let shape = *shape;
                         cells.push(technique_cell(
@@ -257,7 +257,7 @@ impl Scenario for ElasticScenario {
                                 kv("step", preset.step),
                                 kv("cooldown_s", autoscale.cooldown.as_secs_f64()),
                             ],
-                            technique.clone(),
+                            technique,
                             &models,
                             cfg.epsilon_secs,
                             move || {

@@ -54,7 +54,7 @@ impl Scenario for DiurnalScenario {
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &techniques {
+            for &technique in &techniques {
                 let cfg = cfg.clone();
                 cells.push(technique_cell(
                     format!("{} @ ~{rate} req/s diurnal", technique.name()),
@@ -64,7 +64,7 @@ impl Scenario for DiurnalScenario {
                         kv("amplitude", DIURNAL_AMPLITUDE),
                         kv("period_s", DIURNAL_PERIOD_SECS),
                     ],
-                    technique.clone(),
+                    technique,
                     &models,
                     cfg.epsilon_secs,
                     move || {
@@ -142,7 +142,7 @@ impl Scenario for HeteroScenario {
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &techniques {
+            for &technique in &techniques {
                 let cfg = cfg.clone();
                 cells.push(technique_cell(
                     format!("{} @ {rate} req/s mixed cluster", technique.name()),
@@ -151,7 +151,7 @@ impl Scenario for HeteroScenario {
                         kv("technique", technique.name()),
                         kv("weak_node_fraction", 0.5),
                     ],
-                    technique.clone(),
+                    technique,
                     &models,
                     cfg.epsilon_secs,
                     move || {
@@ -186,7 +186,7 @@ pub struct MmppScenario;
 
 /// The MMPP sweep's default technique set: the extended comparison
 /// families plus the reactive and oracle baselines.
-fn mmpp_set() -> Vec<techniques::TechniqueRef> {
+fn mmpp_set() -> Vec<techniques::Technique> {
     vec![
         techniques::basic(),
         techniques::red(3),
@@ -198,7 +198,7 @@ fn mmpp_set() -> Vec<techniques::TechniqueRef> {
 }
 
 /// The MMPP `--smoke` shrink.
-fn mmpp_smoke_set() -> Vec<techniques::TechniqueRef> {
+fn mmpp_smoke_set() -> Vec<techniques::Technique> {
     vec![techniques::basic(), techniques::ll(), techniques::pcs()]
 }
 
@@ -225,7 +225,7 @@ impl Scenario for MmppScenario {
         let models = train_models(&cfg);
         let mut cells = Vec::new();
         for &rate in &cfg.rates {
-            for technique in &techniques {
+            for &technique in &techniques {
                 let cfg = cfg.clone();
                 cells.push(technique_cell(
                     format!("{} @ ~{rate} req/s mmpp", technique.name()),
@@ -236,7 +236,7 @@ impl Scenario for MmppScenario {
                         kv("high_multiplier", MMPP_HIGH),
                         kv("mean_dwell_s", MMPP_DWELL_SECS),
                     ],
-                    technique.clone(),
+                    technique,
                     &models,
                     cfg.epsilon_secs,
                     move || {

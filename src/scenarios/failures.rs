@@ -67,7 +67,7 @@ fn fault_plan(plan: &str, plan_seed: u64, sim: &SimConfig) -> FaultPlan {
 
 /// The failures sweep's default technique set: the paper's families plus
 /// the reactive and oracle baselines (the acceptance comparison).
-fn failures_set() -> Vec<techniques::TechniqueRef> {
+fn failures_set() -> Vec<techniques::Technique> {
     vec![
         techniques::basic(),
         techniques::red(3),
@@ -79,7 +79,7 @@ fn failures_set() -> Vec<techniques::TechniqueRef> {
 }
 
 /// The `--smoke` shrink: the no-op, reactive and predictive evacuators.
-fn failures_smoke_set() -> Vec<techniques::TechniqueRef> {
+fn failures_smoke_set() -> Vec<techniques::Technique> {
     vec![techniques::basic(), techniques::ll(), techniques::pcs()]
 }
 
@@ -210,7 +210,7 @@ impl Scenario for RollingRestartScenario {
             sim_probe.node_count = FAIL_NODE_COUNT;
             let schedule = rolling_plan(&sim_probe);
             let victims = kill_victims(&schedule);
-            for technique in &techniques {
+            for &technique in &techniques {
                 let cfg = cfg.clone();
                 let schedule = schedule.clone();
                 cells.push(technique_cell(
@@ -221,7 +221,7 @@ impl Scenario for RollingRestartScenario {
                         kv("plan", "rolling-restart".to_string()),
                         ("victims".to_string(), Json::Array(victims.clone())),
                     ],
-                    technique.clone(),
+                    technique,
                     &models,
                     cfg.epsilon_secs,
                     move || {
@@ -286,7 +286,7 @@ impl Scenario for FailuresScenario {
                 sim_probe.node_count = FAIL_NODE_COUNT;
                 let schedule = fault_plan(plan, plan_seed, &sim_probe);
                 let victims = kill_victims(&schedule);
-                for technique in &techniques {
+                for &technique in &techniques {
                     let cfg = cfg.clone();
                     let schedule = schedule.clone();
                     cells.push(technique_cell(
@@ -297,7 +297,7 @@ impl Scenario for FailuresScenario {
                             kv("plan", plan.to_string()),
                             ("victims".to_string(), Json::Array(victims.clone())),
                         ],
-                        technique.clone(),
+                        technique,
                         &models,
                         cfg.epsilon_secs,
                         move || {

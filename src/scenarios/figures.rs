@@ -136,12 +136,12 @@ fn fig6_plan(params: &SweepParams, note: &str) -> SweepPlan {
     let models = train_models(&cfg);
     let mut cells = Vec::new();
     for &rate in &cfg.rates {
-        for technique in &techniques {
+        for &technique in &techniques {
             let cfg = cfg.clone();
             cells.push(technique_cell(
                 format!("{} @ {rate} req/s", technique.name()),
                 vec![kv("rate", rate), kv("technique", technique.name())],
-                technique.clone(),
+                technique,
                 &models,
                 cfg.epsilon_secs,
                 move || fig6::cell_config(&cfg, rate),

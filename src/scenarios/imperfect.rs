@@ -32,7 +32,7 @@
 use super::{base_grid, kill_victims, kv, technique_cell, train_models, RACK_SIZE, VICTIM_POOL};
 use crate::experiments::fig6;
 use crate::scenarios::failures::FAIL_NODE_COUNT;
-use crate::techniques::{self, TechniqueRef};
+use crate::techniques::{self, Technique};
 use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{FailureDetector, FaultPlan, RunReport, SimConfig};
 use pcs_types::{SimDuration, SimTime};
@@ -169,7 +169,7 @@ fn level_plan(level: &Level, plan_seed: u64, sim: &SimConfig) -> FaultPlan {
 /// evacuator, the perfect-information bound, and PCS fed the level's
 /// noise (σ = 0 selects plain `pcs`, so the clean cell is the standard
 /// technique).
-fn level_set(sigma: f64, smoke: bool) -> Vec<TechniqueRef> {
+fn level_set(sigma: f64, smoke: bool) -> Vec<Technique> {
     let pcs = if sigma > 0.0 {
         techniques::pcs_noisy(sigma)
     } else {
@@ -348,7 +348,7 @@ impl Scenario for ImperfectScenario {
                     params.techniques.as_deref(),
                     level_set(eff.sigma, params.smoke),
                 );
-                for technique in &techniques {
+                for &technique in &techniques {
                     let cfg = cfg.clone();
                     let schedule = schedule.clone();
                     let detector = eff.detector;
@@ -364,7 +364,7 @@ impl Scenario for ImperfectScenario {
                     cells.push(technique_cell(
                         format!("{} @ {rate} req/s {}", technique.name(), level.name),
                         cell_params,
-                        technique.clone(),
+                        technique,
                         &models,
                         cfg.epsilon_secs,
                         move || {

@@ -46,7 +46,7 @@ pub mod scale;
 
 use crate::controller::PcsController;
 use crate::experiments::fig6::{self, Fig6Config};
-use crate::techniques::{self, TechniqueRef};
+use crate::techniques::{self, Technique};
 use pcs_core::ClassModelSet;
 use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams};
 use pcs_sim::{FaultKind, FaultPlan, RunReport, SimConfig};
@@ -194,7 +194,7 @@ pub(crate) type ExtraMetrics = fn(&RunReport) -> Vec<(String, Json)>;
 pub(crate) fn technique_cell(
     label: String,
     params: Vec<(String, Json)>,
-    technique: TechniqueRef,
+    technique: Technique,
     models: &Arc<ClassModelSet>,
     epsilon_secs: f64,
     sim_config: impl Fn() -> SimConfig + Send + Sync + 'static,
@@ -205,7 +205,7 @@ pub(crate) fn technique_cell(
         label,
         params,
         run: Box::new(move |_cell_seed| {
-            let report = fig6::run_cell(&sim_config(), technique.as_ref(), &models, epsilon_secs);
+            let report = fig6::run_cell(&sim_config(), &technique, &models, epsilon_secs);
             let mut metrics = report_metrics(&report);
             if let Some(extra) = extra {
                 metrics.extend(extra(&report));
@@ -242,9 +242,9 @@ pub(crate) fn base_grid(params: &SweepParams, default_rates: &[f64]) -> Fig6Conf
 /// default from the shared registry sets.
 pub(crate) fn technique_grid(
     params: &SweepParams,
-    full: Vec<TechniqueRef>,
-    smoke: Vec<TechniqueRef>,
-) -> Vec<TechniqueRef> {
+    full: Vec<Technique>,
+    smoke: Vec<Technique>,
+) -> Vec<Technique> {
     let default_set = if params.smoke { smoke } else { full };
     techniques::resolve(params.techniques.as_deref(), default_set)
 }

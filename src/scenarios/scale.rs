@@ -24,7 +24,7 @@
 
 use super::{kv, technique_cell, train_models, Traffic};
 use crate::experiments::fig6::Fig6Config;
-use crate::techniques::{self, TechniqueRef};
+use crate::techniques::{self, Technique};
 use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::SimConfig;
 use pcs_types::SimDuration;
@@ -210,7 +210,7 @@ fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
 
 /// The default technique column at one cluster size: flat PCS (below the
 /// cutoff) against PCS-H with the sweep's group cap.
-fn default_techniques(size: usize, cap: usize) -> Vec<TechniqueRef> {
+fn default_techniques(size: usize, cap: usize) -> Vec<Technique> {
     if size >= FLAT_PCS_MAX_NODES {
         vec![techniques::pcs_hier(cap)]
     } else {

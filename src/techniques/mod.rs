@@ -1,13 +1,15 @@
-//! The open technique registry: every latency-reduction technique the
-//! evaluation can compare, behind one pluggable API.
+//! The technique registry: every latency-reduction technique the
+//! evaluation can compare, as one [`Technique`] value.
 //!
 //! The paper's core claim is comparative — PCS against blind
 //! redundancy/reissue techniques (§VI-A) — and this module makes the
 //! *technique* axis of that comparison open the same way `src/scenarios`
-//! made the *scenario* axis open: a technique is a [`TechniqueSpec`]
-//! implementation (name, replication, dispatch policy, scheduler hook,
-//! optional placement override), and registering it makes it reachable
-//! from every sweep scenario via `pcs run --techniques <list>`.
+//! made the *scenario* axis open: a technique is a [`Technique`] variant,
+//! one per family, carrying the family's parameter. Its methods give the
+//! display name, the replication requirement, the dispatch policy, the
+//! scheduler hook and an optional placement override, and [`parse`]
+//! makes every family member reachable from every sweep scenario via
+//! `pcs run --techniques <list>`.
 //!
 //! | name | technique |
 //! |---|---|
@@ -23,35 +25,29 @@
 //! | `pcs-n<σ>` | PCS with mean-one log-normal noise (σ) on its demand estimates |
 //! | `cap` | capacity-aware initial placement, no runtime scheduling |
 //!
+//! One family table holds each family's token prefix and parameter range.
+//! It drives [`parse`], the range checks of the constructor functions
+//! ([`red`], [`pcs_hier`], …) and the vocabulary a
+//! [`TechniqueParseError`] lists.
+//!
 //! Names round-trip exactly: [`parse`] accepts any case and
-//! [`TechniqueSpec::name`] renders the canonical display form
-//! (`parse("ri-99.5")` names itself `RI-99.5` and parses back to an
-//! equivalent spec).
+//! [`Technique::name`] renders the canonical display form
+//! (`parse("ri-99.5")` names itself `RI-99.5` and parses back to the same
+//! value).
 
-mod builtin;
-mod capacity;
-mod hier;
-mod hybrid;
-mod noisy;
-mod oracle;
 mod reactive;
 
-pub use builtin::{minimal_percent, BasicSpec, PcsSpec, RedSpec, RiSpec};
-pub use capacity::CapacityAwareSpec;
-pub use hier::{HierPcsSpec, DEFAULT_GROUP_CAP, MAX_GROUP_CAP};
-pub use hybrid::{BudgetedPcsSpec, HybridRedSpec, MAX_MIGRATION_BUDGET};
-pub use noisy::{PcsNoiseSpec, MAX_NOISE_SIGMA};
-pub use oracle::OracleSpec;
-pub use reactive::{LeastLoadedHook, LeastLoadedSpec};
+pub use reactive::LeastLoadedHook;
 
-use pcs_core::ClassModelSet;
-use pcs_sim::{DispatchPolicy, PlacementStrategy, SchedulerHook};
+use crate::controller::PcsController;
+use pcs_baselines::{RedundancyPolicy, ReissuePolicy};
+use pcs_core::{ClassModelSet, SchedulerConfig};
+use pcs_sim::{BasicPolicy, DispatchPolicy, NoopScheduler, PlacementStrategy, SchedulerHook};
 use std::fmt;
-use std::sync::Arc;
 
-/// A shared, immutable handle to a technique. Sweep configs clone these
-/// freely into per-cell closures.
-pub type TechniqueRef = Arc<dyn TechniqueSpec>;
+/// The name code outside this crate holds a technique by. A
+/// [`Technique`] is a small `Copy` value, so it is the value itself.
+pub type TechniqueRef = Technique;
 
 /// Everything a technique may consult when building its scheduler hook:
 /// the trained per-class latency models and the sweep's migration
@@ -68,75 +64,460 @@ pub struct TechniqueEnv<'a> {
 /// One compared technique: how requests are dispatched, whether and how
 /// components migrate, and how the deployment is provisioned.
 ///
-/// Implementations are registered in [`registry`] (and parsed by name via
-/// [`parse`]), which makes them selectable on any sweep scenario through
-/// `pcs run --techniques <list>`.
-pub trait TechniqueSpec: fmt::Debug + Send + Sync {
+/// Build values with the constructor functions ([`red`], [`ri`], …) or
+/// [`parse`]; both reject a parameter outside its family's range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Technique {
+    /// `Basic`: one instance per partition, no redundancy, no reissue, no
+    /// migrations — the paper's do-nothing baseline.
+    Basic,
+    /// `RED-k`: every partition sub-request fans out to `k` replicas, the
+    /// quickest response wins, queued duplicates are cancelled.
+    Red(usize),
+    /// `RI-p`: a sub-request is reissued to a backup replica once it has
+    /// been outstanding longer than the class's p-th latency percentile.
+    /// The percentile is kept in percent, as given, so the name
+    /// round-trips the user's token exactly (going through a fraction
+    /// would turn `ri-29` into `RI-28.999999999999996`).
+    Ri(f64),
+    /// `PCS`: predictive component-level scheduling — the paper's
+    /// framework, dispatching like Basic and migrating stragglers every
+    /// interval.
+    Pcs,
+    /// `PCS+RED<k>`: RED-k dispatch *and* the predictive controller.
+    /// Redundancy absorbs the stragglers that strike between scheduling
+    /// intervals; migration removes the structural ones.
+    PcsRed(usize),
+    /// `PCS-B<n>`: PCS with [`SchedulerConfig::max_migrations`] capped at
+    /// `n` per interval, charting the gain/churn frontier (how much of
+    /// the latency win survives when migrations are rationed).
+    PcsBudget(usize),
+    /// `PCS-H<cap>`: the two-level hierarchical PCS (paper §VI-D).
+    /// Components are grouped by the rack of their current host and
+    /// scheduled rack by rack with the bounded greedy, at most `cap`
+    /// components per greedy run; inputs, matrix build and evacuation are
+    /// flat PCS's. Initial placement is rack-aware so replica groups
+    /// start on distinct racks.
+    PcsHier(usize),
+    /// `LL`: Basic dispatch plus the reactive [`LeastLoadedHook`] —
+    /// migration with no prediction, isolating the value of PCS's
+    /// predictive step.
+    Ll,
+    /// `Oracle`: the PCS controller fed the simulator's exact node demand
+    /// ([`pcs_sim::SchedulerContext::ground_truth_demand`]) instead of
+    /// the sampled windows. Same Algorithm 1 and matrix, so its gap to
+    /// PCS bounds what better prediction could buy.
+    Oracle,
+    /// `PCS-N<σ>`: the PCS controller with every live node's demand
+    /// estimate multiplied by a fresh mean-one log-normal factor of
+    /// parameter σ each interval
+    /// ([`PcsController::with_demand_noise`]). σ = 0 builds no noise
+    /// object, so `pcs-n0` is byte-identical to plain `pcs`.
+    PcsNoise(f64),
+    /// `CAP`: Basic dispatch on a capacity-proportional layout
+    /// ([`pcs_sim::placement::capacity_aware`]) that never moves. It
+    /// separates what a one-shot capacity-aware deployment buys from
+    /// what run-time migration buys.
+    Cap,
+}
+
+impl Technique {
     /// Canonical display name (`Basic`, `RED-3`, `RI-99.5`, `PCS`, …).
-    /// Must round-trip: `parse(name())` yields an equivalent spec.
-    fn name(&self) -> String;
+    /// Round-trips: `parse(&t.name())` yields `t`. Real parameters render
+    /// in Rust's shortest round-trip form, so 99.5 and 99.51 stay
+    /// distinct and 90.0 renders as `90`.
+    pub fn name(&self) -> String {
+        match *self {
+            Technique::Basic => "Basic".into(),
+            Technique::Red(k) => format!("RED-{k}"),
+            Technique::Ri(percent) => format!("RI-{percent}"),
+            Technique::Pcs => "PCS".into(),
+            Technique::PcsRed(k) => format!("PCS+RED{k}"),
+            Technique::PcsBudget(n) => format!("PCS-B{n}"),
+            Technique::PcsHier(cap) => format!("PCS-H{cap}"),
+            Technique::Ll => "LL".into(),
+            Technique::Oracle => "Oracle".into(),
+            Technique::PcsNoise(sigma) => format!("PCS-N{sigma}"),
+            Technique::Cap => "CAP".into(),
+        }
+    }
 
     /// One-line description for `pcs list`.
-    fn description(&self) -> String;
+    pub fn description(&self) -> String {
+        match *self {
+            Technique::Basic => "no redundancy, no reissue, no migrations".into(),
+            Technique::Red(k) => format!("request redundancy, {k} parallel replicas"),
+            Technique::Ri(percent) => {
+                format!("request reissue at the {percent}% latency percentile")
+            }
+            Technique::Pcs => "predictive component-level scheduling (this paper)".into(),
+            Technique::PcsRed(k) => {
+                format!("predictive migration under RED-{k} request redundancy (hybrid)")
+            }
+            Technique::PcsBudget(n) => format!(
+                "budgeted PCS: at most {n} migration{} per interval (gain/churn frontier)",
+                if n == 1 { "" } else { "s" }
+            ),
+            Technique::PcsHier(cap) => {
+                format!("hierarchical rack-aware PCS, rack-grouped greedy of <= {cap} components")
+            }
+            Technique::Ll => {
+                "least-loaded reactive migration off the hottest node (no prediction)".into()
+            }
+            Technique::Oracle => {
+                "PCS fed the simulator's exact node demand (prediction upper bound)".into()
+            }
+            Technique::PcsNoise(sigma) => format!(
+                "PCS with mean-one log-normal noise (sigma {sigma}) on its demand estimates"
+            ),
+            Technique::Cap => "capacity-aware initial placement, no runtime scheduling".into(),
+        }
+    }
 
     /// Physical replica instances this technique needs per partition.
-    fn replication(&self) -> usize;
+    pub fn replication(&self) -> usize {
+        match *self {
+            Technique::Red(k) | Technique::PcsRed(k) => k,
+            Technique::Ri(_) => 2,
+            _ => 1,
+        }
+    }
 
     /// Builds the dispatch policy deciding replica fan-out, reissue and
     /// cancellation.
-    fn make_policy(&self) -> Box<dyn DispatchPolicy>;
+    pub fn make_policy(&self) -> Box<dyn DispatchPolicy> {
+        match *self {
+            Technique::Red(k) | Technique::PcsRed(k) => Box::new(RedundancyPolicy::new(k)),
+            Technique::Ri(percent) => Box::new(ReissuePolicy::new(percent / 100.0)),
+            _ => Box::new(BasicPolicy),
+        }
+    }
 
-    /// Builds the scheduler hook run at every scheduling interval.
-    fn make_hook(&self, env: &TechniqueEnv<'_>) -> Box<dyn SchedulerHook>;
+    /// Builds the scheduler hook run at every scheduling interval. The
+    /// six PCS-controller families share one controller build: the
+    /// paper's scheduler parameters at the sweep's ε, plus the family's
+    /// migration budget, hierarchical grouping, exact demand or demand
+    /// noise.
+    pub fn make_hook(&self, env: &TechniqueEnv<'_>) -> Box<dyn SchedulerHook> {
+        let controller = |max_migrations| {
+            PcsController::new(
+                env.models.clone(),
+                SchedulerConfig {
+                    epsilon_secs: env.epsilon_secs,
+                    max_migrations,
+                    ..SchedulerConfig::PAPER
+                },
+            )
+        };
+        match *self {
+            Technique::Basic | Technique::Red(_) | Technique::Ri(_) | Technique::Cap => {
+                Box::new(NoopScheduler)
+            }
+            Technique::Ll => Box::new(LeastLoadedHook::default()),
+            Technique::Pcs | Technique::PcsRed(_) => Box::new(controller(None)),
+            Technique::PcsBudget(n) => Box::new(controller(Some(n))),
+            Technique::PcsHier(cap) => Box::new(controller(None).with_hierarchical(cap)),
+            Technique::Oracle => Box::new(controller(None).with_ground_truth()),
+            Technique::PcsNoise(sigma) => Box::new(controller(None).with_demand_noise(sigma)),
+        }
+    }
 
     /// Initial-placement override; `None` keeps the scenario's default
     /// (capacity-blind anti-affinity).
-    fn placement(&self) -> Option<PlacementStrategy> {
-        None
+    pub fn placement(&self) -> Option<PlacementStrategy> {
+        match self {
+            Technique::PcsHier(_) => Some(PlacementStrategy::RackAware),
+            Technique::Cap => Some(PlacementStrategy::CapacityAware),
+            _ => None,
+        }
     }
 }
 
+/// The budget cap's upper bound: beyond the simulator's largest
+/// deployments a bigger budget is indistinguishable from `None`.
+pub const MAX_MIGRATION_BUDGET: usize = 64;
+
+/// Largest accepted PCS-H per-group cap. The paper suggests groups of
+/// "640 components or less"; 1024 leaves headroom for ablations above
+/// that point while still bounding a single greedy run.
+pub const MAX_GROUP_CAP: usize = 1024;
+
+/// The group cap the bare `hier` alias selects.
+pub const DEFAULT_GROUP_CAP: usize = 64;
+
+/// Largest accepted PCS-N noise σ. exp(4²/2) ≈ 3000× median-to-mean
+/// spread — far beyond any informative operating point; larger values
+/// only invite overflow in the log-normal moments.
+pub const MAX_NOISE_SIGMA: f64 = 4.0;
+
+/// A family parameter's accepted range.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// An integer in `lo..=hi`.
+    Count(usize, usize),
+    /// A finite real in `lo..=hi`.
+    Closed(f64, f64),
+    /// A real strictly between the two ends.
+    Open(f64, f64),
+}
+
+impl Bound {
+    /// Reads a parameter token: an integer for a count, else any `f64`.
+    /// Counts travel as `f64` too; every accepted count is small and
+    /// converts exactly.
+    fn read(self, text: &str) -> Option<f64> {
+        match self {
+            Bound::Count(..) => text.parse::<usize>().ok().map(|k| k as f64),
+            Bound::Closed(..) | Bound::Open(..) => text.parse().ok(),
+        }
+    }
+
+    fn contains(self, x: f64) -> bool {
+        match self {
+            Bound::Count(lo, hi) => (lo as f64..=hi as f64).contains(&x),
+            Bound::Closed(lo, hi) => x.is_finite() && (lo..=hi).contains(&x),
+            Bound::Open(lo, hi) => x > lo && x < hi,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Count(lo, hi) => write!(f, "{lo}..={hi}"),
+            Bound::Closed(lo, hi) => write!(f, "{lo}..={hi}"),
+            Bound::Open(lo, hi) => write!(f, "({lo},{hi})"),
+        }
+    }
+}
+
+/// A parameterised family's parameter.
+struct Param {
+    /// The vocabulary's placeholder (`k` in `red-<k>`).
+    placeholder: &'static str,
+    bound: Bound,
+    /// The parameter in a malformed-token error ("the `noun` after
+    /// `red-` is not an integer").
+    noun: &'static str,
+    /// The parameter in a range error ("`range_noun` must be in 2..=8").
+    range_noun: &'static str,
+    /// Vocabulary text before and after the bound.
+    around: (&'static str, &'static str),
+}
+
+/// One technique family: its token (or token prefix) and parameter.
+struct Family {
+    /// The whole token of a bare family (`pcs`), or the prefix the
+    /// parameter follows (`red-`).
+    prefix: &'static str,
+    /// `None` for a bare family.
+    param: Option<Param>,
+    /// Builds the family member for an in-range parameter (ignored by
+    /// bare families).
+    make: fn(f64) -> Technique,
+}
+
+impl Family {
+    /// The family's vocabulary entry: `basic`, `red-<k> (2..=8)`, ….
+    fn form(&self) -> String {
+        match &self.param {
+            None => self.prefix.to_string(),
+            Some(p) => format!(
+                "{}<{}> ({}{}{})",
+                self.prefix, p.placeholder, p.around.0, p.bound, p.around.1
+            ),
+        }
+    }
+
+    /// Why `value` is outside the family's range, if it is.
+    fn range_error(&self, value: f64) -> Option<String> {
+        let p = self.param.as_ref()?;
+        (!p.bound.contains(value)).then(|| format!("{} must be in {}", p.range_noun, p.bound))
+    }
+
+    /// The constructor functions' check.
+    ///
+    /// # Panics
+    /// Panics when `value` is outside the family's range.
+    fn check(&self, value: f64) {
+        if let Some(reason) = self.range_error(value) {
+            panic!("{reason}, got {value}");
+        }
+    }
+
+    /// Parses `token` if it belongs to this family.
+    fn parse(&self, token: &str, lower: &str) -> Option<Result<Technique, TechniqueParseError>> {
+        let Some(p) = &self.param else {
+            return (lower == self.prefix).then(|| Ok((self.make)(0.0)));
+        };
+        let text = lower.strip_prefix(self.prefix)?;
+        let Some(value) = p.bound.read(text) else {
+            let kind = match p.bound {
+                Bound::Count(..) => "an integer",
+                Bound::Closed(..) | Bound::Open(..) => "a number",
+            };
+            let reason = format!("the {} after `{}` is not {kind}", p.noun, self.prefix);
+            return Some(Err(err(token, reason)));
+        };
+        Some(match self.range_error(value) {
+            Some(reason) => Err(err(token, reason)),
+            None => Ok((self.make)(value)),
+        })
+    }
+}
+
+const fn bare(token: &'static str, make: fn(f64) -> Technique) -> Family {
+    Family {
+        prefix: token,
+        param: None,
+        make,
+    }
+}
+
+const RED: Family = Family {
+    prefix: "red-",
+    param: Some(Param {
+        placeholder: "k",
+        bound: Bound::Count(2, 8),
+        noun: "replica count",
+        range_noun: "replica count",
+        around: ("", ""),
+    }),
+    make: |k| red(k as usize),
+};
+
+const RI: Family = Family {
+    prefix: "ri-",
+    param: Some(Param {
+        placeholder: "p",
+        bound: Bound::Open(0.0, 100.0),
+        noun: "percentile",
+        range_noun: "reissue percentile",
+        around: ("percentile in ", ", e.g. ri-99.5"),
+    }),
+    make: ri,
+};
+
+const PCS_RED: Family = Family {
+    prefix: "pcs+red",
+    param: Some(Param {
+        placeholder: "k",
+        bound: Bound::Count(2, 8),
+        noun: "replica count",
+        range_noun: "hybrid replica count",
+        around: ("", ""),
+    }),
+    make: |k| pcs_red(k as usize),
+};
+
+const PCS_BUDGET: Family = Family {
+    prefix: "pcs-b",
+    param: Some(Param {
+        placeholder: "n",
+        bound: Bound::Count(1, MAX_MIGRATION_BUDGET),
+        noun: "budget",
+        range_noun: "migration budget",
+        around: ("", ""),
+    }),
+    make: |n| pcs_budgeted(n as usize),
+};
+
+const PCS_HIER: Family = Family {
+    prefix: "pcs-h",
+    param: Some(Param {
+        placeholder: "cap",
+        bound: Bound::Count(1, MAX_GROUP_CAP),
+        noun: "group cap",
+        range_noun: "group cap",
+        around: ("", "; `hier` = pcs-h64"),
+    }),
+    make: |cap| pcs_hier(cap as usize),
+};
+
+const PCS_NOISE: Family = Family {
+    prefix: "pcs-n",
+    param: Some(Param {
+        placeholder: "sigma",
+        bound: Bound::Closed(0.0, MAX_NOISE_SIGMA),
+        noun: "sigma",
+        range_noun: "noise sigma",
+        around: ("", ", e.g. pcs-n0.5"),
+    }),
+    make: pcs_noisy,
+};
+
+/// Every family, in vocabulary order.
+const FAMILIES: [Family; 11] = [
+    bare("basic", |_| Technique::Basic),
+    RED,
+    RI,
+    bare("pcs", |_| Technique::Pcs),
+    PCS_RED,
+    PCS_BUDGET,
+    PCS_HIER,
+    PCS_NOISE,
+    bare("ll", |_| Technique::Ll),
+    bare("oracle", |_| Technique::Oracle),
+    bare("cap", |_| Technique::Cap),
+];
+
+/// The parameterised families with their ranges, as the CLI's technique
+/// listing names them: `red-<k> (2..=8), ri-<p> (…), …`.
+pub fn parameterised_families() -> String {
+    let forms: Vec<String> = FAMILIES
+        .iter()
+        .filter(|family| family.param.is_some())
+        .map(Family::form)
+        .collect();
+    forms.join(", ")
+}
+
 /// `Basic`: the no-op baseline.
-pub fn basic() -> TechniqueRef {
-    Arc::new(BasicSpec)
+pub fn basic() -> Technique {
+    Technique::Basic
 }
 
 /// `RED-k`: request redundancy with `k` parallel replicas.
 ///
 /// # Panics
-/// Panics unless `2 <= k <= 8` (the simulator's replica-group cap).
-pub fn red(k: usize) -> TechniqueRef {
-    Arc::new(RedSpec::new(k))
+/// Panics when `k` is outside the family's range (the simulator's
+/// replica-group cap), which every [`TechniqueParseError`] lists.
+pub fn red(k: usize) -> Technique {
+    RED.check(k as f64);
+    Technique::Red(k)
 }
 
 /// `RI-p`: request reissue at latency percentile `p`, in percent
 /// (`90.0`, `99.5`, …) — the unit the CLI names use.
 ///
 /// # Panics
-/// Panics unless `0 < p < 100`.
-pub fn ri(percent: f64) -> TechniqueRef {
-    Arc::new(RiSpec::new(percent))
+/// Panics unless `percent` is strictly between 0 and 100.
+pub fn ri(percent: f64) -> Technique {
+    RI.check(percent);
+    Technique::Ri(percent)
 }
 
 /// `PCS`: predictive component-level scheduling (the paper).
-pub fn pcs() -> TechniqueRef {
-    Arc::new(PcsSpec)
+pub fn pcs() -> Technique {
+    Technique::Pcs
 }
 
 /// `PCS+RED<k>`: predictive migration under RED-k redundancy.
 ///
 /// # Panics
-/// Panics unless `2 <= k <= 8`.
-pub fn pcs_red(k: usize) -> TechniqueRef {
-    Arc::new(HybridRedSpec::new(k))
+/// Panics when `k` is outside the family's range, like [`red`].
+pub fn pcs_red(k: usize) -> Technique {
+    PCS_RED.check(k as f64);
+    Technique::PcsRed(k)
 }
 
 /// `PCS-B<n>`: PCS capped at `n` migrations per scheduling interval.
 ///
 /// # Panics
 /// Panics unless `1 <= n <= MAX_MIGRATION_BUDGET`.
-pub fn pcs_budgeted(n: usize) -> TechniqueRef {
-    Arc::new(BudgetedPcsSpec::new(n))
+pub fn pcs_budgeted(n: usize) -> Technique {
+    PCS_BUDGET.check(n as f64);
+    Technique::PcsBudget(n)
 }
 
 /// `PCS-H<cap>`: hierarchical rack-aware PCS, at most `cap` components
@@ -144,38 +525,43 @@ pub fn pcs_budgeted(n: usize) -> TechniqueRef {
 ///
 /// # Panics
 /// Panics unless `1 <= cap <= MAX_GROUP_CAP`.
-pub fn pcs_hier(cap: usize) -> TechniqueRef {
-    Arc::new(HierPcsSpec::new(cap))
+pub fn pcs_hier(cap: usize) -> Technique {
+    PCS_HIER.check(cap as f64);
+    Technique::PcsHier(cap)
 }
 
 /// `LL`: least-loaded reactive migration — no prediction.
-pub fn ll() -> TechniqueRef {
-    Arc::new(LeastLoadedSpec)
+pub fn ll() -> Technique {
+    Technique::Ll
 }
 
 /// `Oracle`: PCS fed the simulator's exact node demand.
-pub fn oracle() -> TechniqueRef {
-    Arc::new(OracleSpec)
+pub fn oracle() -> Technique {
+    Technique::Oracle
 }
 
 /// `PCS-N<σ>`: PCS with seeded mean-one log-normal noise of parameter
-/// `sigma` on its demand estimates (`pcs-n0` ≡ `pcs`).
+/// `sigma` on its demand estimates (`pcs-n0` ≡ `pcs`). A σ of −0 is
+/// stored as 0, so it never names a second `PCS-N-0` variant of plain
+/// PCS.
 ///
 /// # Panics
 /// Panics unless `0 <= sigma <= MAX_NOISE_SIGMA` and finite.
-pub fn pcs_noisy(sigma: f64) -> TechniqueRef {
-    Arc::new(PcsNoiseSpec::new(sigma))
+pub fn pcs_noisy(sigma: f64) -> Technique {
+    PCS_NOISE.check(sigma);
+    // IEEE −0 + 0 = +0; every other σ is unchanged.
+    Technique::PcsNoise(sigma + 0.0)
 }
 
 /// `CAP`: capacity-aware initial placement, no runtime scheduling.
-pub fn cap() -> TechniqueRef {
-    Arc::new(CapacityAwareSpec)
+pub fn cap() -> Technique {
+    Technique::Cap
 }
 
 /// Every registered technique, canonical instances in display order
 /// (parameterised families are represented by their paper instances; any
-/// `red-<k>` / `ri-<p>` parses).
-pub fn registry() -> Vec<TechniqueRef> {
+/// member of a family parses).
+pub fn registry() -> Vec<Technique> {
     vec![
         basic(),
         red(3),
@@ -194,23 +580,23 @@ pub fn registry() -> Vec<TechniqueRef> {
 }
 
 /// The paper's six techniques in Figure 6 order.
-pub fn paper_set() -> Vec<TechniqueRef> {
+pub fn paper_set() -> Vec<Technique> {
     vec![basic(), red(3), red(5), ri(90.0), ri(99.0), pcs()]
 }
 
 /// The fig6-shaped `--smoke` shrink: one technique per family.
-pub fn smoke_set() -> Vec<TechniqueRef> {
+pub fn smoke_set() -> Vec<Technique> {
     vec![basic(), red(2), pcs()]
 }
 
 /// The extended comparisons' default (diurnal/hetero): one representative
 /// per family.
-pub fn extended_set() -> Vec<TechniqueRef> {
+pub fn extended_set() -> Vec<Technique> {
     vec![basic(), red(3), ri(90.0), pcs()]
 }
 
 /// The extended comparisons' `--smoke` shrink: Basic vs PCS.
-pub fn extended_smoke_set() -> Vec<TechniqueRef> {
+pub fn extended_smoke_set() -> Vec<Technique> {
     vec![basic(), pcs()]
 }
 
@@ -234,13 +620,13 @@ pub struct TechniqueParseError {
 
 impl fmt::Display for TechniqueParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let vocabulary: Vec<String> = FAMILIES.iter().map(Family::form).collect();
         write!(
             f,
-            "invalid technique `{}`: {}; valid techniques: basic, red-<k> (2..=8), \
-             ri-<p> (percentile in (0,100), e.g. ri-99.5), pcs, pcs+red<k> (2..=8), \
-             pcs-b<n> (1..=64), pcs-h<cap> (1..=1024; `hier` = pcs-h64), \
-             pcs-n<sigma> (0..=4, e.g. pcs-n0.5), ll, oracle, cap",
-            self.token, self.reason
+            "invalid technique `{}`: {}; valid techniques: {}",
+            self.token,
+            self.reason,
+            vocabulary.join(", ")
         )
     }
 }
@@ -255,88 +641,22 @@ fn err(token: &str, reason: impl Into<String>) -> TechniqueParseError {
 }
 
 /// Parses one technique name (case-insensitive). Round-trips with
-/// [`TechniqueSpec::name`]: `parse(&spec.name())` yields an equivalent
-/// spec for every registered technique.
+/// [`Technique::name`]: `parse(&t.name())` yields `t` for every
+/// technique.
 ///
 /// # Errors
 /// Returns a [`TechniqueParseError`] naming the valid vocabulary on an
 /// unknown name or an out-of-range family parameter.
-pub fn parse(name: &str) -> Result<TechniqueRef, TechniqueParseError> {
+pub fn parse(name: &str) -> Result<Technique, TechniqueParseError> {
     let token = name.trim();
     let lower = token.to_ascii_lowercase();
-    match lower.as_str() {
-        "basic" => return Ok(basic()),
-        "pcs" => return Ok(pcs()),
-        "hier" => return Ok(pcs_hier(DEFAULT_GROUP_CAP)),
-        "ll" => return Ok(ll()),
-        "oracle" => return Ok(oracle()),
-        "cap" => return Ok(cap()),
-        _ => {}
+    if lower == "hier" {
+        return Ok(pcs_hier(DEFAULT_GROUP_CAP));
     }
-    if let Some(k) = lower.strip_prefix("pcs+red") {
-        let k: usize = k
-            .parse()
-            .map_err(|_| err(token, "the replica count after `pcs+red` is not an integer"))?;
-        if !(2..=8).contains(&k) {
-            return Err(err(token, "hybrid replica count must be in 2..=8"));
-        }
-        return Ok(pcs_red(k));
-    }
-    if let Some(n) = lower.strip_prefix("pcs-b") {
-        let n: usize = n
-            .parse()
-            .map_err(|_| err(token, "the budget after `pcs-b` is not an integer"))?;
-        if !(1..=MAX_MIGRATION_BUDGET).contains(&n) {
-            return Err(err(
-                token,
-                format!("migration budget must be in 1..={MAX_MIGRATION_BUDGET}"),
-            ));
-        }
-        return Ok(pcs_budgeted(n));
-    }
-    if let Some(cap) = lower.strip_prefix("pcs-h") {
-        let cap: usize = cap
-            .parse()
-            .map_err(|_| err(token, "the group cap after `pcs-h` is not an integer"))?;
-        if !(1..=MAX_GROUP_CAP).contains(&cap) {
-            return Err(err(
-                token,
-                format!("group cap must be in 1..={MAX_GROUP_CAP}"),
-            ));
-        }
-        return Ok(pcs_hier(cap));
-    }
-    if let Some(sigma) = lower.strip_prefix("pcs-n") {
-        let sigma: f64 = sigma
-            .parse()
-            .map_err(|_| err(token, "the sigma after `pcs-n` is not a number"))?;
-        if !(sigma.is_finite() && (0.0..=MAX_NOISE_SIGMA).contains(&sigma)) {
-            return Err(err(
-                token,
-                format!("noise sigma must be in 0..={MAX_NOISE_SIGMA}"),
-            ));
-        }
-        return Ok(pcs_noisy(sigma));
-    }
-    if let Some(k) = lower.strip_prefix("red-") {
-        let k: usize = k
-            .parse()
-            .map_err(|_| err(token, "the replica count after `red-` is not an integer"))?;
-        if !(2..=8).contains(&k) {
-            return Err(err(token, "replica count must be in 2..=8"));
-        }
-        return Ok(red(k));
-    }
-    if let Some(p) = lower.strip_prefix("ri-") {
-        let percent: f64 = p
-            .parse()
-            .map_err(|_| err(token, "the percentile after `ri-` is not a number"))?;
-        if !(percent > 0.0 && percent < 100.0) {
-            return Err(err(token, "reissue percentile must be in (0, 100)"));
-        }
-        return Ok(ri(percent));
-    }
-    Err(err(token, "not a registered technique"))
+    FAMILIES
+        .iter()
+        .find_map(|family| family.parse(token, &lower))
+        .unwrap_or_else(|| Err(err(token, "not a registered technique")))
 }
 
 /// Parses a comma-separated technique list (`"red-3,ri-99,pcs"`).
@@ -344,22 +664,22 @@ pub fn parse(name: &str) -> Result<TechniqueRef, TechniqueParseError> {
 /// # Errors
 /// Fails on the first invalid token (empty tokens included), with the
 /// valid vocabulary in the message, and on a technique named twice (by
-/// canonical name, so `pcs,PCS` and `ri-90,ri-90.0` are repeats): a
+/// value, so `pcs,PCS` and `ri-90,ri-90.0` are repeats): a
 /// repeated column would be counted twice in every cross-cell summary.
-pub fn parse_list(list: &str) -> Result<Vec<TechniqueRef>, TechniqueParseError> {
-    let mut out: Vec<TechniqueRef> = Vec::new();
+pub fn parse_list(list: &str) -> Result<Vec<Technique>, TechniqueParseError> {
+    let mut out: Vec<Technique> = Vec::new();
     for token in list.split(',') {
         if token.trim().is_empty() {
             return Err(err(token, "empty technique name"));
         }
-        let spec = parse(token)?;
-        if out.iter().any(|seen| seen.name() == spec.name()) {
+        let technique = parse(token)?;
+        if out.contains(&technique) {
             return Err(err(
                 token,
-                format!("`{}` is selected more than once", spec.name()),
+                format!("`{}` is selected more than once", technique.name()),
             ));
         }
-        out.push(spec);
+        out.push(technique);
     }
     if out.is_empty() {
         return Err(err(list, "empty technique list"));
@@ -375,7 +695,7 @@ pub fn parse_list(list: &str) -> Result<Vec<TechniqueRef>, TechniqueParseError> 
 /// Panics on an unparseable name — reachable only when a caller bypasses
 /// the CLI validation with a hand-built
 /// [`pcs_harness::SweepParams::techniques`].
-pub fn resolve(selected: Option<&[String]>, default_set: Vec<TechniqueRef>) -> Vec<TechniqueRef> {
+pub fn resolve(selected: Option<&[String]>, default_set: Vec<Technique>) -> Vec<Technique> {
     match selected {
         None => default_set,
         Some(names) => names
@@ -389,29 +709,18 @@ pub fn resolve(selected: Option<&[String]>, default_set: Vec<TechniqueRef>) -> V
 mod tests {
     use super::*;
 
-    /// Equivalence for round-trip checks: same canonical name, same
-    /// replication requirement.
-    fn equivalent(a: &dyn TechniqueSpec, b: &dyn TechniqueSpec) -> bool {
-        a.name() == b.name() && a.replication() == b.replication()
-    }
-
     #[test]
     fn registry_names_round_trip() {
-        for spec in registry() {
-            let reparsed =
-                parse(&spec.name()).unwrap_or_else(|e| panic!("{} must parse: {e}", spec.name()));
-            assert!(
-                equivalent(spec.as_ref(), reparsed.as_ref()),
-                "{} round-trips to {}",
-                spec.name(),
-                reparsed.name()
-            );
+        for technique in registry() {
+            let name = technique.name();
+            let reparsed = parse(&name).unwrap_or_else(|e| panic!("{name} must parse: {e}"));
+            assert_eq!(reparsed, technique, "{name} round-trips");
         }
     }
 
     #[test]
     fn registry_names_are_unique() {
-        let names: Vec<String> = registry().iter().map(|s| s.name()).collect();
+        let names: Vec<String> = registry().iter().map(|t| t.name()).collect();
         for name in &names {
             assert_eq!(names.iter().filter(|n| *n == name).count(), 1, "{name}");
         }
@@ -419,12 +728,12 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_issue_examples() {
-        let specs = parse_list("red-3,ri-99,pcs").unwrap();
-        let names: Vec<String> = specs.iter().map(|s| s.name()).collect();
+        let techniques = parse_list("red-3,ri-99,pcs").unwrap();
+        let names: Vec<String> = techniques.iter().map(|t| t.name()).collect();
         assert_eq!(names, vec!["RED-3", "RI-99", "PCS"]);
         // Round-trip the rendered names straight back.
         let again = parse_list(&names.join(",")).unwrap();
-        assert_eq!(again.iter().map(|s| s.name()).collect::<Vec<_>>(), names);
+        assert_eq!(again.iter().map(|t| t.name()).collect::<Vec<_>>(), names);
     }
 
     #[test]
@@ -512,7 +821,7 @@ mod tests {
 
     #[test]
     fn sets_match_the_papers_grids() {
-        let names = |set: Vec<TechniqueRef>| set.iter().map(|s| s.name()).collect::<Vec<_>>();
+        let names = |set: Vec<Technique>| set.iter().map(|t| t.name()).collect::<Vec<_>>();
         assert_eq!(
             names(paper_set()),
             vec!["Basic", "RED-3", "RED-5", "RI-90", "RI-99", "PCS"]
@@ -529,9 +838,138 @@ mod tests {
     fn resolve_prefers_selected_names() {
         let resolved = resolve(Some(&["basic".to_string(), "pcs".to_string()]), paper_set());
         assert_eq!(
-            resolved.iter().map(|s| s.name()).collect::<Vec<_>>(),
+            resolved.iter().map(|t| t.name()).collect::<Vec<_>>(),
             vec!["Basic", "PCS"]
         );
         assert_eq!(resolve(None, paper_set()).len(), 6);
+    }
+}
+
+/// Tests of the paper's §VI-A techniques: Basic, RED-k, RI-p and PCS.
+#[cfg(test)]
+mod builtin {
+    mod tests {
+        use crate::techniques::{pcs, red, ri, Technique};
+
+        #[test]
+        fn paper_names_are_unchanged() {
+            assert_eq!(Technique::Basic.name(), "Basic");
+            assert_eq!(red(3).name(), "RED-3");
+            assert_eq!(red(5).name(), "RED-5");
+            assert_eq!(ri(90.0).name(), "RI-90");
+            assert_eq!(ri(99.0).name(), "RI-99");
+            assert_eq!(pcs().name(), "PCS");
+        }
+
+        #[test]
+        fn ri_rendering_is_minimal_exact() {
+            // The regression the old `{:.0}` formatting could not survive:
+            // 99.5 and 99.51 rendered identically ("RI-100") and neither
+            // could round-trip through a parser.
+            assert_eq!(ri(99.5).name(), "RI-99.5");
+            assert_eq!(ri(99.51).name(), "RI-99.51");
+            assert_ne!(ri(99.5).name(), ri(99.51).name());
+            assert_eq!(ri(50.0).name(), "RI-50");
+            // Integral CLI percents stay integral: the percent is stored,
+            // never reconstructed from a fraction.
+            assert_eq!(ri(29.0).name(), "RI-29");
+            assert_eq!(ri(7.0).name(), "RI-7");
+        }
+
+        #[test]
+        fn replication_matches_policies() {
+            for technique in [red(2), red(5), ri(99.0), Technique::Basic, pcs()] {
+                assert_eq!(
+                    technique.replication(),
+                    technique.make_policy().replication(),
+                    "{} technique and policy must agree",
+                    technique.name()
+                );
+            }
+        }
+
+        #[test]
+        #[should_panic(expected = "2..=8")]
+        fn red_rejects_k1() {
+            let _ = red(1);
+        }
+    }
+}
+
+/// Tests of the hierarchical family, `PCS-H<cap>`.
+#[cfg(test)]
+mod hier {
+    mod tests {
+        use crate::techniques::pcs_hier;
+        use pcs_sim::PlacementStrategy;
+
+        #[test]
+        fn names_render_the_cap() {
+            assert_eq!(pcs_hier(64).name(), "PCS-H64");
+            assert_eq!(pcs_hier(640).name(), "PCS-H640");
+        }
+
+        #[test]
+        fn replication_matches_policy() {
+            let technique = pcs_hier(64);
+            assert_eq!(
+                technique.replication(),
+                technique.make_policy().replication()
+            );
+            assert_eq!(technique.placement(), Some(PlacementStrategy::RackAware));
+        }
+
+        #[test]
+        #[should_panic(expected = "1..=1024")]
+        fn zero_cap_is_rejected() {
+            let _ = pcs_hier(0);
+        }
+
+        #[test]
+        #[should_panic(expected = "1..=1024")]
+        fn oversized_cap_is_rejected() {
+            let _ = pcs_hier(1025);
+        }
+    }
+}
+
+/// Tests of the PCS variants `PCS+RED<k>` and `PCS-B<n>`.
+#[cfg(test)]
+mod hybrid {
+    mod tests {
+        use crate::techniques::{pcs_budgeted, pcs_red};
+
+        #[test]
+        fn names_round_trip_the_cli_tokens() {
+            assert_eq!(pcs_red(2).name(), "PCS+RED2");
+            assert_eq!(pcs_red(5).name(), "PCS+RED5");
+            assert_eq!(pcs_budgeted(1).name(), "PCS-B1");
+            assert_eq!(pcs_budgeted(16).name(), "PCS-B16");
+        }
+
+        #[test]
+        fn replication_matches_the_dispatch_policy() {
+            for k in [2, 3, 8] {
+                let technique = pcs_red(k);
+                assert_eq!(
+                    technique.replication(),
+                    technique.make_policy().replication()
+                );
+            }
+            let budgeted = pcs_budgeted(4);
+            assert_eq!(budgeted.replication(), budgeted.make_policy().replication());
+        }
+
+        #[test]
+        #[should_panic(expected = "2..=8")]
+        fn hybrid_rejects_k1() {
+            let _ = pcs_red(1);
+        }
+
+        #[test]
+        #[should_panic(expected = "1..=")]
+        fn budget_zero_is_rejected() {
+            let _ = pcs_budgeted(0);
+        }
     }
 }

@@ -1,6 +1,6 @@
-//! `LL`: least-loaded reactive migration, in the spirit of load-aware
-//! dispatchers like RackSched — migrate off whatever node is hottest
-//! *right now*, with no prediction at all.
+//! The hook of `LL`, least-loaded reactive migration, in the spirit of
+//! load-aware dispatchers like RackSched — migrate off whatever node is
+//! hottest *right now*, with no prediction at all.
 //!
 //! The point of this baseline is to isolate the value of PCS's
 //! *predictive* step: LL sees the same monitored contention windows the
@@ -10,8 +10,7 @@
 //! between LL and PCS is attributable to prediction, not to the mere
 //! ability to migrate.
 
-use super::{TechniqueEnv, TechniqueSpec};
-use pcs_sim::{BasicPolicy, DispatchPolicy, MigrationRequest, SchedulerContext, SchedulerHook};
+use pcs_sim::{MigrationRequest, SchedulerContext, SchedulerHook};
 use pcs_types::NodeId;
 
 #[cfg(test)]
@@ -144,32 +143,6 @@ impl SchedulerHook for LeastLoadedHook {
             }],
             None => Vec::new(),
         }
-    }
-}
-
-/// The `LL` technique: Basic dispatch plus the reactive hook.
-#[derive(Debug, Clone, Copy)]
-pub struct LeastLoadedSpec;
-
-impl TechniqueSpec for LeastLoadedSpec {
-    fn name(&self) -> String {
-        "LL".into()
-    }
-
-    fn description(&self) -> String {
-        "least-loaded reactive migration off the hottest node (no prediction)".into()
-    }
-
-    fn replication(&self) -> usize {
-        1
-    }
-
-    fn make_policy(&self) -> Box<dyn DispatchPolicy> {
-        Box::new(BasicPolicy)
-    }
-
-    fn make_hook(&self, _env: &TechniqueEnv<'_>) -> Box<dyn SchedulerHook> {
-        Box::new(LeastLoadedHook::default())
     }
 }
 

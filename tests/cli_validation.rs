@@ -101,6 +101,43 @@ fn duplicate_selections_exit_with_usage_error() {
     }
 }
 
+/// An argument error, an unknown command or a non-UTF-8 argument prints
+/// its reason and one line pointing to `pcs --help`, not the whole usage
+/// text the reason would be buried under, and exits 2.
+#[test]
+fn argument_errors_print_the_reason_and_a_help_pointer() {
+    let mut cases: Vec<(Vec<OsString>, &str)> = vec![
+        (
+            ["run", "--scenario", "fig6", "--smoke", "--rates", "80,80.0"]
+                .map(OsString::from)
+                .into(),
+            "rate 80 is listed more than once",
+        ),
+        (vec!["launch".into()], "unknown command `launch`"),
+        (
+            ["run", "--scenario", "fig6", "--bogus"]
+                .map(OsString::from)
+                .into(),
+            "unknown option `--bogus`",
+        ),
+    ];
+    if cfg!(unix) {
+        cases.push((vec!["run".into(), not_utf8()], "is not valid UTF-8"));
+    }
+    for (argv, reason) in cases {
+        let out = pcs_os(argv.clone());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`pcs {argv:?}`:\n{stderr}");
+        let lines = stderr.lines().filter(|l| !l.trim().is_empty()).count();
+        assert!(
+            lines <= 2,
+            "`pcs {argv:?}` wrote {lines} stderr lines:\n{stderr}"
+        );
+        assert!(stderr.contains(reason), "`pcs {argv:?}`:\n{stderr}");
+        assert!(stderr.contains("pcs --help"), "`pcs {argv:?}`:\n{stderr}");
+    }
+}
+
 #[test]
 fn zero_repeats_is_rejected() {
     rejected_with(

@@ -4,7 +4,7 @@
 
 use pcs::controller::PcsController;
 use pcs::experiments::fig6;
-use pcs::techniques::{self, TechniqueRef};
+use pcs::techniques::{self, Technique};
 use pcs_core::ClassModelSet;
 use pcs_sim::SimConfig;
 use pcs_types::{NodeCapacity, SimDuration};
@@ -14,18 +14,13 @@ fn trained_models(seed: u64) -> ClassModelSet {
     PcsController::train_for(&topology, NodeCapacity::XEON_E5645, seed).expect("profiling campaign")
 }
 
-fn cell(
-    models: &ClassModelSet,
-    technique: &TechniqueRef,
-    rate: f64,
-    seed: u64,
-) -> pcs_sim::RunReport {
+fn cell(models: &ClassModelSet, technique: &Technique, rate: f64, seed: u64) -> pcs_sim::RunReport {
     let mut config = SimConfig::paper_like(fig6::topology(48), rate, seed);
     config.node_count = 16;
     config.horizon = SimDuration::from_secs(40);
     config.warmup = SimDuration::from_secs(8);
     let epsilon_secs = fig6::Fig6Config::default().epsilon_secs;
-    fig6::run_cell(&config, technique.as_ref(), models, epsilon_secs)
+    fig6::run_cell(&config, technique, models, epsilon_secs)
 }
 
 #[test]

@@ -260,3 +260,32 @@ fn different_seeds_change_the_report() {
     let b = run_sweep(&scenario.plan(&params_b), &params_b).to_json("diurnal", &params_b);
     assert_ne!(a.render(), b.render());
 }
+
+/// Every registered technique through the fig6 smoke cell: one column
+/// per `techniques::registry()` entry, so a change to any technique's
+/// name, replication, dispatch policy, scheduler hook or placement shows
+/// up here as a hash change.
+#[test]
+fn fig6_smoke_report_over_the_whole_registry_is_pinned() {
+    let scenario = scenarios::find("fig6").expect("scenario registered");
+    let params = SweepParams {
+        seed: scenario.default_seed(),
+        threads: 2,
+        smoke: true,
+        techniques: Some(
+            pcs::techniques::registry()
+                .iter()
+                .map(|technique| technique.name())
+                .collect(),
+        ),
+        ..SweepParams::default()
+    };
+    let report = run_sweep(&scenario.plan(&params), &params)
+        .to_json("fig6", &params)
+        .render();
+    assert_eq!(
+        fnv1a(report.as_bytes()),
+        0x0155_11ee_52f3_81ea,
+        "fig6 whole-registry smoke report bytes changed; if intentional, re-pin this hash"
+    );
+}

@@ -15,7 +15,7 @@
 
 use pcs::controller::PcsController;
 use pcs::experiments::fig6;
-use pcs::techniques::{self, TechniqueRef};
+use pcs::techniques::{self, Technique};
 use pcs_core::ClassModelSet;
 use pcs_sim::{AutoscaleConfig, FailureDetector, FaultPlan, RunReport, SimConfig};
 use pcs_types::{NodeCapacity, SimDuration, SimTime};
@@ -43,8 +43,8 @@ fn short_config(rate: f64, seed: u64) -> (SimConfig, f64) {
     (fig6::cell_config(&grid, rate), grid.epsilon_secs)
 }
 
-fn run(config: &SimConfig, technique: &TechniqueRef, epsilon_secs: f64) -> RunReport {
-    fig6::run_cell(config, technique.as_ref(), models(), epsilon_secs)
+fn run(config: &SimConfig, technique: &Technique, epsilon_secs: f64) -> RunReport {
+    fig6::run_cell(config, technique, models(), epsilon_secs)
 }
 
 /// Field-by-field report equality for everything a trajectory determines
@@ -65,8 +65,8 @@ fn assert_same_trajectory(a: &RunReport, b: &RunReport, what: &str) {
     assert_eq!(a.autoscale, b.autoscale, "{what}: autoscale report");
 }
 
-fn technique_under_test(index: usize) -> TechniqueRef {
-    [techniques::basic(), techniques::ll(), techniques::pcs()][index].clone()
+fn technique_under_test(index: usize) -> Technique {
+    [techniques::basic(), techniques::ll(), techniques::pcs()][index]
 }
 
 proptest! {

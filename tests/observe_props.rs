@@ -11,7 +11,7 @@
 
 use pcs::controller::PcsController;
 use pcs::experiments::fig6;
-use pcs::techniques::{self, TechniqueRef};
+use pcs::techniques::{self, Technique};
 use pcs_core::ClassModelSet;
 use pcs_sim::{AutoscaleConfig, FaultPlan, RunReport, SegmentKind};
 use pcs_types::{NodeCapacity, SimDuration, SimTime};
@@ -43,7 +43,7 @@ enum Disruption {
 /// Runs one short fig6-style cell; with `observe`, the observability layer
 /// retains **every** measured timeline (`top_k` = `usize::MAX`).
 fn run_observed(
-    technique: &TechniqueRef,
+    technique: &Technique,
     rate: f64,
     seed: u64,
     disruption: Disruption,
@@ -83,7 +83,7 @@ fn run_observed(
             });
         }
     }
-    fig6::run_cell(&config, technique.as_ref(), models(), grid.epsilon_secs)
+    fig6::run_cell(&config, technique, models(), grid.epsilon_secs)
 }
 
 /// The layer's structural invariants, checked against a finished report.
@@ -222,7 +222,7 @@ proptest! {
             // Membership churn pairs with the elastic technique set
             // (replication groups do not resize mid-run).
             Disruption::Autoscale => {
-                [techniques::basic(), techniques::ll(), techniques::pcs()][tech % 3].clone()
+                [techniques::basic(), techniques::ll(), techniques::pcs()][tech % 3]
             }
             _ => [
                 techniques::basic(),
@@ -232,7 +232,7 @@ proptest! {
                 techniques::red(3),
                 techniques::ri(90.0),
                 techniques::ri(99.0),
-            ][tech].clone(),
+            ][tech],
         };
         let report = run_observed(&technique, rate, seed, disruption, true);
         prop_assert!(report.overall_latency.count > 0, "the cell must serve traffic");

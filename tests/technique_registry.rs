@@ -3,23 +3,27 @@
 //! technique selection on sweep scenarios, and the new baselines actually
 //! running in the extended scenarios.
 
+use pcs::controller::PcsController;
+use pcs::experiments::fig6;
 use pcs::scenarios;
-use pcs::techniques::{self, TechniqueSpec};
+use pcs::techniques::{self, Technique, TechniqueEnv};
 use pcs_harness::{run_sweep, Json, SweepParams};
+use pcs_sim::PlacementStrategy;
+use pcs_types::NodeCapacity;
 use proptest::prelude::*;
 
-/// Round-trip equivalence: canonical name and replication agree.
-fn round_trips(spec: &dyn TechniqueSpec) {
-    let reparsed =
-        techniques::parse(&spec.name()).unwrap_or_else(|e| panic!("{} parses: {e}", spec.name()));
-    assert_eq!(reparsed.name(), spec.name());
-    assert_eq!(reparsed.replication(), spec.replication());
+/// Round-trip: the canonical name parses back to the same technique.
+fn round_trips(technique: Technique) {
+    let name = technique.name();
+    let reparsed = techniques::parse(&name).unwrap_or_else(|e| panic!("{name} parses: {e}"));
+    assert_eq!(reparsed, technique, "{name}");
+    assert_eq!(reparsed.name(), name);
 }
 
 #[test]
 fn every_registered_technique_round_trips() {
-    for spec in techniques::registry() {
-        round_trips(spec.as_ref());
+    for technique in techniques::registry() {
+        round_trips(technique);
     }
     // The sets are drawn from the registry's vocabulary too.
     for set in [
@@ -28,9 +32,61 @@ fn every_registered_technique_round_trips() {
         techniques::extended_set(),
         techniques::extended_smoke_set(),
     ] {
-        for spec in set {
-            round_trips(spec.as_ref());
+        for technique in set {
+            round_trips(technique);
         }
+    }
+}
+
+/// Every registry entry and each family's boundary instances agree with
+/// what they build: the declared replication is the dispatch policy's,
+/// placement is overridden exactly for PCS-H (rack-aware) and CAP
+/// (capacity-aware), and exactly the six PCS-controller families (PCS,
+/// PCS+RED, PCS-B, PCS-H, Oracle, PCS-N) build a hook that reports the
+/// controller's work counters.
+#[test]
+fn every_technique_agrees_with_what_it_builds() {
+    let models = PcsController::train_for(&fig6::topology(8), NodeCapacity::XEON_E5645, 62015)
+        .expect("profiling campaign trains");
+    let env = TechniqueEnv {
+        models: &models,
+        epsilon_secs: 1e-6,
+    };
+    let boundaries = [
+        techniques::red(2),
+        techniques::red(8),
+        techniques::ri(0.01),
+        techniques::ri(99.99),
+        techniques::pcs_red(2),
+        techniques::pcs_red(8),
+        techniques::pcs_budgeted(1),
+        techniques::pcs_budgeted(techniques::MAX_MIGRATION_BUDGET),
+        techniques::pcs_hier(1),
+        techniques::pcs_hier(techniques::MAX_GROUP_CAP),
+        techniques::pcs_noisy(0.0),
+        techniques::pcs_noisy(techniques::MAX_NOISE_SIGMA),
+    ];
+    for technique in techniques::registry().into_iter().chain(boundaries) {
+        let name = technique.name();
+        assert_eq!(
+            technique.replication(),
+            technique.make_policy().replication(),
+            "{name}: declared replication and dispatch policy must agree"
+        );
+        let placement = if name.starts_with("PCS-H") {
+            Some(PlacementStrategy::RackAware)
+        } else if name == "CAP" {
+            Some(PlacementStrategy::CapacityAware)
+        } else {
+            None
+        };
+        assert_eq!(technique.placement(), placement, "{name}: placement");
+        let runs_pcs_controller = name.starts_with("PCS") || name == "Oracle";
+        assert_eq!(
+            technique.make_hook(&env).cost().is_some(),
+            runs_pcs_controller,
+            "{name}: hook kind"
+        );
     }
 }
 
@@ -39,7 +95,7 @@ proptest! {
 
     #[test]
     fn red_family_round_trips(k in 2usize..=8) {
-        round_trips(techniques::red(k).as_ref());
+        round_trips(techniques::red(k));
     }
 
     #[test]
@@ -48,7 +104,7 @@ proptest! {
         // 90/99, the ambiguous 99.5 vs 99.51 pair, and everything the CLI
         // can reasonably be handed.
         let percent = percent_centi as f64 / 100.0;
-        round_trips(techniques::ri(percent).as_ref());
+        round_trips(techniques::ri(percent));
     }
 
     #[test]
@@ -57,15 +113,15 @@ proptest! {
         // imperfect levels' 0.1/0.3/0.6, the σ = 0 identity case and the
         // ceiling.
         let sigma = sigma_centi as f64 / 100.0;
-        round_trips(techniques::pcs_noisy(sigma).as_ref());
+        round_trips(techniques::pcs_noisy(sigma));
     }
 
     #[test]
     fn ri_integral_percents_render_integrally(percent in 1u32..=99) {
         // A CLI token like `ri-29` must name itself `RI-29`, never
         // `RI-28.999999999999996` (the fraction-unit regression).
-        let spec = techniques::parse(&format!("ri-{percent}")).unwrap();
-        prop_assert_eq!(spec.name(), format!("RI-{percent}"));
+        let technique = techniques::parse(&format!("ri-{percent}")).unwrap();
+        prop_assert_eq!(technique.name(), format!("RI-{percent}"));
     }
 }
 
@@ -77,8 +133,8 @@ fn ri_display_disambiguates_close_percentiles() {
     let b = techniques::ri(99.51);
     assert_eq!(a.name(), "RI-99.5");
     assert_eq!(b.name(), "RI-99.51");
-    round_trips(a.as_ref());
-    round_trips(b.as_ref());
+    round_trips(a);
+    round_trips(b);
 }
 
 #[test]
@@ -90,7 +146,7 @@ fn pcs_noisy_display_renders_minimally() {
     assert_eq!(techniques::pcs_noisy(1.0).name(), "PCS-N1");
     let parsed = techniques::parse("pcs-n0.25").unwrap();
     assert_eq!(parsed.name(), "PCS-N0.25");
-    round_trips(parsed.as_ref());
+    round_trips(parsed);
 }
 
 /// Regression: `pcs-n-0` passes the `0..=4` range check as negative zero
@@ -126,8 +182,8 @@ proptest! {
     ) {
         let suffix: String = suffix.into_iter().map(|c| SUFFIX_CHARS[c]).collect();
         let token = format!("{}{suffix}", PARSE_PREFIXES[prefix]);
-        if let Ok(spec) = techniques::parse(&token) {
-            let name = spec.name();
+        if let Ok(technique) = techniques::parse(&token) {
+            let name = technique.name();
             let reparsed = techniques::parse(&name);
             prop_assert!(reparsed.is_ok(), "{} (from {:?}) must parse", name, token);
             prop_assert_eq!(reparsed.unwrap().name(), name);
