@@ -16,7 +16,7 @@
 //!   over cells with results written into index-addressed slots, so the
 //!   output order (and therefore the rendered report) is byte-identical
 //!   for any thread count;
-//! * [`scenario`] — the [`Scenario`] trait and the plan/result types the
+//! * [`scenario`] — the [`Scenario`] registry row and the plan/result types the
 //!   single `pcs` CLI drives; registering a scenario makes it reachable
 //!   via `pcs run --scenario <name>` with tables and JSON for free.
 //!
@@ -34,4 +34,4 @@ pub mod seed;
 
 pub use json::Json;
 pub use runner::{run_indexed, run_sweep, SweepOutcome};
-pub use scenario::{CellOutcome, CellPlan, CellResult, Scenario, SweepParams, SweepPlan};
+pub use scenario::{CellOutcome, CellPlan, CellResult, Override, Scenario, SweepParams, SweepPlan};

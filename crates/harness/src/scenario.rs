@@ -2,17 +2,23 @@
 //!
 //! A scenario describes *what* to run — the cells of one evaluation grid
 //! and how to reduce their results — while [`crate::runner`] owns *how*
-//! they execute. Registering a scenario (see the facade crate's registry)
-//! makes it reachable through the single `pcs` CLI with parallel
-//! execution, plain-text tables and a JSON report for free; a new
+//! they execute. A [`Scenario`] is one row of the facade crate's registry:
+//! its name, default seed, the overrides it reads and its plan builder.
+//! Registering one makes it reachable through the single `pcs` CLI with
+//! parallel execution, plain-text tables and a JSON report for free; a new
 //! experiment is a ~50-line registration instead of a new binary.
 
 use crate::json::Json;
+use std::error::Error;
 
 /// Sweep-level knobs every scenario receives from the CLI (or a test).
 ///
-/// Scenarios interpret only the fields that make sense for them and
-/// ignore the rest; `None` means "use the scenario's default grid".
+/// `None` means "use the scenario's default grid". Each scenario lists
+/// the [`Override`]s its plan reads ([`Scenario::overrides`]) and the CLI
+/// rejects the rest. The CLI checks only syntax and repeated list entries
+/// (plus the ranges of the grid-level `rates`, `repeats` and `threads`);
+/// each other value's range is checked once, by the code that consumes
+/// it, named on its field here.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepParams {
     /// Base seed; per-cell seeds are derived via [`crate::seed::mix`].
@@ -22,51 +28,51 @@ pub struct SweepParams {
     /// Tiny-budget mode for CI smoke runs: scenarios shrink horizons,
     /// sampling budgets and grids so a full run finishes in seconds.
     pub smoke: bool,
-    /// Override of the scenario's arrival-rate grid, where applicable.
+    /// Override of the scenario's arrival-rate grid ([`Override::Rates`]).
     pub rates: Option<Vec<f64>>,
-    /// Override of the repeat count, where applicable (e.g. fig7 timing).
+    /// Override of the repeat count ([`Override::Repeats`]: fig7 timing).
     pub repeats: Option<usize>,
-    /// Override of the scenario's technique set, where applicable:
-    /// technique names the facade's registry can parse (the CLI validates
-    /// them before the plan is built). `None` keeps the scenario's
-    /// default grid.
+    /// Override of the scenario's technique set
+    /// ([`Override::Techniques`]): technique names the facade's registry
+    /// can parse (the CLI parses them before the plan is built).
     pub techniques: Option<Vec<String>>,
-    /// Override of the hierarchical scheduler's per-group component cap,
-    /// where applicable (the `scale` scenario). The CLI rejects 0.
+    /// Override of the hierarchical scheduler's per-group component cap
+    /// ([`Override::GroupCap`]: the `scale` scenario). The plan checks it
+    /// against the PCS-H family's range (`techniques::try_pcs_hier`).
     pub group_cap: Option<usize>,
-    /// Override of a scenario's cluster-size grid, where applicable (the
-    /// `scale` scenario's node counts). The CLI rejects empty lists and
-    /// degenerate sizes.
+    /// Override of a scenario's cluster-size grid ([`Override::Sizes`]:
+    /// the `scale` scenario's node counts). The plan checks each size
+    /// against `scale::MIN_NODES..=scale::MAX_NODES`.
     pub sizes: Option<Vec<usize>>,
-    /// Override of the autoscaler's target utilisation, where applicable
-    /// (the `elastic` scenario's aggressiveness presets). The CLI rejects
-    /// values outside `(0, 1]`.
+    /// Override of the autoscaler's target utilisation
+    /// ([`Override::TargetUtil`]: the `elastic` scenario's aggressiveness
+    /// presets). The plan checks it with `AutoscaleConfig::validate`.
     pub target_util: Option<f64>,
     /// Override of the autoscaler's cooldown between scale actions, in
-    /// seconds, where applicable (the `elastic` scenario). The CLI
-    /// rejects zero, negative and non-finite values.
+    /// seconds ([`Override::Cooldown`]: the `elastic` scenario). The plan
+    /// checks it with `AutoscaleConfig::validate`.
     pub cooldown_secs: Option<f64>,
-    /// Observability layer: when set, every simulated cell runs with the
-    /// simulator's `observe` config enabled, retaining this many slowest
-    /// request timelines and adding an `observe` section to the cell
-    /// metrics. The CLI rejects 0 and scenarios whose metrics are
-    /// wall-clock timings ([`Scenario::observe_supported`]).
+    /// Observability layer ([`Override::Observe`]): when set, every
+    /// simulated cell runs with the simulator's `observe` config enabled,
+    /// retaining this many slowest request timelines and adding an
+    /// `observe` section to the cell metrics. The CLI checks the count
+    /// with `ObserveConfig::validate`.
     pub observe: Option<usize>,
-    /// Override of the failure detector's detection latency, in seconds,
-    /// where applicable (the `imperfect` scenario's level presets). The
-    /// CLI rejects negative and non-finite values.
+    /// Override of the failure detector's detection latency, in seconds
+    /// ([`Override::DetectorLatency`]: the `imperfect` scenario's level
+    /// presets). The plan rejects negative and non-finite values.
     pub detector_latency_secs: Option<f64>,
-    /// Override of the failure detector's false-positive rate, where
-    /// applicable (the `imperfect` scenario). The CLI rejects values
-    /// outside `[0, 1]`.
+    /// Override of the failure detector's false-positive rate
+    /// ([`Override::FpRate`]: the `imperfect` scenario). The plan checks
+    /// it with `FailureDetector::validate`.
     pub fp_rate: Option<f64>,
-    /// Override of the failure detector's false-negative rate, where
-    /// applicable (the `imperfect` scenario). The CLI rejects values
-    /// outside `[0, 1]`.
+    /// Override of the failure detector's false-negative rate
+    /// ([`Override::FnRate`]: the `imperfect` scenario). The plan checks
+    /// it with `FailureDetector::validate`.
     pub fn_rate: Option<f64>,
-    /// Override of the prediction-noise sigma applied to the PCS cells,
-    /// where applicable (the `imperfect` scenario). The CLI rejects
-    /// negative and non-finite values.
+    /// Override of the prediction-noise sigma applied to the PCS cells
+    /// ([`Override::Noise`]: the `imperfect` scenario). The plan checks
+    /// it against the PCS-N family's range (`techniques::try_pcs_noisy`).
     pub noise: Option<f64>,
 }
 
@@ -90,6 +96,93 @@ impl Default for SweepParams {
             fp_rate: None,
             fn_rate: None,
             noise: None,
+        }
+    }
+}
+
+/// A `pcs run` override: one optional [`SweepParams`] field a scenario's
+/// plan may read. A report records every override it was run with, so
+/// the CLI rejects one the scenario does not list in
+/// [`Scenario::overrides`]: an override recorded but ignored would
+/// misstate what was run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Override {
+    /// `--rates`: [`SweepParams::rates`].
+    Rates,
+    /// `--repeats`: [`SweepParams::repeats`].
+    Repeats,
+    /// `--techniques`: [`SweepParams::techniques`].
+    Techniques,
+    /// `--sizes`: [`SweepParams::sizes`].
+    Sizes,
+    /// `--group-cap`: [`SweepParams::group_cap`].
+    GroupCap,
+    /// `--target-util`: [`SweepParams::target_util`].
+    TargetUtil,
+    /// `--cooldown`: [`SweepParams::cooldown_secs`].
+    Cooldown,
+    /// `--detector-latency`: [`SweepParams::detector_latency_secs`].
+    DetectorLatency,
+    /// `--fp-rate`: [`SweepParams::fp_rate`].
+    FpRate,
+    /// `--fn-rate`: [`SweepParams::fn_rate`].
+    FnRate,
+    /// `--noise`: [`SweepParams::noise`].
+    Noise,
+    /// `--observe`: [`SweepParams::observe`].
+    Observe,
+}
+
+impl Override {
+    /// Every override, in `pcs --help` order.
+    pub const ALL: [Override; 12] = [
+        Override::Techniques,
+        Override::Rates,
+        Override::Repeats,
+        Override::Sizes,
+        Override::GroupCap,
+        Override::TargetUtil,
+        Override::Cooldown,
+        Override::DetectorLatency,
+        Override::FpRate,
+        Override::FnRate,
+        Override::Noise,
+        Override::Observe,
+    ];
+
+    /// The `pcs run` flag that sets it.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Override::Rates => "--rates",
+            Override::Repeats => "--repeats",
+            Override::Techniques => "--techniques",
+            Override::Sizes => "--sizes",
+            Override::GroupCap => "--group-cap",
+            Override::TargetUtil => "--target-util",
+            Override::Cooldown => "--cooldown",
+            Override::DetectorLatency => "--detector-latency",
+            Override::FpRate => "--fp-rate",
+            Override::FnRate => "--fn-rate",
+            Override::Noise => "--noise",
+            Override::Observe => "--observe",
+        }
+    }
+
+    /// Whether `params` sets it.
+    pub fn is_set(self, params: &SweepParams) -> bool {
+        match self {
+            Override::Rates => params.rates.is_some(),
+            Override::Repeats => params.repeats.is_some(),
+            Override::Techniques => params.techniques.is_some(),
+            Override::Sizes => params.sizes.is_some(),
+            Override::GroupCap => params.group_cap.is_some(),
+            Override::TargetUtil => params.target_util.is_some(),
+            Override::Cooldown => params.cooldown_secs.is_some(),
+            Override::DetectorLatency => params.detector_latency_secs.is_some(),
+            Override::FpRate => params.fp_rate.is_some(),
+            Override::FnRate => params.fn_rate.is_some(),
+            Override::Noise => params.noise.is_some(),
+            Override::Observe => params.observe.is_some(),
         }
     }
 }
@@ -158,39 +251,36 @@ impl CellOutcome {
     }
 }
 
-/// An experiment reachable through the `pcs` CLI.
-pub trait Scenario: Sync {
+/// An experiment reachable through the `pcs` CLI: one registry row.
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
     /// Registry name (`pcs run --scenario <name>`).
-    fn name(&self) -> &'static str;
-
+    pub name: &'static str,
     /// One-line description for `pcs list`.
-    fn description(&self) -> &'static str;
-
+    pub description: &'static str,
     /// The base seed used when the CLI is not given `--seed`.
-    fn default_seed(&self) -> u64;
+    pub default_seed: u64,
+    /// The overrides the plan reads; the CLI rejects any other. Scenarios
+    /// whose metrics are wall-clock timings (fig7, the rebuild ablation)
+    /// leave out [`Override::Observe`]: the layer is zero-cost in
+    /// simulated time but not in real time, so observe-on runs would
+    /// perturb exactly what those scenarios measure.
+    pub overrides: &'static [Override],
+    /// The plan builder behind [`Scenario::plan`].
+    pub build: fn(&SweepParams) -> Result<SweepPlan, Box<dyn Error>>,
+}
 
-    /// Whether this scenario's plan consumes
-    /// [`SweepParams::techniques`]. The CLI rejects `--techniques` for
-    /// scenarios that would silently ignore it (a report claiming a
-    /// technique override that had no effect would poison provenance).
-    fn techniques_selectable(&self) -> bool {
-        false
-    }
-
-    /// Whether this scenario's cells can run with the observability
-    /// layer ([`SweepParams::observe`]). Scenarios whose metrics are
-    /// wall-clock timings (fig7, the rebuild ablation) override to
-    /// `false`: the layer is zero-cost in simulated time but not in real
-    /// time, so observe-on runs would perturb exactly what those
-    /// scenarios measure. The CLI rejects the combination outright.
-    fn observe_supported(&self) -> bool {
-        true
-    }
-
+impl Scenario {
     /// Builds the sweep plan for the given parameters. Expensive shared
     /// setup (e.g. training the PCS models) happens here, once, and is
     /// captured by the cell closures.
-    fn plan(&self, params: &SweepParams) -> SweepPlan;
+    ///
+    /// # Errors
+    /// An override value the scenario cannot run with, found before any
+    /// expensive setup starts.
+    pub fn plan(&self, params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+        (self.build)(params)
+    }
 }
 
 #[cfg(test)]

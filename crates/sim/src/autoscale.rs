@@ -34,7 +34,7 @@
 //! simulation bit-for-bit identical to every previous release.
 
 use crate::membership::{Membership, NodePhase};
-use pcs_types::{NodeId, SimDuration, SimTime};
+use pcs_types::{ensure, NodeId, PcsError, SimDuration, SimTime};
 
 /// Fraction of the target utilisation the *projected* post-scale-in
 /// utilisation must stay under before a drain is ordered: the headroom
@@ -88,37 +88,56 @@ pub struct AutoscaleConfig {
 impl AutoscaleConfig {
     /// Checks the knobs against a cluster size.
     ///
-    /// # Panics
-    /// Panics on a target utilisation outside `(0, 1]`, a zero step, a
-    /// zero cooldown, `min_nodes < 1`, `min_nodes > max_nodes`,
-    /// `max_nodes > node_count`, or a non-positive SLO.
-    pub fn validate(&self, node_count: usize) {
-        assert!(
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] on a target utilisation outside
+    /// `(0, 1]`, a zero step, a zero or saturated (infinite) cooldown,
+    /// `min_nodes < 1`, `min_nodes > max_nodes`, `max_nodes > node_count`,
+    /// or a non-positive SLO.
+    pub fn validate(&self, node_count: usize) -> Result<(), PcsError> {
+        ensure!(
             self.target_utilization > 0.0 && self.target_utilization <= 1.0,
+            "autoscale.target_utilization",
             "autoscale target utilisation must be in (0, 1], got {}",
             self.target_utilization
         );
-        assert!(self.step >= 1, "autoscale step must be >= 1");
-        assert!(
-            !self.cooldown.is_zero(),
-            "autoscale cooldown must be non-zero"
+        ensure!(
+            self.step >= 1,
+            "autoscale.step",
+            "autoscale step must be >= 1"
         );
-        assert!(self.min_nodes >= 1, "autoscale floor must be >= 1 node");
-        assert!(
+        // The clock ticks in microseconds: a cooldown that rounds to zero
+        // ticks lets the controller thrash every window, and one that
+        // saturates the clock (from infinite seconds) never acts again.
+        ensure!(
+            !self.cooldown.is_zero() && self.cooldown < SimDuration::MAX,
+            "autoscale.cooldown",
+            "autoscale cooldown must be non-zero and finite: a positive number of seconds \
+             of at least 1 µs"
+        );
+        ensure!(
+            self.min_nodes >= 1,
+            "autoscale.min_nodes",
+            "autoscale floor must be >= 1 node"
+        );
+        ensure!(
             self.min_nodes <= self.max_nodes,
+            "autoscale.min_nodes",
             "autoscale floor ({}) cannot exceed the ceiling ({})",
             self.min_nodes,
             self.max_nodes
         );
-        assert!(
+        ensure!(
             self.max_nodes <= node_count,
+            "autoscale.max_nodes",
             "autoscale ceiling ({}) cannot exceed the node count ({node_count})",
             self.max_nodes
         );
-        assert!(
+        ensure!(
             self.slo_p99_ms.is_finite() && self.slo_p99_ms > 0.0,
+            "autoscale.slo_p99_ms",
             "autoscale P99 SLO must be positive"
         );
+        Ok(())
     }
 }
 
@@ -472,6 +491,7 @@ fn window_p99(samples: &mut [f64]) -> Option<f64> {
 mod tests {
     use super::*;
     use crate::faults::NodeStatus;
+    use crate::panic_with_error;
 
     fn config() -> AutoscaleConfig {
         AutoscaleConfig {
@@ -723,7 +743,7 @@ mod tests {
     fn zero_target_rejected() {
         let mut cfg = config();
         cfg.target_utilization = 0.0;
-        cfg.validate(8);
+        panic_with_error(cfg.validate(8));
     }
 
     #[test]
@@ -731,7 +751,7 @@ mod tests {
     fn above_one_target_rejected() {
         let mut cfg = config();
         cfg.target_utilization = 1.5;
-        cfg.validate(8);
+        panic_with_error(cfg.validate(8));
     }
 
     #[test]
@@ -739,7 +759,16 @@ mod tests {
     fn zero_cooldown_rejected() {
         let mut cfg = config();
         cfg.cooldown = SimDuration::ZERO;
-        cfg.validate(8);
+        panic_with_error(cfg.validate(8));
+    }
+
+    #[test]
+    #[should_panic(expected = "positive number of seconds")]
+    fn infinite_cooldown_rejected() {
+        let mut cfg = config();
+        // Infinite seconds saturate the clock.
+        cfg.cooldown = SimDuration::from_secs_f64(f64::INFINITY);
+        panic_with_error(cfg.validate(8));
     }
 
     #[test]
@@ -747,12 +776,12 @@ mod tests {
     fn floor_above_ceiling_rejected() {
         let mut cfg = config();
         cfg.min_nodes = 7;
-        cfg.validate(8);
+        panic_with_error(cfg.validate(8));
     }
 
     #[test]
     #[should_panic(expected = "cannot exceed the node count")]
     fn ceiling_above_cluster_rejected() {
-        config().validate(4);
+        panic_with_error(config().validate(4));
     }
 }

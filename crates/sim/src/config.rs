@@ -5,7 +5,7 @@ use crate::faults::{FailoverPolicy, FailureDetector, FaultPlan};
 use crate::membership::Membership;
 use crate::observe::ObserveConfig;
 use pcs_monitor::SamplerConfig;
-use pcs_types::{NodeCapacity, SimDuration};
+use pcs_types::{ensure, NodeCapacity, PcsError, SimDuration};
 use pcs_workloads::{ArrivalPattern, JobGenConfig, ServiceTopology};
 
 /// How physical components are assigned to nodes before the run starts.
@@ -83,13 +83,11 @@ pub struct SimConfig {
     pub deployment: DeploymentConfig,
     /// Base request arrival rate (req/s).
     pub arrival_rate: f64,
-    /// Shape of the arrival process around the base rate. [`Simulation`]
-    /// builds the concrete [`pcs_workloads::ArrivalProcess`] from this
-    /// (or takes an arbitrary boxed process via
-    /// [`Simulation::with_arrivals`]).
+    /// Shape of the arrival process around the base rate.
+    /// [`Simulation::new`] builds the concrete
+    /// [`pcs_workloads::ArrivalProcess`] from this.
     ///
-    /// [`Simulation`]: crate::world::Simulation
-    /// [`Simulation::with_arrivals`]: crate::world::Simulation::with_arrivals
+    /// [`Simulation::new`]: crate::world::Simulation::new
     pub arrival_pattern: ArrivalPattern,
     /// Batch-job churn per node; `None` disables batch jobs.
     pub jobgen: Option<JobGenConfig>,
@@ -183,108 +181,139 @@ impl SimConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// Validates the configuration, and with it the fault plan, failure
+    /// detector, autoscaler and observability configs it holds.
     ///
-    /// # Panics
-    /// Panics on inconsistent settings (zero nodes, zero replication,
-    /// replication exceeding the node count, non-positive arrival rate…).
-    pub fn validate(&self) {
-        assert!(self.node_count > 0, "need at least one node");
-        assert!(self.rack_count > 0, "need at least one rack");
-        assert!(
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] on inconsistent settings (zero nodes,
+    /// zero replication, replication exceeding the node count,
+    /// non-positive arrival rate…).
+    pub fn validate(&self) -> Result<(), PcsError> {
+        ensure!(self.node_count > 0, "node_count", "need at least one node");
+        ensure!(self.rack_count > 0, "rack_count", "need at least one rack");
+        ensure!(
             self.rack_count <= self.node_count,
+            "rack_count",
             "rack count ({}) cannot exceed the node count ({})",
             self.rack_count,
             self.node_count
         );
-        assert!(self.deployment.replication > 0, "replication must be >= 1");
-        assert!(
-            self.deployment.replication <= self.node_count,
-            "replicas of a partition must fit on distinct nodes ({} > {})",
-            self.deployment.replication,
+        let replication = self.deployment.replication;
+        ensure!(replication > 0, "replication", "replication must be >= 1");
+        ensure!(
+            replication <= self.node_count,
+            "replication",
+            "replicas of a partition must fit on distinct nodes ({replication} > {})",
             self.node_count
         );
-        assert!(
-            self.deployment.replication <= 8,
+        ensure!(
+            replication <= 8,
+            "replication",
             "replica groups are limited to 8 instances"
         );
-        assert!(
+        ensure!(
             self.arrival_rate.is_finite() && self.arrival_rate > 0.0,
+            "arrival_rate",
             "arrival rate must be positive"
         );
         if let Some(caps) = &self.node_capacities {
-            assert_eq!(
+            ensure!(
+                caps.len() == self.node_count,
+                "node_capacities",
+                "node_capacities must list exactly one capacity per node ({} for {} nodes)",
                 caps.len(),
-                self.node_count,
-                "node_capacities must list exactly one capacity per node"
+                self.node_count
             );
         }
         match self.arrival_pattern {
             ArrivalPattern::Steady => {}
             ArrivalPattern::Diurnal { amplitude, period } => {
-                assert!(
+                ensure!(
                     (0.0..1.0).contains(&amplitude),
+                    "arrival_pattern",
                     "diurnal amplitude must be in [0,1)"
                 );
-                assert!(!period.is_zero(), "diurnal period must be non-zero");
+                ensure!(
+                    !period.is_zero(),
+                    "arrival_pattern",
+                    "diurnal period must be non-zero"
+                );
             }
             ArrivalPattern::Mmpp {
                 low,
                 high,
                 mean_dwell,
             } => {
-                assert!(
+                ensure!(
                     low > 0.0 && low <= high && high.is_finite(),
+                    "arrival_pattern",
                     "MMPP multipliers must satisfy 0 < low <= high"
                 );
-                assert!(!mean_dwell.is_zero(), "MMPP mean dwell must be non-zero");
+                ensure!(
+                    !mean_dwell.is_zero(),
+                    "arrival_pattern",
+                    "MMPP mean dwell must be non-zero"
+                );
             }
         }
         // The event queue packs stage/partition into narrow fields (u8 /
         // u16) to keep heap entries small; bound the topology to match.
-        assert!(
+        ensure!(
             self.topology.stage_count() <= u8::MAX as usize,
+            "topology",
             "topologies are limited to 255 stages"
         );
-        assert!(
+        ensure!(
             self.topology
                 .stages()
                 .iter()
                 .all(|s| s.count <= u16::MAX as usize),
+            "topology",
             "stages are limited to 65535 partitions"
         );
-        assert!(!self.horizon.is_zero(), "horizon must be non-zero");
-        assert!(
+        ensure!(
+            !self.horizon.is_zero(),
+            "horizon",
+            "horizon must be non-zero"
+        );
+        ensure!(
             self.warmup < self.horizon,
+            "warmup",
             "warm-up must end before the horizon"
         );
-        assert!(
+        ensure!(
             !self.scheduler_interval.is_zero(),
+            "scheduler_interval",
             "scheduler interval must be non-zero"
         );
-        assert!(self.service_window > 0, "service window needs capacity");
-        self.faults.validate(self.node_count);
+        ensure!(
+            self.service_window > 0,
+            "service_window",
+            "service window needs capacity"
+        );
+        self.faults.validate(self.node_count)?;
         if let Some(det) = &self.detector {
-            det.validate();
+            det.validate()?;
         }
         if let Some(ac) = &self.autoscale {
-            ac.validate(self.node_count);
+            ac.validate(self.node_count)?;
         }
         if let Some(obs) = &self.observe {
-            obs.validate();
+            obs.validate()?;
         }
         let placeable = Membership::from_config(self)
             .initial_mask(&self.faults)
             .iter()
             .filter(|&&a| a)
             .count();
-        assert!(
-            placeable >= self.deployment.replication,
+        ensure!(
+            placeable >= replication,
+            "replication",
             "replicas of a partition must fit on distinct nodes of the initial \
              fleet: the initial elastic fleet less the nodes a fault plan kills \
-             at t=0 ({placeable} placeable, replication {})",
-            self.deployment.replication
+             at t=0 ({placeable} placeable, replication {replication})"
         );
+        Ok(())
     }
 
     /// Total number of physical components in the deployment (the pool is
@@ -311,12 +340,13 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panic_with_error;
     use pcs_workloads::ServiceTopology;
 
     #[test]
     fn paper_like_validates() {
         let cfg = SimConfig::paper_like(ServiceTopology::nutch(24), 100.0, 1);
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.component_count(), 26);
     }
 
@@ -324,7 +354,7 @@ mod tests {
     fn replication_does_not_grow_the_pool() {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(10), 100.0, 1);
         cfg.deployment = DeploymentConfig { replication: 3 };
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.component_count(), 12);
     }
 
@@ -342,7 +372,7 @@ mod tests {
             amplitude: 0.5,
             period: SimDuration::from_secs(40),
         };
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -350,7 +380,7 @@ mod tests {
     fn mismatched_capacity_list_rejected() {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.node_capacities = Some(vec![NodeCapacity::XEON_E5645; 3]);
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -361,7 +391,7 @@ mod tests {
             amplitude: 1.5,
             period: SimDuration::from_secs(40),
         };
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -369,7 +399,7 @@ mod tests {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(8), 100.0, 1);
         cfg.node_count = 10;
         cfg.rack_count = 3;
-        cfg.validate();
+        cfg.validate().unwrap();
         assert_eq!(cfg.rack_assignments(), vec![0, 0, 0, 0, 1, 1, 1, 2, 2, 2]);
         // Rack sizes differ by at most one for any (nodes, racks) split.
         for nodes in 1..40 {
@@ -393,7 +423,7 @@ mod tests {
     fn zero_racks_rejected() {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.rack_count = 0;
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -402,7 +432,7 @@ mod tests {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.node_count = 4;
         cfg.rack_count = 5;
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -414,7 +444,7 @@ mod tests {
         cfg.faults =
             FaultPlan::kill_restore(6, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
         cfg.failover = FailoverPolicy::Drop;
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -429,7 +459,7 @@ mod tests {
             node: NodeId::new(9),
             kind: FaultKind::Kill,
         }]);
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     fn elastic(cfg: &mut SimConfig) {
@@ -449,7 +479,7 @@ mod tests {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(8), 100.0, 1);
         cfg.node_count = 12;
         elastic(&mut cfg);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -461,7 +491,7 @@ mod tests {
         elastic(&mut cfg);
         cfg.faults =
             FaultPlan::kill_restore(12, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -475,7 +505,7 @@ mod tests {
             ac.max_nodes = 2;
         }
         cfg.deployment = DeploymentConfig { replication: 3 };
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -490,10 +520,10 @@ mod tests {
             false_negative_rate: 0.05,
         });
         // A detector without faults is legal: pure false positives.
-        cfg.validate();
+        cfg.validate().unwrap();
         cfg.faults =
             FaultPlan::kill_restore(6, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -506,7 +536,7 @@ mod tests {
             false_positive_rate: 0.0,
             false_negative_rate: -0.1,
         });
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -517,11 +547,11 @@ mod tests {
         cfg.node_count = 12;
         elastic(&mut cfg);
         cfg.detector = Some(FailureDetector::perfect());
-        cfg.validate();
+        cfg.validate().unwrap();
         // All three membership sources at once.
         cfg.faults =
             FaultPlan::kill_restore(12, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -542,14 +572,14 @@ mod tests {
             node: NodeId::new(0),
             kind: FaultKind::Kill,
         }]);
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
     fn observe_config_validates() {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.observe = Some(crate::observe::ObserveConfig { top_k: 10 });
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 
     #[test]
@@ -557,7 +587,7 @@ mod tests {
     fn zero_observe_top_k_rejected() {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.observe = Some(crate::observe::ObserveConfig { top_k: 0 });
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 
     #[test]
@@ -566,6 +596,6 @@ mod tests {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.node_count = 2;
         cfg.deployment = DeploymentConfig { replication: 3 };
-        cfg.validate();
+        panic_with_error(cfg.validate());
     }
 }

@@ -17,7 +17,7 @@
 //! hooks observe liveness through [`NodeStatus`] in
 //! [`crate::policy::SchedulerContext`].
 
-use pcs_types::{NodeId, SimDuration, SimTime};
+use pcs_types::{ensure, NodeId, PcsError, SimDuration, SimTime};
 
 /// What a fault event does to its node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,19 +133,22 @@ impl FaultPlan {
 
     /// Checks the plan against a cluster size.
     ///
-    /// # Panics
-    /// Panics if any event names a node outside `0..node_count`, or if a
-    /// degrade event carries a factor below 1.0 or a non-finite one.
-    pub fn validate(&self, node_count: usize) {
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] if any event names a node outside
+    /// `0..node_count`, or if a degrade event carries a factor below 1.0
+    /// or a non-finite one.
+    pub fn validate(&self, node_count: usize) -> Result<(), PcsError> {
         for e in &self.events {
-            assert!(
+            ensure!(
                 e.node.index() < node_count,
+                "faults",
                 "fault plan names node {} but the cluster has {node_count} nodes",
                 e.node
             );
             if let FaultKind::Degrade { factor } = e.kind {
-                assert!(
+                ensure!(
                     factor.is_finite() && factor >= 1.0,
+                    "faults",
                     "degrade factor must be finite and >= 1.0, got {factor}"
                 );
             }
@@ -154,6 +157,7 @@ impl FaultPlan {
             self.events.windows(2).all(|w| w[0].at <= w[1].at),
             "fault plan must be time-ordered"
         );
+        Ok(())
     }
 
     /// The liveness mask at t = 0, after applying every event scheduled
@@ -471,25 +475,30 @@ impl FailureDetector {
 
     /// Checks the error rates (every detection latency is valid).
     ///
-    /// # Panics
-    /// Panics if either rate is outside `[0, 1]` or non-finite.
-    pub fn validate(&self) {
-        assert!(
-            self.false_positive_rate.is_finite() && (0.0..=1.0).contains(&self.false_positive_rate),
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] if either rate is outside `[0, 1]` or
+    /// non-finite.
+    pub fn validate(&self) -> Result<(), PcsError> {
+        ensure!(
+            (0.0..=1.0).contains(&self.false_positive_rate),
+            "detector.false_positive_rate",
             "false-positive rate must be in [0, 1], got {}",
             self.false_positive_rate
         );
-        assert!(
-            self.false_negative_rate.is_finite() && (0.0..=1.0).contains(&self.false_negative_rate),
+        ensure!(
+            (0.0..=1.0).contains(&self.false_negative_rate),
+            "detector.false_negative_rate",
             "false-negative rate must be in [0, 1], got {}",
             self.false_negative_rate
         );
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panic_with_error;
 
     #[test]
     fn events_are_time_ordered_regardless_of_input_order() {
@@ -514,7 +523,7 @@ mod tests {
         assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
         assert_eq!(plan.len(), 3);
         assert!(!plan.is_empty());
-        plan.validate(3);
+        plan.validate(3).unwrap();
     }
 
     #[test]
@@ -541,12 +550,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "names node")]
     fn out_of_range_node_is_rejected() {
-        FaultPlan::new(vec![FaultEvent {
+        let plan = FaultPlan::new(vec![FaultEvent {
             at: SimTime::from_secs(1),
             node: NodeId::new(5),
             kind: FaultKind::Kill,
-        }])
-        .validate(2);
+        }]);
+        panic_with_error(plan.validate(2));
     }
 
     #[test]
@@ -583,7 +592,7 @@ mod tests {
             SimDuration::from_millis(400),
             Some(SimDuration::from_secs(5)),
         );
-        plan.validate(6);
+        plan.validate(6).unwrap();
         let kills: Vec<&FaultEvent> = plan
             .events()
             .iter()
@@ -626,7 +635,7 @@ mod tests {
             SimDuration::from_secs(4),
             SimDuration::from_secs(1),
         );
-        plan.validate(5);
+        plan.validate(5).unwrap();
         assert_eq!(plan.len(), 10);
         for i in 0..5 {
             let node_events: Vec<&FaultEvent> = plan
@@ -705,7 +714,7 @@ mod tests {
             SimDuration::from_secs(10),
             2.5,
         );
-        plan.validate(6);
+        plan.validate(6).unwrap();
         assert_eq!(plan.len(), 2);
         let (degrade, recover) = (plan.events()[0], plan.events()[1]);
         assert_eq!(degrade.kind, FaultKind::Degrade { factor: 2.5 });
@@ -742,7 +751,7 @@ mod tests {
             SimDuration::from_secs(6),
             4.0,
         );
-        plan.validate(8);
+        plan.validate(8).unwrap();
         let degrades: Vec<&FaultEvent> = plan
             .events()
             .iter()
@@ -769,27 +778,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "degrade factor must be finite")]
     fn non_finite_degrade_factor_is_rejected_by_validate() {
-        FaultPlan::new(vec![FaultEvent {
+        let plan = FaultPlan::new(vec![FaultEvent {
             at: SimTime::from_secs(1),
             node: NodeId::new(0),
             kind: FaultKind::Degrade {
                 factor: f64::INFINITY,
             },
-        }])
-        .validate(2);
+        }]);
+        panic_with_error(plan.validate(2));
     }
 
     #[test]
     fn detector_validation_and_perfection() {
         let perfect = FailureDetector::perfect();
-        perfect.validate();
+        perfect.validate().unwrap();
         assert!(perfect.is_perfect());
         let lossy = FailureDetector {
             detection_latency: SimDuration::from_secs(2),
             false_positive_rate: 0.05,
             false_negative_rate: 0.1,
         };
-        lossy.validate();
+        lossy.validate().unwrap();
         assert!(!lossy.is_perfect());
         // Latency alone already makes a detector imperfect.
         assert!(!FailureDetector {
@@ -802,12 +811,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "false-positive rate must be in [0, 1]")]
     fn detector_rejects_out_of_range_rates() {
-        FailureDetector {
+        let detector = FailureDetector {
             detection_latency: SimDuration::ZERO,
             false_positive_rate: 1.5,
             false_negative_rate: 0.0,
-        }
-        .validate();
+        };
+        panic_with_error(detector.validate());
     }
 
     #[test]

@@ -86,3 +86,11 @@ pub use policy::{
 };
 pub use request::RequestTable;
 pub use world::Simulation;
+
+/// Panics with a validator's error, for `#[should_panic(expected = …)]`
+/// tests that match its text; a config that passed panics with a
+/// message no such test expects.
+#[cfg(test)]
+pub(crate) fn panic_with_error(result: Result<(), pcs_types::PcsError>) {
+    panic!("{}", result.expect_err("the config must be rejected"));
+}

@@ -31,7 +31,7 @@
 //! ([`TechniqueStats`](crate::TechniqueStats)) but not in timelines: they
 //! do not hold up the request.
 
-use pcs_types::{ComponentId, NodeId, RequestId, SimDuration, SimTime};
+use pcs_types::{ensure, ComponentId, NodeId, PcsError, RequestId, SimDuration, SimTime};
 use std::collections::HashMap;
 
 /// Knobs of the observability layer ([`crate::SimConfig::observe`]).
@@ -52,10 +52,15 @@ impl Default for ObserveConfig {
 impl ObserveConfig {
     /// Validates the knobs.
     ///
-    /// # Panics
-    /// Panics when `top_k` is zero.
-    pub fn validate(&self) {
-        assert!(self.top_k >= 1, "observe top-k must be at least 1");
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] when `top_k` is zero.
+    pub fn validate(&self) -> Result<(), PcsError> {
+        ensure!(
+            self.top_k >= 1,
+            "observe.top_k",
+            "observe top-k must be at least 1 (0 would retain no timelines)"
+        );
+        Ok(())
     }
 }
 
@@ -379,7 +384,6 @@ pub(crate) struct Observer {
 
 impl Observer {
     pub(crate) fn new(config: &ObserveConfig) -> Self {
-        config.validate();
         Observer {
             top_k: config.top_k,
             open: HashMap::new(),
@@ -1055,6 +1059,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_top_k_rejected() {
-        ObserveConfig { top_k: 0 }.validate();
+        crate::panic_with_error(ObserveConfig { top_k: 0 }.validate());
     }
 }

@@ -121,35 +121,22 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation from a config, a dispatch policy and a
-    /// scheduler hook.
+    /// scheduler hook. The arrival process is the config's
+    /// [`SimConfig::arrival_pattern`] around its `arrival_rate`.
     ///
     /// # Panics
-    /// Panics if the config is invalid or its deployment replication does
-    /// not match the policy's requirement.
+    /// Panics with [`SimConfig::validate`]'s error if the config is
+    /// invalid, or if its deployment replication does not match the
+    /// policy's requirement.
     pub fn new(
         config: SimConfig,
         policy: Box<dyn DispatchPolicy>,
-        hook: Box<dyn SchedulerHook>,
-    ) -> Self {
-        let arrivals = config.arrival_pattern.build(config.arrival_rate);
-        Simulation::with_arrivals(config, policy, hook, arrivals)
-    }
-
-    /// [`Simulation::new`] with an explicit arrival process, for processes
-    /// beyond what [`SimConfig::arrival_pattern`] can describe (traced
-    /// arrivals, bursty MMPP, …). The config's `arrival_rate` is still
-    /// reported as the run's nominal rate.
-    ///
-    /// # Panics
-    /// Panics if the config is invalid or its deployment replication does
-    /// not match the policy's requirement.
-    pub fn with_arrivals(
-        config: SimConfig,
-        policy: Box<dyn DispatchPolicy>,
         mut hook: Box<dyn SchedulerHook>,
-        arrivals: Box<dyn ArrivalProcess + Send>,
     ) -> Self {
-        config.validate();
+        if let Err(error) = config.validate() {
+            panic!("{error}");
+        }
+        let arrivals = config.arrival_pattern.build(config.arrival_rate);
         if config.observe.is_some() {
             hook.enable_audit();
         }
@@ -1513,6 +1500,14 @@ mod tests {
             Simulation::new(cfg, Box::new(BasicPolicy), Box::new(NoopScheduler))
         }));
         assert!(result.is_err(), "mismatched replication must panic");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid configuration for rack_count: need at least one rack")]
+    fn new_panics_with_the_validation_error() {
+        let mut cfg = quiet_config(30.0, 1);
+        cfg.rack_count = 0;
+        let _ = Simulation::new(cfg, Box::new(BasicPolicy), Box::new(NoopScheduler));
     }
 
     #[test]

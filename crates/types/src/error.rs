@@ -65,6 +65,23 @@ impl fmt::Display for PcsError {
 
 impl std::error::Error for PcsError {}
 
+/// Returns [`PcsError::InvalidConfig`] for `parameter` (converted with
+/// `Into` to the function's error type) from the enclosing function
+/// unless `cond` holds; the detail is `format!`-style. The config
+/// validators' counterpart of `assert!`.
+#[macro_export]
+macro_rules! ensure {
+    ($cond:expr, $parameter:expr, $($detail:tt)+) => {
+        if !$cond {
+            return Err($crate::PcsError::InvalidConfig {
+                parameter: $parameter,
+                detail: format!($($detail)+),
+            }
+            .into());
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

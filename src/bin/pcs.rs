@@ -19,7 +19,10 @@
 use pcs::scenarios;
 use pcs::tables;
 use pcs::techniques;
-use pcs_harness::{run_sweep, Json, SweepOutcome, SweepParams};
+use pcs_harness::{run_sweep, Json, Override, SweepOutcome, SweepParams};
+use pcs_sim::ObserveConfig;
+use std::fmt::Display;
+use std::str::FromStr;
 
 fn main() {
     let args: Result<Vec<String>, _> = std::env::args_os()
@@ -74,7 +77,7 @@ fn usage() -> String {
          \x20                      see `pcs list techniques`\n\
          \x20 --seed <u64>         base seed (default: the scenario's)\n\
          \x20 --threads <n>        worker threads (default: all cores)\n\
-         \x20 --rates <a,b,c>      arrival-rate grid override, req/s\n\
+         \x20 --rates <a,b,c>      arrival-rate grid override, req/s (simulation sweeps)\n\
          \x20 --repeats <n>        repeat count override (fig7)\n\
          \x20 --sizes <a,b,c>      cluster-size grid override, nodes (scale)\n\
          \x20 --group-cap <n>      PCS-H per-group component cap (scale)\n\
@@ -100,8 +103,7 @@ fn usage() -> String {
     for scenario in scenarios::registry() {
         out.push_str(&format!(
             "  {:<20} {}\n",
-            scenario.name(),
-            scenario.description()
+            scenario.name, scenario.description
         ));
     }
     out.push_str(&format!("\n{}\n", techniques_header()));
@@ -118,7 +120,7 @@ fn usage() -> String {
 fn cmd_list(which: Option<&str>) -> i32 {
     let scenarios_section = || {
         for scenario in scenarios::registry() {
-            println!("{:<20} {}", scenario.name(), scenario.description());
+            println!("{:<20} {}", scenario.name, scenario.description);
         }
     };
     let techniques_section = || {
@@ -156,16 +158,51 @@ struct RunArgs {
     quiet: bool,
 }
 
-/// The first value of a parsed grid list that an earlier entry already
-/// holds (`80` and `80.0` are the same rate).
-fn first_repeat<T: PartialEq>(values: &[T]) -> Option<&T> {
-    values
+/// Parses one flag value, naming the flag in the error.
+fn parse<T: FromStr>(flag: &str, text: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    text.parse().map_err(|e| format!("{flag}: {e}"))
+}
+
+/// Parses a comma-separated grid list of at least one `noun`, none of
+/// them listed twice (`80` and `80.0` are the same rate): a repeated
+/// entry would run and count the same cells twice.
+fn parse_list<T: FromStr + PartialEq + Display>(
+    flag: &str,
+    text: &str,
+    noun: &str,
+) -> Result<Vec<T>, String>
+where
+    T::Err: Display,
+{
+    if text.trim().is_empty() {
+        return Err(format!(
+            "{flag}: expected a comma-separated list of at least one {noun}, got an empty list"
+        ));
+    }
+    let values = text
+        .split(',')
+        .map(|entry| parse(flag, entry.trim()))
+        .collect::<Result<Vec<T>, _>>()?;
+    if let Some((_, dup)) = values
         .iter()
         .enumerate()
         .find(|(i, v)| values[..*i].contains(v))
-        .map(|(_, v)| v)
+    {
+        return Err(format!(
+            "{flag}: {noun} {dup} is listed more than once (a repeated {noun} would run and \
+             count the same cells twice)"
+        ));
+    }
+    Ok(values)
 }
 
+/// Parses the `pcs run` arguments. Only syntax is checked here, plus the
+/// ranges of the grid-level `--rates`, `--repeats` and `--threads`: every
+/// other value's range is checked by the code that consumes it (the
+/// scenario's plan, or `ObserveConfig::validate` for `--top-k`).
 fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut scenario = None;
     let mut params = SweepParams::default();
@@ -177,35 +214,25 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut quiet = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
+        let flag = arg.as_str();
+        let mut value = || {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
-        match arg.as_str() {
-            "--scenario" => scenario = Some(value("--scenario")?),
-            "--seed" => {
-                seed_override = Some(
-                    value("--seed")?
-                        .parse()
-                        .map_err(|e| format!("--seed: {e}"))?,
-                )
-            }
+        match flag {
+            "--scenario" => scenario = Some(value()?),
+            "--seed" => seed_override = Some(parse(flag, &value()?)?),
             "--threads" => {
-                let threads: usize = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                if threads == 0 {
+                params.threads = parse(flag, &value()?)?;
+                if params.threads == 0 {
                     return Err(
                         "--threads: must be at least 1 (0 workers would run no cells)".to_string(),
                     );
                 }
-                params.threads = threads;
             }
             "--repeats" => {
-                let repeats: usize = value("--repeats")?
-                    .parse()
-                    .map_err(|e| format!("--repeats: {e}"))?;
+                let repeats = parse(flag, &value()?)?;
                 if repeats == 0 {
                     return Err(
                         "--repeats: must be at least 1 (0 repeats would produce an empty report)"
@@ -215,165 +242,40 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 params.repeats = Some(repeats);
             }
             "--rates" => {
-                let list = value("--rates")?;
-                if list.trim().is_empty() {
-                    return Err(
-                        "--rates: expected a comma-separated list of at least one rate, got an \
-                         empty list"
-                            .to_string(),
-                    );
-                }
-                let rates: Result<Vec<f64>, _> =
-                    list.split(',').map(|r| r.trim().parse::<f64>()).collect();
-                let rates = rates.map_err(|e| format!("--rates: {e}"))?;
+                let rates: Vec<f64> = parse_list(flag, &value()?, "rate")?;
                 if let Some(bad) = rates.iter().find(|r| !r.is_finite() || **r <= 0.0) {
                     return Err(format!(
                         "--rates: rates must be finite and positive, got {bad}"
                     ));
                 }
-                if let Some(dup) = first_repeat(&rates) {
-                    return Err(format!(
-                        "--rates: rate {dup} is listed more than once (a repeated rate would \
-                         run and count the same cells twice)"
-                    ));
-                }
                 params.rates = Some(rates);
             }
             "--techniques" => {
-                let list = value("--techniques")?;
-                // Validate here (with the registry's vocabulary in the
-                // error) and hand scenarios the canonical names.
+                // Parsed here (with the registry's vocabulary in the
+                // error); scenarios get the canonical names.
                 let specs =
-                    techniques::parse_list(&list).map_err(|e| format!("--techniques: {e}"))?;
+                    techniques::parse_list(&value()?).map_err(|e| format!("--techniques: {e}"))?;
                 params.techniques = Some(specs.iter().map(|s| s.name()).collect());
             }
-            "--group-cap" => {
-                let cap: usize = value("--group-cap")?
-                    .parse()
-                    .map_err(|e| format!("--group-cap: {e}"))?;
-                if !(1..=techniques::MAX_GROUP_CAP).contains(&cap) {
-                    return Err(format!(
-                        "--group-cap: must be in 1..={}, got {cap} (0 would forbid every group)",
-                        techniques::MAX_GROUP_CAP
-                    ));
-                }
-                params.group_cap = Some(cap);
-            }
-            "--sizes" => {
-                let list = value("--sizes")?;
-                if list.trim().is_empty() {
-                    return Err(
-                        "--sizes: expected a comma-separated list of at least one cluster size, \
-                         got an empty list"
-                            .to_string(),
-                    );
-                }
-                let sizes: Result<Vec<usize>, _> =
-                    list.split(',').map(|s| s.trim().parse::<usize>()).collect();
-                let sizes = sizes.map_err(|e| format!("--sizes: {e}"))?;
-                let (min, max) = (scenarios::scale::MIN_NODES, scenarios::scale::MAX_NODES);
-                if let Some(bad) = sizes.iter().find(|s| !(min..=max).contains(*s)) {
-                    return Err(format!(
-                        "--sizes: cluster sizes must be >= {min} and <= {max} nodes (the \
-                         wide-fanout service's worker stage holds at most {} partitions), \
-                         got {bad}",
-                        u16::MAX
-                    ));
-                }
-                if let Some(dup) = first_repeat(&sizes) {
-                    return Err(format!(
-                        "--sizes: cluster size {dup} is listed more than once (a repeated size \
-                         would run and count the same cells twice)"
-                    ));
-                }
-                params.sizes = Some(sizes);
-            }
-            "--target-util" => {
-                let target: f64 = value("--target-util")?
-                    .parse()
-                    .map_err(|e| format!("--target-util: {e}"))?;
-                if !(target > 0.0 && target <= 1.0) {
-                    return Err(format!(
-                        "--target-util: target utilisation must be in (0, 1], got {target}"
-                    ));
-                }
-                params.target_util = Some(target);
-            }
-            "--cooldown" => {
-                let secs: f64 = value("--cooldown")?
-                    .parse()
-                    .map_err(|e| format!("--cooldown: {e}"))?;
-                // The clock ticks in microseconds: a cooldown that rounds
-                // to zero ticks is a zero cooldown.
-                if !secs.is_finite() || pcs_types::SimDuration::from_secs_f64(secs).is_zero() {
-                    return Err(format!(
-                        "--cooldown: must be a positive number of seconds of at least \
-                         1 µs, got {secs} (a zero cooldown would let the controller \
-                         thrash every window)"
-                    ));
-                }
-                params.cooldown_secs = Some(secs);
-            }
-            "--detector-latency" => {
-                let secs: f64 = value("--detector-latency")?
-                    .parse()
-                    .map_err(|e| format!("--detector-latency: {e}"))?;
-                if !(secs.is_finite() && secs >= 0.0) {
-                    return Err(format!(
-                        "--detector-latency: must be a non-negative number of seconds, got {secs}"
-                    ));
-                }
-                params.detector_latency_secs = Some(secs);
-            }
-            "--fp-rate" => {
-                let rate: f64 = value("--fp-rate")?
-                    .parse()
-                    .map_err(|e| format!("--fp-rate: {e}"))?;
-                if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
-                    return Err(format!(
-                        "--fp-rate: false-positive rate must be in [0, 1], got {rate}"
-                    ));
-                }
-                params.fp_rate = Some(rate);
-            }
-            "--fn-rate" => {
-                let rate: f64 = value("--fn-rate")?
-                    .parse()
-                    .map_err(|e| format!("--fn-rate: {e}"))?;
-                if !(rate.is_finite() && (0.0..=1.0).contains(&rate)) {
-                    return Err(format!(
-                        "--fn-rate: false-negative rate must be in [0, 1], got {rate}"
-                    ));
-                }
-                params.fn_rate = Some(rate);
-            }
-            "--noise" => {
-                let sigma: f64 = value("--noise")?
-                    .parse()
-                    .map_err(|e| format!("--noise: {e}"))?;
-                if !(sigma.is_finite() && (0.0..=techniques::MAX_NOISE_SIGMA).contains(&sigma)) {
-                    return Err(format!(
-                        "--noise: sigma must be in 0..={}, got {sigma}",
-                        techniques::MAX_NOISE_SIGMA
-                    ));
-                }
-                params.noise = Some(sigma);
-            }
+            "--sizes" => params.sizes = Some(parse_list(flag, &value()?, "cluster size")?),
+            "--group-cap" => params.group_cap = Some(parse(flag, &value()?)?),
+            "--target-util" => params.target_util = Some(parse(flag, &value()?)?),
+            "--cooldown" => params.cooldown_secs = Some(parse(flag, &value()?)?),
+            "--detector-latency" => params.detector_latency_secs = Some(parse(flag, &value()?)?),
+            "--fp-rate" => params.fp_rate = Some(parse(flag, &value()?)?),
+            "--fn-rate" => params.fn_rate = Some(parse(flag, &value()?)?),
+            "--noise" => params.noise = Some(parse(flag, &value()?)?),
             "--observe" => observe = true,
             "--top-k" => {
-                let k: usize = value("--top-k")?
-                    .parse()
-                    .map_err(|e| format!("--top-k: {e}"))?;
-                if k == 0 {
-                    return Err(
-                        "--top-k: must be at least 1 (0 would retain no timelines)".to_string()
-                    );
-                }
-                top_k = Some(k);
+                let config = ObserveConfig {
+                    top_k: parse(flag, &value()?)?,
+                };
+                config.validate().map_err(|e| format!("--top-k: {e}"))?;
+                top_k = Some(config.top_k);
             }
-            "--trace-out" => trace_path = Some(value("--trace-out")?),
+            "--trace-out" => trace_path = Some(value()?),
             "--smoke" => params.smoke = true,
-            "--json" => json_path = Some(value("--json")?),
+            "--json" => json_path = Some(value()?),
             "--quiet" => quiet = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -389,18 +291,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             );
         }
     }
-    if params.noise.is_some() && params.techniques.is_some() {
-        // The noise dial works by swapping the default grid's PCS cell
-        // for `pcs-n<sigma>`; a technique override replaces that grid, so
-        // the flag would silently do nothing.
-        return Err(
-            "--noise cannot combine with --techniques (the override replaces the grid the \
-             noise is applied to); select `pcs-n<sigma>` in --techniques instead"
-                .to_string(),
-        );
-    }
     if observe {
-        params.observe = Some(top_k.unwrap_or(5));
+        params.observe = Some(top_k.unwrap_or(ObserveConfig::default().top_k));
     }
     Ok(RunArgs {
         scenario: scenario.ok_or("missing --scenario")?,
@@ -424,78 +316,42 @@ fn cmd_run(args: &[String]) -> i32 {
         );
         return 2;
     };
-    if run.params.techniques.is_some() && !scenario.techniques_selectable() {
-        let selectable: Vec<&str> = scenarios::registry()
+    // A report records every override it ran with: one the scenario's
+    // plan does not read would misstate what was run.
+    if let Some(unread) = Override::ALL
+        .into_iter()
+        .find(|o| o.is_set(&run.params) && !scenario.overrides.contains(o))
+    {
+        let readers: Vec<&str> = scenarios::registry()
             .iter()
-            .filter(|s| s.techniques_selectable())
-            .map(|s| s.name())
+            .filter(|s| s.overrides.contains(&unread))
+            .map(|s| s.name)
             .collect();
-        eprintln!(
-            "scenario `{}` does not sweep techniques; --techniques applies to: {}",
-            scenario.name(),
-            selectable.join(", ")
-        );
-        return 2;
+        let flag = unread.flag();
+        return usage_error(&format!(
+            "scenario `{}` does not read {flag}; {flag} applies to: {}",
+            scenario.name,
+            readers.join(", ")
+        ));
     }
-    if (run.params.group_cap.is_some() || run.params.sizes.is_some()) && scenario.name() != "scale"
-    {
-        eprintln!(
-            "scenario `{}` has no cluster-size grid; --sizes/--group-cap apply to: scale",
-            scenario.name()
-        );
-        return 2;
-    }
-    if (run.params.target_util.is_some() || run.params.cooldown_secs.is_some())
-        && scenario.name() != "elastic"
-    {
-        eprintln!(
-            "scenario `{}` has no autoscaler; --target-util/--cooldown apply to: elastic",
-            scenario.name()
-        );
-        return 2;
-    }
-    if (run.params.detector_latency_secs.is_some()
-        || run.params.fp_rate.is_some()
-        || run.params.fn_rate.is_some()
-        || run.params.noise.is_some())
-        && scenario.name() != "imperfect"
-    {
-        eprintln!(
-            "scenario `{}` has no imperfect-information dials; \
-             --detector-latency/--fp-rate/--fn-rate/--noise apply to: imperfect",
-            scenario.name()
-        );
-        return 2;
-    }
-    if run.params.observe.is_some() && !scenario.observe_supported() {
-        let supported: Vec<&str> = scenarios::registry()
-            .iter()
-            .filter(|s| s.observe_supported())
-            .map(|s| s.name())
-            .collect();
-        eprintln!(
-            "scenario `{}` does not support the observability layer (its metrics are \
-             wall-clock or it runs no simulation); --observe applies to: {}",
-            scenario.name(),
-            supported.join(", ")
-        );
-        return 2;
-    }
-    run.params.seed = run.seed_override.unwrap_or_else(|| scenario.default_seed());
+    run.params.seed = run.seed_override.unwrap_or(scenario.default_seed);
+    let plan = match scenario.plan(&run.params) {
+        Ok(plan) => plan,
+        Err(error) => return usage_error(&error.to_string()),
+    };
 
     eprintln!(
         "running scenario `{}` (seed {}, {} threads{})...",
-        scenario.name(),
+        scenario.name,
         run.params.seed,
         run.params.threads,
         if run.params.smoke { ", smoke" } else { "" }
     );
-    let plan = scenario.plan(&run.params);
     let cell_count = plan.cells.len();
     let outcome = run_sweep(&plan, &run.params);
 
     if !run.quiet {
-        println!("== {} ==\n", scenario.description());
+        println!("== {} ==\n", scenario.description);
         print_cells(&outcome);
     }
     print_summary(&outcome);
@@ -505,7 +361,7 @@ fn cmd_run(args: &[String]) -> i32 {
     eprintln!("{cell_count} cells done");
 
     if let Some(path) = &run.json_path {
-        let report = outcome.to_json(scenario.name(), &run.params).render() + "\n";
+        let report = outcome.to_json(scenario.name, &run.params).render() + "\n";
         if let Err(error) = std::fs::write(path, report) {
             eprintln!("writing {path}: {error}");
             return 1;
@@ -513,7 +369,7 @@ fn cmd_run(args: &[String]) -> i32 {
         eprintln!("JSON report written to {path}");
     }
     if let Some(path) = &run.trace_path {
-        let report = outcome.to_json(scenario.name(), &run.params);
+        let report = outcome.to_json(scenario.name, &run.params);
         let rendered = pcs::trace::chrome_trace(&report).render() + "\n";
         // The trace must round-trip the harness's own strict parser:
         // writing a file Perfetto would reject is worse than failing.

@@ -27,9 +27,10 @@
 use super::{base_grid, kv, technique_cell, technique_grid, train_models, Traffic};
 use crate::experiments::fig6;
 use crate::techniques;
-use pcs_harness::{CellOutcome, Json, Scenario, SweepParams, SweepPlan};
+use pcs_harness::{CellOutcome, Json, Override, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{AutoscaleConfig, RunReport};
-use pcs_types::SimDuration;
+use pcs_types::{PcsError, SimDuration};
+use std::error::Error;
 
 /// Cluster size of the elastic sweep: twice the failures cluster, so
 /// there is real capacity to shed — the fleet can halve and still hold
@@ -81,10 +82,13 @@ const PRESETS: [Preset; 3] = [
     },
 ];
 
-/// Builds one preset's autoscaler config, with the CLI's `--target-util`
-/// and `--cooldown` overrides (already validated there) applied on top.
-fn autoscale_config(preset: &Preset, params: &SweepParams) -> AutoscaleConfig {
-    AutoscaleConfig {
+/// Builds one preset's autoscaler config with the `--target-util` and
+/// `--cooldown` overrides applied on top, checked by
+/// [`AutoscaleConfig::validate`]. A negative or NaN cooldown saturates to
+/// zero and an infinite one to [`SimDuration::MAX`], both of which the
+/// check rejects.
+fn autoscale_config(preset: &Preset, params: &SweepParams) -> Result<AutoscaleConfig, PcsError> {
+    let config = AutoscaleConfig {
         target_utilization: params.target_util.unwrap_or(preset.target_utilization),
         step: preset.step,
         cooldown: SimDuration::from_secs_f64(params.cooldown_secs.unwrap_or(preset.cooldown_secs)),
@@ -92,7 +96,9 @@ fn autoscale_config(preset: &Preset, params: &SweepParams) -> AutoscaleConfig {
         min_nodes: ELASTIC_MIN_NODES,
         max_nodes: ELASTIC_NODE_COUNT,
         slo_p99_ms: ELASTIC_SLO_P99_MS,
-    }
+    };
+    config.validate(ELASTIC_NODE_COUNT)?;
+    Ok(config)
 }
 
 /// The elastic sweep's technique set: the no-op, reactive and
@@ -197,99 +203,96 @@ fn elastic_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
 }
 
 /// The scenario registration.
-pub struct ElasticScenario;
+pub const ELASTIC: Scenario = Scenario {
+    name: "elastic",
+    description: "Autoscaler aggressiveness x traffic shape: node-hours at a fixed P99 SLO",
+    default_seed: 62022,
+    overrides: &[
+        Override::Rates,
+        Override::Techniques,
+        Override::TargetUtil,
+        Override::Cooldown,
+        Override::Observe,
+    ],
+    build: elastic_plan,
+};
 
-impl Scenario for ElasticScenario {
-    fn name(&self) -> &'static str {
-        "elastic"
-    }
-
-    fn description(&self) -> &'static str {
-        "Autoscaler aggressiveness x traffic shape: node-hours at a fixed P99 SLO"
-    }
-
-    fn default_seed(&self) -> u64 {
-        62022
-    }
-
-    fn techniques_selectable(&self) -> bool {
-        true
-    }
-
-    fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let cfg = base_grid(params, &[100.0]);
-        let techniques = technique_grid(params, elastic_set(), elastic_set());
-        let models = train_models(&cfg);
-        // `--smoke` keeps one mid-grid preset and the diurnal trace.
-        let presets: &[Preset] = if params.smoke {
-            &PRESETS[1..2]
-        } else {
-            &PRESETS[..]
-        };
-        // Fixed-rate Poisson never rewards elasticity; both of these
-        // shapes spend real time below the mean.
-        let traffic: &[Traffic] = if params.smoke {
-            &[Traffic::Diurnal]
-        } else {
-            &[Traffic::Diurnal, Traffic::Mmpp]
-        };
-        let mut cells = Vec::new();
-        for &rate in &cfg.rates {
-            for shape in traffic {
-                for preset in presets {
-                    let autoscale = autoscale_config(preset, params);
-                    for &technique in &techniques {
-                        let cfg = cfg.clone();
-                        let shape = *shape;
-                        cells.push(technique_cell(
-                            format!(
-                                "{} @ ~{rate} req/s {} {}",
-                                technique.name(),
-                                shape.name(),
-                                preset.name
-                            ),
-                            vec![
-                                kv("rate", rate),
-                                kv("technique", technique.name()),
-                                kv("traffic", shape.name()),
-                                kv("preset", preset.name),
-                                kv("target_util", autoscale.target_utilization),
-                                kv("step", preset.step),
-                                kv("cooldown_s", autoscale.cooldown.as_secs_f64()),
-                            ],
-                            technique,
-                            &models,
-                            cfg.epsilon_secs,
-                            move || {
-                                let mut sim_config = fig6::cell_config(&cfg, rate);
-                                sim_config.node_count = ELASTIC_NODE_COUNT;
-                                sim_config.arrival_pattern = shape.pattern();
-                                sim_config.autoscale = Some(autoscale);
-                                sim_config
-                            },
-                            Some(autoscale_metrics),
-                        ));
-                    }
+fn elastic_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+    let cfg = base_grid(params, &[100.0]);
+    let techniques = technique_grid(params, elastic_set(), elastic_set());
+    // `--smoke` keeps one mid-grid preset and the diurnal trace.
+    let presets: &[Preset] = if params.smoke {
+        &PRESETS[1..2]
+    } else {
+        &PRESETS[..]
+    };
+    let autoscales = presets
+        .iter()
+        .map(|preset| autoscale_config(preset, params))
+        .collect::<Result<Vec<_>, _>>()?;
+    let models = train_models(&cfg);
+    // Fixed-rate Poisson never rewards elasticity; both of these
+    // shapes spend real time below the mean.
+    let traffic: &[Traffic] = if params.smoke {
+        &[Traffic::Diurnal]
+    } else {
+        &[Traffic::Diurnal, Traffic::Mmpp]
+    };
+    let mut cells = Vec::new();
+    for &rate in &cfg.rates {
+        for shape in traffic {
+            for (preset, &autoscale) in presets.iter().zip(&autoscales) {
+                for &technique in &techniques {
+                    let cfg = cfg.clone();
+                    let shape = *shape;
+                    cells.push(technique_cell(
+                        format!(
+                            "{} @ ~{rate} req/s {} {}",
+                            technique.name(),
+                            shape.name(),
+                            preset.name
+                        ),
+                        vec![
+                            kv("rate", rate),
+                            kv("technique", technique.name()),
+                            kv("traffic", shape.name()),
+                            kv("preset", preset.name),
+                            kv("target_util", autoscale.target_utilization),
+                            kv("step", preset.step),
+                            kv("cooldown_s", autoscale.cooldown.as_secs_f64()),
+                        ],
+                        technique,
+                        &models,
+                        cfg.epsilon_secs,
+                        move || {
+                            let mut sim_config = fig6::cell_config(&cfg, rate);
+                            sim_config.node_count = ELASTIC_NODE_COUNT;
+                            sim_config.arrival_pattern = shape.pattern();
+                            sim_config.autoscale = Some(autoscale);
+                            sim_config
+                        },
+                        Some(autoscale_metrics),
+                    ));
                 }
             }
         }
-        SweepPlan {
-            cells,
-            summarize: Some(Box::new(elastic_summary)),
-            notes: vec![
-                format!(
-                    "{ELASTIC_NODE_COUNT}-node cluster, floor {ELASTIC_MIN_NODES}, cold start \
-                     {ELASTIC_COLD_START_MS} ms; fleet starts fully provisioned and the \
-                     autoscaler sheds what it can prove idle"
-                ),
-                format!(
-                    "node_hours_at_slo = cheapest fleet over cells with p99 <= {ELASTIC_SLO_P99_MS} ms; \
-                     null = the technique never met the SLO"
-                ),
-                "drains retire a node only once the scheduler hook evacuated it: basic never \
-                 does (full-fleet cost), ll drains one component per interval, pcs in batches"
-                    .to_string(),
-            ],
-        }
     }
+    Ok(SweepPlan {
+        cells,
+        summarize: Some(Box::new(elastic_summary)),
+        notes: vec![
+            format!(
+                "{ELASTIC_NODE_COUNT}-node cluster, floor {ELASTIC_MIN_NODES}, cold start \
+                 {ELASTIC_COLD_START_MS} ms; fleet starts fully provisioned and the \
+                 autoscaler sheds what it can prove idle"
+            ),
+            format!(
+                "node_hours_at_slo = cheapest fleet over cells with p99 <= {ELASTIC_SLO_P99_MS} ms; \
+                 null = the technique never met the SLO"
+            ),
+            "drains retire a node only once the scheduler hook evacuated it: basic never \
+             does (full-fleet cost), ll drains one component per interval, pcs in batches"
+                .to_string(),
+        ],
+    })
 }

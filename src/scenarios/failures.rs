@@ -26,14 +26,15 @@
 //! point of the comparison.
 
 use super::{
-    base_grid, kill_victims, kv, technique_cell, technique_grid, train_models, RACK_SIZE,
-    VICTIM_POOL,
+    base_grid, kill_victims, kv, technique_cell, technique_grid, train_models,
+    COMPARISON_OVERRIDES, RACK_SIZE, VICTIM_POOL,
 };
 use crate::experiments::fig6;
 use crate::techniques;
 use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{FaultPlan, RunReport, SimConfig};
 use pcs_types::SimTime;
+use std::error::Error;
 
 /// Node count of the failures cluster: small enough that every node
 /// hosts at least two components in both the smoke and the full grid.
@@ -175,50 +176,103 @@ fn rolling_plan(sim: &SimConfig) -> FaultPlan {
 /// The `failures-rolling` scenario: the ROADMAP's maintenance-wave
 /// follow-up. One rolling restart across all six nodes over a long
 /// horizon (twice the family default), per registry technique.
-pub struct RollingRestartScenario;
+pub const ROLLING_RESTART: Scenario = Scenario {
+    name: "failures-rolling",
+    description: "Maintenance wave: rolling node restarts under load, long horizon",
+    default_seed: 62020,
+    overrides: COMPARISON_OVERRIDES,
+    build: rolling_restart_plan,
+};
 
-impl Scenario for RollingRestartScenario {
-    fn name(&self) -> &'static str {
-        "failures-rolling"
+fn rolling_restart_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+    let mut cfg = base_grid(params, &[100.0]);
+    // A whole-cluster wave needs a long horizon: double the family
+    // default (the `--smoke` shrink is applied first, so smoke runs
+    // stay CI-sized).
+    cfg.horizon_scale *= 2.0;
+    let techniques = technique_grid(params, failures_set(), failures_smoke_set());
+    let models = train_models(&cfg);
+    let mut cells = Vec::new();
+    for &rate in &cfg.rates {
+        // One deterministic wave per rate, identical for every
+        // technique ([`FaultPlan::rolling_restart`] draws nothing).
+        let mut sim_probe = fig6::cell_config(&cfg, rate);
+        sim_probe.node_count = FAIL_NODE_COUNT;
+        let schedule = rolling_plan(&sim_probe);
+        let victims = kill_victims(&schedule);
+        for &technique in &techniques {
+            let cfg = cfg.clone();
+            let schedule = schedule.clone();
+            cells.push(technique_cell(
+                format!("{} @ {rate} req/s rolling-restart", technique.name()),
+                vec![
+                    kv("rate", rate),
+                    kv("technique", technique.name()),
+                    kv("plan", "rolling-restart".to_string()),
+                    ("victims".to_string(), Json::Array(victims.clone())),
+                ],
+                technique,
+                &models,
+                cfg.epsilon_secs,
+                move || {
+                    let mut sim_config = fig6::cell_config(&cfg, rate);
+                    sim_config.node_count = FAIL_NODE_COUNT;
+                    sim_config.faults = schedule.clone();
+                    sim_config
+                },
+                Some(fault_metrics),
+            ));
+        }
     }
+    Ok(SweepPlan {
+        cells,
+        summarize: Some(Box::new(failures_summary)),
+        notes: vec![
+            format!(
+                "rolling restart over all {FAIL_NODE_COUNT} nodes: wave starts 5% into the \
+                 measured span, one node every 15%, each down for 10%"
+            ),
+            "evacuation_ms = kill -> last orphan re-placed (migration or restore); null = never"
+                .to_string(),
+        ],
+    })
+}
 
-    fn description(&self) -> &'static str {
-        "Maintenance wave: rolling node restarts under load, long horizon"
-    }
+/// The scenario registration.
+pub const FAILURES: Scenario = Scenario {
+    name: "failures",
+    description: "Techniques under node kill/restore faults (evacuation latency, request loss)",
+    default_seed: 62019,
+    overrides: COMPARISON_OVERRIDES,
+    build: failures_plan,
+};
 
-    fn default_seed(&self) -> u64 {
-        62020
-    }
-
-    fn techniques_selectable(&self) -> bool {
-        true
-    }
-
-    fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = base_grid(params, &[100.0]);
-        // A whole-cluster wave needs a long horizon: double the family
-        // default (the `--smoke` shrink is applied first, so smoke runs
-        // stay CI-sized).
-        cfg.horizon_scale *= 2.0;
-        let techniques = technique_grid(params, failures_set(), failures_smoke_set());
-        let models = train_models(&cfg);
-        let mut cells = Vec::new();
-        for &rate in &cfg.rates {
-            // One deterministic wave per rate, identical for every
-            // technique ([`FaultPlan::rolling_restart`] draws nothing).
+fn failures_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+    let cfg = base_grid(params, &[100.0]);
+    let techniques = technique_grid(params, failures_set(), failures_smoke_set());
+    let models = train_models(&cfg);
+    let mut cells = Vec::new();
+    for &rate in &cfg.rates {
+        for (plan_index, plan) in PLANS.iter().enumerate() {
+            // One outage per (rate, plan), shared by every technique:
+            // the comparison is on an identical trace. The schedule
+            // and its victims (cell-param provenance: which nodes
+            // die, when) are resolved here, once, and cloned into
+            // every technique's cell.
+            let plan_seed = seed::mix(fig6::rate_seed(cfg.seed, rate), plan_index as u64);
             let mut sim_probe = fig6::cell_config(&cfg, rate);
             sim_probe.node_count = FAIL_NODE_COUNT;
-            let schedule = rolling_plan(&sim_probe);
+            let schedule = fault_plan(plan, plan_seed, &sim_probe);
             let victims = kill_victims(&schedule);
             for &technique in &techniques {
                 let cfg = cfg.clone();
                 let schedule = schedule.clone();
                 cells.push(technique_cell(
-                    format!("{} @ {rate} req/s rolling-restart", technique.name()),
+                    format!("{} @ {rate} req/s {plan}", technique.name()),
                     vec![
                         kv("rate", rate),
                         kv("technique", technique.name()),
-                        kv("plan", "rolling-restart".to_string()),
+                        kv("plan", plan.to_string()),
                         ("victims".to_string(), Json::Array(victims.clone())),
                     ],
                     technique,
@@ -234,94 +288,17 @@ impl Scenario for RollingRestartScenario {
                 ));
             }
         }
-        SweepPlan {
-            cells,
-            summarize: Some(Box::new(failures_summary)),
-            notes: vec![
-                format!(
-                    "rolling restart over all {FAIL_NODE_COUNT} nodes: wave starts 5% into the \
-                     measured span, one node every 15%, each down for 10%"
-                ),
-                "evacuation_ms = kill -> last orphan re-placed (migration or restore); null = never"
-                    .to_string(),
-            ],
-        }
     }
-}
-
-/// The scenario registration.
-pub struct FailuresScenario;
-
-impl Scenario for FailuresScenario {
-    fn name(&self) -> &'static str {
-        "failures"
-    }
-
-    fn description(&self) -> &'static str {
-        "Techniques under node kill/restore faults (evacuation latency, request loss)"
-    }
-
-    fn default_seed(&self) -> u64 {
-        62019
-    }
-
-    fn techniques_selectable(&self) -> bool {
-        true
-    }
-
-    fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let cfg = base_grid(params, &[100.0]);
-        let techniques = technique_grid(params, failures_set(), failures_smoke_set());
-        let models = train_models(&cfg);
-        let mut cells = Vec::new();
-        for &rate in &cfg.rates {
-            for (plan_index, plan) in PLANS.iter().enumerate() {
-                // One outage per (rate, plan), shared by every technique:
-                // the comparison is on an identical trace. The schedule
-                // and its victims (cell-param provenance: which nodes
-                // die, when) are resolved here, once, and cloned into
-                // every technique's cell.
-                let plan_seed = seed::mix(fig6::rate_seed(cfg.seed, rate), plan_index as u64);
-                let mut sim_probe = fig6::cell_config(&cfg, rate);
-                sim_probe.node_count = FAIL_NODE_COUNT;
-                let schedule = fault_plan(plan, plan_seed, &sim_probe);
-                let victims = kill_victims(&schedule);
-                for &technique in &techniques {
-                    let cfg = cfg.clone();
-                    let schedule = schedule.clone();
-                    cells.push(technique_cell(
-                        format!("{} @ {rate} req/s {plan}", technique.name()),
-                        vec![
-                            kv("rate", rate),
-                            kv("technique", technique.name()),
-                            kv("plan", plan.to_string()),
-                            ("victims".to_string(), Json::Array(victims.clone())),
-                        ],
-                        technique,
-                        &models,
-                        cfg.epsilon_secs,
-                        move || {
-                            let mut sim_config = fig6::cell_config(&cfg, rate);
-                            sim_config.node_count = FAIL_NODE_COUNT;
-                            sim_config.faults = schedule.clone();
-                            sim_config
-                        },
-                        Some(fault_metrics),
-                    ));
-                }
-            }
-        }
-        SweepPlan {
-            cells,
-            summarize: Some(Box::new(failures_summary)),
-            notes: vec![
-                format!(
-                    "6-node cluster; kill at 25% of the measured span, restores 35% later; \
-                     cascade = {RACK_SIZE}-node rack, kills one fifth of a scheduling interval apart"
-                ),
-                "evacuation_ms = kill -> last orphan re-placed (migration or restore); null = never"
-                    .to_string(),
-            ],
-        }
-    }
+    Ok(SweepPlan {
+        cells,
+        summarize: Some(Box::new(failures_summary)),
+        notes: vec![
+            format!(
+                "6-node cluster; kill at 25% of the measured span, restores 35% later; \
+                 cascade = {RACK_SIZE}-node rack, kills one fifth of a scheduling interval apart"
+            ),
+            "evacuation_ms = kill -> last orphan re-placed (migration or restore); null = never"
+                .to_string(),
+        ],
+    })
 }

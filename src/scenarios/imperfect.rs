@@ -33,9 +33,10 @@ use super::{base_grid, kill_victims, kv, technique_cell, train_models, RACK_SIZE
 use crate::experiments::fig6;
 use crate::scenarios::failures::FAIL_NODE_COUNT;
 use crate::techniques::{self, Technique};
-use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
+use pcs_harness::{seed, CellOutcome, Json, Override, Scenario, SweepParams, SweepPlan};
 use pcs_sim::{FailureDetector, FaultPlan, RunReport, SimConfig};
-use pcs_types::{SimDuration, SimTime};
+use pcs_types::{ensure, PcsError, SimDuration, SimTime};
+use std::error::Error;
 
 /// One imperfection level: how wrong each information channel is.
 ///
@@ -105,25 +106,50 @@ struct Effective {
     factor: f64,
     detector: Option<FailureDetector>,
     sigma: f64,
+    /// The level's PCS cell: `pcs-n<sigma>`, or plain `pcs` at σ = 0.
+    pcs: Technique,
 }
 
-fn effective(level: &Level, params: &SweepParams, measured: SimDuration) -> Effective {
-    let latency = params
-        .detector_latency_secs
-        .map(SimDuration::from_secs_f64)
-        .unwrap_or_else(|| measured.mul_f64(level.latency_frac));
+/// Applies the overrides to `level`, checking the detector with
+/// [`FailureDetector::validate`] and σ against the PCS-N family's range.
+fn effective(
+    level: &Level,
+    params: &SweepParams,
+    measured: SimDuration,
+) -> Result<Effective, PcsError> {
+    let latency = match params.detector_latency_secs {
+        Some(secs) => {
+            // Every duration is a valid latency, but a negative or
+            // non-finite number of seconds is no duration at all.
+            ensure!(
+                secs.is_finite() && secs >= 0.0,
+                "detector_latency_secs",
+                "detector latency must be a non-negative number of seconds, got {secs}"
+            );
+            SimDuration::from_secs_f64(secs)
+        }
+        None => measured.mul_f64(level.latency_frac),
+    };
     let detector = FailureDetector {
         detection_latency: latency,
         false_positive_rate: params.fp_rate.unwrap_or(level.fp_rate),
         false_negative_rate: params.fn_rate.unwrap_or(level.fn_rate),
     };
-    Effective {
+    detector.validate()?;
+    let sigma = params.noise.unwrap_or(level.sigma);
+    let noisy = techniques::try_pcs_noisy(sigma)?;
+    Ok(Effective {
         factor: level.factor,
         // A perfect detector is provably byte-identical to no detector;
         // configure `None` so the clean level's cells are plain runs.
         detector: (!detector.is_perfect()).then_some(detector),
-        sigma: params.noise.unwrap_or(level.sigma),
-    }
+        sigma,
+        pcs: if sigma > 0.0 {
+            noisy
+        } else {
+            techniques::pcs()
+        },
+    })
 }
 
 /// Builds one level's fault schedule: the shared kill-restore outage
@@ -166,15 +192,9 @@ fn level_plan(level: &Level, plan_seed: u64, sim: &SimConfig) -> FaultPlan {
 }
 
 /// The default technique set per level: the blind baseline, the reactive
-/// evacuator, the perfect-information bound, and PCS fed the level's
-/// noise (σ = 0 selects plain `pcs`, so the clean cell is the standard
-/// technique).
-fn level_set(sigma: f64, smoke: bool) -> Vec<Technique> {
-    let pcs = if sigma > 0.0 {
-        techniques::pcs_noisy(sigma)
-    } else {
-        techniques::pcs()
-    };
+/// evacuator, the perfect-information bound, and the level's PCS cell
+/// (plain `pcs` at σ = 0, so the clean cell is the standard technique).
+fn level_set(pcs: Technique, smoke: bool) -> Vec<Technique> {
     if smoke {
         vec![techniques::basic(), techniques::ll(), pcs]
     } else {
@@ -289,115 +309,125 @@ fn grid(params: &SweepParams) -> fig6::Fig6Config {
 }
 
 /// The scenario registration.
-pub struct ImperfectScenario;
+pub const IMPERFECT: Scenario = Scenario {
+    name: "imperfect",
+    description: "Graceful degradation under stragglers, noisy detection and prediction error",
+    default_seed: 62024,
+    overrides: &[
+        Override::Rates,
+        Override::Techniques,
+        Override::DetectorLatency,
+        Override::FpRate,
+        Override::FnRate,
+        Override::Noise,
+        Override::Observe,
+    ],
+    build: imperfect_plan,
+};
 
-impl Scenario for ImperfectScenario {
-    fn name(&self) -> &'static str {
-        "imperfect"
+fn imperfect_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+    if params.noise.is_some() && params.techniques.is_some() {
+        // The noise dial works by swapping the default grid's PCS
+        // cell for `pcs-n<sigma>`; a technique override replaces that
+        // grid, so the flag would silently do nothing.
+        return Err(
+            "--noise cannot combine with --techniques (the override replaces the grid \
+             the noise is applied to); select `pcs-n<sigma>` in --techniques instead"
+                .into(),
+        );
     }
-
-    fn description(&self) -> &'static str {
-        "Graceful degradation under stragglers, noisy detection and prediction error"
+    let cfg = grid(params);
+    // Refuse an override no level can run with before the models train.
+    for level in &LEVELS {
+        effective(level, params, SimDuration::ZERO)?;
     }
-
-    fn default_seed(&self) -> u64 {
-        62024
-    }
-
-    fn techniques_selectable(&self) -> bool {
-        true
-    }
-
-    fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let cfg = grid(params);
-        let models = train_models(&cfg);
-        let mut cells = Vec::new();
-        for &rate in &cfg.rates {
-            for (level_index, level) in LEVELS.iter().enumerate() {
-                if params.smoke && !SMOKE_LEVELS.contains(&level.name) {
-                    continue;
-                }
-                // One outage + straggler window per (rate, level), shared
-                // by every technique: the comparison replays an identical
-                // trace, so only each technique's reaction differs. The
-                // seed mixes the level's *global* index, so a smoke run's
-                // moderate level replays the full grid's geometry.
-                let plan_seed = seed::mix(fig6::rate_seed(cfg.seed, rate), level_index as u64);
-                let mut sim_probe = fig6::cell_config(&cfg, rate);
-                sim_probe.node_count = FAIL_NODE_COUNT;
-                let eff = effective(level, params, sim_probe.horizon - sim_probe.warmup);
-                let schedule = level_plan(level, plan_seed, &sim_probe);
-                let victims = kill_victims(&schedule);
-                let detector_params: Vec<(String, Json)> = vec![
-                    kv(
-                        "detector_latency_secs",
-                        eff.detector
-                            .map(|d| d.detection_latency.as_secs_f64())
-                            .unwrap_or(0.0),
-                    ),
-                    kv(
-                        "fp_rate",
-                        eff.detector.map(|d| d.false_positive_rate).unwrap_or(0.0),
-                    ),
-                    kv(
-                        "fn_rate",
-                        eff.detector.map(|d| d.false_negative_rate).unwrap_or(0.0),
-                    ),
+    let models = train_models(&cfg);
+    let mut cells = Vec::new();
+    for &rate in &cfg.rates {
+        for (level_index, level) in LEVELS.iter().enumerate() {
+            if params.smoke && !SMOKE_LEVELS.contains(&level.name) {
+                continue;
+            }
+            // One outage + straggler window per (rate, level), shared
+            // by every technique: the comparison replays an identical
+            // trace, so only each technique's reaction differs. The
+            // seed mixes the level's *global* index, so a smoke run's
+            // moderate level replays the full grid's geometry.
+            let plan_seed = seed::mix(fig6::rate_seed(cfg.seed, rate), level_index as u64);
+            let mut sim_probe = fig6::cell_config(&cfg, rate);
+            sim_probe.node_count = FAIL_NODE_COUNT;
+            let eff = effective(level, params, sim_probe.horizon - sim_probe.warmup)?;
+            let schedule = level_plan(level, plan_seed, &sim_probe);
+            let victims = kill_victims(&schedule);
+            let detector_params: Vec<(String, Json)> = vec![
+                kv(
+                    "detector_latency_secs",
+                    eff.detector
+                        .map(|d| d.detection_latency.as_secs_f64())
+                        .unwrap_or(0.0),
+                ),
+                kv(
+                    "fp_rate",
+                    eff.detector.map(|d| d.false_positive_rate).unwrap_or(0.0),
+                ),
+                kv(
+                    "fn_rate",
+                    eff.detector.map(|d| d.false_negative_rate).unwrap_or(0.0),
+                ),
+            ];
+            let techniques = techniques::resolve(
+                params.techniques.as_deref(),
+                level_set(eff.pcs, params.smoke),
+            );
+            for &technique in &techniques {
+                let cfg = cfg.clone();
+                let schedule = schedule.clone();
+                let detector = eff.detector;
+                let mut cell_params = vec![
+                    kv("rate", rate),
+                    kv("level", level.name.to_string()),
+                    kv("technique", technique.name()),
+                    kv("straggler_factor", eff.factor),
+                    kv("noise_sigma", eff.sigma),
                 ];
-                let techniques = techniques::resolve(
-                    params.techniques.as_deref(),
-                    level_set(eff.sigma, params.smoke),
-                );
-                for &technique in &techniques {
-                    let cfg = cfg.clone();
-                    let schedule = schedule.clone();
-                    let detector = eff.detector;
-                    let mut cell_params = vec![
-                        kv("rate", rate),
-                        kv("level", level.name.to_string()),
-                        kv("technique", technique.name()),
-                        kv("straggler_factor", eff.factor),
-                        kv("noise_sigma", eff.sigma),
-                    ];
-                    cell_params.extend(detector_params.iter().cloned());
-                    cell_params.push(("victims".to_string(), Json::Array(victims.clone())));
-                    cells.push(technique_cell(
-                        format!("{} @ {rate} req/s {}", technique.name(), level.name),
-                        cell_params,
-                        technique,
-                        &models,
-                        cfg.epsilon_secs,
-                        move || {
-                            let mut sim_config = fig6::cell_config(&cfg, rate);
-                            sim_config.node_count = FAIL_NODE_COUNT;
-                            sim_config.faults = schedule.clone();
-                            sim_config.detector = detector;
-                            sim_config
-                        },
-                        Some(imperfect_metrics),
-                    ));
-                }
+                cell_params.extend(detector_params.iter().cloned());
+                cell_params.push(("victims".to_string(), Json::Array(victims.clone())));
+                cells.push(technique_cell(
+                    format!("{} @ {rate} req/s {}", technique.name(), level.name),
+                    cell_params,
+                    technique,
+                    &models,
+                    cfg.epsilon_secs,
+                    move || {
+                        let mut sim_config = fig6::cell_config(&cfg, rate);
+                        sim_config.node_count = FAIL_NODE_COUNT;
+                        sim_config.faults = schedule.clone();
+                        sim_config.detector = detector;
+                        sim_config
+                    },
+                    Some(imperfect_metrics),
+                ));
             }
         }
-        SweepPlan {
-            cells,
-            summarize: Some(Box::new(imperfect_summary)),
-            notes: vec![
-                format!(
-                    "6-node cluster; every non-clean level replays the failures-family \
-                     kill-restore outage plus a straggler window (degrade 10% into the \
-                     measured span for 40% of it; mild = one slow node, moderate/severe = \
-                     a {RACK_SIZE}-node gray rack)"
-                ),
-                "the PCS cell at each level runs pcs-n<sigma> (seeded mean-one log-normal \
-                 noise on its demand estimates); sigma 0 is byte-identical to plain pcs"
-                    .to_string(),
-                "--detector-latency/--fp-rate/--fn-rate/--noise pin one dial across all \
-                 levels to isolate the remaining axes"
-                    .to_string(),
-            ],
-        }
     }
+    Ok(SweepPlan {
+        cells,
+        summarize: Some(Box::new(imperfect_summary)),
+        notes: vec![
+            format!(
+                "6-node cluster; every non-clean level replays the failures-family \
+                 kill-restore outage plus a straggler window (degrade 10% into the \
+                 measured span for 40% of it; mild = one slow node, moderate/severe = \
+                 a {RACK_SIZE}-node gray rack)"
+            ),
+            "the PCS cell at each level runs pcs-n<sigma> (seeded mean-one log-normal \
+             noise on its demand estimates); sigma 0 is byte-identical to plain pcs"
+                .to_string(),
+            "--detector-latency/--fp-rate/--fn-rate/--noise pin one dial across all \
+             levels to isolate the remaining axes"
+                .to_string(),
+        ],
+    })
 }
 
 #[cfg(test)]
@@ -420,7 +450,7 @@ mod tests {
     #[test]
     fn clean_level_configures_nothing() {
         let params = SweepParams::default();
-        let eff = effective(&LEVELS[0], &params, SimDuration::from_secs(50));
+        let eff = effective(&LEVELS[0], &params, SimDuration::from_secs(50)).unwrap();
         assert_eq!(eff.detector, None);
         assert_eq!(eff.sigma, 0.0);
         let probe = SimConfig::paper_like(crate::experiments::fig6::topology(8), 100.0, 7);
@@ -447,7 +477,7 @@ mod tests {
             ..SweepParams::default()
         };
         for level in &LEVELS {
-            let eff = effective(level, &params, SimDuration::from_secs(50));
+            let eff = effective(level, &params, SimDuration::from_secs(50)).unwrap();
             let d = eff.detector.expect("1.5 s latency keeps a detector");
             assert_eq!(d.detection_latency, SimDuration::from_secs_f64(1.5));
             assert_eq!(d.false_positive_rate, 0.0);

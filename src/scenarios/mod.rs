@@ -2,8 +2,9 @@
 //! CLI.
 //!
 //! A scenario wraps one evaluation grid — which cells exist, how a cell
-//! runs, how the finished grid reduces to summary numbers — behind the
-//! [`pcs_harness::Scenario`] trait. The shared
+//! runs, how the finished grid reduces to summary numbers — in one
+//! [`pcs_harness::Scenario`] registry row, which also lists the `pcs run`
+//! overrides its plan reads. The shared
 //! [`pcs_harness::runner::run_sweep`] executes any of them work-stealing
 //! in parallel with deterministic, index-addressed results, so a
 //! registration here is all it takes to get `pcs run --scenario <name>`
@@ -48,7 +49,7 @@ use crate::controller::PcsController;
 use crate::experiments::fig6::{self, Fig6Config};
 use crate::techniques::{self, Technique};
 use pcs_core::ClassModelSet;
-use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Scenario, SweepParams};
+use pcs_harness::{CellOutcome, CellPlan, CellResult, Json, Override, Scenario, SweepParams};
 use pcs_sim::{FaultKind, FaultPlan, RunReport, SimConfig};
 use pcs_types::{NodeCapacity, SimDuration};
 use pcs_workloads::ArrivalPattern;
@@ -126,32 +127,41 @@ pub(crate) fn kill_victims(plan: &FaultPlan) -> Vec<Json> {
         .collect()
 }
 
+/// The overrides every technique-comparison family reads: the rate
+/// grid, the technique set and the observability layer.
+pub(crate) const COMPARISON_OVERRIDES: &[Override] =
+    &[Override::Rates, Override::Techniques, Override::Observe];
+
+/// The overrides the simulated ablations read: their rate grids and the
+/// observability layer (each sweeps its own knob, not techniques).
+pub(crate) const ABLATION_OVERRIDES: &[Override] = &[Override::Rates, Override::Observe];
+
 /// Every registered scenario, in display order.
-pub fn registry() -> Vec<Box<dyn Scenario>> {
-    vec![
-        Box::new(figures::Fig5Scenario),
-        Box::new(figures::Fig6Scenario),
-        Box::new(figures::Fig7Scenario),
-        Box::new(figures::HeadlineScenario),
-        Box::new(ablations::ThresholdScenario),
-        Box::new(ablations::TiebreakScenario),
-        Box::new(ablations::QueueingScenario),
-        Box::new(ablations::IntervalScenario),
-        Box::new(ablations::RebuildScenario),
-        Box::new(extended::DiurnalScenario),
-        Box::new(extended::HeteroScenario),
-        Box::new(extended::MmppScenario),
-        Box::new(failures::FailuresScenario),
-        Box::new(failures::RollingRestartScenario),
-        Box::new(scale::ScaleScenario),
-        Box::new(elastic::ElasticScenario),
-        Box::new(imperfect::ImperfectScenario),
+pub fn registry() -> &'static [Scenario] {
+    &[
+        figures::FIG5,
+        figures::FIG6,
+        figures::FIG7,
+        figures::HEADLINE,
+        ablations::THRESHOLD,
+        ablations::TIEBREAK,
+        ablations::QUEUEING,
+        ablations::INTERVAL,
+        ablations::REBUILD,
+        extended::DIURNAL,
+        extended::HETERO,
+        extended::MMPP,
+        failures::FAILURES,
+        failures::ROLLING_RESTART,
+        scale::SCALE,
+        elastic::ELASTIC,
+        imperfect::IMPERFECT,
     ]
 }
 
 /// Looks a scenario up by registry name.
-pub fn find(name: &str) -> Option<Box<dyn Scenario>> {
-    registry().into_iter().find(|s| s.name() == name)
+pub fn find(name: &str) -> Option<&'static Scenario> {
+    registry().iter().find(|s| s.name == name)
 }
 
 /// A `(name, value)` metric/param pair.
@@ -347,7 +357,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_findable() {
-        let names: Vec<&str> = registry().iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = registry().iter().map(|s| s.name).collect();
         assert_eq!(names.len(), 17);
         for name in &names {
             assert!(find(name).is_some(), "{name} must be findable");
@@ -358,12 +368,12 @@ mod tests {
 
     #[test]
     fn exactly_the_technique_sweeps_accept_technique_selection() {
-        // The CLI uses this flag to reject `--techniques` on scenarios
-        // whose plan would silently ignore it.
+        // The CLI rejects `--techniques` on scenarios whose plan would
+        // silently ignore it.
         let selectable: Vec<&str> = registry()
             .iter()
-            .filter(|s| s.techniques_selectable())
-            .map(|s| s.name())
+            .filter(|s| s.overrides.contains(&Override::Techniques))
+            .map(|s| s.name)
             .collect();
         assert_eq!(
             selectable,
@@ -380,6 +390,192 @@ mod tests {
                 "imperfect"
             ]
         );
+    }
+
+    /// Plans `scenario` in smoke mode with `set` applied to the defaults.
+    fn smoke_plan(
+        scenario: &Scenario,
+        set: impl FnOnce(&mut SweepParams),
+    ) -> Result<pcs_harness::SweepPlan, Box<dyn std::error::Error>> {
+        let mut params = SweepParams {
+            seed: scenario.default_seed,
+            threads: 1,
+            smoke: true,
+            ..SweepParams::default()
+        };
+        set(&mut params);
+        scenario.plan(&params)
+    }
+
+    #[test]
+    fn overrides_plan_at_their_closed_bounds() {
+        type Set = fn(&mut SweepParams);
+        let elastic: [Set; 2] = [
+            |p| p.target_util = Some(1.0),
+            |p| p.cooldown_secs = Some(1e-6),
+        ];
+        let imperfect: [Set; 7] = [
+            |p| p.fp_rate = Some(0.0),
+            |p| p.fp_rate = Some(1.0),
+            |p| p.fn_rate = Some(0.0),
+            |p| p.fn_rate = Some(1.0),
+            |p| p.detector_latency_secs = Some(0.0),
+            |p| p.noise = Some(0.0),
+            |p| p.noise = Some(techniques::MAX_NOISE_SIGMA),
+        ];
+        let scale: [Set; 3] = [
+            |p| p.group_cap = Some(1),
+            |p| p.group_cap = Some(techniques::MAX_GROUP_CAP),
+            |p| p.sizes = Some(vec![scale::MIN_NODES, scale::MAX_NODES]),
+        ];
+        let fig7: [Set; 1] = [|p| p.repeats = Some(1)];
+        let cases: [(Scenario, &[Set]); 4] = [
+            (elastic::ELASTIC, &elastic),
+            (imperfect::IMPERFECT, &imperfect),
+            (scale::SCALE, &scale),
+            (figures::FIG7, &fig7),
+        ];
+        for (scenario, sets) in &cases {
+            for (i, set) in sets.iter().enumerate() {
+                if let Err(err) = smoke_plan(scenario, set) {
+                    panic!("{} bound #{i} must plan: {err}", scenario.name);
+                }
+            }
+        }
+        // Just outside the bounds, every plan refuses.
+        let outside: [(Scenario, Set); 9] = [
+            (elastic::ELASTIC, |p| p.target_util = Some(0.0)),
+            (elastic::ELASTIC, |p| p.cooldown_secs = Some(4e-7)),
+            (imperfect::IMPERFECT, |p| p.fp_rate = Some(1.01)),
+            (imperfect::IMPERFECT, |p| p.fn_rate = Some(-0.01)),
+            (imperfect::IMPERFECT, |p| {
+                p.detector_latency_secs = Some(-1e-9)
+            }),
+            (imperfect::IMPERFECT, |p| p.noise = Some(4.0001)),
+            (scale::SCALE, |p| p.group_cap = Some(0)),
+            (scale::SCALE, |p| {
+                p.group_cap = Some(techniques::MAX_GROUP_CAP + 1)
+            }),
+            (scale::SCALE, |p| p.sizes = Some(vec![scale::MIN_NODES - 1])),
+        ];
+        for (i, (scenario, set)) in outside.into_iter().enumerate() {
+            assert!(smoke_plan(&scenario, set).is_err(), "outside case #{i}");
+        }
+    }
+
+    #[test]
+    fn elastic_cells_echo_the_autoscaler_overrides() {
+        let plan = smoke_plan(&elastic::ELASTIC, |p| {
+            p.target_util = Some(1.0);
+            p.cooldown_secs = Some(1e-6);
+        })
+        .unwrap();
+        assert!(!plan.cells.is_empty());
+        for cell in &plan.cells {
+            let param = |name: &str| {
+                cell.params
+                    .iter()
+                    .find(|(k, _)| k == name)
+                    .and_then(|(_, v)| v.as_f64())
+            };
+            assert_eq!(param("target_util"), Some(1.0), "{}", cell.label);
+            assert_eq!(param("cooldown_s"), Some(1e-6), "{}", cell.label);
+        }
+    }
+
+    /// Override values: every closed bound, just past each, signed
+    /// zeros, non-finite values and extremes.
+    const REALS: [f64; 16] = [
+        f64::NAN,
+        f64::NEG_INFINITY,
+        -1.0,
+        -0.0,
+        0.0,
+        4e-7,
+        1e-6,
+        0.5,
+        1.0,
+        1.5,
+        4.0,
+        4.0001,
+        1e13,
+        1e300,
+        f64::INFINITY,
+        f64::MIN_POSITIVE,
+    ];
+    const COUNTS: [usize; 10] = [
+        0,
+        1,
+        7,
+        8,
+        1024,
+        1025,
+        scale::MAX_NODES,
+        scale::MAX_NODES + 1,
+        usize::MAX / 9 + 1,
+        usize::MAX,
+    ];
+
+    /// Every override dial of the plans the fuzz drives: the scenario
+    /// that reads it and how a drawn real or count sets it.
+    type Dial = (Scenario, fn(&mut SweepParams, f64, usize));
+    const DIALS: [Dial; 9] = [
+        (elastic::ELASTIC, |p, x, _| p.target_util = Some(x)),
+        (elastic::ELASTIC, |p, x, _| p.cooldown_secs = Some(x)),
+        (imperfect::IMPERFECT, |p, x, _| {
+            p.detector_latency_secs = Some(x)
+        }),
+        (imperfect::IMPERFECT, |p, x, _| p.fp_rate = Some(x)),
+        (imperfect::IMPERFECT, |p, x, _| p.fn_rate = Some(x)),
+        (imperfect::IMPERFECT, |p, x, _| p.noise = Some(x)),
+        (scale::SCALE, |p, _, n| p.group_cap = Some(n)),
+        (scale::SCALE, |p, _, n| p.sizes = Some(vec![n])),
+        (figures::FIG7, |p, _, n| p.repeats = Some(n)),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Whatever values reach a plan, it returns `Ok` or `Err` and
+        /// never panics. Each dial's value is planned alone (so an
+        /// earlier check cannot mask a later one) and, for the dials
+        /// `mask` selects, together with the scenario's other dials.
+        #[test]
+        fn arbitrary_overrides_plan_or_fail_without_panicking(
+            reals in proptest::collection::vec(0..REALS.len(), DIALS.len()),
+            counts in proptest::collection::vec(0..COUNTS.len(), DIALS.len()),
+            mask in proptest::collection::vec(0..2usize, DIALS.len()),
+        ) {
+            let set = |params: &mut SweepParams, i: usize| {
+                (DIALS[i].1)(params, REALS[reals[i]], COUNTS[counts[i]])
+            };
+            let mut runs: Vec<(Scenario, Vec<usize>)> =
+                (0..DIALS.len()).map(|i| (DIALS[i].0, vec![i])).collect();
+            for scenario in [elastic::ELASTIC, imperfect::IMPERFECT, scale::SCALE] {
+                let together = (0..DIALS.len())
+                    .filter(|&i| mask[i] == 1 && DIALS[i].0.name == scenario.name)
+                    .collect();
+                runs.push((scenario, together));
+            }
+            for (scenario, dials) in runs {
+                let mut params = SweepParams {
+                    seed: scenario.default_seed,
+                    threads: 1,
+                    smoke: true,
+                    ..SweepParams::default()
+                };
+                for &i in &dials {
+                    set(&mut params, i);
+                }
+                let outcome = std::panic::catch_unwind(|| scenario.plan(&params).map(|_| ()));
+                proptest::prop_assert!(
+                    outcome.is_ok(),
+                    "{} panicked on {:?}",
+                    scenario.name,
+                    params
+                );
+            }
+        }
     }
 
     #[test]

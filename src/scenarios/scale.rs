@@ -25,10 +25,11 @@
 use super::{kv, technique_cell, train_models, Traffic};
 use crate::experiments::fig6::Fig6Config;
 use crate::techniques::{self, Technique};
-use pcs_harness::{seed, CellOutcome, Json, Scenario, SweepParams, SweepPlan};
+use pcs_harness::{seed, CellOutcome, Json, Override, Scenario, SweepParams, SweepPlan};
 use pcs_sim::SimConfig;
-use pcs_types::SimDuration;
+use pcs_types::{ensure, SimDuration};
 use pcs_workloads::ServiceTopology;
+use std::error::Error;
 
 /// The default cluster-size grid (`--sizes` overrides it).
 pub const DEFAULT_SIZES: [usize; 3] = [100, 400, 1000];
@@ -219,128 +220,126 @@ fn default_techniques(size: usize, cap: usize) -> Vec<Technique> {
 }
 
 /// Tail quality and per-interval scheduler cost from 100 to 1000 nodes.
-pub struct ScaleScenario;
+pub const SCALE: Scenario = Scenario {
+    name: "scale",
+    description: "Flat vs hierarchical PCS at 100/400/1000 nodes: tail quality and scheduler cost",
+    default_seed: 62020,
+    overrides: &[
+        Override::Rates,
+        Override::Techniques,
+        Override::Sizes,
+        Override::GroupCap,
+        Override::Observe,
+    ],
+    build: scale_plan,
+};
 
-impl Scenario for ScaleScenario {
-    fn name(&self) -> &'static str {
-        "scale"
+fn scale_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
+    let mut cfg = Fig6Config {
+        seed: params.seed,
+        rates: vec![BASE_RATE],
+        ..Fig6Config::default()
+    };
+    if params.smoke {
+        cfg.search_vm_budget = 8;
     }
-
-    fn description(&self) -> &'static str {
-        "Flat vs hierarchical PCS at 100/400/1000 nodes: tail quality and scheduler cost"
+    if let Some(rates) = &params.rates {
+        cfg.rates = rates.clone();
     }
-
-    fn default_seed(&self) -> u64 {
-        62020
-    }
-
-    fn techniques_selectable(&self) -> bool {
-        true
-    }
-
-    fn plan(&self, params: &SweepParams) -> SweepPlan {
-        let mut cfg = Fig6Config {
-            seed: params.seed,
-            rates: vec![BASE_RATE],
-            ..Fig6Config::default()
-        };
+    let cap = params.group_cap.unwrap_or(techniques::DEFAULT_GROUP_CAP);
+    techniques::try_pcs_hier(cap)?;
+    let sizes = params.sizes.clone().unwrap_or_else(|| {
         if params.smoke {
-            cfg.search_vm_budget = 8;
-        }
-        if let Some(rates) = &params.rates {
-            cfg.rates = rates.clone();
-        }
-        let cap = params.group_cap.unwrap_or(techniques::DEFAULT_GROUP_CAP);
-        let sizes = params.sizes.clone().unwrap_or_else(|| {
-            if params.smoke {
-                vec![SMOKE_NODES]
-            } else {
-                DEFAULT_SIZES.to_vec()
-            }
-        });
-        for &size in &sizes {
-            assert!(
-                (MIN_NODES..=MAX_NODES).contains(&size),
-                "scale cluster size must be >= {MIN_NODES} and <= {MAX_NODES}, got {size}"
-            );
-        }
-        let traffics = if params.smoke {
-            vec![Traffic::Diurnal]
+            vec![SMOKE_NODES]
         } else {
-            vec![Traffic::Diurnal, Traffic::Mmpp]
-        };
-        let smoke = params.smoke;
-        let observe = params.observe;
-        // The class list is shared with the Nutch topology (both services
-        // cycle the same component classes), so one profiling campaign
-        // covers every cell.
-        let models = train_models(&cfg);
-        let mut cells = Vec::new();
-        for &size in &sizes {
-            for (service_idx, service) in [ScaleService::DeepChain, ScaleService::WideFanout]
-                .into_iter()
-                .enumerate()
-            {
-                for (traffic_idx, &traffic) in traffics.iter().enumerate() {
-                    for &rate in &cfg.rates {
-                        // One seed per (size, service, traffic, rate),
-                        // shared by the techniques (see `scale_summary`).
-                        let trace_seed = seed::mix_f64(
-                            seed::mix(
-                                seed::mix(seed::mix(cfg.seed, size as u64), service_idx as u64),
-                                traffic_idx as u64,
+            DEFAULT_SIZES.to_vec()
+        }
+    });
+    for &size in &sizes {
+        ensure!(
+            (MIN_NODES..=MAX_NODES).contains(&size),
+            "sizes",
+            "scale cluster size must be >= {MIN_NODES} and <= {MAX_NODES} nodes (the \
+             wide-fanout service's worker stage holds at most {} partitions), got {size}",
+            u16::MAX
+        );
+    }
+    let traffics = if params.smoke {
+        vec![Traffic::Diurnal]
+    } else {
+        vec![Traffic::Diurnal, Traffic::Mmpp]
+    };
+    let smoke = params.smoke;
+    let observe = params.observe;
+    // The class list is shared with the Nutch topology (both services
+    // cycle the same component classes), so one profiling campaign
+    // covers every cell.
+    let models = train_models(&cfg);
+    let mut cells = Vec::new();
+    for &size in &sizes {
+        for (service_idx, service) in [ScaleService::DeepChain, ScaleService::WideFanout]
+            .into_iter()
+            .enumerate()
+        {
+            for (traffic_idx, &traffic) in traffics.iter().enumerate() {
+                for &rate in &cfg.rates {
+                    // One seed per (size, service, traffic, rate),
+                    // shared by the techniques (see `scale_summary`).
+                    let trace_seed = seed::mix_f64(
+                        seed::mix(
+                            seed::mix(seed::mix(cfg.seed, size as u64), service_idx as u64),
+                            traffic_idx as u64,
+                        ),
+                        rate,
+                    );
+                    let set = techniques::resolve(
+                        params.techniques.as_deref(),
+                        default_techniques(size, cap),
+                    );
+                    for technique in set {
+                        cells.push(technique_cell(
+                            format!(
+                                "{} {} @ {size}n {}",
+                                technique.name(),
+                                service.name(),
+                                traffic.name()
                             ),
-                            rate,
-                        );
-                        let set = techniques::resolve(
-                            params.techniques.as_deref(),
-                            default_techniques(size, cap),
-                        );
-                        for technique in set {
-                            cells.push(technique_cell(
-                                format!(
-                                    "{} {} @ {size}n {}",
-                                    technique.name(),
-                                    service.name(),
-                                    traffic.name()
-                                ),
-                                vec![
-                                    kv("size", size as u64),
-                                    kv("racks", (size / NODES_PER_RACK).max(1) as u64),
-                                    kv("service", service.name()),
-                                    kv("traffic", traffic.name()),
-                                    kv("rate", rate),
-                                    kv("technique", technique.name()),
-                                ],
-                                technique,
-                                &models,
-                                cfg.epsilon_secs,
-                                move || {
-                                    let mut sim_config =
-                                        scale_config(size, service, rate, trace_seed, smoke);
-                                    sim_config.arrival_pattern = traffic.pattern();
-                                    sim_config.observe =
-                                        observe.map(|top_k| pcs_sim::ObserveConfig { top_k });
-                                    sim_config
-                                },
-                                Some(scheduler_cost_metrics),
-                            ));
-                        }
+                            vec![
+                                kv("size", size as u64),
+                                kv("racks", (size / NODES_PER_RACK).max(1) as u64),
+                                kv("service", service.name()),
+                                kv("traffic", traffic.name()),
+                                kv("rate", rate),
+                                kv("technique", technique.name()),
+                            ],
+                            technique,
+                            &models,
+                            cfg.epsilon_secs,
+                            move || {
+                                let mut sim_config =
+                                    scale_config(size, service, rate, trace_seed, smoke);
+                                sim_config.arrival_pattern = traffic.pattern();
+                                sim_config.observe =
+                                    observe.map(|top_k| pcs_sim::ObserveConfig { top_k });
+                                sim_config
+                            },
+                            Some(scheduler_cost_metrics),
+                        ));
                     }
                 }
             }
         }
-        SweepPlan {
-            cells,
-            summarize: Some(Box::new(scale_summary)),
-            notes: vec![
-                format!(
-                    "default grid drops flat PCS at >= {FLAT_PCS_MAX_NODES} nodes; PCS-H{cap} runs everywhere (`--techniques pcs,hier` to force both)"
-                ),
-                "sched_* metrics are deterministic event counters (matrix entries, greedy iterations), never wall-clock — safe to pin byte-for-byte".to_string(),
-            ],
-        }
     }
+    Ok(SweepPlan {
+        cells,
+        summarize: Some(Box::new(scale_summary)),
+        notes: vec![
+            format!(
+                "default grid drops flat PCS at >= {FLAT_PCS_MAX_NODES} nodes; PCS-H{cap} runs everywhere (`--techniques pcs,hier` to force both)"
+            ),
+            "sched_* metrics are deterministic event counters (matrix entries, greedy iterations), never wall-clock — safe to pin byte-for-byte".to_string(),
+        ],
+    })
 }
 
 #[cfg(test)]
@@ -373,7 +372,7 @@ mod tests {
             smoke: true,
             ..SweepParams::default()
         };
-        let plan = ScaleScenario.plan(&params);
+        let plan = SCALE.plan(&params).unwrap();
         // 1 size × 2 services × 1 traffic × 2 techniques.
         assert_eq!(plan.cells.len(), 4);
         for cell in &plan.cells {
@@ -393,12 +392,20 @@ mod tests {
             group_cap: Some(5),
             ..SweepParams::default()
         };
-        let plan = ScaleScenario.plan(&params);
+        let plan = SCALE.plan(&params).unwrap();
         assert_eq!(plan.cells.len(), 4);
         assert!(plan
             .cells
             .iter()
             .any(|c| param(c, "technique").and_then(Json::as_str) == Some("PCS-H5")));
+    }
+
+    /// Panics with the plan's error, for `#[should_panic(expected = …)]`
+    /// tests that match its text (a plan that succeeds does not panic).
+    fn panic_with_error(params: &SweepParams) {
+        if let Err(err) = SCALE.plan(params) {
+            panic!("{err}");
+        }
     }
 
     #[test]
@@ -409,7 +416,7 @@ mod tests {
             smoke: true,
             ..SweepParams::default()
         };
-        let _ = ScaleScenario.plan(&params);
+        panic_with_error(&params);
     }
 
     #[test]
@@ -427,7 +434,7 @@ mod tests {
             smoke: true,
             ..SweepParams::default()
         };
-        let _ = ScaleScenario.plan(&params);
+        panic_with_error(&params);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!
 //! One family table holds each family's token prefix and parameter range.
 //! It drives [`parse`], the range checks of the constructor functions
-//! ([`red`], [`pcs_hier`], …) and the vocabulary a
-//! [`TechniqueParseError`] lists.
+//! ([`red`], [`pcs_hier`], …) and of their checked forms for
+//! user-supplied parameters ([`try_pcs_hier`], [`try_pcs_noisy`]), and
+//! the vocabulary a [`TechniqueParseError`] lists.
 //!
 //! Names round-trip exactly: [`parse`] accepts any case and
 //! [`Technique::name`] renders the canonical display form
@@ -43,6 +44,7 @@ use crate::controller::PcsController;
 use pcs_baselines::{RedundancyPolicy, ReissuePolicy};
 use pcs_core::{ClassModelSet, SchedulerConfig};
 use pcs_sim::{BasicPolicy, DispatchPolicy, NoopScheduler, PlacementStrategy, SchedulerHook};
+use pcs_types::PcsError;
 use std::fmt;
 
 /// The name code outside this crate holds a technique by. A
@@ -335,13 +337,26 @@ impl Family {
         (!p.bound.contains(value)).then(|| format!("{} must be in {}", p.range_noun, p.bound))
     }
 
+    /// The checked constructors' check: the range error, named by the
+    /// family's parameter, when `value` is outside the family's range.
+    fn checked(&self, value: f64) -> Result<(), PcsError> {
+        match (self.range_error(value), &self.param) {
+            (Some(reason), Some(p)) => Err(PcsError::InvalidConfig {
+                parameter: p.range_noun,
+                detail: format!("{reason}, got {value}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// The constructor functions' check.
     ///
     /// # Panics
-    /// Panics when `value` is outside the family's range.
+    /// Panics with the range error's detail when `value` is outside the
+    /// family's range.
     fn check(&self, value: f64) {
-        if let Some(reason) = self.range_error(value) {
-            panic!("{reason}, got {value}");
+        if let Err(PcsError::InvalidConfig { detail, .. }) = self.checked(value) {
+            panic!("{detail}");
         }
     }
 
@@ -530,6 +545,13 @@ pub fn pcs_hier(cap: usize) -> Technique {
     Technique::PcsHier(cap)
 }
 
+/// [`pcs_hier`] for a user-supplied cap: the family's range error
+/// instead of a panic.
+pub fn try_pcs_hier(cap: usize) -> Result<Technique, PcsError> {
+    PCS_HIER.checked(cap as f64)?;
+    Ok(pcs_hier(cap))
+}
+
 /// `LL`: least-loaded reactive migration — no prediction.
 pub fn ll() -> Technique {
     Technique::Ll
@@ -551,6 +573,13 @@ pub fn pcs_noisy(sigma: f64) -> Technique {
     PCS_NOISE.check(sigma);
     // IEEE −0 + 0 = +0; every other σ is unchanged.
     Technique::PcsNoise(sigma + 0.0)
+}
+
+/// [`pcs_noisy`] for a user-supplied σ: the family's range error
+/// instead of a panic.
+pub fn try_pcs_noisy(sigma: f64) -> Result<Technique, PcsError> {
+    PCS_NOISE.checked(sigma)?;
+    Ok(pcs_noisy(sigma))
 }
 
 /// `CAP`: capacity-aware initial placement, no runtime scheduling.

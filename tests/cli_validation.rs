@@ -3,6 +3,7 @@
 //! sweep, and no argv makes the parser panic. Drives the real `pcs`
 //! binary via `CARGO_BIN_EXE_pcs`.
 
+use pcs_harness::Override;
 use proptest::prelude::*;
 use std::ffi::OsString;
 use std::process::{Command, Output};
@@ -120,6 +121,29 @@ fn argument_errors_print_the_reason_and_a_help_pointer() {
                 .into(),
             "unknown option `--bogus`",
         ),
+        // Out of range: refused by the scenario's plan, before any model
+        // trains (no "running scenario" line).
+        (
+            ["run", "--scenario", "elastic", "--target-util", "1.5"]
+                .map(OsString::from)
+                .into(),
+            "must be in (0, 1], got 1.5",
+        ),
+        (
+            [
+                "run",
+                "--scenario",
+                "fig6",
+                "--smoke",
+                "--rates",
+                "50",
+                "--repeats",
+                "3",
+            ]
+            .map(OsString::from)
+            .into(),
+            "--repeats applies to: fig7",
+        ),
     ];
     if cfg!(unix) {
         cases.push((vec!["run".into(), not_utf8()], "is not valid UTF-8"));
@@ -233,19 +257,20 @@ fn scale_knobs_are_rejected_on_other_scenarios() {
     // ignored --techniques.
     rejected_with(
         &["run", "--scenario", "fig6", "--group-cap", "64"],
-        "apply to: scale",
+        "--group-cap applies to: scale",
     );
     rejected_with(
         &["run", "--scenario", "diurnal", "--sizes", "100"],
-        "apply to: scale",
+        "--sizes applies to: scale",
     );
 }
 
 #[test]
 fn out_of_range_autoscaler_knobs_are_rejected() {
-    // The autoscaler's control-loop knobs are validated at parse time,
-    // before any model training: a target utilisation outside (0, 1] or
-    // a non-positive cooldown can never build a valid AutoscaleConfig.
+    // The autoscaler's control-loop knobs are checked by
+    // AutoscaleConfig::validate in the elastic plan, before any model
+    // training: a target utilisation outside (0, 1] or a non-positive
+    // cooldown can never build a valid AutoscaleConfig.
     rejected_with(
         &["run", "--scenario", "elastic", "--target-util", "0"],
         "in (0, 1]",
@@ -299,20 +324,20 @@ fn autoscaler_knobs_are_rejected_on_non_elastic_scenarios() {
     // run that never happened.
     rejected_with(
         &["run", "--scenario", "fig6", "--target-util", "0.6"],
-        "apply to: elastic",
+        "--target-util applies to: elastic",
     );
     rejected_with(
         &["run", "--scenario", "failures", "--cooldown", "4"],
-        "apply to: elastic",
+        "--cooldown applies to: elastic",
     );
 }
 
 #[test]
 fn out_of_range_imperfect_knobs_are_rejected() {
-    // The imperfect-information dials are validated at parse time: a
-    // negative heartbeat timeout, an error rate outside [0, 1] or a
-    // prediction-noise sigma outside 0..=MAX can never configure a valid
-    // detector or noise wrapper.
+    // The imperfect-information dials are checked by the imperfect plan
+    // before any model training: a negative heartbeat timeout, an error
+    // rate outside [0, 1] or a prediction-noise sigma outside 0..=MAX can
+    // never configure a valid detector or noise wrapper.
     rejected_with(
         &["run", "--scenario", "imperfect", "--detector-latency", "-1"],
         "non-negative number of seconds",
@@ -378,19 +403,19 @@ fn imperfect_knobs_are_rejected_on_other_scenarios() {
     // an imperfect-information run that never happened.
     rejected_with(
         &["run", "--scenario", "fig6", "--detector-latency", "1"],
-        "apply to: imperfect",
+        "--detector-latency applies to: imperfect",
     );
     rejected_with(
         &["run", "--scenario", "failures", "--fp-rate", "0.01"],
-        "apply to: imperfect",
+        "--fp-rate applies to: imperfect",
     );
     rejected_with(
         &["run", "--scenario", "elastic", "--fn-rate", "0.05"],
-        "apply to: imperfect",
+        "--fn-rate applies to: imperfect",
     );
     rejected_with(
         &["run", "--scenario", "diurnal", "--noise", "0.3"],
-        "apply to: imperfect",
+        "--noise applies to: imperfect",
     );
 }
 
@@ -460,17 +485,68 @@ fn observe_is_rejected_on_wall_clock_scenarios() {
     // runs would perturb exactly what they measure.
     rejected_with(
         &["run", "--scenario", "fig7", "--observe"],
-        "does not support the observability layer",
+        "does not read --observe",
     );
     rejected_with(
         &["run", "--scenario", "ablation-rebuild", "--observe"],
-        "does not support the observability layer",
+        "does not read --observe",
     );
     // fig5 runs no simulated service at all.
     rejected_with(
         &["run", "--scenario", "fig5", "--observe"],
-        "does not support the observability layer",
+        "does not read --observe",
     );
+}
+
+/// A valid value for each override (`None` for a bare flag).
+fn valid_value(o: Override) -> Option<&'static str> {
+    match o {
+        Override::Rates => Some("80"),
+        Override::Repeats => Some("1"),
+        Override::Techniques => Some("basic,pcs"),
+        Override::Sizes => Some("40"),
+        Override::GroupCap => Some("64"),
+        Override::TargetUtil => Some("0.8"),
+        Override::Cooldown => Some("2"),
+        Override::DetectorLatency | Override::FpRate | Override::FnRate | Override::Noise => {
+            Some("0")
+        }
+        Override::Observe => None,
+    }
+}
+
+/// Every override a scenario's plan does not read is refused with exit 2,
+/// naming the scenarios that do read it: a report would otherwise record
+/// an override that changed nothing. Pairs a scenario accepts are never
+/// run.
+#[test]
+fn every_undeclared_override_is_refused_with_its_readers_named() {
+    let registry = pcs::scenarios::registry();
+    for o in Override::ALL {
+        let readers: Vec<&str> = registry
+            .iter()
+            .filter(|s| s.overrides.contains(&o))
+            .map(|s| s.name)
+            .collect();
+        let needle = format!("{} applies to: {}", o.flag(), readers.join(", "));
+        for scenario in registry.iter().filter(|s| !s.overrides.contains(&o)) {
+            let mut args = vec!["run", "--scenario", scenario.name, "--smoke", o.flag()];
+            args.extend(valid_value(o));
+            let out = pcs(&args);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "`pcs {}`:\n{stderr}",
+                args.join(" ")
+            );
+            assert!(
+                stderr.contains(&needle),
+                "`pcs {}` stderr must name the readers `{needle}`:\n{stderr}",
+                args.join(" ")
+            );
+        }
+    }
 }
 
 #[test]

@@ -13,12 +13,12 @@ use pcs_harness::{run_sweep, Json, SweepOutcome, SweepParams};
 fn smoke(name: &str) -> SweepOutcome {
     let scenario = scenarios::find(name).expect("scenario registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads: 2,
         smoke: true,
         ..SweepParams::default()
     };
-    run_sweep(&scenario.plan(&params), &params)
+    run_sweep(&scenario.plan(&params).unwrap(), &params)
 }
 
 fn summary_f64(outcome: &SweepOutcome, name: &str) -> f64 {

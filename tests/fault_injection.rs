@@ -9,13 +9,13 @@ use pcs_harness::{run_sweep, Json, SweepOutcome, SweepParams};
 fn run_failures_smoke(techniques: &[&str]) -> SweepOutcome {
     let scenario = scenarios::find("failures").expect("failures registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads: 2,
         smoke: true,
         techniques: Some(techniques.iter().map(|t| t.to_string()).collect()),
         ..SweepParams::default()
     };
-    run_sweep(&scenario.plan(&params), &params)
+    run_sweep(&scenario.plan(&params).unwrap(), &params)
 }
 
 fn cell<'a>(

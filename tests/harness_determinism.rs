@@ -13,12 +13,12 @@ use pcs_harness::{run_sweep, SweepParams};
 fn render(name: &str, threads: usize) -> String {
     let scenario = scenarios::find(name).expect("scenario registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads,
         smoke: true,
         ..SweepParams::default()
     };
-    let plan = scenario.plan(&params);
+    let plan = scenario.plan(&params).unwrap();
     run_sweep(&plan, &params).to_json(name, &params).render()
 }
 
@@ -204,13 +204,13 @@ fn imperfect_smoke_report_bytes_are_pinned() {
 fn render_observed(name: &str, threads: usize, top_k: usize) -> String {
     let scenario = scenarios::find(name).expect("scenario registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads,
         smoke: true,
         observe: Some(top_k),
         ..SweepParams::default()
     };
-    let plan = scenario.plan(&params);
+    let plan = scenario.plan(&params).unwrap();
     run_sweep(&plan, &params).to_json(name, &params).render()
 }
 
@@ -256,8 +256,8 @@ fn different_seeds_change_the_report() {
         seed: 2,
         ..params_a.clone()
     };
-    let a = run_sweep(&scenario.plan(&params_a), &params_a).to_json("diurnal", &params_a);
-    let b = run_sweep(&scenario.plan(&params_b), &params_b).to_json("diurnal", &params_b);
+    let a = run_sweep(&scenario.plan(&params_a).unwrap(), &params_a).to_json("diurnal", &params_a);
+    let b = run_sweep(&scenario.plan(&params_b).unwrap(), &params_b).to_json("diurnal", &params_b);
     assert_ne!(a.render(), b.render());
 }
 
@@ -269,7 +269,7 @@ fn different_seeds_change_the_report() {
 fn fig6_smoke_report_over_the_whole_registry_is_pinned() {
     let scenario = scenarios::find("fig6").expect("scenario registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads: 2,
         smoke: true,
         techniques: Some(
@@ -280,7 +280,7 @@ fn fig6_smoke_report_over_the_whole_registry_is_pinned() {
         ),
         ..SweepParams::default()
     };
-    let report = run_sweep(&scenario.plan(&params), &params)
+    let report = run_sweep(&scenario.plan(&params).unwrap(), &params)
         .to_json("fig6", &params)
         .render();
     assert_eq!(

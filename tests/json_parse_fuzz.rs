@@ -17,11 +17,11 @@ static REPORT: LazyLock<String> = LazyLock::new(|| {
     let name = "failures";
     let scenario = scenarios::find(name).expect("scenario registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         smoke: true,
         ..SweepParams::default()
     };
-    let plan = scenario.plan(&params);
+    let plan = scenario.plan(&params).unwrap();
     run_sweep(&plan, &params).to_json(name, &params).render()
 });
 

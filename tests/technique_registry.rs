@@ -202,7 +202,7 @@ fn fig6_technique_selection_controls_the_columns() {
         techniques: Some(vec!["basic".to_string(), "pcs".to_string()]),
         ..SweepParams::default()
     };
-    let plan = scenario.plan(&params);
+    let plan = scenario.plan(&params).unwrap();
     let techniques_per_cell: Vec<&Json> = plan
         .cells
         .iter()
@@ -266,13 +266,13 @@ fn new_baselines_run_in_diurnal_and_hetero() {
     for (name, selection) in cases {
         let scenario = scenarios::find(name).expect("scenario registered");
         let params = SweepParams {
-            seed: scenario.default_seed(),
+            seed: scenario.default_seed,
             threads: 2,
             smoke: true,
             techniques: Some(selection.clone()),
             ..SweepParams::default()
         };
-        let outcome = run_sweep(&scenario.plan(&params), &params);
+        let outcome = run_sweep(&scenario.plan(&params).unwrap(), &params);
         assert_eq!(
             outcome.cells.len(),
             selection.len(),
@@ -312,7 +312,7 @@ fn new_baselines_run_in_diurnal_and_hetero() {
 fn oracle_and_ll_schedule_real_migrations_under_churn() {
     let scenario = scenarios::find("mmpp").expect("mmpp registered");
     let params = SweepParams {
-        seed: scenario.default_seed(),
+        seed: scenario.default_seed,
         threads: 2,
         smoke: true,
         techniques: Some(vec![
@@ -322,7 +322,7 @@ fn oracle_and_ll_schedule_real_migrations_under_churn() {
         ]),
         ..SweepParams::default()
     };
-    let outcome = run_sweep(&scenario.plan(&params), &params);
+    let outcome = run_sweep(&scenario.plan(&params).unwrap(), &params);
     for cell in &outcome.cells {
         let technique = cell.value("technique").and_then(Json::as_str).unwrap();
         let migrations = cell.value_f64("migrations").unwrap();
