@@ -23,6 +23,16 @@
 //! Contention arithmetic happens in absolute demand space
 //! ([`ResourceVector`]) and is normalised per destination node capacity, so
 //! heterogeneous clusters are handled correctly.
+//!
+//! Storage covers only the **hot cross**. A node is hot when it hosts a
+//! stage-max holder, and an entry with neither endpoint hot is exactly
+//! zero (see [`PerformanceMatrix::gain`]). So the matrix stores full rows
+//! for the components homed on hot nodes and full columns for the hot
+//! nodes; every other entry reads 0.0 without being stored. Algorithm 2
+//! only writes whole rows or the columns of a move's two nodes, so each
+//! accepted move adds its refreshed rows and its two columns to the cross.
+//! On a 1000-node cluster with a handful of hot nodes the cross holds about
+//! 1% of the m·k entries.
 
 use crate::inputs::MatrixInputs;
 use crate::predictor::{mg1_latency, ClassModelSet};
@@ -49,12 +59,165 @@ pub struct BestEntry {
 /// the memo).
 const CLASS_MEMO: usize = 8;
 
-/// Matrix entries a rebuild worker must be given before it is worth a
-/// thread. An evaluated (hot) entry costs ~0.2 µs, so a worker's share of
-/// a fully hot matrix is at least ~6.5 ms and a spawn (tens of µs) stays
-/// under 5% of it. Pruned entries cost next to nothing, so on a mostly
-/// cold matrix the split buys less than this suggests.
+/// Stored matrix entries a rebuild worker must be given before it is worth
+/// a thread. A stored entry is almost always evaluated (only the own-node
+/// entries of hot rows are not), at ~0.2 µs each, so a worker's share is at
+/// least ~6.5 ms and a spawn (tens of µs) stays under 5% of it.
 const MIN_ENTRIES_PER_WORKER: usize = 32_768;
+
+/// One stored entry: `(L[i][j], self-gain)`.
+type Entry = (f64, f64);
+
+/// The value of every entry outside the hot cross.
+const ZERO: Entry = (0.0, 0.0);
+
+/// The stored entries of the matrix: the hot cross of a row store and a
+/// column store (see the module docs).
+///
+/// An entry `(i, j)` lives in the row store when row `i` is active, else in
+/// the column store when column `j` is active, and is (0.0, 0.0) otherwise.
+/// Column-store entries of active rows are never read, so they are neither
+/// evaluated nor kept current.
+#[derive(Debug, Default, Clone)]
+struct HotCross {
+    /// Row length `k`.
+    k: usize,
+    /// Per component: the slot of its active row in `rows`.
+    row_slot: Vec<Option<usize>>,
+    /// Row store: `k` entries per active row, by slot.
+    rows: Vec<Entry>,
+    /// Per node: the slot of its active column in `cols`.
+    col_slot: Vec<Option<usize>>,
+    /// Active columns as `(node, slot)`, sorted by node: the row-major scan
+    /// order of a row outside the row store.
+    active_cols: Vec<(usize, usize)>,
+    /// Column slots per component in `cols`; slots past the active columns
+    /// are spare.
+    stride: usize,
+    /// Column store, laid out by component so that one row's column
+    /// entries are contiguous: entry `(i, j)` at `i * stride + slot(j)`.
+    cols: Vec<Entry>,
+}
+
+impl HotCross {
+    /// Makes the cross of the `hot` nodes current: the rows of components
+    /// homed on a hot node (slots in component order) and the hot columns.
+    /// Stored values are left for the caller to overwrite: every active
+    /// row, and every inactive row's active columns.
+    fn reset(&mut self, allocation: &[NodeId], hot: &[bool]) {
+        let k = hot.len();
+        self.k = k;
+        let mut rows = 0;
+        self.row_slot.clear();
+        self.row_slot.extend(allocation.iter().map(|a| {
+            hot[a.index()].then(|| {
+                rows += 1;
+                rows - 1
+            })
+        }));
+        self.col_slot.clear();
+        self.active_cols.clear();
+        for (j, &h) in hot.iter().enumerate() {
+            let slot = h.then_some(self.active_cols.len());
+            if let Some(slot) = slot {
+                self.active_cols.push((j, slot));
+            }
+            self.col_slot.push(slot);
+        }
+        // Room for as many columns again before a relayout.
+        self.stride = (2 * self.active_cols.len()).clamp(1, k);
+        self.rows.truncate(rows * k);
+        self.rows.resize(rows * k, ZERO);
+        let len = allocation.len() * self.stride;
+        self.cols.truncate(len);
+        self.cols.resize(len, ZERO);
+    }
+
+    /// Entries a rebuild evaluates for component `i`: its whole row if
+    /// active, else its active columns.
+    fn fill_width(&self, i: usize) -> usize {
+        if self.row_slot[i].is_some() {
+            self.k
+        } else {
+            self.active_cols.len()
+        }
+    }
+
+    /// Entries a rebuild evaluates: the stored entries that are read.
+    fn fill_len(&self) -> usize {
+        (0..self.row_slot.len()).map(|i| self.fill_width(i)).sum()
+    }
+
+    /// Entry `(i, j)` by the lookup rule.
+    #[inline]
+    fn get(&self, i: usize, j: usize) -> Entry {
+        match (self.row_slot[i], self.col_slot[j]) {
+            (Some(r), _) => self.rows[r * self.k + j],
+            (None, Some(c)) => self.cols[i * self.stride + c],
+            (None, None) => ZERO,
+        }
+    }
+
+    /// Stores entry `(i, j)`, which must lie in the cross.
+    fn set(&mut self, i: usize, j: usize, entry: Entry) {
+        match (self.row_slot[i], self.col_slot[j]) {
+            (Some(r), _) => self.rows[r * self.k + j] = entry,
+            (None, Some(c)) => self.cols[i * self.stride + c] = entry,
+            (None, None) => unreachable!("entry ({i}, {j}) lies outside the hot cross"),
+        }
+    }
+
+    /// Moves row `i` into the row store, if it is not there yet; the
+    /// caller then writes all of its entries.
+    fn activate_row(&mut self, i: usize) {
+        if self.row_slot[i].is_none() {
+            self.row_slot[i] = Some(self.rows.len() / self.k);
+            self.rows.resize(self.rows.len() + self.k, ZERO);
+        }
+    }
+
+    /// Activates column `j`. Its entries start at 0.0, the value of every
+    /// entry outside the cross; slots run out by doubling the stride.
+    fn activate_column(&mut self, j: usize) {
+        if self.col_slot[j].is_some() {
+            return;
+        }
+        let slot = self.active_cols.len();
+        if slot == self.stride {
+            let stride = (2 * self.stride).min(self.k);
+            let mut cols = Vec::with_capacity(self.cols.len() / self.stride * stride);
+            for row in self.cols.chunks_exact(self.stride) {
+                cols.extend_from_slice(row);
+                cols.resize(cols.len() + stride - self.stride, ZERO);
+            }
+            (self.cols, self.stride) = (cols, stride);
+        }
+        for row in self.cols.chunks_exact_mut(self.stride) {
+            row[slot] = ZERO;
+        }
+        self.col_slot[j] = Some(slot);
+        let at = self.active_cols.partition_point(|&(n, _)| n < j);
+        self.active_cols.insert(at, (j, slot));
+    }
+
+    /// The entries of active row `slot`, by node.
+    fn row(&self, slot: usize) -> &[Entry] {
+        &self.rows[slot * self.k..(slot + 1) * self.k]
+    }
+
+    /// Entries held by both stores, spare column slots included.
+    #[cfg(test)]
+    fn stored_entries(&self) -> usize {
+        self.rows.len() + self.cols.len()
+    }
+
+    /// Component `i`'s column-store entries over the active column slots
+    /// (in slot order, not node order).
+    fn col_entries(&self, i: usize) -> &[Entry] {
+        let start = i * self.stride;
+        &self.cols[start..start + self.active_cols.len()]
+    }
+}
 
 /// One hypothetical node state under evaluation: see
 /// [`PerformanceMatrix::prepare_what_if`].
@@ -162,10 +325,10 @@ pub struct PerformanceMatrix {
     /// ([`StageLatencyIndex::stage_max_holders`])? Refreshed whenever
     /// `index` changes; entries with neither endpoint hot are pruned.
     hot_node: Vec<bool>,
-    /// `L[i][j]`, row-major m×k.
-    gain: Vec<f64>,
-    /// Migrant's own latency reduction per entry, row-major m×k.
-    self_gain: Vec<f64>,
+    /// `L[i][j]` and the migrant's own latency reduction, stored over the
+    /// hot cross only: the rows and columns that were hot at the last
+    /// build or rebuild, plus those Algorithm 2 has refreshed since.
+    cross: HotCross,
     /// Evaluation caches, one set per rebuild worker.
     scratch: ScratchPool,
     /// Wall-clock time spent in the initial full build ("analysis time").
@@ -177,10 +340,11 @@ impl PerformanceMatrix {
     ///
     /// This is the "analysis" phase of the paper's scalability discussion:
     /// O(m·k) entries, each touching the residents of two nodes. Only
-    /// entries with a hot endpoint (see [`Self::gain`]) are evaluated, each
-    /// in O(r) for the r residents of its origin and destination: one
-    /// latency prediction per resident (memoised per class) and a linear
-    /// Eq. 4 what-if ([`StageLatencyIndex::overall_with_overrides`]).
+    /// entries with a hot endpoint (see [`Self::gain`]) are stored and
+    /// evaluated, each in O(r) for the r residents of its origin and
+    /// destination: one latency prediction per resident (memoised per
+    /// class) and a linear Eq. 4 what-if
+    /// ([`StageLatencyIndex::overall_with_overrides`]).
     ///
     /// # Panics
     /// Panics on inconsistent inputs (see [`MatrixInputs::validate`]) or a
@@ -227,8 +391,7 @@ impl PerformanceMatrix {
             // Placeholder; replaced right below once base latencies exist.
             index: StageLatencyIndex::build(&vec![0.0; m.max(1)], &vec![0; m.max(1)], 1),
             hot_node: vec![false; k],
-            gain: vec![0.0; m * k],
-            self_gain: vec![0.0; m * k],
+            cross: HotCross::default(),
             scratch: ScratchPool::default(),
             build_time: Duration::ZERO,
         };
@@ -253,17 +416,18 @@ impl PerformanceMatrix {
     ///
     /// Entries proven ≤ 0 read 0.0, self-gain included: when neither the
     /// component's node nor `j` hosts a stage-max holder, the move cannot
-    /// lower any stage maximum, so it is not evaluated. The greedy skips
-    /// every entry ≤ 0 either way; [`Self::evaluate`] gives the exact value.
+    /// lower any stage maximum, so it is neither evaluated nor stored. The
+    /// greedy skips every entry ≤ 0 either way; [`Self::evaluate`] gives
+    /// the exact value.
     #[inline]
     pub fn gain(&self, i: ComponentId, j: NodeId) -> f64 {
-        self.gain[i.index() * self.node_count() + j.index()]
+        self.cross.get(i.index(), j.index()).0
     }
 
     /// The migrant's own predicted latency reduction for entry `(i, j)`.
     #[inline]
     pub fn self_gain(&self, i: ComponentId, j: NodeId) -> f64 {
-        self.self_gain[i.index() * self.node_count() + j.index()]
+        self.cross.get(i.index(), j.index()).1
     }
 
     /// Current predicted overall service latency (Eq. 4), seconds.
@@ -298,19 +462,25 @@ impl PerformanceMatrix {
     /// component's own latency. Only rows whose component is still a
     /// candidate are considered. Returns `None` if no candidate entry has
     /// positive gain.
-    #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and the gain matrix
+    ///
+    /// Only stored entries are scanned: an active row in full, any other
+    /// row over the active columns. Pass 2 visits them in row-major order,
+    /// so a self-gain tie goes to the first entry, as over the full matrix.
     pub fn best_candidate(&self, candidates: &[bool], tie_tolerance: f64) -> Option<BestEntry> {
         assert_eq!(candidates.len(), self.component_count());
-        let k = self.node_count();
+        let cross = &self.cross;
+        let rows = candidates
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &c)| c.then_some((i, cross.row_slot[i])));
         // Pass 1 (line 6): the largest entry value.
         let mut max_gain = 0.0_f64;
-        for i in 0..self.component_count() {
-            if !candidates[i] {
-                continue;
-            }
-            for j in 0..k {
-                max_gain = max_gain.max(self.gain[i * k + j]);
-            }
+        for (i, slot) in rows.clone() {
+            let entries = match slot {
+                Some(r) => cross.row(r),
+                None => cross.col_entries(i),
+            };
+            max_gain = entries.iter().fold(max_gain, |max, e| max.max(e.0));
         }
         if max_gain <= 0.0 {
             return None;
@@ -318,26 +488,35 @@ impl PerformanceMatrix {
         // Pass 2 (line 7): among the tie set, the largest self-reduction.
         let threshold = max_gain * (1.0 - tie_tolerance.clamp(0.0, 1.0));
         let mut best: Option<BestEntry> = None;
-        for i in 0..self.component_count() {
-            if !candidates[i] {
-                continue;
+        let mut consider = |i: usize, j: usize, (gain, self_gain): Entry| {
+            if gain < threshold || gain <= 0.0 {
+                return;
             }
-            for j in 0..k {
-                let gain = self.gain[i * k + j];
-                if gain < threshold || gain <= 0.0 {
-                    continue;
+            let entry = BestEntry {
+                component: ComponentId::from_index(i),
+                destination: NodeId::from_index(j),
+                gain,
+                self_gain,
+            };
+            best = Some(match best {
+                None => entry,
+                Some(b) if entry.self_gain > b.self_gain => entry,
+                Some(b) => b,
+            });
+        };
+        for (i, slot) in rows {
+            match slot {
+                Some(r) => {
+                    for (j, &e) in cross.row(r).iter().enumerate() {
+                        consider(i, j, e);
+                    }
                 }
-                let entry = BestEntry {
-                    component: ComponentId::from_index(i),
-                    destination: NodeId::from_index(j),
-                    gain,
-                    self_gain: self.self_gain[i * k + j],
-                };
-                best = Some(match best {
-                    None => entry,
-                    Some(b) if entry.self_gain > b.self_gain => entry,
-                    Some(b) => b,
-                });
+                None => {
+                    let entries = cross.col_entries(i);
+                    for &(j, c) in &cross.active_cols {
+                        consider(i, j, entries[c]);
+                    }
+                }
             }
         }
         best
@@ -411,10 +590,16 @@ impl PerformanceMatrix {
     ///
     /// Each entry is evaluated once: a row refreshed in full already covers
     /// its origin and destination columns.
+    ///
+    /// Both columns join the hot cross, and so does every row refreshed in
+    /// full; an entry of a new column outside the rows it refreshes keeps
+    /// the 0.0 it held before.
     #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and allocation
     fn update_matrix(&mut self, origin: NodeId, destination: NodeId, candidates: &[bool]) {
         let m = self.component_count();
         let k = self.node_count();
+        self.cross.activate_column(origin.index());
+        self.cross.activate_column(destination.index());
         let mut scratch = self.take_scratch();
         for i in 0..m {
             if !candidates[i] {
@@ -423,12 +608,16 @@ impl PerformanceMatrix {
             let ci = ComponentId::from_index(i);
             let home = self.allocation[i];
             if home == origin || home == destination {
+                self.cross.activate_row(i);
                 for j in 0..k {
-                    self.recompute_entry(&mut scratch, ci, NodeId::from_index(j));
+                    let entry = self.entry(&mut scratch, ci, NodeId::from_index(j));
+                    self.cross.set(i, j, entry);
                 }
             } else {
-                self.recompute_entry(&mut scratch, ci, origin);
-                self.recompute_entry(&mut scratch, ci, destination);
+                for j in [origin, destination] {
+                    let entry = self.entry(&mut scratch, ci, j);
+                    self.cross.set(i, j.index(), entry);
+                }
             }
         }
         self.put_scratch(scratch);
@@ -436,57 +625,72 @@ impl PerformanceMatrix {
 
     /// Recomputes every entry from current state: the naïve alternative to
     /// Algorithm 2, and the path of [`Self::build`] and of the full-rebuild
-    /// ablation.
+    /// ablation. The hot cross is reset to the nodes hot now.
     ///
     /// Rows are split into contiguous chunks evaluated in parallel, one
-    /// worker per 32,768 entries (`MIN_ENTRIES_PER_WORKER`) up to the
+    /// worker per 32,768 stored entries (`MIN_ENTRIES_PER_WORKER`) up to the
     /// available cores. An entry is a pure function of the matrix state and
     /// each worker writes only its own rows, so the result is bit-identical
     /// for any worker count.
     pub fn rebuild_entries(&mut self) {
-        let wanted = self.gain.len().div_ceil(MIN_ENTRIES_PER_WORKER);
+        self.cross.reset(&self.allocation, &self.hot_node);
+        let wanted = self.cross.fill_len().div_ceil(MIN_ENTRIES_PER_WORKER);
         let workers = if wanted > 1 {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             wanted.min(cores)
         } else {
             1
         };
-        self.rebuild_entries_with(workers);
+        self.fill_cross(workers);
     }
 
-    /// [`Self::rebuild_entries`] with an explicit worker count (at most one
-    /// per row). The calling thread evaluates the first chunk, so with one
-    /// worker nothing is spawned.
-    fn rebuild_entries_with(&mut self, workers: usize) {
+    /// Evaluates every stored entry of a freshly reset cross with up to
+    /// `workers` workers (at most one per row), each given a contiguous
+    /// range of rows holding about the same number of stored entries. The
+    /// calling thread evaluates the first range, so with one worker nothing
+    /// is spawned.
+    fn fill_cross(&mut self, workers: usize) {
         let m = self.component_count();
         let k = self.node_count();
         let workers = workers.clamp(1, m);
         self.reserve_scratch(workers);
-        let rows_per_worker = m.div_ceil(workers);
-        let chunk = rows_per_worker * k;
-        let mut gain = std::mem::take(&mut self.gain);
-        let mut self_gain = std::mem::take(&mut self.self_gain);
+        let mut rows = std::mem::take(&mut self.cross.rows);
+        let mut cols = std::mem::take(&mut self.cross.cols);
         let mut pool = std::mem::take(&mut self.scratch);
         let this = &*self;
-        let mut jobs = pool
-            .0
-            .iter_mut()
-            .zip(gain.chunks_mut(chunk))
-            .zip(self_gain.chunks_mut(chunk))
-            .enumerate()
-            .map(|(w, ((scratch, gain), self_gain))| {
-                (scratch, w * rows_per_worker, gain, self_gain)
-            });
-        let (scratch, first_row, gain_rows, self_gain_rows) =
+        let cross = &this.cross;
+        let share = cross.fill_len().div_ceil(workers).max(1);
+        let (mut rows_left, mut cols_left) = (rows.as_mut_slice(), cols.as_mut_slice());
+        let mut scratches = pool.0.iter_mut();
+        let mut jobs = Vec::with_capacity(workers);
+        let mut start = 0;
+        while start < m {
+            let (mut end, mut load, mut active) = (start, 0, 0);
+            while end < m && load < share {
+                load += cross.fill_width(end);
+                active += usize::from(cross.row_slot[end].is_some());
+                end += 1;
+            }
+            let row_block;
+            (row_block, rows_left) = std::mem::take(&mut rows_left).split_at_mut(active * k);
+            let col_block;
+            (col_block, cols_left) =
+                std::mem::take(&mut cols_left).split_at_mut((end - start) * cross.stride);
+            let scratch = scratches.next().expect("no more row ranges than workers");
+            jobs.push((scratch, start..end, row_block, col_block));
+            start = end;
+        }
+        let mut jobs = jobs.into_iter();
+        let (scratch, range, row_block, col_block) =
             jobs.next().expect("a matrix has at least one row");
         std::thread::scope(|scope| {
-            for (scratch, first_row, gain_rows, self_gain_rows) in jobs {
-                scope.spawn(move || this.fill_rows(scratch, first_row, gain_rows, self_gain_rows));
+            for (scratch, range, row_block, col_block) in jobs {
+                scope.spawn(move || this.fill_rows(scratch, range, row_block, col_block));
             }
-            this.fill_rows(scratch, first_row, gain_rows, self_gain_rows);
+            this.fill_rows(scratch, range, row_block, col_block);
         });
-        self.gain = gain;
-        self.self_gain = self_gain;
+        self.cross.rows = rows;
+        self.cross.cols = cols;
         self.scratch = pool;
     }
 
@@ -528,29 +732,31 @@ impl PerformanceMatrix {
         }
     }
 
-    /// Evaluates whole rows, starting at row `first_row`, into the
-    /// row-major slices `gain` and `self_gain`.
+    /// Evaluates the stored entries of the components in `range`: into
+    /// `rows`, their active rows in slot order, and into `cols`, their
+    /// column-store entries (`stride` per component).
     fn fill_rows(
         &self,
         scratch: &mut EvalScratch,
-        first_row: usize,
-        gain: &mut [f64],
-        self_gain: &mut [f64],
+        range: std::ops::Range<usize>,
+        rows: &mut [Entry],
+        cols: &mut [Entry],
     ) {
-        let k = self.node_count();
-        let rows = gain.chunks_exact_mut(k).zip(self_gain.chunks_exact_mut(k));
-        for (r, (gain_row, self_gain_row)) in rows.enumerate() {
-            let i = ComponentId::from_index(first_row + r);
-            for (j, (g, s)) in gain_row.iter_mut().zip(self_gain_row).enumerate() {
-                (*g, *s) = self.entry(scratch, i, NodeId::from_index(j));
+        let cross = &self.cross;
+        let mut rows = rows.chunks_exact_mut(self.node_count());
+        for (i, col_entries) in range.zip(cols.chunks_exact_mut(cross.stride)) {
+            let ci = ComponentId::from_index(i);
+            if cross.row_slot[i].is_some() {
+                let row = rows.next().expect("one row block per active row");
+                for (j, e) in row.iter_mut().enumerate() {
+                    *e = self.entry(scratch, ci, NodeId::from_index(j));
+                }
+            } else {
+                for &(j, c) in &cross.active_cols {
+                    col_entries[c] = self.entry(scratch, ci, NodeId::from_index(j));
+                }
             }
         }
-    }
-
-    /// Recomputes `L[i][j]` and the associated self-gain.
-    fn recompute_entry(&mut self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) {
-        let slot = i.index() * self.node_count() + j.index();
-        (self.gain[slot], self.self_gain[slot]) = self.entry(scratch, i, j);
     }
 
     /// `(L[i][j], self-gain)` from current state: zero for the component's
@@ -919,10 +1125,9 @@ mod tests {
         }
     }
 
-    /// `m` components on `k` nodes over up to three stages, with node 0
+    /// `m` components on `k` nodes over `stage_count` stages, with node 0
     /// pinned at the saturating demand a dead node is given.
-    fn wide_inputs(m: usize, k: usize) -> MatrixInputs {
-        let stage_count = m.min(3);
+    fn wide_inputs(m: usize, k: usize, stage_count: usize) -> MatrixInputs {
         let nodes = (0..k)
             .map(|j| {
                 let demand = if j == 0 {
@@ -958,20 +1163,66 @@ mod tests {
     #[test]
     fn rebuild_is_bit_identical_for_any_worker_count() {
         let models = linear_model();
-        // 191 rows (prime, so no worker count divides them) × 180 columns
-        // is past the one-worker threshold; a single row cannot be split.
-        for (m, k) in [(191, 180), (1, 40)] {
-            assert!(m == 1 || m * k > MIN_ENTRIES_PER_WORKER);
-            let built = PerformanceMatrix::build(&wide_inputs(m, k), &models);
+        // 191 rows (prime, so no worker count divides them) × 180 columns.
+        // With a stage per component every node is hot, so every row is in
+        // the row store and the cross is past the one-worker threshold;
+        // with three stages most rows are filled over the hot columns. A
+        // single row cannot be split.
+        for (m, k, stages) in [(191, 180, 191), (191, 180, 3), (1, 40, 1)] {
+            let built = PerformanceMatrix::build(&wide_inputs(m, k, stages), &models);
+            if stages == 191 {
+                assert!(built.cross.rows.len() > MIN_ENTRIES_PER_WORKER);
+            }
             for workers in [1, 2, 3, 8] {
                 let mut rebuilt = built.clone();
-                // Poison every entry so a row no worker wrote shows up.
-                rebuilt.gain.fill(f64::NAN);
-                rebuilt.self_gain.fill(f64::NAN);
-                rebuilt.rebuild_entries_with(workers);
+                // Poison every stored entry so one no worker wrote shows up.
+                rebuilt.cross.rows.fill((f64::NAN, f64::NAN));
+                rebuilt.cross.cols.fill((f64::NAN, f64::NAN));
+                rebuilt.cross.reset(&built.allocation, &built.hot_node);
+                rebuilt.fill_cross(workers);
                 assert_bit_identical(&rebuilt, &built);
             }
         }
+    }
+
+    #[test]
+    fn a_mostly_cold_matrix_stores_a_small_cross() {
+        let models = linear_model();
+        let (m, k) = (1000, 1000);
+        let mut inputs = wide_inputs(m, k, 3);
+        // Distinct node loads, so that few latencies tie at a stage's top.
+        for (j, node) in inputs.nodes.iter_mut().enumerate().skip(1) {
+            node.demand = ResourceVector::new(j as f64 * 0.01, 0.0, 0.0, 0.0);
+        }
+        let built = PerformanceMatrix::build(&inputs, &models);
+        let hot = built.hot_node.iter().filter(|&&h| h).count();
+        assert!((1..=8).contains(&hot), "{hot} hot nodes");
+        let stored = built.cross.stored_entries();
+        assert!(stored * 20 < m * k, "{stored} of {} entries stored", m * k);
+    }
+
+    /// A column that joins the cross after another with a higher node index
+    /// takes a later slot, yet a row outside the row store is still scanned
+    /// in node order: of two entries tied on gain and self-gain, the one in
+    /// the lower column wins, as in a row-major scan of the full matrix.
+    #[test]
+    fn best_candidate_breaks_column_store_ties_in_node_order() {
+        let models = linear_model();
+        let mut m = PerformanceMatrix::build(&wide_inputs(40, 30, 3), &models);
+        let row = (0..40).find(|&i| m.cross.row_slot[i].is_none()).unwrap();
+        let mut cold = (0..30).filter(|&j| m.cross.col_slot[j].is_none());
+        let (low, high) = (cold.next().unwrap(), cold.next().unwrap());
+        m.cross.activate_column(high);
+        m.cross.activate_column(low);
+        assert!(m.cross.col_slot[low] > m.cross.col_slot[high]);
+        for j in [high, low] {
+            m.cross.set(row, j, (1.0, 1.0));
+        }
+        let best = m.best_candidate(&[true; 40], 0.05).unwrap();
+        assert_eq!(
+            (best.component, best.destination),
+            (ComponentId::from_index(row), NodeId::from_index(low))
+        );
     }
 
     #[test]

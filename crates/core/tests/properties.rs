@@ -1,6 +1,7 @@
 //! Property-based tests for the performance matrix and the greedy
 //! scheduler: the structural invariants DESIGN.md commits to.
 
+use pcs_core::matrix::BestEntry;
 use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, OverrideMarks,
     PerformanceMatrix, SchedulerConfig, StageLatencyIndex,
@@ -218,6 +219,68 @@ fn greedy_checking_pruning(
     Ok(())
 }
 
+/// Algorithm 1 lines 6–7 by a plain row-major scan of every entry of the
+/// candidate rows through the public accessors: the reference that
+/// [`PerformanceMatrix::best_candidate`]'s scan of stored entries must match.
+fn plain_best(matrix: &PerformanceMatrix, candidates: &[bool], tol: f64) -> Option<BestEntry> {
+    let entries = || {
+        (0..matrix.component_count())
+            .filter(|&i| candidates[i])
+            .flat_map(|i| (0..matrix.node_count()).map(move |j| (i, j)))
+            .map(|(i, j)| {
+                let (c, n) = (ComponentId::from_index(i), NodeId::from_index(j));
+                (c, n, matrix.gain(c, n), matrix.self_gain(c, n))
+            })
+    };
+    let max_gain = entries().fold(0.0f64, |max, e| max.max(e.2));
+    if max_gain <= 0.0 {
+        return None;
+    }
+    let threshold = max_gain * (1.0 - tol.clamp(0.0, 1.0));
+    let mut best: Option<BestEntry> = None;
+    for (component, destination, gain, self_gain) in entries() {
+        if gain >= threshold && gain > 0.0 && best.is_none_or(|b| self_gain > b.self_gain) {
+            best = Some(BestEntry {
+                component,
+                destination,
+                gain,
+                self_gain,
+            });
+        }
+    }
+    best
+}
+
+/// Algorithm 1's loop over the components `candidates` marks, checking
+/// `best_candidate` against [`plain_best`] after the build or previous
+/// move and before every step.
+fn greedy_checking_best(
+    matrix: &mut PerformanceMatrix,
+    candidates: &mut [bool],
+    tol: f64,
+) -> Result<(), TestCaseError> {
+    loop {
+        let best = matrix.best_candidate(candidates, tol);
+        let plain = plain_best(matrix, candidates, tol);
+        let bits = |b: Option<BestEntry>| {
+            b.map(|b| {
+                (
+                    b.component,
+                    b.destination,
+                    b.gain.to_bits(),
+                    b.self_gain.to_bits(),
+                )
+            })
+        };
+        prop_assert_eq!(bits(best), bits(plain));
+        let Some(best) = best else {
+            return Ok(());
+        };
+        candidates[best.component.index()] = false;
+        matrix.apply_migration(best.component, best.destination, candidates);
+    }
+}
+
 /// Latencies drawn from this pool tie often, at the top of a stage too.
 const TIED_LATENCIES: [f64; 5] = [0.0, 0.001, 0.0025, 0.0025, 0.004];
 
@@ -356,6 +419,34 @@ proptest! {
             let mut mask = vec![false; m];
             mask[group].fill(true);
             greedy_checking_pruning(&mut grouped, &stages, &mut mask)?;
+        }
+    }
+
+    /// `best_candidate` scans only stored entries, yet after the build and
+    /// after every accepted move of a flat and of a grouped greedy it picks
+    /// exactly the entry a plain scan of the whole matrix picks, ties
+    /// included.
+    #[test]
+    fn best_candidate_matches_a_plain_scan(
+        single_stage in arb_inputs(),
+        tied in arb_tied_inputs(),
+        tol in 0.0f64..0.5,
+    ) {
+        let models = linear_models();
+        for inputs in [&single_stage, &tied] {
+            let m = inputs.component_count();
+            let built = PerformanceMatrix::build(inputs, &models);
+            for tol in [SchedulerConfig::PAPER.tie_tolerance, tol] {
+                greedy_checking_best(&mut built.clone(), &mut vec![true; m], tol)?;
+
+                // Two groups, the second running on the first's moves.
+                let mut grouped = built.clone();
+                for group in [0..m / 2, m / 2..m] {
+                    let mut mask = vec![false; m];
+                    mask[group].fill(true);
+                    greedy_checking_best(&mut grouped, &mut mask, tol)?;
+                }
+            }
         }
     }
 

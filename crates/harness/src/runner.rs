@@ -117,6 +117,22 @@ impl SweepOutcome {
                 Json::Array(techniques.iter().map(|t| Json::from(t.clone())).collect()),
             ));
         }
+        // The same for the scale and elastic knobs.
+        if let Some(sizes) = &params.sizes {
+            report.push((
+                "sizes_override".into(),
+                Json::Array(sizes.iter().map(|&n| Json::from(n as u64)).collect()),
+            ));
+        }
+        if let Some(cap) = params.group_cap {
+            report.push(("group_cap_override".into(), Json::from(cap as u64)));
+        }
+        if let Some(target) = params.target_util {
+            report.push(("target_util_override".into(), Json::Num(target)));
+        }
+        if let Some(cooldown) = params.cooldown_secs {
+            report.push(("cooldown_override".into(), Json::Num(cooldown)));
+        }
         // Same pattern for observability: the key (the retained top-K)
         // appears only on observe-on runs.
         if let Some(top_k) = params.observe {
@@ -257,6 +273,42 @@ mod tests {
             rendered.contains("\"techniques_override\":[\"basic\",\"pcs\"]"),
             "{rendered}"
         );
+    }
+
+    #[test]
+    fn scale_and_elastic_overrides_appear_only_when_given() {
+        let keys = [
+            "sizes_override",
+            "group_cap_override",
+            "target_util_override",
+            "cooldown_override",
+        ];
+        let default_params = SweepParams {
+            seed: 1,
+            ..SweepParams::default()
+        };
+        let outcome = run_sweep(&toy_plan(), &default_params);
+        let plain = outcome.to_json("toy", &default_params).render();
+        for key in keys {
+            assert!(!plain.contains(key), "{plain}");
+        }
+
+        let given = SweepParams {
+            sizes: Some(vec![200, 400]),
+            group_cap: Some(128),
+            target_util: Some(0.8),
+            cooldown_secs: Some(2.5),
+            ..default_params
+        };
+        let rendered = outcome.to_json("toy", &given).render();
+        for expected in [
+            "\"sizes_override\":[200,400]",
+            "\"group_cap_override\":128",
+            "\"target_util_override\":0.8",
+            "\"cooldown_override\":2.5",
+        ] {
+            assert!(rendered.contains(expected), "{expected} in {rendered}");
+        }
     }
 
     #[test]

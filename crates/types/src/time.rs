@@ -41,7 +41,8 @@ impl SimTime {
     }
 
     /// Creates an instant from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs saturate to zero.
+    /// microsecond. Negative inputs, −∞ and NaN saturate to zero; +∞ and
+    /// anything past `u64::MAX` microseconds saturate to [`SimTime::MAX`].
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimTime(secs_to_micros(s))
@@ -104,14 +105,18 @@ impl SimDuration {
     }
 
     /// Creates a duration from fractional seconds, rounding to the nearest
-    /// microsecond. Negative or non-finite inputs saturate to zero.
+    /// microsecond. Negative inputs, −∞ and NaN saturate to zero; +∞ and
+    /// anything past `u64::MAX` microseconds saturate to
+    /// [`SimDuration::MAX`].
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         SimDuration(secs_to_micros(s))
     }
 
     /// Creates a duration from fractional milliseconds, rounding to the
-    /// nearest microsecond. Negative or non-finite inputs saturate to zero.
+    /// nearest microsecond. Negative inputs, −∞ and NaN saturate to zero;
+    /// +∞ and anything past `u64::MAX` microseconds saturate to
+    /// [`SimDuration::MAX`].
     #[inline]
     pub fn from_millis_f64(ms: f64) -> Self {
         SimDuration(secs_to_micros(ms / 1_000.0))
@@ -271,6 +276,20 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::NAN), SimDuration::ZERO);
         assert_eq!(SimDuration::from_secs_f64(f64::INFINITY), SimDuration::MAX);
+    }
+
+    #[test]
+    fn infinite_and_huge_inputs_saturate_to_max() {
+        assert_eq!(
+            SimDuration::from_millis_f64(f64::INFINITY),
+            SimDuration::MAX
+        );
+        assert_eq!(SimDuration::from_secs_f64(1e300), SimDuration::MAX);
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
+        assert_eq!(
+            SimDuration::from_millis_f64(f64::NEG_INFINITY),
+            SimDuration::ZERO
+        );
     }
 
     #[test]
