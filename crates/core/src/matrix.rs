@@ -59,12 +59,6 @@ pub struct BestEntry {
 /// the memo).
 const CLASS_MEMO: usize = 8;
 
-/// Stored matrix entries a rebuild worker must be given before it is worth
-/// a thread. A stored entry is almost always evaluated (only the own-node
-/// entries of hot rows are not), at ~0.2 µs each, so a worker's share is at
-/// least ~6.5 ms and a spawn (tens of µs) stays under 5% of it.
-const MIN_ENTRIES_PER_WORKER: usize = 32_768;
-
 /// One stored entry: `(L[i][j], self-gain)`.
 type Entry = (f64, f64);
 
@@ -131,21 +125,6 @@ impl HotCross {
         let len = allocation.len() * self.stride;
         self.cols.truncate(len);
         self.cols.resize(len, ZERO);
-    }
-
-    /// Entries a rebuild evaluates for component `i`: its whole row if
-    /// active, else its active columns.
-    fn fill_width(&self, i: usize) -> usize {
-        if self.row_slot[i].is_some() {
-            self.k
-        } else {
-            self.active_cols.len()
-        }
-    }
-
-    /// Entries a rebuild evaluates: the stored entries that are read.
-    fn fill_len(&self) -> usize {
-        (0..self.row_slot.len()).map(|i| self.fill_width(i)).sum()
     }
 
     /// Entry `(i, j)` by the lookup rule.
@@ -228,16 +207,11 @@ struct NodeWhatIf {
     service_times: [Option<f64>; CLASS_MEMO],
 }
 
-/// The evaluation caches of one thread (see
+/// The matrix's evaluation caches (see
 /// [`PerformanceMatrix::evaluate_migration`]). Pure caching: entries are
-/// bit-identical whatever the caches hold, so each rebuild worker keeps its
-/// own and none is shared.
-///
-/// Workers' scratches sit side by side in the pool and are written on
-/// every entry, so each starts on its own 128-byte pair of cache lines:
-/// without the alignment, false sharing made two workers slower than one.
+/// bit-identical whatever the caches hold, so the build, the rebuild and
+/// Algorithm 2 all share this one scratch.
 #[derive(Debug, Default, Clone)]
-#[repr(align(128))]
 struct EvalScratch {
     /// Memoised *current-state* what-if per node (the Table III row-1
     /// evaluation every matrix row repeats against the same destination);
@@ -263,36 +237,17 @@ impl EvalScratch {
         self.current.resize_with(k, NodeWhatIf::default);
         self.current_valid.resize(k, false);
     }
-}
 
-/// One [`EvalScratch`] per rebuild worker; the first also serves the serial
-/// Algorithm 2 path. The matrix owns the pool and the calling thread sizes
-/// it, so workers neither allocate nor free.
-#[derive(Debug, Default, Clone)]
-struct ScratchPool(Vec<EvalScratch>);
-
-impl ScratchPool {
-    /// Node `j`'s demand changed: drop its current-state memos.
+    /// Node `j`'s demand changed: drop its current-state memo.
     fn node_changed(&mut self, j: usize) {
-        for s in &mut self.0 {
-            if let Some(valid) = s.current_valid.get_mut(j) {
-                *valid = false;
-            }
-        }
+        self.current_valid[j] = false;
     }
 
-    /// Some state changed: drop every row cache (a row's origin overrides
+    /// Some state changed: drop the row cache (a row's origin overrides
     /// read the origin's demand and its residents' state).
     fn forget_rows(&mut self) {
-        for s in &mut self.0 {
-            s.row = None;
-        }
+        self.row = None;
     }
-}
-
-/// Grows `v`'s capacity to at least `cap`.
-fn reserve_to<T>(v: &mut Vec<T>, cap: usize) {
-    v.reserve(cap.saturating_sub(v.len()));
 }
 
 /// Per-component scheduling state.
@@ -329,8 +284,8 @@ pub struct PerformanceMatrix {
     /// hot cross only: the rows and columns that were hot at the last
     /// build or rebuild, plus those Algorithm 2 has refreshed since.
     cross: HotCross,
-    /// Evaluation caches, one set per rebuild worker.
-    scratch: ScratchPool,
+    /// Evaluation caches, sized at build.
+    scratch: EvalScratch,
     /// Wall-clock time spent in the initial full build ("analysis time").
     build_time: Duration,
 }
@@ -392,10 +347,12 @@ impl PerformanceMatrix {
             index: StageLatencyIndex::build(&vec![0.0; m.max(1)], &vec![0; m.max(1)], 1),
             hot_node: vec![false; k],
             cross: HotCross::default(),
-            scratch: ScratchPool::default(),
+            scratch: EvalScratch::default(),
             build_time: Duration::ZERO,
         };
         matrix.refresh_base_latencies(inputs.stage_count);
+        matrix.scratch.fit(k);
+        matrix.scratch.marks.fit(&matrix.index);
         matrix.rebuild_entries();
         matrix.build_time = start.elapsed();
         matrix
@@ -594,168 +551,63 @@ impl PerformanceMatrix {
     /// Both columns join the hot cross, and so does every row refreshed in
     /// full; an entry of a new column outside the rows it refreshes keeps
     /// the 0.0 it held before.
-    #[allow(clippy::needless_range_loop)] // parallel indexing of candidates and allocation
     fn update_matrix(&mut self, origin: NodeId, destination: NodeId, candidates: &[bool]) {
-        let m = self.component_count();
         let k = self.node_count();
         self.cross.activate_column(origin.index());
         self.cross.activate_column(destination.index());
-        let mut scratch = self.take_scratch();
-        for i in 0..m {
-            if !candidates[i] {
-                continue;
-            }
-            let ci = ComponentId::from_index(i);
-            let home = self.allocation[i];
-            if home == origin || home == destination {
-                self.cross.activate_row(i);
-                for j in 0..k {
-                    let entry = self.entry(&mut scratch, ci, NodeId::from_index(j));
-                    self.cross.set(i, j, entry);
-                }
-            } else {
-                for j in [origin, destination] {
-                    let entry = self.entry(&mut scratch, ci, j);
-                    self.cross.set(i, j.index(), entry);
+        self.with_scratch(|m, scratch| {
+            for (i, _) in candidates.iter().enumerate().filter(|(_, &c)| c) {
+                let home = m.allocation[i];
+                if home == origin || home == destination {
+                    m.cross.activate_row(i);
+                    m.fill_row(scratch, i, 0..k);
+                } else {
+                    m.fill_row(scratch, i, [origin.index(), destination.index()]);
                 }
             }
-        }
-        self.put_scratch(scratch);
+        });
     }
 
     /// Recomputes every entry from current state: the naïve alternative to
     /// Algorithm 2, and the path of [`Self::build`] and of the full-rebuild
-    /// ablation. The hot cross is reset to the nodes hot now.
-    ///
-    /// Rows are split into contiguous chunks evaluated in parallel, one
-    /// worker per 32,768 stored entries (`MIN_ENTRIES_PER_WORKER`) up to the
-    /// available cores. An entry is a pure function of the matrix state and
-    /// each worker writes only its own rows, so the result is bit-identical
-    /// for any worker count.
+    /// ablation. The hot cross is reset to the nodes hot now, then each
+    /// stored entry is written as Algorithm 2 writes it: an active row in
+    /// full, any other row over the hot columns.
     pub fn rebuild_entries(&mut self) {
         self.cross.reset(&self.allocation, &self.hot_node);
-        let wanted = self.cross.fill_len().div_ceil(MIN_ENTRIES_PER_WORKER);
-        let workers = if wanted > 1 {
-            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-            wanted.min(cores)
-        } else {
-            1
-        };
-        self.fill_cross(workers);
-    }
-
-    /// Evaluates every stored entry of a freshly reset cross with up to
-    /// `workers` workers (at most one per row), each given a contiguous
-    /// range of rows holding about the same number of stored entries. The
-    /// calling thread evaluates the first range, so with one worker nothing
-    /// is spawned.
-    fn fill_cross(&mut self, workers: usize) {
-        let m = self.component_count();
         let k = self.node_count();
-        let workers = workers.clamp(1, m);
-        self.reserve_scratch(workers);
-        let mut rows = std::mem::take(&mut self.cross.rows);
-        let mut cols = std::mem::take(&mut self.cross.cols);
-        let mut pool = std::mem::take(&mut self.scratch);
-        let this = &*self;
-        let cross = &this.cross;
-        let share = cross.fill_len().div_ceil(workers).max(1);
-        let (mut rows_left, mut cols_left) = (rows.as_mut_slice(), cols.as_mut_slice());
-        let mut scratches = pool.0.iter_mut();
-        let mut jobs = Vec::with_capacity(workers);
-        let mut start = 0;
-        while start < m {
-            let (mut end, mut load, mut active) = (start, 0, 0);
-            while end < m && load < share {
-                load += cross.fill_width(end);
-                active += usize::from(cross.row_slot[end].is_some());
-                end += 1;
+        let hot: Vec<usize> = (0..k).filter(|&j| self.hot_node[j]).collect();
+        self.with_scratch(|m, scratch| {
+            for i in 0..m.component_count() {
+                if m.cross.row_slot[i].is_some() {
+                    m.fill_row(scratch, i, 0..k);
+                } else {
+                    m.fill_row(scratch, i, hot.iter().copied());
+                }
             }
-            let row_block;
-            (row_block, rows_left) = std::mem::take(&mut rows_left).split_at_mut(active * k);
-            let col_block;
-            (col_block, cols_left) =
-                std::mem::take(&mut cols_left).split_at_mut((end - start) * cross.stride);
-            let scratch = scratches.next().expect("no more row ranges than workers");
-            jobs.push((scratch, start..end, row_block, col_block));
-            start = end;
-        }
-        let mut jobs = jobs.into_iter();
-        let (scratch, range, row_block, col_block) =
-            jobs.next().expect("a matrix has at least one row");
-        std::thread::scope(|scope| {
-            for (scratch, range, row_block, col_block) in jobs {
-                scope.spawn(move || this.fill_rows(scratch, range, row_block, col_block));
-            }
-            this.fill_rows(scratch, range, row_block, col_block);
         });
-        self.cross.rows = rows;
-        self.cross.cols = cols;
-        self.scratch = pool;
     }
 
-    /// Sizes the first `workers` scratches of the pool for this matrix, on
-    /// the calling thread, so that evaluation never grows a buffer: the
-    /// override lists for the fullest node and the override marks.
-    fn reserve_scratch(&mut self, workers: usize) {
-        let k = self.node_count();
-        let residents = self.node_components.iter().map(Vec::len).max().unwrap_or(0);
-        let pool = &mut self.scratch.0;
-        if pool.len() < workers {
-            pool.resize_with(workers, EvalScratch::default);
-        }
-        for s in &mut pool[..workers] {
-            s.fit(k);
-            reserve_to(&mut s.origin_overrides, residents);
-            reserve_to(&mut s.overrides, 2 * residents);
-            s.marks.fit(&self.index);
-        }
+    /// Runs `f` on the matrix with its scratch lent out beside it.
+    fn with_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut EvalScratch) -> R) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = f(self, &mut scratch);
+        self.scratch = scratch;
+        out
     }
 
-    /// Takes the pool's first scratch for a serial pass on the calling
-    /// thread; hand it back with [`Self::put_scratch`].
-    fn take_scratch(&mut self) -> EvalScratch {
-        let mut scratch = self
-            .scratch
-            .0
-            .first_mut()
-            .map(std::mem::take)
-            .unwrap_or_default();
-        scratch.fit(self.node_count());
-        scratch
-    }
-
-    fn put_scratch(&mut self, scratch: EvalScratch) {
-        match self.scratch.0.first_mut() {
-            Some(slot) => *slot = scratch,
-            None => self.scratch.0.push(scratch),
-        }
-    }
-
-    /// Evaluates the stored entries of the components in `range`: into
-    /// `rows`, their active rows in slot order, and into `cols`, their
-    /// column-store entries (`stride` per component).
-    fn fill_rows(
-        &self,
+    /// Evaluates row `i`'s entries at `nodes` and stores them in the cross:
+    /// the one path that writes matrix entries.
+    fn fill_row(
+        &mut self,
         scratch: &mut EvalScratch,
-        range: std::ops::Range<usize>,
-        rows: &mut [Entry],
-        cols: &mut [Entry],
+        i: usize,
+        nodes: impl IntoIterator<Item = usize>,
     ) {
-        let cross = &self.cross;
-        let mut rows = rows.chunks_exact_mut(self.node_count());
-        for (i, col_entries) in range.zip(cols.chunks_exact_mut(cross.stride)) {
-            let ci = ComponentId::from_index(i);
-            if cross.row_slot[i].is_some() {
-                let row = rows.next().expect("one row block per active row");
-                for (j, e) in row.iter_mut().enumerate() {
-                    *e = self.entry(scratch, ci, NodeId::from_index(j));
-                }
-            } else {
-                for &(j, c) in &cross.active_cols {
-                    col_entries[c] = self.entry(scratch, ci, NodeId::from_index(j));
-                }
-            }
+        let ci = ComponentId::from_index(i);
+        for j in nodes {
+            let entry = self.entry(scratch, ci, NodeId::from_index(j));
+            self.cross.set(i, j, entry);
         }
     }
 
@@ -785,10 +637,7 @@ impl PerformanceMatrix {
         if self.allocation[i.index()] == j {
             return (0.0, 0.0);
         }
-        let mut scratch = self.take_scratch();
-        let out = self.evaluate_migration(&mut scratch, i, j);
-        self.put_scratch(scratch);
-        out
+        self.with_scratch(|m, scratch| m.evaluate_migration(scratch, i, j))
     }
 
     /// The exact self-gain of migrating `i` to `j` from current state (the
@@ -799,9 +648,7 @@ impl PerformanceMatrix {
         if self.allocation[i.index()] == j {
             return 0.0;
         }
-        let mut scratch = self.take_scratch();
-        let li_new = self.migrant_latency(&mut scratch, i, j);
-        self.put_scratch(scratch);
+        let li_new = self.with_scratch(|m, scratch| m.migrant_latency(scratch, i, j));
         self.base_latency[i.index()] - li_new
     }
 
@@ -1161,27 +1008,19 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_is_bit_identical_for_any_worker_count() {
+    fn rebuild_rewrites_every_stored_entry() {
         let models = linear_model();
-        // 191 rows (prime, so no worker count divides them) × 180 columns.
-        // With a stage per component every node is hot, so every row is in
-        // the row store and the cross is past the one-worker threshold;
-        // with three stages most rows are filled over the hot columns. A
-        // single row cannot be split.
+        // 191 rows × 180 columns. With a stage per component every node is
+        // hot, so every row is in the row store; with three stages most rows
+        // are filled over the hot columns; and a single row.
         for (m, k, stages) in [(191, 180, 191), (191, 180, 3), (1, 40, 1)] {
             let built = PerformanceMatrix::build(&wide_inputs(m, k, stages), &models);
-            if stages == 191 {
-                assert!(built.cross.rows.len() > MIN_ENTRIES_PER_WORKER);
-            }
-            for workers in [1, 2, 3, 8] {
-                let mut rebuilt = built.clone();
-                // Poison every stored entry so one no worker wrote shows up.
-                rebuilt.cross.rows.fill((f64::NAN, f64::NAN));
-                rebuilt.cross.cols.fill((f64::NAN, f64::NAN));
-                rebuilt.cross.reset(&built.allocation, &built.hot_node);
-                rebuilt.fill_cross(workers);
-                assert_bit_identical(&rebuilt, &built);
-            }
+            let mut rebuilt = built.clone();
+            // Poison every stored entry so one the rebuild missed shows up.
+            rebuilt.cross.rows.fill((f64::NAN, f64::NAN));
+            rebuilt.cross.cols.fill((f64::NAN, f64::NAN));
+            rebuilt.rebuild_entries();
+            assert_bit_identical(&rebuilt, &built);
         }
     }
 

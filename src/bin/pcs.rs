@@ -24,6 +24,12 @@ use pcs_sim::ObserveConfig;
 use std::fmt::Display;
 use std::str::FromStr;
 
+/// Largest accepted `--rates` entry, req/s: 20× the paper's largest rate
+/// (500). A simulation's memory grows with its arrival rate: one full
+/// fig6 Basic cell peaks at about 1.1 GB of RSS at this rate, against
+/// 86 MB at 500 req/s.
+const MAX_RATE: f64 = 10_000.0;
+
 fn main() {
     let args: Result<Vec<String>, _> = std::env::args_os()
         .skip(1)
@@ -77,7 +83,8 @@ fn usage() -> String {
          \x20                      see `pcs list techniques`\n\
          \x20 --seed <u64>         base seed (default: the scenario's)\n\
          \x20 --threads <n>        worker threads (default: all cores)\n\
-         \x20 --rates <a,b,c>      arrival-rate grid override, req/s (simulation sweeps)\n\
+         \x20 --rates <a,b,c>      arrival-rate grid override, req/s, each in (0, 10000]\n\
+         \x20                      (simulation sweeps)\n\
          \x20 --repeats <n>        repeat count override (fig7)\n\
          \x20 --sizes <a,b,c>      cluster-size grid override, nodes (scale)\n\
          \x20 --group-cap <n>      PCS-H per-group component cap (scale)\n\
@@ -243,9 +250,10 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
             }
             "--rates" => {
                 let rates: Vec<f64> = parse_list(flag, &value()?, "rate")?;
-                if let Some(bad) = rates.iter().find(|r| !r.is_finite() || **r <= 0.0) {
+                if let Some(bad) = rates.iter().find(|r| !(**r > 0.0 && **r <= MAX_RATE)) {
                     return Err(format!(
-                        "--rates: rates must be finite and positive, got {bad}"
+                        "--rates: rates must be finite and positive, at most {MAX_RATE} req/s \
+                         (a simulation's memory grows with its rate), got {bad:?}"
                     ));
                 }
                 params.rates = Some(rates);

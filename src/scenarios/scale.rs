@@ -7,24 +7,35 @@
 //! services sized proportionally to the cluster run under diurnal and
 //! bursty (MMPP) traffic at 100, 400 and 1000 nodes, comparing flat PCS
 //! (single global greedy) against the two-level hierarchical variant
-//! `PCS-H` (rack-grouped bounded greedy); both build the full matrix
-//! every interval. Every cell reports the usual quality metrics *and* the
-//! scheduler's deterministic work counters ([`pcs_sim::SchedulerCost`]) —
-//! `sched_entries_total` is the matrix size the builds covered (m·k per
-//! interval, not the entries stage-max pruning leaves to evaluate) and
-//! `sched_greedy_iterations` the search cost, both safe to byte-pin
-//! because they count events, never wall-clock.
+//! `PCS-H` (rack-grouped bounded greedy) at every size. Both build the
+//! matrix every interval, and a build stores only its hot cross (the
+//! rows and columns of the nodes hosting a stage maximum; see
+//! [`pcs_core::matrix`]). Every cell reports the usual quality metrics
+//! *and* the scheduler's deterministic work counters
+//! ([`pcs_sim::SchedulerCost`]) — `sched_entries_total` is the matrix
+//! size the builds covered (m·k per interval, not the entries a build
+//! stores and evaluates) and `sched_greedy_iterations` the search cost,
+//! both safe to byte-pin because they count events, never wall-clock.
 //!
-//! Flat PCS is dropped from the default grid at [`FLAT_PCS_MAX_NODES`]
-//! and beyond: a full m×k rebuild per 2 s interval at 1000 components ×
-//! 1000 nodes is exactly the regime the hierarchical scheduler exists to
-//! avoid. `--techniques` (e.g. `--techniques pcs,pcs-h640`) overrides the
-//! grid at every size; `--sizes` and `--group-cap` override the cluster
-//! grid and the PCS-H group cap.
+//! Flat PCS keeps up at every size. On a 2-CPU host, `pcs run --scenario
+//! scale --techniques <t> --sizes <n> --threads 1` (4 cells, whole-process
+//! wall time, one run each, default seed) took:
+//!
+//! | nodes | flat PCS | `PCS-H64` | flat / `PCS-H64` |
+//! |-------|----------|-----------|------------------|
+//! | 1000  | 2.15 s   | 1.77 s    | 1.22             |
+//! | 2000  | 5.02 s   | 3.76 s    | 1.34             |
+//! | 4000  | 11.13 s  | 8.69 s    | 1.28             |
+//! | 8000  | 30.05 s  | 25.89 s   | 1.16             |
+//!
+//! The event core dominates both, so the gap does not grow with size.
+//! `--techniques` (e.g. `--techniques pcs,pcs-h640`) overrides the
+//! grid; `--sizes` and `--group-cap` override the cluster grid and the
+//! PCS-H group cap.
 
 use super::{kv, technique_cell, train_models, Traffic};
 use crate::experiments::fig6::Fig6Config;
-use crate::techniques::{self, Technique};
+use crate::techniques;
 use pcs_harness::{seed, CellOutcome, Json, Override, Scenario, SweepParams, SweepPlan};
 use pcs_sim::SimConfig;
 use pcs_types::{ensure, SimDuration};
@@ -49,12 +60,6 @@ pub const MAX_NODES: usize = (u16::MAX as usize * 10 + 9) / 9;
 /// Node count of the `--smoke` grid: two racks, big enough for the
 /// rack-grouped level-1 walk to be non-trivial, small enough for CI.
 pub const SMOKE_NODES: usize = 40;
-
-/// From this cluster size on, the default grid runs only `PCS-H` (flat
-/// PCS's full per-interval rebuild is the cost this scenario measures
-/// out of existence; it stays in the grid below the cutoff so the report
-/// pins the crossover).
-pub const FLAT_PCS_MAX_NODES: usize = 1000;
 
 /// Nodes per rack (paper-like shallow racks: 1000 nodes → 50 racks).
 const NODES_PER_RACK: usize = 20;
@@ -142,9 +147,9 @@ fn scheduler_cost_metrics(report: &pcs_sim::RunReport) -> Vec<(String, Json)> {
 /// same size, service, traffic and rate, with the tail-latency delta.
 /// The two cells share a seed, not an arrival sequence: arrivals draw
 /// from the same RNG as service times and monitoring, so different
-/// scheduling decisions re-roll the rest of the trace. Sizes where flat
-/// PCS is absent (the default grid at ≥ [`FLAT_PCS_MAX_NODES`]) report
-/// the hierarchical cost alone.
+/// scheduling decisions re-roll the rest of the trace. A PCS-H cell
+/// without a flat twin (`--techniques` left flat PCS out) reports the
+/// hierarchical cost alone.
 fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
     let technique = |c: &CellOutcome| {
         c.value("technique")
@@ -209,16 +214,6 @@ fn scale_summary(cells: &[CellOutcome]) -> Vec<(String, Json)> {
     ]
 }
 
-/// The default technique column at one cluster size: flat PCS (below the
-/// cutoff) against PCS-H with the sweep's group cap.
-fn default_techniques(size: usize, cap: usize) -> Vec<Technique> {
-    if size >= FLAT_PCS_MAX_NODES {
-        vec![techniques::pcs_hier(cap)]
-    } else {
-        vec![techniques::pcs(), techniques::pcs_hier(cap)]
-    }
-}
-
 /// Tail quality and per-interval scheduler cost from 100 to 1000 nodes.
 pub const SCALE: Scenario = Scenario {
     name: "scale",
@@ -275,6 +270,11 @@ fn scale_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
     // cycle the same component classes), so one profiling campaign
     // covers every cell.
     let models = train_models(&cfg);
+    // The default column at every size: flat PCS against PCS-H.
+    let techniques = techniques::resolve(
+        params.techniques.as_deref(),
+        vec![techniques::pcs(), techniques::pcs_hier(cap)],
+    );
     let mut cells = Vec::new();
     for &size in &sizes {
         for (service_idx, service) in [ScaleService::DeepChain, ScaleService::WideFanout]
@@ -292,11 +292,7 @@ fn scale_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
                         ),
                         rate,
                     );
-                    let set = techniques::resolve(
-                        params.techniques.as_deref(),
-                        default_techniques(size, cap),
-                    );
-                    for technique in set {
+                    for &technique in &techniques {
                         cells.push(technique_cell(
                             format!(
                                 "{} {} @ {size}n {}",
@@ -334,9 +330,6 @@ fn scale_plan(params: &SweepParams) -> Result<SweepPlan, Box<dyn Error>> {
         cells,
         summarize: Some(Box::new(scale_summary)),
         notes: vec![
-            format!(
-                "default grid drops flat PCS at >= {FLAT_PCS_MAX_NODES} nodes; PCS-H{cap} runs everywhere (`--techniques pcs,hier` to force both)"
-            ),
             "sched_* metrics are deterministic event counters (matrix entries, greedy iterations), never wall-clock — safe to pin byte-for-byte".to_string(),
         ],
     })
@@ -352,17 +345,25 @@ mod tests {
     }
 
     #[test]
-    fn default_grid_drops_flat_pcs_at_the_cutoff() {
-        let below: Vec<String> = default_techniques(400, 64)
-            .iter()
-            .map(|t| t.name())
-            .collect();
-        assert_eq!(below, vec!["PCS", "PCS-H64"]);
-        let at: Vec<String> = default_techniques(1000, 96)
-            .iter()
-            .map(|t| t.name())
-            .collect();
-        assert_eq!(at, vec!["PCS-H96"]);
+    fn default_grid_runs_flat_and_hier_pcs_at_every_size() {
+        let params = SweepParams {
+            seed: 1,
+            smoke: true,
+            sizes: Some(vec![100, 1000, 8000]),
+            group_cap: Some(96),
+            ..SweepParams::default()
+        };
+        let plan = SCALE.plan(&params).unwrap();
+        for size in [100, 1000, 8000] {
+            let names: Vec<&str> = plan
+                .cells
+                .iter()
+                .filter(|c| param(c, "size").and_then(Json::as_f64) == Some(size as f64))
+                .filter(|c| param(c, "service").and_then(Json::as_str) == Some("deep-chain"))
+                .filter_map(|c| param(c, "technique").and_then(Json::as_str))
+                .collect();
+            assert_eq!(names, ["PCS", "PCS-H96"], "at {size} nodes");
+        }
     }
 
     #[test]

@@ -56,6 +56,15 @@ fn non_positive_and_malformed_rates_are_rejected() {
         &["run", "--scenario", "fig6", "--rates", "50,fast"],
         "--rates",
     );
+    // Finite, but the simulation would exhaust memory before reporting.
+    rejected_with(
+        &["run", "--scenario", "fig6", "--rates", "1e308"],
+        "at most 10000",
+    );
+    rejected_with(
+        &["run", "--scenario", "fig6", "--rates", "50,10001"],
+        "at most 10000",
+    );
 }
 
 /// A repeated selection would run the same cells twice and count them
@@ -610,7 +619,8 @@ const FLAGS: &[&str] = &[
 ];
 
 /// Flag values: plausible ones, boundary numbers (`-0`, `u64::MAX` and
-/// one past it, a literal past `f64`'s range), non-numbers, lists and
+/// one past it, a literal past `f64`'s range, one past the largest
+/// `--sizes` and `--rates` entries), non-numbers, lists and
 /// non-ASCII text. A flag with no value, or followed by another flag,
 /// covers the missing-value path.
 const VALUES: &[&str] = &[
@@ -629,6 +639,7 @@ const VALUES: &[&str] = &[
     "18446744073709551615",
     "18446744073709551616",
     "72818",
+    "10001",
     "1,2",
     ",",
     "8,,9",
