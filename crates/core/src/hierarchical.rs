@@ -23,16 +23,14 @@
 //! controller's evacuation pass), and candidate exclusions — instead of
 //! duplicating the loop.
 //!
-//! Groups come in two shapes:
-//!
-//! * [`HierarchicalScheduler::run`] — contiguous id ranges of at most
-//!   `group_cap` (the paper's plain grouping; components of one class are
-//!   numbered together, so ranges align with homogeneous blocks);
-//! * [`HierarchicalScheduler::run_grouped`] — caller-supplied groups,
-//!   e.g. components grouped by the *rack* of their current host (the
-//!   RackSched-style two-level shape: level 1 walks racks, level 2 is the
-//!   bounded greedy within each rack's group). Oversized groups are
-//!   transparently split into `group_cap` chunks.
+//! Groups are supplied by the caller ([`HierarchicalScheduler::run_grouped`]),
+//! e.g. components grouped by the *rack* of their current host (the
+//! RackSched-style two-level shape: level 1 walks racks, level 2 is the
+//! bounded greedy within each rack's group). Oversized groups are
+//! transparently split into `group_cap` chunks, so one group of every
+//! component is the paper's plain grouping: contiguous id ranges of at
+//! most `group_cap` (components of one class are numbered together, so
+//! ranges align with homogeneous blocks).
 //!
 //! The per-iteration scan drops from O(m·k) to O(cap·k), bounding the
 //! search at O(m·cap·k) instead of O(m²·k). One candidate mask is reused
@@ -40,9 +38,7 @@
 //! group).
 
 use crate::matrix::PerformanceMatrix;
-use crate::predictor::ClassModelSet;
 use crate::scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
-use crate::MatrixInputs;
 use std::time::Instant;
 
 /// Greedy scheduling over component groups of bounded size.
@@ -68,20 +64,6 @@ impl HierarchicalScheduler {
     /// The per-group component cap.
     pub fn group_cap(&self) -> usize {
         self.group_cap
-    }
-
-    /// Builds the matrix once and schedules group by group.
-    pub fn schedule(&self, inputs: &MatrixInputs, models: &ClassModelSet) -> ScheduleOutcome {
-        let mut matrix = PerformanceMatrix::build(inputs, models);
-        self.run(&mut matrix)
-    }
-
-    /// Runs the grouped greedy loops on an existing matrix, grouping by
-    /// contiguous component-id ranges of at most `group_cap`.
-    pub fn run(&self, matrix: &mut PerformanceMatrix) -> ScheduleOutcome {
-        let m = matrix.component_count();
-        let everyone: Vec<usize> = (0..m).collect();
-        self.run_grouped(matrix, &[everyone], &vec![true; m], 0)
     }
 
     /// Runs the grouped greedy loops with caller-defined groups (e.g.
@@ -159,6 +141,8 @@ impl HierarchicalScheduler {
 mod tests {
     use super::*;
     use crate::inputs::{ComponentInput, NodeInput};
+    use crate::predictor::ClassModelSet;
+    use crate::MatrixInputs;
     use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
     use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 
@@ -206,6 +190,18 @@ mod tests {
         }
     }
 
+    /// Builds the matrix and schedules one group of every component (the
+    /// contiguous `group_cap` chunks of the paper's plain grouping).
+    fn schedule_all(
+        hier: HierarchicalScheduler,
+        inputs: &MatrixInputs,
+        models: &ClassModelSet,
+    ) -> ScheduleOutcome {
+        let mut matrix = PerformanceMatrix::build(inputs, models);
+        let m = matrix.component_count();
+        hier.run_grouped(&mut matrix, &[(0..m).collect()], &vec![true; m], 0)
+    }
+
     fn config() -> SchedulerConfig {
         SchedulerConfig {
             epsilon_secs: 1e-6,
@@ -218,7 +214,7 @@ mod tests {
         let models = linear_models();
         let inputs = inputs(12, 6);
         let flat = ComponentScheduler::new(config()).schedule(&inputs, &models);
-        let hier = HierarchicalScheduler::new(config(), 64).schedule(&inputs, &models);
+        let hier = schedule_all(HierarchicalScheduler::new(config(), 64), &inputs, &models);
         assert_eq!(flat.decisions, hier.decisions);
         assert_eq!(flat.final_allocation, hier.final_allocation);
     }
@@ -234,7 +230,7 @@ mod tests {
         let mut inputs = inputs(18, 6);
         inputs.nodes[2].demand = ResourceVector::new(192.0, 400.0, 3200.0, 2000.0);
         let flat = ComponentScheduler::new(config()).schedule(&inputs, &models);
-        let hier = HierarchicalScheduler::new(config(), 64).schedule(&inputs, &models);
+        let hier = schedule_all(HierarchicalScheduler::new(config(), 64), &inputs, &models);
         assert_eq!(flat.decisions, hier.decisions);
         assert_eq!(flat.final_allocation, hier.final_allocation);
         assert!(!flat.decisions.is_empty(), "the hot cluster must migrate");
@@ -247,7 +243,7 @@ mod tests {
     fn grouped_scheduling_still_improves() {
         let models = linear_models();
         let inputs = inputs(48, 8);
-        let hier = HierarchicalScheduler::new(config(), 16).schedule(&inputs, &models);
+        let hier = schedule_all(HierarchicalScheduler::new(config(), 16), &inputs, &models);
         assert!(
             !hier.decisions.is_empty(),
             "imbalanced cluster must trigger migrations"
@@ -266,7 +262,7 @@ mod tests {
         // ids 0..10, then 10..20, then 20..25.
         let models = linear_models();
         let inputs = inputs(25, 5);
-        let hier = HierarchicalScheduler::new(config(), 10).schedule(&inputs, &models);
+        let hier = schedule_all(HierarchicalScheduler::new(config(), 10), &inputs, &models);
         let mut last_group = 0;
         for d in &hier.decisions {
             let group = d.component.index() / 10;
@@ -323,7 +319,7 @@ mod tests {
 
         // And a budget that runs out mid-walk caps the total.
         let mut matrix = PerformanceMatrix::build(&inputs, &models);
-        let outcome = hier.run(&mut matrix);
+        let outcome = hier.run_grouped(&mut matrix, &[(0..30).collect()], &[true; 30], 0);
         assert!(outcome.decisions.len() <= 2);
     }
 
@@ -345,7 +341,7 @@ mod tests {
         let models = linear_models();
         let inputs = inputs(200, 20);
         let cap = 25;
-        let hier = HierarchicalScheduler::new(config(), cap).schedule(&inputs, &models);
+        let hier = schedule_all(HierarchicalScheduler::new(config(), cap), &inputs, &models);
         let groups = 200usize.div_ceil(cap);
         assert!(hier.iterations <= groups * (cap + 1));
     }

@@ -224,6 +224,8 @@ pub struct Deployment {
     /// Per stage: `(first component id, worker count, group size)` — the
     /// closed form behind [`Deployment::replica_index`].
     stage_layout: Vec<(u32, u32, u32)>,
+    /// Per component: the other members of its replica groups.
+    peers: Vec<Vec<ComponentId>>,
     /// Total number of physical components.
     total: usize,
     replication: usize,
@@ -236,7 +238,7 @@ impl Deployment {
     /// Panics on zero replication.
     pub fn new(topology: &ServiceTopology, replication: usize) -> Self {
         assert!(replication > 0, "replication must be >= 1");
-        let mut groups = Vec::with_capacity(topology.stage_count());
+        let mut groups: Vec<Vec<Vec<ComponentId>>> = Vec::with_capacity(topology.stage_count());
         let mut stage_layout = Vec::with_capacity(topology.stage_count());
         let mut base = 0u32;
         for stage in topology.stages() {
@@ -253,9 +255,20 @@ impl Deployment {
             stage_layout.push((base, workers, group_size as u32));
             base += workers;
         }
+        let mut peers: Vec<Vec<ComponentId>> = vec![Vec::new(); base as usize];
+        for group in groups.iter().flatten() {
+            for &a in group {
+                for &b in group {
+                    if a != b && !peers[a.index()].contains(&b) {
+                        peers[a.index()].push(b);
+                    }
+                }
+            }
+        }
         Deployment {
             groups,
             stage_layout,
+            peers,
             total: base as usize,
             replication,
         }
@@ -295,6 +308,15 @@ impl Deployment {
     /// The replica group serving `(stage, partition)`.
     pub fn replicas(&self, stage: u32, partition: u32) -> &[ComponentId] {
         &self.groups[stage as usize][partition as usize]
+    }
+
+    /// Per component (indexed by id): the other members of its replica
+    /// groups, without duplicates; empty under replication 1. Two peers
+    /// must never share a node — placement, the world's migration check
+    /// and [`crate::SchedulerContext::legal_destination`] all read this
+    /// one list.
+    pub fn replica_peers(&self) -> &[Vec<ComponentId>] {
+        &self.peers
     }
 
     /// Number of partitions in a stage.
@@ -535,6 +557,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn replica_peers_are_group_co_members() {
+        // nutch(5) has a one-worker stage on each side of five workers,
+        // so replication 3 also covers stages narrower than the groups.
+        let topo = ServiceTopology::nutch(5);
+        for replication in [1, 3, 7] {
+            let dep = Deployment::new(&topo, replication);
+            let peers = dep.replica_peers();
+            assert_eq!(peers.len(), dep.component_count());
+            let mut expected = vec![std::collections::BTreeSet::new(); dep.component_count()];
+            for stage in 0..dep.stage_count() as u32 {
+                for p in 0..dep.partition_count(stage) as u32 {
+                    for &a in dep.replicas(stage, p) {
+                        for &b in dep.replicas(stage, p) {
+                            if a != b {
+                                expected[a.index()].insert(b);
+                            }
+                        }
+                    }
+                }
+            }
+            for (c, list) in peers.iter().enumerate() {
+                let me = ComponentId::from_index(c);
+                let set: std::collections::BTreeSet<_> = list.iter().copied().collect();
+                assert_eq!(set.len(), list.len(), "duplicate peer of {me}");
+                assert!(!set.contains(&me), "{me} is its own peer");
+                assert_eq!(
+                    set, expected[c],
+                    "peers of {me} at replication {replication}"
+                );
+                assert!(list.iter().all(|b| peers[b.index()].contains(&me)));
+            }
+            if replication == 1 {
+                assert!(peers.iter().all(Vec::is_empty));
+            }
+        }
+        // Replication 7 exceeds the searching stage's five workers: each
+        // worker's group is the whole stage, so its peers are the other four.
+        let dep = Deployment::new(&topo, 7);
+        assert!(dep.replica_peers()[1..6].iter().all(|p| p.len() == 4));
+        assert!(dep.replica_peers()[0].is_empty() && dep.replica_peers()[6].is_empty());
     }
 
     #[test]

@@ -15,25 +15,19 @@ use pcs_workloads::{ArrivalPattern, JobGenConfig, ServiceTopology};
 /// complements initial provisioning, it does not replace it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementStrategy {
-    /// Round-robin with replica anti-affinity
-    /// ([`crate::placement::anti_affine`]) — capacity-blind, the paper's
-    /// homogeneous-testbed default.
+    /// The rack-striped walk with replica anti-affinity
+    /// ([`crate::placement::rack_striped`]) — capacity-blind, the paper's
+    /// homogeneous-testbed default. Consecutive components cycle across
+    /// the [`SimConfig::rack_count`] racks, so every rack hosts a share of
+    /// every stage; on one rack this is round-robin over the nodes.
     #[default]
     AntiAffine,
     /// Capacity-proportional anti-affine placement
     /// ([`crate::placement::capacity_aware`]): stronger nodes host
     /// proportionally more components. Identical to round-robin intent on
     /// a homogeneous cluster; on a heterogeneous one it stops the weak
-    /// nodes from receiving an equal share.
+    /// nodes from receiving an equal share. Ignores racks.
     CapacityAware,
-    /// Rack-striped anti-affine placement
-    /// ([`crate::placement::rack_aware`]): consecutive components cycle
-    /// across racks (so every rack hosts a share of every stage) and
-    /// replicas additionally prefer distinct racks — the provisioning
-    /// baseline of the two-level hierarchical scheduler. With
-    /// [`SimConfig::rack_count`] = 1 it degrades to [`Self::AntiAffine`]
-    /// semantics.
-    RackAware,
 }
 
 /// How the service's logical partitions map onto physical components.
@@ -75,7 +69,8 @@ pub struct SimConfig {
     /// [`SimConfig::node_capacity`]; `None` keeps the homogeneous
     /// testbed.
     pub node_capacities: Option<Vec<NodeCapacity>>,
-    /// Initial component-to-node placement strategy.
+    /// Initial component-to-node placement strategy; the default
+    /// stripes across [`SimConfig::rack_count`] racks.
     pub placement: PlacementStrategy,
     /// The service topology (stages, classes, partition counts).
     pub topology: ServiceTopology,

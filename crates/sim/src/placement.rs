@@ -1,118 +1,53 @@
 //! Initial component placement.
 //!
-//! Components are spread round-robin across nodes; because replicas of a
-//! partition are numbered consecutively, they automatically land on
-//! distinct nodes whenever the cluster has at least `replication` nodes
-//! (asserted by the config validator). The scheduler then *improves* this
-//! placement at run time — PCS is explicitly a complement to initial
-//! provisioning, not a replacement for it (paper §III).
+//! Components are dealt out in id order over the nodes, cycling across
+//! racks; because replicas of a partition are numbered consecutively,
+//! they land on distinct nodes whenever the cluster has at least
+//! `replication` live nodes (asserted by the config validator), and the
+//! walk steps past a node already holding a replica peer where the
+//! partition space wraps. The scheduler then *improves* this placement at
+//! run time — PCS is explicitly a complement to initial provisioning, not
+//! a replacement for it (paper §III) — so every technique but `CAP`
+//! starts from the same layout.
 
-use crate::component::PhysicalComponent;
-use pcs_types::{NodeCapacity, NodeId};
+use crate::component::{Deployment, PhysicalComponent};
+use pcs_types::{ComponentId, NodeCapacity, NodeId};
 
-/// Replica-group memberships per component: which groups each component
-/// belongs to, groups numbered across stages then partitions. Shared by
-/// the anti-affinity-aware placement strategies.
-fn group_memberships(
-    deployment: &crate::component::Deployment,
-    component_count: usize,
-) -> Vec<Vec<u32>> {
-    let mut memberships: Vec<Vec<u32>> = vec![Vec::new(); component_count];
-    let mut group_no = 0u32;
-    for stage in 0..deployment.stage_count() {
-        for p in 0..deployment.partition_count(stage as u32) {
-            for c in deployment.replicas(stage as u32, p as u32) {
-                memberships[c.index()].push(group_no);
-            }
-            group_no += 1;
-        }
-    }
-    memberships
-}
-
-/// Assigns nodes to components round-robin.
-pub fn round_robin(components: &mut [PhysicalComponent], node_count: usize) {
-    assert!(node_count > 0, "need at least one node");
-    for (i, c) in components.iter_mut().enumerate() {
-        c.node = NodeId::from_index(i % node_count);
-    }
-}
-
-/// Round-robin placement that additionally avoids putting two members of
-/// any replica group on the same node, and never targets a node whose
-/// `alive` flag is false (a fault plan may kill nodes at t = 0).
-///
-/// Plain round-robin can collide at the partition-space wrap (the last
-/// groups of a stage contain both high- and low-numbered workers); this
-/// variant advances past conflicting nodes, falling back to the first
-/// live round-robin slot if every node conflicts (only possible when the
-/// live node count < group size, which the config validator excludes).
-///
-/// # Panics
-/// Panics unless `alive` has `node_count` entries with at least one live
-/// node.
-pub fn anti_affine(
-    components: &mut [PhysicalComponent],
-    deployment: &crate::component::Deployment,
-    node_count: usize,
-    alive: &[bool],
-) {
-    assert!(node_count > 0, "need at least one node");
-    assert_eq!(alive.len(), node_count, "one liveness flag per node");
-    assert!(alive.iter().any(|&a| a), "need at least one live node");
-    let memberships = group_memberships(deployment, components.len());
-    let mut placed: Vec<Option<NodeId>> = vec![None; components.len()];
-    let mut cursor = 0usize;
-    for i in 0..components.len() {
-        let conflicts = |node: NodeId, placed: &[Option<NodeId>]| -> bool {
-            memberships[i].iter().any(|g| {
-                components
-                    .iter()
-                    .enumerate()
-                    .any(|(j, _)| j != i && placed[j] == Some(node) && memberships[j].contains(g))
-            })
-        };
-        let mut chosen: Option<NodeId> = None;
-        let mut fallback: Option<NodeId> = None;
-        for step in 0..node_count {
-            let candidate = NodeId::from_index((cursor + step) % node_count);
-            if !alive[candidate.index()] {
-                continue;
-            }
-            if fallback.is_none() {
-                fallback = Some(candidate);
-            }
-            if !conflicts(candidate, &placed) {
-                chosen = Some(candidate);
-                break;
-            }
-        }
-        let chosen = chosen.or(fallback).expect("at least one live node");
-        placed[i] = Some(chosen);
-        components[i].node = chosen;
-        cursor = chosen.index() + 1;
-    }
+/// Whether a replica peer of component `i` that placement has already
+/// assigned (a lower id: components are placed in id order) sits on
+/// `node`.
+fn hosts_placed_peer(
+    components: &[PhysicalComponent],
+    peers: &[ComponentId],
+    i: usize,
+    node: NodeId,
+) -> bool {
+    peers
+        .iter()
+        .any(|p| p.index() < i && components[p.index()].node == node)
 }
 
 /// Rack-striped placement with replica anti-affinity, the provisioning
-/// baseline of the two-level hierarchical scheduler.
+/// baseline every run starts from unless it asks for
+/// [`capacity_aware`].
 ///
 /// Nodes are visited in an order that cycles across racks (first node of
 /// each rack, then the second of each, …), so consecutive components —
 /// hence the partitions of every stage — spread over all racks instead of
-/// filling one rack before touching the next. Replica groups additionally
-/// prefer *rack*-distinct homes: a node whose rack already hosts a group
-/// member is only chosen when every rack conflicts, and a node-level
-/// conflict is never accepted unless every live node conflicts (the same
-/// fallback ladder as [`anti_affine`], which this strategy reproduces
-/// exactly when `racks` maps every node to rack 0).
+/// filling one rack before touching the next; on one rack the order is
+/// plain node order. Each component takes the first live node from a
+/// cursor just past the previous component's node that holds none of its
+/// replica peers, else the first live node (only reachable when the live
+/// node count is below the group size, which the config validator
+/// excludes). Dead nodes (`alive` false — a fault plan may kill nodes at
+/// t = 0) are never targeted.
 ///
 /// # Panics
-/// Panics unless `racks` has `node_count` entries and `alive` marks at
-/// least one node live.
-pub fn rack_aware(
+/// Panics unless `racks` (each node's rack) has one entry per `alive`
+/// flag and `alive` marks at least one node live.
+pub fn rack_striped(
     components: &mut [PhysicalComponent],
-    deployment: &crate::component::Deployment,
+    deployment: &Deployment,
     racks: &[usize],
     alive: &[bool],
 ) {
@@ -129,65 +64,26 @@ pub fn rack_aware(
         by_rack[r].push(NodeId::from_index(n));
     }
     let deepest = by_rack.iter().map(Vec::len).max().unwrap_or(0);
-    let mut order: Vec<NodeId> = Vec::with_capacity(node_count);
-    for depth in 0..deepest {
-        for rack in &by_rack {
-            if let Some(&node) = rack.get(depth) {
-                order.push(node);
-            }
-        }
-    }
+    let order: Vec<NodeId> = (0..deepest)
+        .flat_map(|depth| {
+            by_rack
+                .iter()
+                .filter_map(move |rack| rack.get(depth).copied())
+        })
+        .collect();
 
-    let memberships = group_memberships(deployment, components.len());
-    let mut placed: Vec<Option<NodeId>> = vec![None; components.len()];
+    let peers = deployment.replica_peers();
     let mut cursor = 0usize;
     for i in 0..components.len() {
-        let node_conflicts = |node: NodeId, placed: &[Option<NodeId>]| -> bool {
-            memberships[i].iter().any(|g| {
-                (0..components.len())
-                    .any(|j| j != i && placed[j] == Some(node) && memberships[j].contains(g))
-            })
-        };
-        let rack_conflicts = |node: NodeId, placed: &[Option<NodeId>]| -> bool {
-            memberships[i].iter().any(|g| {
-                (0..components.len()).any(|j| {
-                    j != i
-                        && placed[j].is_some_and(|p| racks[p.index()] == racks[node.index()])
-                        && memberships[j].contains(g)
-                })
-            })
-        };
-        // Preference ladder: rack-distinct > node-distinct > any live node.
-        let mut chosen: Option<usize> = None;
-        let mut node_ok: Option<usize> = None;
-        let mut fallback: Option<usize> = None;
-        for step in 0..node_count {
-            let pos = (cursor + step) % node_count;
-            let candidate = order[pos];
-            if !alive[candidate.index()] {
-                continue;
-            }
-            if fallback.is_none() {
-                fallback = Some(pos);
-            }
-            if node_conflicts(candidate, &placed) {
-                continue;
-            }
-            if node_ok.is_none() {
-                node_ok = Some(pos);
-            }
-            if !rack_conflicts(candidate, &placed) {
-                chosen = Some(pos);
-                break;
-            }
-        }
-        let pos = chosen
-            .or(node_ok)
-            .or(fallback)
+        let live = (cursor..cursor + node_count)
+            .map(|step| step % node_count)
+            .filter(|&pos| alive[order[pos].index()]);
+        let pos = live
+            .clone()
+            .find(|&pos| !hosts_placed_peer(components, &peers[i], i, order[pos]))
+            .or_else(|| live.clone().next())
             .expect("at least one live node");
-        let node = order[pos];
-        placed[i] = Some(node);
-        components[i].node = node;
+        components[i].node = order[pos];
         cursor = pos + 1;
     }
 }
@@ -204,7 +100,7 @@ pub fn rack_aware(
 /// On a homogeneous cluster all weights are 1 and the strategy degrades
 /// to balanced anti-affine placement. Dead nodes (`alive` false — a fault
 /// plan killing at t = 0) are never targeted. The fallback when every
-/// live node conflicts mirrors [`anti_affine`]: the best-fill live node
+/// live node conflicts mirrors [`rack_striped`]: the best-fill live node
 /// wins regardless (only reachable when the live node count < group size,
 /// which the config validator excludes).
 ///
@@ -213,7 +109,7 @@ pub fn rack_aware(
 /// capacity in every dimension and `alive` marks at least one node live.
 pub fn capacity_aware(
     components: &mut [PhysicalComponent],
-    deployment: &crate::component::Deployment,
+    deployment: &Deployment,
     capacities: &[NodeCapacity],
     alive: &[bool],
 ) {
@@ -233,25 +129,16 @@ pub fn capacity_aware(
         .map(|c| (c.cores / max_cores + c.disk_mbps / max_disk + c.net_mbps / max_net) / 3.0)
         .collect();
 
-    let memberships = group_memberships(deployment, components.len());
-    let mut placed: Vec<Option<NodeId>> = vec![None; components.len()];
+    let peers = deployment.replica_peers();
     let mut hosted = vec![0usize; node_count];
     for i in 0..components.len() {
-        let conflicts = |node: NodeId, placed: &[Option<NodeId>]| -> bool {
-            memberships[i].iter().any(|g| {
-                (0..components.len())
-                    .any(|j| j != i && placed[j] == Some(node) && memberships[j].contains(g))
-            })
-        };
         let fill = |n: usize| (hosted[n] + 1) as f64 / weights[n].max(f64::MIN_POSITIVE);
-        #[allow(clippy::needless_range_loop)] // parallel indexing of alive/placed/hosted
         let best = |admit_conflicts: bool| -> Option<usize> {
             let mut best: Option<usize> = None;
-            for n in 0..node_count {
-                if !alive[n] {
-                    continue;
-                }
-                if !admit_conflicts && conflicts(NodeId::from_index(n), &placed) {
+            for n in (0..node_count).filter(|&n| alive[n]) {
+                if !admit_conflicts
+                    && hosts_placed_peer(components, &peers[i], i, NodeId::from_index(n))
+                {
                     continue;
                 }
                 match best {
@@ -262,18 +149,17 @@ pub fn capacity_aware(
             best
         };
         let chosen = best(false).or_else(|| best(true)).expect("node_count > 0");
-        placed[i] = Some(NodeId::from_index(chosen));
         components[i].node = NodeId::from_index(chosen);
         hosted[chosen] += 1;
     }
 }
 
 /// Verifies no replica group has two members on one node (placement
-/// invariant; used by tests and debug assertions). With overlapping
-/// groups of consecutive workers and round-robin placement, this holds
-/// whenever the cluster has at least `replication` nodes.
+/// invariant; used by tests and debug assertions). Both strategies skip
+/// nodes holding a replica peer, so this holds whenever the cluster has
+/// at least `replication` live nodes.
 pub fn replicas_on_distinct_nodes(
-    deployment: &crate::component::Deployment,
+    deployment: &Deployment,
     components: &[PhysicalComponent],
 ) -> bool {
     for stage in 0..deployment.stage_count() {
@@ -292,16 +178,21 @@ pub fn replicas_on_distinct_nodes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::Deployment;
     use pcs_workloads::ServiceTopology;
 
+    fn nodes(components: &[PhysicalComponent]) -> Vec<usize> {
+        components.iter().map(|c| c.node.index()).collect()
+    }
+
     #[test]
-    fn round_robin_balances_nodes() {
+    fn walk_balances_nodes_at_replication_one() {
+        // No peers: on one rack the walk is round-robin over the nodes,
+        // and every node hosts ⌈total/8⌉ or ⌊total/8⌋ components.
         let topo = ServiceTopology::nutch(10);
         let dep = Deployment::new(&topo, 1);
         let mut comps = dep.instantiate(&topo);
-        round_robin(&mut comps, 8);
-        // Spread: every node hosts ⌈total/8⌉ or ⌊total/8⌋ components.
+        rack_striped(&mut comps, &dep, &[0; 8], &[true; 8]);
+        assert_eq!(nodes(&comps), (0..12).map(|i| i % 8).collect::<Vec<_>>());
         let mut counts = vec![0usize; 8];
         for c in &comps {
             counts[c.node.index()] += 1;
@@ -312,26 +203,42 @@ mod tests {
     }
 
     #[test]
-    fn anti_affine_separates_replicas_even_at_wrap() {
-        // W=10 workers, 8 nodes, groups of 3: plain round-robin collides
-        // at the wrap groups; anti-affine placement must not.
+    fn single_rack_layout_is_pinned() {
+        // The wrap below, pinned node by node: c9 (worker 8) skips node 1,
+        // which holds its peer c1, and the cursor follows it to node 2.
         let topo = ServiceTopology::nutch(10);
         let dep = Deployment::new(&topo, 3);
         let mut comps = dep.instantiate(&topo);
-        round_robin(&mut comps, 8);
+        rack_striped(&mut comps, &dep, &[0; 8], &[true; 8]);
+        assert_eq!(nodes(&comps), [0, 1, 2, 3, 4, 5, 6, 7, 0, 2, 3, 4]);
+    }
+
+    #[test]
+    fn anti_affine_separates_replicas_even_at_wrap() {
+        // W=10 workers, 8 nodes, groups of 3: dealing components out in
+        // node order collides at the wrap groups; the walk must not, on
+        // one rack or two.
+        let topo = ServiceTopology::nutch(10);
+        let dep = Deployment::new(&topo, 3);
+        let mut comps = dep.instantiate(&topo);
+        for (i, c) in comps.iter_mut().enumerate() {
+            c.node = NodeId::from_index(i % 8);
+        }
         assert!(
             !replicas_on_distinct_nodes(&dep, &comps),
-            "precondition: plain round-robin collides at the wrap"
+            "precondition: node-order dealing collides at the wrap"
         );
-        anti_affine(&mut comps, &dep, 8, &[true; 8]);
-        assert!(replicas_on_distinct_nodes(&dep, &comps));
-        // Balance stays reasonable.
-        let mut counts = vec![0usize; 8];
-        for c in &comps {
-            counts[c.node.index()] += 1;
+        for racks in [vec![0; 8], (0..8).map(|n| n / 4).collect()] {
+            rack_striped(&mut comps, &dep, &racks, &[true; 8]);
+            assert!(replicas_on_distinct_nodes(&dep, &comps));
+            // Balance stays reasonable.
+            let mut counts = vec![0usize; 8];
+            for c in &comps {
+                counts[c.node.index()] += 1;
+            }
+            let max = counts.iter().max().unwrap();
+            assert!(*max <= 3, "the walk must not pile up: {counts:?}");
         }
-        let max = counts.iter().max().unwrap();
-        assert!(*max <= 3, "anti-affine must not pile up: {counts:?}");
     }
 
     #[test]
@@ -339,19 +246,21 @@ mod tests {
         let topo = ServiceTopology::nutch(100);
         let dep = Deployment::new(&topo, 5);
         let mut comps = dep.instantiate(&topo);
-        anti_affine(&mut comps, &dep, 30, &[true; 30]);
+        rack_striped(&mut comps, &dep, &[0; 30], &[true; 30]);
         assert!(replicas_on_distinct_nodes(&dep, &comps));
     }
 
     #[test]
-    fn rack_aware_stripes_stages_across_racks_and_separates_replica_racks() {
+    fn rack_striped_stripes_stages_across_racks() {
         let topo = ServiceTopology::nutch(12);
         let dep = Deployment::new(&topo, 2);
         let mut comps = dep.instantiate(&topo);
         // 12 nodes in 3 racks of 4.
         let racks: Vec<usize> = (0..12).map(|n| n / 4).collect();
-        rack_aware(&mut comps, &dep, &racks, &[true; 12]);
+        rack_striped(&mut comps, &dep, &racks, &[true; 12]);
         assert!(replicas_on_distinct_nodes(&dep, &comps));
+        // Consecutive components cycle across the racks.
+        assert_eq!(nodes(&comps)[..4], [0, 4, 8, 1]);
         // Every rack hosts a share of the wide searching stage.
         let mut rack_hosts = vec![0usize; 3];
         for c in &comps {
@@ -367,45 +276,16 @@ mod tests {
             max - min <= 2,
             "striping must balance racks: {rack_hosts:?}"
         );
-        // Replicas land in distinct racks (3 racks ≥ replication 2).
-        for stage in 0..dep.stage_count() {
-            for p in 0..dep.partition_count(stage as u32) {
-                let group = dep.replicas(stage as u32, p as u32);
-                let mut group_racks: Vec<usize> = group
-                    .iter()
-                    .map(|c| racks[comps[c.index()].node.index()])
-                    .collect();
-                group_racks.sort_unstable();
-                group_racks.dedup();
-                assert_eq!(
-                    group_racks.len(),
-                    group.len(),
-                    "replica group {stage}/{p} shares a rack"
-                );
-            }
-        }
     }
 
     #[test]
-    fn rack_aware_single_rack_matches_anti_affine() {
-        let topo = ServiceTopology::nutch(10);
-        let dep = Deployment::new(&topo, 3);
-        let mut a = dep.instantiate(&topo);
-        let mut b = dep.instantiate(&topo);
-        anti_affine(&mut a, &dep, 8, &[true; 8]);
-        rack_aware(&mut b, &dep, &[0usize; 8], &[true; 8]);
-        let nodes = |cs: &[PhysicalComponent]| cs.iter().map(|c| c.node).collect::<Vec<_>>();
-        assert_eq!(nodes(&a), nodes(&b));
-    }
-
-    #[test]
-    fn rack_aware_skips_dead_nodes() {
+    fn rack_striped_skips_dead_nodes() {
         let topo = ServiceTopology::nutch(10);
         let dep = Deployment::new(&topo, 2);
         let racks: Vec<usize> = (0..6).map(|n| n / 3).collect();
         let alive = [true, false, true, true, false, true];
         let mut comps = dep.instantiate(&topo);
-        rack_aware(&mut comps, &dep, &racks, &alive);
+        rack_striped(&mut comps, &dep, &racks, &alive);
         assert!(replicas_on_distinct_nodes(&dep, &comps));
         for c in &comps {
             assert!(alive[c.node.index()], "{} on dead node {}", c.id, c.node);
@@ -459,7 +339,6 @@ mod tests {
         let mut b = dep.instantiate(&topo);
         capacity_aware(&mut a, &dep, &[caps; 8], &[true; 8]);
         capacity_aware(&mut b, &dep, &[caps; 8], &[true; 8]);
-        let nodes = |cs: &[PhysicalComponent]| cs.iter().map(|c| c.node).collect::<Vec<_>>();
         assert_eq!(nodes(&a), nodes(&b));
     }
 
@@ -468,11 +347,11 @@ mod tests {
         let topo = ServiceTopology::nutch(10);
         let dep = Deployment::new(&topo, 2);
         let alive = [true, false, true, true, false, true];
-        let mut anti = dep.instantiate(&topo);
-        anti_affine(&mut anti, &dep, 6, &alive);
+        let mut striped = dep.instantiate(&topo);
+        rack_striped(&mut striped, &dep, &[0; 6], &alive);
         let mut cap = dep.instantiate(&topo);
         capacity_aware(&mut cap, &dep, &[NodeCapacity::XEON_E5645; 6], &alive);
-        for comps in [&anti, &cap] {
+        for comps in [&striped, &cap] {
             assert!(replicas_on_distinct_nodes(&dep, comps));
             for c in comps.iter() {
                 assert!(
@@ -490,7 +369,7 @@ mod tests {
         let topo = ServiceTopology::nutch(4);
         let dep = Deployment::new(&topo, 2);
         let mut comps = dep.instantiate(&topo);
-        round_robin(&mut comps, 4);
+        rack_striped(&mut comps, &dep, &[0; 4], &[true; 4]);
         assert!(replicas_on_distinct_nodes(&dep, &comps));
         // Force a collision inside the group of searching partition 0.
         let id1 = dep.replicas(1, 0)[0];

@@ -161,7 +161,8 @@ pub struct SchedulerContext<'a> {
     /// perception is distorted.
     pub node_status: &'a [NodeStatus],
     /// Per component: the other members of its replica groups (empty
-    /// under replication 1). A migration that would co-locate a
+    /// under replication 1; [`crate::component::Deployment::replica_peers`]).
+    /// A migration that would co-locate a
     /// component with one of its peers is rejected by the world, so
     /// destination-picking hooks should skip peer-hosting nodes.
     pub replica_peers: &'a [Vec<ComponentId>],

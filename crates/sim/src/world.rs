@@ -81,9 +81,6 @@ pub struct Simulation {
     target_buf: Vec<ComponentId>,
     /// Reusable live-replica buffer (liveness-filtered dispatch groups).
     live_buf: Vec<ComponentId>,
-    /// Per component: the other members of its replica groups (static —
-    /// the deployment layout never changes mid-run).
-    replica_peers: Vec<Vec<ComponentId>>,
     end_cap: SimTime,
     /// Time of the previous monitor tick (utilisation-window boundary).
     last_monitor_tick: SimTime,
@@ -147,7 +144,6 @@ impl Simulation {
             policy.name()
         );
 
-        let mut rng = SmallRng::seed_from_u64(config.seed);
         let cluster = match &config.node_capacities {
             Some(caps) => Cluster::heterogeneous(caps.clone()),
             None => Cluster::new(config.node_count, config.node_capacity),
@@ -159,20 +155,15 @@ impl Simulation {
         // once the fault plan's t = 0 kills have applied.
         let membership = Membership::from_config(&config);
         let initial_mask = membership.initial_mask(&config.faults);
+        let racks = config.rack_assignments();
         match config.placement {
             crate::config::PlacementStrategy::AntiAffine => {
-                placement::anti_affine(&mut comps, &deployment, config.node_count, &initial_mask)
+                placement::rack_striped(&mut comps, &deployment, &racks, &initial_mask)
             }
             crate::config::PlacementStrategy::CapacityAware => placement::capacity_aware(
                 &mut comps,
                 &deployment,
                 &cluster.capacities(),
-                &initial_mask,
-            ),
-            crate::config::PlacementStrategy::RackAware => placement::rack_aware(
-                &mut comps,
-                &deployment,
-                &config.rack_assignments(),
                 &initial_mask,
             ),
         }
@@ -203,19 +194,6 @@ impl Simulation {
             .collect();
         let jobgen = config.jobgen.clone().map(BatchJobGenerator::new);
         let end_cap = SimTime::ZERO + config.horizon + config.drain_grace;
-        let mut replica_peers: Vec<Vec<ComponentId>> = vec![Vec::new(); m];
-        for stage in 0..deployment.stage_count() {
-            for p in 0..deployment.partition_count(stage as u32) {
-                let group = deployment.replicas(stage as u32, p as u32);
-                for &a in group {
-                    for &b in group {
-                        if a != b && !replica_peers[a.index()].contains(&b) {
-                            replica_peers[a.index()].push(b);
-                        }
-                    }
-                }
-            }
-        }
 
         // Pre-reserve the event heap for its steady-state pending set:
         // per-node batch churn, arrivals, the periodic ticks, migrations
@@ -230,6 +208,7 @@ impl Simulation {
         let mean_cache = vec![(NodeId::new(0), u64::MAX, 0.0); m];
         let mut world = Simulation {
             queue,
+            rng: SmallRng::seed_from_u64(config.seed),
             cluster,
             ground_truth,
             deployment,
@@ -249,7 +228,6 @@ impl Simulation {
             class_scv,
             target_buf: Vec::with_capacity(8),
             live_buf: Vec::with_capacity(8),
-            replica_peers,
             end_cap,
             last_monitor_tick: SimTime::ZERO,
             skip_noop_cancels,
@@ -260,12 +238,10 @@ impl Simulation {
             observer: config.observe.map(|oc| Observer::new(&oc)),
             ctx_bufs: CtxBuffers::default(),
             config,
-            rng: SmallRng::seed_from_u64(0), // replaced below
         };
         world.ctx_bufs.caps = world.cluster.capacities();
         world.ctx_bufs.windows = vec![Vec::new(); world.config.node_count];
-        world.ctx_bufs.racks = world.config.rack_assignments();
-        world.rng = std::mem::replace(&mut rng, SmallRng::seed_from_u64(0));
+        world.ctx_bufs.racks = racks;
 
         // Latency recorders sized from the run budget: arrivals over the
         // horizon, fanned out per stage partition for the component
@@ -364,7 +340,7 @@ impl Simulation {
             technique: self.policy.name().to_string(),
             arrival_rate: self.config.arrival_rate,
             measured_from: SimTime::ZERO + self.config.warmup,
-            ended_at: self.queue.now(),
+            ended_at,
             component_latency: self.collectors.component_latency.summary(),
             overall_latency: self.collectors.overall_latency.summary(),
             stats: self.collectors.stats,
@@ -1277,7 +1253,7 @@ impl Simulation {
             stage_count: self.deployment.stage_count(),
             ground_truth_demand: &bufs.demands,
             node_status: &bufs.status,
-            replica_peers: &self.replica_peers,
+            replica_peers: self.deployment.replica_peers(),
             rack_of: &bufs.racks,
         };
         let migrations = self.hook.on_interval(&ctx);
@@ -1324,10 +1300,12 @@ impl Simulation {
     /// their destination, so two same-tick orders cannot race into a
     /// collision.
     fn violates_anti_affinity(&self, component: ComponentId, to: NodeId) -> bool {
-        self.replica_peers[component.index()].iter().any(|&other| {
-            let oc = &self.comps[other.index()];
-            oc.migrating_to.unwrap_or(oc.node) == to
-        })
+        self.deployment.replica_peers()[component.index()]
+            .iter()
+            .any(|&other| {
+                let oc = &self.comps[other.index()];
+                oc.migrating_to.unwrap_or(oc.node) == to
+            })
     }
 
     fn on_migration_complete(&mut self, component: ComponentId, to: NodeId) {

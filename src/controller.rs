@@ -699,7 +699,6 @@ mod tests {
         let mut config = SimConfig::paper_like(topology, 100.0, 21);
         config.node_count = 10;
         config.rack_count = 2;
-        config.placement = pcs_sim::PlacementStrategy::RackAware;
         config.horizon = SimDuration::from_secs(20);
         config.warmup = SimDuration::from_secs(4);
         config.scheduler_interval = SimDuration::from_secs(2);

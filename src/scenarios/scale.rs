@@ -7,8 +7,10 @@
 //! services sized proportionally to the cluster run under diurnal and
 //! bursty (MMPP) traffic at 100, 400 and 1000 nodes, comparing flat PCS
 //! (single global greedy) against the two-level hierarchical variant
-//! `PCS-H` (rack-grouped bounded greedy) at every size. Both build the
-//! matrix every interval, and a build stores only its hot cross (the
+//! `PCS-H` (rack-grouped bounded greedy) at every size. Both start from
+//! the same placement, striped across the cluster's racks
+//! ([`pcs_sim::placement::rack_striped`]), so only the greedy differs.
+//! Both build the matrix every interval, and a build stores only its hot cross (the
 //! rows and columns of the nodes hosting a stage maximum; see
 //! [`pcs_core::matrix`]). Every cell reports the usual quality metrics
 //! *and* the scheduler's deterministic work counters
@@ -19,11 +21,13 @@
 //!
 //! Flat PCS keeps up at every size. On a 2-CPU host, `pcs run --scenario
 //! scale --techniques <t> --sizes <n> --threads 1` (4 cells, whole-process
-//! wall time, one run each, default seed) took:
+//! wall time, default seed) took the times below. The 1000-node row is
+//! the median of five runs from the shared placement; the larger rows
+//! are single runs from before flat PCS started rack-striped.
 //!
 //! | nodes | flat PCS | `PCS-H64` | flat / `PCS-H64` |
 //! |-------|----------|-----------|------------------|
-//! | 1000  | 2.15 s   | 1.77 s    | 1.22             |
+//! | 1000  | 1.76 s   | 1.30 s    | 1.35             |
 //! | 2000  | 5.02 s   | 3.76 s    | 1.34             |
 //! | 4000  | 11.13 s  | 8.69 s    | 1.28             |
 //! | 8000  | 30.05 s  | 25.89 s   | 1.16             |
@@ -363,6 +367,41 @@ mod tests {
                 .filter_map(|c| param(c, "technique").and_then(Json::as_str))
                 .collect();
             assert_eq!(names, ["PCS", "PCS-H96"], "at {size} nodes");
+        }
+    }
+
+    /// PCS improves on an initial provisioning (paper §III), so flat PCS
+    /// and PCS-H must start from one layout: on the two-rack smoke
+    /// cluster, built the way `fig6::run_cell` builds a cell.
+    #[test]
+    fn flat_and_hier_pcs_start_from_one_placement() {
+        let cfg = Fig6Config {
+            search_vm_budget: 8,
+            ..Fig6Config::default()
+        };
+        let models = train_models(&cfg);
+        let env = techniques::TechniqueEnv {
+            models: &models,
+            epsilon_secs: cfg.epsilon_secs,
+        };
+        for service in [ScaleService::DeepChain, ScaleService::WideFanout] {
+            let config = scale_config(SMOKE_NODES, service, BASE_RATE, 1, true);
+            assert_eq!(config.rack_count, 2);
+            let placement = |technique: techniques::Technique| {
+                let mut config = config.clone();
+                config.deployment.replication = technique.replication();
+                if let Some(placement) = technique.placement() {
+                    config.placement = placement;
+                }
+                let policy = technique.make_policy();
+                pcs_sim::Simulation::new(config, policy, technique.make_hook(&env)).placement()
+            };
+            assert_eq!(
+                placement(techniques::pcs()),
+                placement(techniques::pcs_hier(64)),
+                "{}",
+                service.name()
+            );
         }
     }
 

@@ -98,8 +98,10 @@ pub enum Technique {
     /// Components are grouped by the rack of their current host and
     /// scheduled rack by rack with the bounded greedy, at most `cap`
     /// components per greedy run; inputs, matrix build and evacuation are
-    /// flat PCS's. Initial placement is rack-aware so replica groups
-    /// start on distinct racks.
+    /// flat PCS's, and so is the initial placement: the rack-striped
+    /// walk every technique but `CAP` starts from
+    /// ([`pcs_sim::placement::rack_striped`]), so flat and hierarchical
+    /// PCS are compared from one layout.
     PcsHier(usize),
     /// `LL`: Basic dispatch plus the reactive [`LeastLoadedHook`] —
     /// migration with no prediction, isolating the value of PCS's
@@ -225,10 +227,9 @@ impl Technique {
     }
 
     /// Initial-placement override; `None` keeps the scenario's default
-    /// (capacity-blind anti-affinity).
+    /// (the capacity-blind, rack-striped anti-affine walk).
     pub fn placement(&self) -> Option<PlacementStrategy> {
         match self {
-            Technique::PcsHier(_) => Some(PlacementStrategy::RackAware),
             Technique::Cap => Some(PlacementStrategy::CapacityAware),
             _ => None,
         }
@@ -930,7 +931,6 @@ mod builtin {
 mod hier {
     mod tests {
         use crate::techniques::pcs_hier;
-        use pcs_sim::PlacementStrategy;
 
         #[test]
         fn names_render_the_cap() {
@@ -945,7 +945,7 @@ mod hier {
                 technique.replication(),
                 technique.make_policy().replication()
             );
-            assert_eq!(technique.placement(), Some(PlacementStrategy::RackAware));
+            assert_eq!(technique.placement(), None, "flat PCS's placement");
         }
 
         #[test]

@@ -147,7 +147,7 @@ fn failures_rolling_smoke_report_bytes_are_pinned() {
 /// The cluster-scale family: the smoke grid (40 nodes, two racks,
 /// deep-chain and wide-fanout under diurnal arrivals, flat PCS vs
 /// PCS-H64) covers the hierarchical controller's whole pipeline —
-/// rack-aware placement, the per-interval matrix build, the rack-grouped
+/// rack-striped placement, the per-interval matrix build, the rack-grouped
 /// greedy, and the `sched_*` work counters, which are pinnable precisely
 /// because they count events, not wall-clock.
 ///
@@ -155,13 +155,19 @@ fn failures_rolling_smoke_report_bytes_are_pinned() {
 /// intervals: it now schedules on unsmoothed estimates, like flat PCS,
 /// instead of freezing moves inside a 5% dead-band, and the report lost
 /// the refresh counters and the matrix-work ratio.
+///
+/// Re-pinned once more when rack striping began to follow `rack_count`
+/// for every technique: flat PCS used to start from node-order
+/// round-robin and PCS-H from the rack-striped walk, so the two flat-PCS
+/// cells (and the summary's tail deltas) moved; the PCS-H cells are
+/// byte-equal.
 #[test]
 fn scale_smoke_report_bytes_are_pinned() {
     assert_reproducible("scale");
     let report = render("scale", 2);
     assert_eq!(
         fnv1a(report.as_bytes()),
-        0xe74f_55ce_53ad_5d83,
+        0xb089_70eb_5455_288c,
         "scale smoke report bytes changed; if intentional, re-pin this hash"
     );
 }

@@ -40,8 +40,8 @@ fn every_registered_technique_round_trips() {
 
 /// Every registry entry and each family's boundary instances agree with
 /// what they build: the declared replication is the dispatch policy's,
-/// placement is overridden exactly for PCS-H (rack-aware) and CAP
-/// (capacity-aware), and exactly the six PCS-controller families (PCS,
+/// placement is overridden exactly for CAP (capacity-aware; PCS-H starts
+/// from flat PCS's layout), and exactly the six PCS-controller families (PCS,
 /// PCS+RED, PCS-B, PCS-H, Oracle, PCS-N) build a hook that reports the
 /// controller's work counters.
 #[test]
@@ -73,13 +73,7 @@ fn every_technique_agrees_with_what_it_builds() {
             technique.make_policy().replication(),
             "{name}: declared replication and dispatch policy must agree"
         );
-        let placement = if name.starts_with("PCS-H") {
-            Some(PlacementStrategy::RackAware)
-        } else if name == "CAP" {
-            Some(PlacementStrategy::CapacityAware)
-        } else {
-            None
-        };
+        let placement = (name == "CAP").then_some(PlacementStrategy::CapacityAware);
         assert_eq!(technique.placement(), placement, "{name}: placement");
         let runs_pcs_controller = name.starts_with("PCS") || name == "Oracle";
         assert_eq!(
