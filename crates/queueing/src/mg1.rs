@@ -188,11 +188,6 @@ impl Mm1 {
             None
         }
     }
-
-    /// The equivalent M/G/1 model (C²ₓ = 1).
-    pub fn as_mg1(&self) -> Mg1 {
-        Mg1::new(self.arrival_rate, 1.0 / self.service_rate, 1.0)
-    }
 }
 
 #[cfg(test)]

@@ -93,20 +93,6 @@ impl Moments {
         }
     }
 
-    /// Sample variance (divides by n−1); 0.0 with fewer than 2 samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Standard deviation (population).
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Squared coefficient of variation `C²ₓ = var(x)/x̄²` (paper Eq. 2).
     ///
     /// Returns 0.0 when the mean is zero or there are fewer than two

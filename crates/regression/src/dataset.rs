@@ -57,11 +57,6 @@ impl SampleSet {
         self.samples.iter()
     }
 
-    /// The raw sample slice.
-    pub fn as_slice(&self) -> &[(ContentionVector, f64)] {
-        &self.samples
-    }
-
     /// All target values.
     pub fn targets(&self) -> Vec<f64> {
         self.samples.iter().map(|(_, y)| *y).collect()

@@ -85,11 +85,6 @@ pub struct PhysicalComponent {
 }
 
 impl PhysicalComponent {
-    /// True if the server is idle (no sub-request in service).
-    pub fn is_idle(&self) -> bool {
-        self.in_service.is_none()
-    }
-
     /// Number of live (non-tombstoned) waiting sub-requests, excluding
     /// the item in service. O(queue) — diagnostics and tests only; the
     /// hot paths never ask.

@@ -78,9 +78,9 @@ pub struct SimConfig {
     pub deployment: DeploymentConfig,
     /// Base request arrival rate (req/s).
     pub arrival_rate: f64,
-    /// Shape of the arrival process around the base rate.
-    /// [`Simulation::new`] builds the concrete
-    /// [`pcs_workloads::ArrivalProcess`] from this.
+    /// Shape of the arrival process around the base rate: steady
+    /// Poisson, diurnal or MMPP. [`Simulation::new`] starts one
+    /// [`pcs_workloads::Arrivals`] from it.
     ///
     /// [`Simulation::new`]: crate::world::Simulation::new
     pub arrival_pattern: ArrivalPattern,
@@ -251,6 +251,9 @@ impl SimConfig {
                 );
             }
         }
+        if let Some(jobgen) = &self.jobgen {
+            jobgen.validate()?;
+        }
         // The event queue packs stage/partition into narrow fields (u8 /
         // u16) to keep heap entries small; bound the topology to match.
         ensure!(
@@ -386,6 +389,33 @@ mod tests {
             amplitude: 1.5,
             period: SimDuration::from_secs(40),
         };
+        panic_with_error(cfg.validate());
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn poisson_rejects_zero_rate() {
+        let cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 0.0, 1);
+        panic_with_error(cfg.validate());
+    }
+
+    #[test]
+    #[should_panic(expected = "0 < low <= high")]
+    fn mmpp_rejects_inverted_multipliers() {
+        let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
+        cfg.arrival_pattern = ArrivalPattern::Mmpp {
+            low: 1.5,
+            high: 0.5,
+            mean_dwell: SimDuration::from_secs(1),
+        };
+        panic_with_error(cfg.validate());
+    }
+
+    #[test]
+    #[should_panic(expected = "VM core and I/O caps must be positive")]
+    fn invalid_churn_config_rejected() {
+        let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
+        cfg.jobgen.as_mut().unwrap().vm_core_cap = Some(0.0);
         panic_with_error(cfg.validate());
     }
 

@@ -133,15 +133,6 @@ const HEAP_ARITY: usize = 4;
 /// need both the maximum timestamp and the maximum sequence number).
 const SLOT_EMPTY: u128 = u128::MAX;
 
-/// Completion slots cover component indices below this bound; completions
-/// of higher-indexed components take the general heap path. The bound
-/// only caps slot memory against degenerate configs: the winner tree
-/// keeps every slot operation O(log m), so the whole `scale` family
-/// (1000 components, a 10-level tree) stays on the slot path. All stores
-/// obey the same `(time, seq)` total order, so the split never changes
-/// delivery order.
-const SLOT_LIMIT: usize = 4096;
-
 /// The delayed-message lane of an event kind, if it has one:
 /// [`Event::CancelArrival`] is scheduled a fixed delay after the current
 /// time and [`Event::ReissueTimer`] a per-class one, so each kind's
@@ -281,14 +272,10 @@ impl EventQueue {
             event,
         };
         if let Event::ServiceCompletion { component, epoch } = event {
-            let ci = component.index();
-            if ci < SLOT_LIMIT {
-                self.schedule_slot(ci, entry.key(), epoch);
-                return;
-            }
-            // Wide deployments: completions beyond the slot window ride
-            // the heap like any other event.
-        } else if let Some(lane) = lane_of(&event) {
+            self.schedule_slot(component.index(), entry.key(), epoch);
+            return;
+        }
+        if let Some(lane) = lane_of(&event) {
             let lane = &mut self.lanes[lane];
             if lane.back().is_none_or(|back| back.key() < entry.key()) {
                 lane.push_back(entry);
@@ -547,7 +534,6 @@ mod tests {
     #[test]
     fn scale_width_completions_stay_on_the_slot_path() {
         const M: usize = 1000;
-        const { assert!(M <= SLOT_LIMIT, "scale width must fit the slot store") };
         let mut q = EventQueue::new();
         for ci in 0..M {
             q.schedule(
@@ -715,10 +701,7 @@ mod tests {
     /// classes: a steady `now + REISSUE_DELAY` stream that stays on its
     /// lane, and timers at arbitrary offsets that often land before the
     /// lane's back and must then fall back to the heap. Widths
-    /// straddle the tree's powers of two; `SLOT_LIMIT + 3` also sends the
-    /// top components' completions down the heap-spill path, where
-    /// `cancel_completion` is a no-op (the fault path's epoch check drops
-    /// those completions instead).
+    /// straddle the tree's powers of two, up to 4099 leaves.
     #[test]
     fn mixed_queue_order_matches_reference_model() {
         const CANCEL_DELAY: u64 = 3;
@@ -731,19 +714,7 @@ mod tests {
                 epoch,
             }
         }
-        let widths = [
-            1usize,
-            2,
-            3,
-            63,
-            64,
-            65,
-            127,
-            128,
-            129,
-            1000,
-            SLOT_LIMIT + 3,
-        ];
+        let widths = [1usize, 2, 3, 63, 64, 65, 127, 128, 129, 1000, 4099];
         for &m in &widths {
             let mut rng = SmallRng::seed_from_u64(0x5eed_0000 + m as u64);
             let mut q = EventQueue::new();
@@ -758,16 +729,14 @@ mod tests {
                     .iter()
                     .enumerate()
                     .filter(|(_, (_, _, e))| {
-                        !slots_only
-                            || matches!(e, Event::ServiceCompletion { component, .. }
-                                if component.index() < SLOT_LIMIT)
+                        !slots_only || matches!(e, Event::ServiceCompletion { .. })
                     })
                     .min_by_key(|(_, &(t, s, _))| (t, s))
                     .map(|(i, _)| i)
             };
             for step in 0..6000 {
                 // A quarter of the picks hit the top indices: the last
-                // leaves of the tree, or the heap-spill components.
+                // leaves of the tree.
                 let ci = if rng.gen::<f64>() < 0.25 {
                     m - 1 - (rng.gen::<f64>() * m.min(4) as f64) as usize % m.min(4)
                 } else {
@@ -823,13 +792,11 @@ mod tests {
                 } else if op < 0.78 {
                     // Cancel an arbitrary component, pending or not.
                     q.cancel_completion(ComponentId::from_index(ci));
-                    if ci < SLOT_LIMIT {
-                        reference.retain(|(_, _, e)| {
-                            !matches!(e, Event::ServiceCompletion { component, .. }
-                                if component.index() == ci)
-                        });
-                        pending[ci] = false;
-                    }
+                    reference.retain(|(_, _, e)| {
+                        !matches!(e, Event::ServiceCompletion { component, .. }
+                            if component.index() == ci)
+                    });
+                    pending[ci] = false;
                 } else {
                     let expected = next_index(&reference, false).map(|i| reference.remove(i));
                     let got = q.pop();

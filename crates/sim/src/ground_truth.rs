@@ -55,11 +55,6 @@ impl GroundTruth {
         GroundTruth { classes }
     }
 
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// The *expected* service time of a class under contention `u` (the
     /// noiseless mean — what a perfect predictor would output).
     pub fn mean_service_time(&self, class: usize, u: &ContentionVector) -> f64 {

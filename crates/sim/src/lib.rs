@@ -10,16 +10,19 @@
 //!   shared-cache pressure; every resident program (batch-job VM or service
 //!   component) contributes resource demand ([`cluster`]).
 //! * **Batch-job churn**: per-node Poisson arrivals of BigDataBench-like
-//!   jobs with input-size-dependent demand and duration ([`cluster`],
-//!   driven by `pcs-workloads`). This is the source of *dynamic
-//!   performance interference*.
+//!   jobs with input-size-dependent demand and duration, drawn by the
+//!   private `traffic` module (driven by `pcs-workloads`) and resident in
+//!   [`cluster`]. This is the source of *dynamic performance
+//!   interference*.
 //! * **Ground-truth service times** ([`ground_truth`]): a component's
 //!   service time is its class base time inflated by a monotone,
 //!   saturating slowdown in the node's contention, times log-normal
 //!   intrinsic noise. The predictor never sees this function — it learns
 //!   it from monitored samples, exactly as the paper's regression does.
-//! * **Multi-stage request flow** ([`request`], [`world`]): Poisson request
-//!   arrivals fan out to every partition of each stage in sequence; stage
+//! * **Multi-stage request flow** ([`request`], [`world`]): request
+//!   arrivals — steady Poisson, diurnal or MMPP
+//!   ([`config::SimConfig::arrival_pattern`]), drawn by the same `traffic`
+//!   module — fan out to every partition of each stage in sequence; stage
 //!   latency is the max over partitions (paper Eq. 3), overall latency the
 //!   sum over stages (Eq. 4). Each physical component is a single-server
 //!   FIFO queue (the M/G/1 server of Eq. 2).
@@ -68,6 +71,7 @@ pub mod placement;
 pub mod policy;
 pub mod profiler;
 pub mod request;
+mod traffic;
 pub mod world;
 
 pub use autoscale::{AutoscaleConfig, AutoscalePolicy, AutoscaleReport, AutoscaleStats};

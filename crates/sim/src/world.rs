@@ -13,11 +13,11 @@ use crate::observe::{Observer, StageChain, WindowSample};
 use crate::placement;
 use crate::policy::{ComponentMeta, DispatchPolicy, SchedulerContext, SchedulerHook};
 use crate::request::RequestTable;
+use crate::traffic::Traffic;
 use pcs_monitor::{ArrivalRateEstimator, ContentionSampler, ServiceTimeWindow};
 use pcs_types::{ComponentId, NodeId, RequestId, ResourceVector, SimDuration, SimTime};
-use pcs_workloads::{ArrivalProcess, BatchJobGenerator};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Reusable scheduler-context buffers, refilled at every interval so the
 /// tick assembles its [`SchedulerContext`] without fresh allocations.
@@ -65,8 +65,8 @@ pub struct Simulation {
     requests: RequestTable,
     policy: Box<dyn DispatchPolicy>,
     hook: Box<dyn SchedulerHook>,
-    arrivals: Box<dyn ArrivalProcess + Send>,
-    jobgen: Option<BatchJobGenerator>,
+    /// Request arrivals and batch churn ([`crate::traffic`]).
+    traffic: Traffic,
     samplers: Vec<ContentionSampler>,
     rate_estimators: Vec<ArrivalRateEstimator>,
     service_windows: Vec<ServiceTimeWindow>,
@@ -118,7 +118,7 @@ pub struct Simulation {
 
 impl Simulation {
     /// Builds a simulation from a config, a dispatch policy and a
-    /// scheduler hook. The arrival process is the config's
+    /// scheduler hook. Requests arrive by the config's
     /// [`SimConfig::arrival_pattern`] around its `arrival_rate`.
     ///
     /// # Panics
@@ -133,7 +133,6 @@ impl Simulation {
         if let Err(error) = config.validate() {
             panic!("{error}");
         }
-        let arrivals = config.arrival_pattern.build(config.arrival_rate);
         if config.observe.is_some() {
             hook.enable_audit();
         }
@@ -192,16 +191,14 @@ impl Simulation {
             .iter()
             .map(|c| c.service_scv)
             .collect();
-        let jobgen = config.jobgen.clone().map(BatchJobGenerator::new);
         let end_cap = SimTime::ZERO + config.horizon + config.drain_grace;
 
         // Pre-reserve the event heap for its steady-state pending set:
         // per-node batch churn, arrivals, the periodic ticks, migrations
         // and faults — so heap scheduling never reallocates mid-run.
-        // In-service completions live in the queue's per-component slots
-        // (only components past `SLOT_LIMIT` spill onto the heap), and
-        // cancellation messages and reissue timers in its delayed-message
-        // lanes, which grow to their own depth.
+        // In-service completions live in the queue's per-component slots,
+        // and cancellation messages and reissue timers in its
+        // delayed-message lanes, which grow to their own depth.
         let queue = EventQueue::with_capacity(1024 + config.node_count);
         let skip_noop_cancels = config.faults.is_empty() && !policy.reissues();
         let track_queued_mask = config.faults.is_empty() && deployment.replication() > 1;
@@ -216,8 +213,7 @@ impl Simulation {
             requests: RequestTable::new(),
             policy,
             hook,
-            arrivals,
-            jobgen,
+            traffic: Traffic::new(&config, end_cap),
             samplers,
             rate_estimators,
             service_windows,
@@ -265,27 +261,15 @@ impl Simulation {
     }
 
     fn schedule_initial_events(&mut self) {
-        // First request.
-        let t0 = SimTime::ZERO
-            + self
-                .arrivals
-                .next_interarrival(SimTime::ZERO, &mut self.rng);
-        if t0 <= SimTime::ZERO + self.config.horizon {
-            self.queue.schedule(t0, Event::RequestArrival);
+        if let Some(first) = self.traffic.next_arrival(SimTime::ZERO, &mut self.rng) {
+            self.queue.schedule(first, Event::RequestArrival);
         }
-        // Batch churn, staggered per node so nodes don't pulse together.
-        if let Some(gen) = &self.jobgen {
-            for n in 0..self.config.node_count {
-                let offset = SimDuration::from_secs_f64(
-                    self.rng.gen::<f64>() * gen.config().mean_interarrival_secs,
-                );
-                self.queue.schedule(
-                    SimTime::ZERO + offset,
-                    Event::BatchArrival {
-                        node: NodeId::from_index(n),
-                    },
-                );
-            }
+        let starts = self
+            .traffic
+            .churn_starts(self.config.node_count, &mut self.rng);
+        for (n, start) in starts.into_iter().enumerate() {
+            let node = NodeId::from_index(n);
+            self.queue.schedule(start, Event::BatchArrival { node });
         }
         // Monitors and scheduler.
         self.queue.schedule(SimTime::ZERO, Event::MonitorTick);
@@ -397,9 +381,7 @@ impl Simulation {
         for p in 0..partitions {
             self.dispatch_partition(id, 0, p as u32);
         }
-        // Next arrival, while the horizon is open.
-        let next = now + self.arrivals.next_interarrival(now, &mut self.rng);
-        if next <= SimTime::ZERO + self.config.horizon {
+        if let Some(next) = self.traffic.next_arrival(now, &mut self.rng) {
             self.queue.schedule(next, Event::RequestArrival);
         }
     }
@@ -1075,8 +1057,7 @@ impl Simulation {
 
     fn on_batch_arrival(&mut self, node: NodeId) {
         let now = self.queue.now();
-        let Some(gen) = &self.jobgen else { return };
-        let job = gen.next_job(&mut self.rng);
+        let (job, next) = self.traffic.batch_arrival(now, &mut self.rng);
         // A dead node runs no batch jobs, but its arrival process keeps
         // ticking so churn resumes the moment it is restored.
         if self.membership.is_alive(node) {
@@ -1085,8 +1066,7 @@ impl Simulation {
             self.queue
                 .schedule(now + job.duration, Event::BatchDeparture { node, job: id });
         }
-        let next = now + gen.next_interarrival(&mut self.rng);
-        if next <= self.end_cap {
+        if let Some(next) = next {
             self.queue.schedule(next, Event::BatchArrival { node });
         }
     }
@@ -1193,7 +1173,7 @@ impl Simulation {
         // the skip is invisible to the trace). The monitors' lazily
         // evicted buffers still need their periodic trim, which the
         // context assembly would otherwise perform.
-        if !self.hook.wants_context() {
+        let migrations = if !self.hook.wants_context() {
             debug_assert!(self.hook.on_interval(&empty_context(now)).is_empty());
             for estimator in &mut self.rate_estimators {
                 estimator.trim(now);
@@ -1201,62 +1181,55 @@ impl Simulation {
             for sampler in &mut self.samplers {
                 sampler.discard_window();
             }
-            if let Some(observer) = &mut self.observer {
-                let audit = self.hook.take_interval_audit();
-                observer.on_scheduler_interval(audit);
+            Vec::new()
+        } else {
+            // Context assembly over reusable buffers (`ctx_bufs`): every
+            // derivation is a pure read of monitor state, only the
+            // allocations are recycled across intervals.
+            let bufs = &mut self.ctx_bufs;
+            bufs.metas.clear();
+            bufs.metas.extend(self.comps.iter().map(|c| ComponentMeta {
+                id: c.id,
+                class: c.class,
+                stage: c.stage as usize,
+                node: c.node,
+                migrating: c.migrating_to.is_some(),
+                // Table III's U_ci: the demand this component actually
+                // exerts right now (own demand × utilisation).
+                own_demand: c.contribution,
+            }));
+            for (sampler, window) in self.samplers.iter_mut().zip(bufs.windows.iter_mut()) {
+                sampler.drain_window_into(window);
             }
-            let next = now + self.config.scheduler_interval;
-            if next <= self.end_cap {
-                self.queue.schedule(next, Event::SchedulerTick);
-            }
-            return;
-        }
-        // Context assembly over reusable buffers (`ctx_bufs`): every
-        // derivation is a pure read of monitor state, only the allocations
-        // are recycled across intervals.
-        let bufs = &mut self.ctx_bufs;
-        bufs.metas.clear();
-        bufs.metas.extend(self.comps.iter().map(|c| ComponentMeta {
-            id: c.id,
-            class: c.class,
-            stage: c.stage as usize,
-            node: c.node,
-            migrating: c.migrating_to.is_some(),
-            // Table III's U_ci: the demand this component actually
-            // exerts right now (own demand × utilisation).
-            own_demand: c.contribution,
-        }));
-        for (sampler, window) in self.samplers.iter_mut().zip(bufs.windows.iter_mut()) {
-            sampler.drain_window_into(window);
-        }
-        bufs.rates.clear();
-        bufs.rates
-            .extend((0..self.comps.len()).map(|i| self.rate_estimators[i].rate(now)));
-        bufs.scvs.clear();
-        bufs.scvs.extend(
-            (0..self.comps.len())
-                .map(|i| self.service_windows[i].scv_or(self.class_scv[self.comps[i].class])),
-        );
-        bufs.demands.clear();
-        bufs.demands.extend(
-            (0..self.cluster.len())
-                .map(|n| self.cluster.node(NodeId::from_index(n)).total_demand()),
-        );
-        self.membership.perceive_into(now, &mut bufs.status);
-        let ctx = SchedulerContext {
-            now,
-            components: &bufs.metas,
-            node_capacities: &bufs.caps,
-            sampled_windows: &bufs.windows,
-            arrival_rates: &bufs.rates,
-            service_scv: &bufs.scvs,
-            stage_count: self.deployment.stage_count(),
-            ground_truth_demand: &bufs.demands,
-            node_status: &bufs.status,
-            replica_peers: self.deployment.replica_peers(),
-            rack_of: &bufs.racks,
+            bufs.rates.clear();
+            bufs.rates
+                .extend((0..self.comps.len()).map(|i| self.rate_estimators[i].rate(now)));
+            bufs.scvs.clear();
+            bufs.scvs.extend(
+                (0..self.comps.len())
+                    .map(|i| self.service_windows[i].scv_or(self.class_scv[self.comps[i].class])),
+            );
+            bufs.demands.clear();
+            bufs.demands.extend(
+                (0..self.cluster.len())
+                    .map(|n| self.cluster.node(NodeId::from_index(n)).total_demand()),
+            );
+            self.membership.perceive_into(now, &mut bufs.status);
+            let ctx = SchedulerContext {
+                now,
+                components: &bufs.metas,
+                node_capacities: &bufs.caps,
+                sampled_windows: &bufs.windows,
+                arrival_rates: &bufs.rates,
+                service_scv: &bufs.scvs,
+                stage_count: self.deployment.stage_count(),
+                ground_truth_demand: &bufs.demands,
+                node_status: &bufs.status,
+                replica_peers: self.deployment.replica_peers(),
+                rack_of: &bufs.racks,
+            };
+            self.hook.on_interval(&ctx)
         };
-        let migrations = self.hook.on_interval(&ctx);
         for mr in migrations {
             let ci = mr.component.index();
             if ci >= self.comps.len() || mr.to.index() >= self.cluster.len() {
@@ -1356,11 +1329,6 @@ impl Simulation {
     /// experiment drivers.
     pub fn placement(&self) -> Vec<NodeId> {
         self.comps.iter().map(|c| c.node).collect()
-    }
-
-    /// The configured topology's class for each stage.
-    pub fn stage_classes(&self) -> &[usize] {
-        &self.stage_class
     }
 }
 

@@ -3,47 +3,50 @@
 //! The paper's extended model assumes Poisson request arrivals (the M in
 //! M/G/1), and the evaluation sweeps fixed rates of 10–500 requests/second
 //! "to compare the latency reduction techniques under online services'
-//! diurnal variation in load". [`Poisson`] provides the fixed-rate process;
-//! [`DiurnalPoisson`] modulates the rate sinusoidally for long-horizon
-//! experiments.
+//! diurnal variation in load". An [`ArrivalPattern`] names the shape —
+//! fixed-rate Poisson, a sinusoidally modulated (diurnal) rate, or a
+//! two-state Markov-modulated Poisson process — and [`Arrivals`] samples
+//! it around a base rate.
 
 use pcs_queueing::{Exponential, ServiceDistribution};
 use pcs_types::{SimDuration, SimTime};
-use rand::RngCore;
-
-/// A stochastic request arrival process.
-///
-/// Dyn-compatible so simulations can take any process as a boxed trait
-/// object (`Box<dyn ArrivalProcess + Send>`); concrete RNGs coerce to
-/// `&mut dyn RngCore` at the call site. Sampling takes `&mut self` so
-/// processes with internal state (the [`Mmpp`] modulating chain) fit the
-/// same trait; the stateless processes simply ignore the mutability.
-pub trait ArrivalProcess {
-    /// Samples the gap until the next arrival, given the current time.
-    fn next_interarrival(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SimDuration;
-
-    /// The instantaneous arrival rate (req/s) at `now`, for reporting.
-    fn rate_at(&self, now: SimTime) -> f64;
-}
+use rand::Rng;
 
 /// Declarative description of an arrival process, kept in simulation
-/// configs (plain data: `Clone`/`Debug`/comparable, unlike a trait
-/// object). [`ArrivalPattern::build`] instantiates the process.
+/// configs (plain data: `Clone`/`Debug`/comparable). [`Arrivals::new`]
+/// starts the process around a base rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalPattern {
-    /// Homogeneous [`Poisson`] arrivals at the configured base rate — the
+    /// Homogeneous Poisson arrivals at the configured base rate — the
     /// paper's fixed-rate evaluation setting.
     Steady,
-    /// [`DiurnalPoisson`]: the configured base rate modulated sinusoidally,
-    /// the paper's "diurnal variation in load" made explicit.
+    /// The configured base rate modulated sinusoidally,
+    /// `λ(t) = base · (1 + amplitude·sin(2πt/period))` — the paper's
+    /// "diurnal variation in load" made explicit.
+    ///
+    /// Sampled by thinning-free local approximation: the interarrival is
+    /// drawn from the instantaneous rate, which is accurate when the
+    /// period is much longer than a typical interarrival gap.
     Diurnal {
         /// Relative modulation depth in `[0, 1)`.
         amplitude: f64,
         /// Length of one load cycle.
         period: SimDuration,
     },
-    /// [`Mmpp`]: a two-state Markov-modulated Poisson process alternating
-    /// between a calm and a bursty phase around the base rate.
+    /// A two-state Markov-modulated Poisson process (MMPP): arrivals are
+    /// Poisson at `base · low` in the calm state and `base · high` in the
+    /// bursty state, with exponentially distributed dwell times in each.
+    ///
+    /// With equal mean dwell times the long-run average rate is
+    /// `base · (low + high) / 2`, so `low + high = 2` keeps the offered
+    /// load comparable to the fixed-rate setting while concentrating it
+    /// into bursts — the arrival-side analogue of the batch churn the
+    /// paper uses on the service side.
+    ///
+    /// Sampling is exact: an interarrival candidate is drawn from the
+    /// current state's rate; if it crosses the next state switch, the draw
+    /// restarts from the switch point at the new state's rate (valid by
+    /// memorylessness of the exponential in both processes).
     Mmpp {
         /// Rate multiplier of the calm state (`0 < low <= high`).
         low: f64,
@@ -54,212 +57,84 @@ pub enum ArrivalPattern {
     },
 }
 
-impl ArrivalPattern {
-    /// Instantiates the process for a given base rate (req/s).
-    ///
-    /// # Panics
-    /// Propagates the constructors' validation panics (non-positive rate,
-    /// out-of-range amplitude, zero period).
-    pub fn build(&self, base_rate: f64) -> Box<dyn ArrivalProcess + Send> {
-        match *self {
-            ArrivalPattern::Steady => Box::new(Poisson::new(base_rate)),
-            ArrivalPattern::Diurnal { amplitude, period } => {
-                Box::new(DiurnalPoisson::new(base_rate, amplitude, period))
-            }
-            ArrivalPattern::Mmpp {
-                low,
-                high,
-                mean_dwell,
-            } => Box::new(Mmpp::new(base_rate, low, high, mean_dwell)),
-        }
-    }
-}
-
-/// Homogeneous Poisson arrivals at a fixed rate.
+/// A running arrival process: an [`ArrivalPattern`] around a base rate,
+/// plus the position of the MMPP modulating chain.
 #[derive(Debug, Clone, Copy)]
-pub struct Poisson {
-    rate: f64,
-    interarrival: Exponential,
-}
-
-impl Poisson {
-    /// Creates a Poisson process with the given rate (requests/second).
-    ///
-    /// # Panics
-    /// Panics unless the rate is finite and positive.
-    pub fn new(rate: f64) -> Self {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "arrival rate must be finite and positive, got {rate}"
-        );
-        Poisson {
-            rate,
-            interarrival: Exponential::new(rate),
-        }
-    }
-
-    /// The configured rate (req/s).
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
-}
-
-impl ArrivalProcess for Poisson {
-    fn next_interarrival(&mut self, _now: SimTime, rng: &mut dyn RngCore) -> SimDuration {
-        SimDuration::from_secs_f64(self.interarrival.sample(rng))
-    }
-
-    fn rate_at(&self, _now: SimTime) -> f64 {
-        self.rate
-    }
-}
-
-/// A non-homogeneous Poisson process whose rate follows a sinusoidal
-/// diurnal pattern: `λ(t) = base · (1 + amplitude·sin(2πt/period))`.
-///
-/// Sampled by thinning-free local approximation: the interarrival is drawn
-/// from the instantaneous rate, which is accurate when the period is much
-/// longer than a typical interarrival gap (true for diurnal patterns).
-#[derive(Debug, Clone, Copy)]
-pub struct DiurnalPoisson {
+pub struct Arrivals {
+    pattern: ArrivalPattern,
     base_rate: f64,
-    amplitude: f64,
-    period: SimDuration,
-}
-
-impl DiurnalPoisson {
-    /// Creates a diurnal process.
-    ///
-    /// # Panics
-    /// Panics unless `base_rate > 0`, `0 <= amplitude < 1`, and the period
-    /// is non-zero.
-    pub fn new(base_rate: f64, amplitude: f64, period: SimDuration) -> Self {
-        assert!(
-            base_rate.is_finite() && base_rate > 0.0,
-            "base rate must be finite and positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0,1), got {amplitude}"
-        );
-        assert!(!period.is_zero(), "period must be non-zero");
-        DiurnalPoisson {
-            base_rate,
-            amplitude,
-            period,
-        }
-    }
-}
-
-impl ArrivalProcess for DiurnalPoisson {
-    fn next_interarrival(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SimDuration {
-        let rate = self.rate_at(now);
-        SimDuration::from_secs_f64(Exponential::new(rate).sample(rng))
-    }
-
-    fn rate_at(&self, now: SimTime) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * now.as_secs_f64() / self.period.as_secs_f64();
-        self.base_rate * (1.0 + self.amplitude * phase.sin())
-    }
-}
-
-/// A two-state Markov-modulated Poisson process (MMPP): arrivals are
-/// Poisson at `base · low` in the calm state and `base · high` in the
-/// bursty state, with exponentially distributed dwell times in each state.
-///
-/// With equal mean dwell times the long-run average rate is
-/// `base · (low + high) / 2`, so `low + high = 2` keeps the offered load
-/// comparable to the fixed-rate setting while concentrating it into
-/// bursts — the arrival-side analogue of the batch churn the paper uses on
-/// the service side.
-///
-/// Sampling is exact: an interarrival candidate is drawn from the current
-/// state's rate; if it crosses the next state switch, the draw restarts
-/// from the switch point at the new state's rate (valid by memorylessness
-/// of the exponential in both the arrival and the dwell process).
-#[derive(Debug, Clone, Copy)]
-pub struct Mmpp {
-    base_rate: f64,
-    low: f64,
-    high: f64,
-    mean_dwell: SimDuration,
-    /// Whether the chain is currently in the bursty state.
+    /// Whether the MMPP chain is currently in the bursty state (it starts
+    /// calm).
     in_burst: bool,
-    /// When the chain next switches state (`None` until the first draw).
+    /// When the MMPP chain next switches state (`None` until the first
+    /// draw).
     next_switch: Option<SimTime>,
 }
 
-impl Mmpp {
-    /// Creates a two-state MMPP. The chain starts in the calm state.
-    ///
-    /// # Panics
-    /// Panics unless `base_rate > 0`, `0 < low <= high`, and the mean
-    /// dwell time is non-zero.
-    pub fn new(base_rate: f64, low: f64, high: f64, mean_dwell: SimDuration) -> Self {
-        assert!(
-            base_rate.is_finite() && base_rate > 0.0,
-            "base rate must be finite and positive"
-        );
-        assert!(
-            low > 0.0 && low.is_finite() && high.is_finite() && low <= high,
-            "state multipliers must satisfy 0 < low <= high, got {low}..{high}"
-        );
-        assert!(!mean_dwell.is_zero(), "mean dwell time must be non-zero");
-        Mmpp {
+impl Arrivals {
+    /// Starts `pattern` around `base_rate` (req/s). The caller validates
+    /// both (the simulator does in its config check); a non-positive rate
+    /// panics at the first draw.
+    pub fn new(pattern: ArrivalPattern, base_rate: f64) -> Self {
+        Arrivals {
+            pattern,
             base_rate,
-            low,
-            high,
-            mean_dwell,
             in_burst: false,
             next_switch: None,
         }
     }
 
-    fn state_rate(&self) -> f64 {
-        self.base_rate * if self.in_burst { self.high } else { self.low }
-    }
-
-    fn draw_dwell(&self, rng: &mut dyn RngCore) -> SimDuration {
-        let gap = Exponential::new(1.0 / self.mean_dwell.as_secs_f64()).sample(rng);
-        SimDuration::from_secs_f64(gap)
-    }
-}
-
-impl ArrivalProcess for Mmpp {
-    fn next_interarrival(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SimDuration {
+    /// Samples the gap from `now` until the next arrival. Calls must come
+    /// in time order (the MMPP chain advances with them).
+    pub fn next_interarrival<R: Rng + ?Sized>(&mut self, now: SimTime, rng: &mut R) -> SimDuration {
+        let ArrivalPattern::Mmpp { mean_dwell, .. } = self.pattern else {
+            return gap(self.rate_at(now), rng);
+        };
+        let mean_dwell_rate = 1.0 / mean_dwell.as_secs_f64();
         let mut cursor = now;
         let mut next_switch = match self.next_switch {
             Some(t) if t > now => t,
             // First draw, or a stale switch time (both exponentials are
             // memoryless, so restarting the dwell clock is exact).
-            _ => {
-                if self.next_switch.is_some_and(|t| t <= now) {
+            stale => {
+                if stale.is_some() {
                     self.in_burst = !self.in_burst;
                 }
-                now + self.draw_dwell(rng)
+                now + gap(mean_dwell_rate, rng)
             }
         };
         loop {
-            let candidate = cursor
-                + SimDuration::from_secs_f64(Exponential::new(self.state_rate()).sample(rng));
+            let candidate = cursor + gap(self.rate_at(cursor), rng);
             if candidate <= next_switch {
                 self.next_switch = Some(next_switch);
                 return candidate - now;
             }
             cursor = next_switch;
             self.in_burst = !self.in_burst;
-            next_switch = cursor + self.draw_dwell(rng);
+            next_switch = cursor + gap(mean_dwell_rate, rng);
         }
     }
 
-    /// Reports the modulating chain's *current-state* rate. The chain's
-    /// position is part of the sampling state, not a function of time, so
-    /// this is exact only for `now` between the last sampled arrival and
-    /// the pending state switch (precisely the times the simulator
-    /// queries); it is not a time-travel query over the trajectory.
-    fn rate_at(&self, _now: SimTime) -> f64 {
-        self.state_rate()
+    /// The instantaneous arrival rate (req/s) at `now`. For the MMPP this
+    /// is the chain's current-state rate, exact for `now` between the last
+    /// sampled arrival and the pending state switch.
+    fn rate_at(&self, now: SimTime) -> f64 {
+        match self.pattern {
+            ArrivalPattern::Steady => self.base_rate,
+            ArrivalPattern::Diurnal { amplitude, period } => {
+                let phase = 2.0 * std::f64::consts::PI * now.as_secs_f64() / period.as_secs_f64();
+                self.base_rate * (1.0 + amplitude * phase.sin())
+            }
+            ArrivalPattern::Mmpp { low, high, .. } => {
+                self.base_rate * if self.in_burst { high } else { low }
+            }
+        }
     }
+}
+
+/// One exponential gap at `rate` (1/s).
+fn gap<R: Rng + ?Sized>(rate: f64, rng: &mut R) -> SimDuration {
+    SimDuration::from_secs_f64(Exponential::new(rate).sample(rng))
 }
 
 #[cfg(test)]
@@ -268,9 +143,26 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
+    const STEADY: ArrivalPattern = ArrivalPattern::Steady;
+
+    fn mmpp(low: f64, high: f64, dwell_secs: u64) -> ArrivalPattern {
+        ArrivalPattern::Mmpp {
+            low,
+            high,
+            mean_dwell: SimDuration::from_secs(dwell_secs),
+        }
+    }
+
+    fn diurnal(amplitude: f64, period_secs: u64) -> ArrivalPattern {
+        ArrivalPattern::Diurnal {
+            amplitude,
+            period: SimDuration::from_secs(period_secs),
+        }
+    }
+
     #[test]
     fn poisson_mean_interarrival_matches_rate() {
-        let mut p = Poisson::new(100.0);
+        let mut p = Arrivals::new(STEADY, 100.0);
         let mut rng = SmallRng::seed_from_u64(3);
         let n = 100_000;
         let total: f64 = (0..n)
@@ -285,15 +177,14 @@ mod tests {
 
     #[test]
     fn poisson_rate_is_constant() {
-        let p = Poisson::new(42.0);
+        let p = Arrivals::new(STEADY, 42.0);
         assert_eq!(p.rate_at(SimTime::ZERO), 42.0);
         assert_eq!(p.rate_at(SimTime::from_secs(1000)), 42.0);
-        assert_eq!(p.rate(), 42.0);
     }
 
     #[test]
     fn diurnal_rate_oscillates_around_base() {
-        let d = DiurnalPoisson::new(100.0, 0.5, SimDuration::from_secs(86_400));
+        let d = Arrivals::new(diurnal(0.5, 86_400), 100.0);
         let quarter = SimTime::from_secs(86_400 / 4); // sin peak
         let three_quarter = SimTime::from_secs(3 * 86_400 / 4); // sin trough
         assert!((d.rate_at(quarter) - 150.0).abs() < 1.0);
@@ -303,48 +194,33 @@ mod tests {
 
     #[test]
     fn diurnal_rate_never_non_positive() {
-        let d = DiurnalPoisson::new(10.0, 0.99, SimDuration::from_secs(3600));
+        let d = Arrivals::new(diurnal(0.99, 3600), 10.0);
         for s in 0..3600 {
             assert!(d.rate_at(SimTime::from_secs(s)) > 0.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "finite and positive")]
-    fn poisson_rejects_zero_rate() {
-        let _ = Poisson::new(0.0);
-    }
-
-    #[test]
     fn pattern_builds_matching_process() {
-        let steady = ArrivalPattern::Steady.build(120.0);
+        let steady = Arrivals::new(STEADY, 120.0);
         assert_eq!(steady.rate_at(SimTime::from_secs(999)), 120.0);
 
-        let mut diurnal = ArrivalPattern::Diurnal {
-            amplitude: 0.5,
-            period: SimDuration::from_secs(100),
-        }
-        .build(100.0);
+        let mut diurnal = Arrivals::new(diurnal(0.5, 100), 100.0);
         assert!((diurnal.rate_at(SimTime::from_secs(25)) - 150.0).abs() < 1e-9);
-        // Boxed processes sample through the dyn-compatible entry point.
         let mut rng = SmallRng::seed_from_u64(5);
         assert!(!diurnal.next_interarrival(SimTime::ZERO, &mut rng).is_zero());
 
-        let mmpp = ArrivalPattern::Mmpp {
-            low: 0.25,
-            high: 1.75,
-            mean_dwell: SimDuration::from_secs(4),
-        }
-        .build(100.0);
+        let mmpp = Arrivals::new(mmpp(0.25, 1.75, 4), 100.0);
         assert!(
             (mmpp.rate_at(SimTime::ZERO) - 25.0).abs() < 1e-9,
             "starts calm"
         );
     }
 
-    /// Replays an MMPP sequentially (the simulator's call pattern) and
+    /// Replays a process sequentially (the simulator's call pattern) and
     /// returns the arrival times.
-    fn mmpp_arrivals(mut p: Mmpp, seed: u64, horizon_secs: u64) -> Vec<SimTime> {
+    fn arrivals(pattern: ArrivalPattern, rate: f64, seed: u64, horizon_secs: u64) -> Vec<SimTime> {
+        let mut p = Arrivals::new(pattern, rate);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut t = SimTime::ZERO;
         let mut out = Vec::new();
@@ -360,8 +236,7 @@ mod tests {
     #[test]
     fn mmpp_long_run_rate_matches_base() {
         // low + high = 2 with equal dwell times: long-run mean = base.
-        let p = Mmpp::new(200.0, 0.25, 1.75, SimDuration::from_secs(2));
-        let arrivals = mmpp_arrivals(p, 9, 400);
+        let arrivals = arrivals(mmpp(0.25, 1.75, 2), 200.0, 9, 400);
         let rate = arrivals.len() as f64 / 400.0;
         assert!(
             (rate - 200.0).abs() / 200.0 < 0.1,
@@ -384,25 +259,8 @@ mod tests {
                 counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / counts.len() as f64;
             var / mean
         };
-        let bursty = mmpp_arrivals(
-            Mmpp::new(100.0, 0.25, 1.75, SimDuration::from_secs(4)),
-            3,
-            300,
-        );
-        let steady = {
-            let mut p = Poisson::new(100.0);
-            let mut rng = SmallRng::seed_from_u64(3);
-            let mut t = SimTime::ZERO;
-            let mut out = Vec::new();
-            loop {
-                t = t + p.next_interarrival(t, &mut rng);
-                if t > SimTime::from_secs(300) {
-                    break;
-                }
-                out.push(t);
-            }
-            out
-        };
+        let bursty = arrivals(mmpp(0.25, 1.75, 4), 100.0, 3, 300);
+        let steady = arrivals(STEADY, 100.0, 3, 300);
         let d_bursty = dispersion(&bursty, 300);
         let d_steady = dispersion(&steady, 300);
         assert!(
@@ -413,17 +271,11 @@ mod tests {
 
     #[test]
     fn mmpp_is_deterministic_per_seed() {
-        let p = Mmpp::new(150.0, 0.5, 1.5, SimDuration::from_secs(3));
-        let a = mmpp_arrivals(p, 42, 60);
-        let b = mmpp_arrivals(p, 42, 60);
+        let p = mmpp(0.5, 1.5, 3);
+        let a = arrivals(p, 150.0, 42, 60);
+        let b = arrivals(p, 150.0, 42, 60);
         assert_eq!(a, b);
-        let c = mmpp_arrivals(p, 43, 60);
+        let c = arrivals(p, 150.0, 43, 60);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 < low <= high")]
-    fn mmpp_rejects_inverted_multipliers() {
-        let _ = Mmpp::new(100.0, 1.5, 0.5, SimDuration::from_secs(1));
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::catalog::{BatchWorkload, JobSpec};
 use pcs_queueing::{Exponential, ServiceDistribution};
-use pcs_types::SimDuration;
+use pcs_types::{ensure, PcsError, SimDuration};
 use rand::Rng;
 
 /// Configuration for per-node batch-job churn.
@@ -66,28 +66,52 @@ impl JobGenConfig {
         cfg
     }
 
-    fn validate(&self) {
-        assert!(
+    /// Checks the churn invariants [`BatchJobGenerator`] relies on.
+    ///
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] for a non-positive interarrival,
+    /// duration scale or VM cap, an empty or inverted size range, or a mix
+    /// without a positive finite weight.
+    pub fn validate(&self) -> Result<(), PcsError> {
+        ensure!(
             self.mean_interarrival_secs > 0.0 && self.mean_interarrival_secs.is_finite(),
+            "jobgen",
             "mean interarrival must be positive"
         );
-        assert!(
+        ensure!(
             self.min_input_mb > 0.0 && self.max_input_mb >= self.min_input_mb,
+            "jobgen",
             "input size range must satisfy 0 < min <= max"
         );
-        assert!(!self.mix.is_empty(), "workload mix must not be empty");
-        assert!(
+        ensure!(
+            !self.mix.is_empty(),
+            "jobgen",
+            "workload mix must not be empty"
+        );
+        ensure!(
             self.mix.iter().all(|(_, w)| *w >= 0.0 && w.is_finite()),
+            "jobgen",
             "mix weights must be non-negative"
         );
-        assert!(
+        ensure!(
             self.mix.iter().map(|(_, w)| w).sum::<f64>() > 0.0,
+            "jobgen",
             "at least one mix weight must be positive"
         );
-        assert!(
+        ensure!(
             self.duration_scale > 0.0 && self.duration_scale.is_finite(),
+            "jobgen",
             "duration scale must be positive"
         );
+        ensure!(
+            self.vm_core_cap.is_none_or(|c| c > 0.0 && c.is_finite())
+                && self
+                    .vm_io_cap
+                    .is_none_or(|(disk, net)| disk > 0.0 && net > 0.0),
+            "jobgen",
+            "VM core and I/O caps must be positive"
+        );
+        Ok(())
     }
 }
 
@@ -100,12 +124,9 @@ pub struct BatchJobGenerator {
 }
 
 impl BatchJobGenerator {
-    /// Creates a generator from a validated config.
-    ///
-    /// # Panics
-    /// Panics on invalid configuration (see [`JobGenConfig`] invariants).
+    /// Creates a generator from a config that passed
+    /// [`JobGenConfig::validate`].
     pub fn new(config: JobGenConfig) -> Self {
-        config.validate();
         let interarrival = Exponential::with_mean(config.mean_interarrival_secs);
         let total_weight = config.mix.iter().map(|(_, w)| w).sum();
         BatchJobGenerator {
@@ -294,6 +315,6 @@ mod tests {
             vm_io_cap: None,
             duration_scale: 1.0,
         };
-        let _ = BatchJobGenerator::new(config);
+        panic!("{}", config.validate().expect_err("must be rejected"));
     }
 }

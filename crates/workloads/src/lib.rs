@@ -22,11 +22,12 @@
 //!
 //! [`jobgen`] turns the catalog into per-node batch churn (short jobs,
 //! seconds to minutes, >90 % small — matching the Google/Facebook trace
-//! observations cited by the paper). [`arrivals`] provides the Poisson and
-//! diurnal request processes for the service itself. [`topology`] describes
-//! multi-stage services: stages, component classes, base service times, and
-//! per-class contention sensitivities consumed by the simulator's
-//! ground-truth model.
+//! observations cited by the paper). [`arrivals`] provides the service's
+//! request processes: fixed-rate Poisson, a diurnal (sinusoidally
+//! modulated) rate and a two-state Markov-modulated Poisson process
+//! (MMPP). [`topology`] describes multi-stage services: stages, component
+//! classes, base service times, and per-class contention sensitivities
+//! consumed by the simulator's ground-truth model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,7 +37,7 @@ pub mod catalog;
 pub mod jobgen;
 pub mod topology;
 
-pub use arrivals::{ArrivalPattern, ArrivalProcess, DiurnalPoisson, Mmpp, Poisson};
+pub use arrivals::{ArrivalPattern, Arrivals};
 pub use catalog::{BatchWorkload, Framework, JobSpec};
 pub use jobgen::{BatchJobGenerator, JobGenConfig};
 pub use topology::{ComponentClass, ServiceTopology, SlowdownSensitivity, Stage};
