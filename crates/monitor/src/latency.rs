@@ -4,13 +4,32 @@
 //!
 //! * **Evaluation metrics** — "the 99th percentile latency of individual
 //!   components of all requests" and "the average overall service latency
-//!   of all requests". [`LatencyRecorder`] collects exact samples and
-//!   summarises them.
+//!   of all requests". [`LatencyRecorder`] counts every sample exactly,
+//!   per whole microsecond, and summarises the counts.
 //! * **Model inputs** — the M/G/1 formula needs each component's recent
 //!   service-time mean and variance. [`ServiceTimeWindow`] keeps a bounded
 //!   window of observed service times and exposes their moments.
+//!
+//! # Exact summaries from a histogram
+//!
+//! Simulated latencies are whole microseconds ([`SimDuration`]), and a
+//! run's samples take few distinct values (a fig6 cell's million
+//! samples hold a few thousand). The recorder therefore keeps a count
+//! per microsecond below 2^16 µs (≈ 65.5 ms) and a raw
+//! list of the rarer longer samples, which it sorts only when asked for
+//! a summary. Memory stays fixed however long a run is.
+//!
+//! The summary is bit-identical to sorting every sample's
+//! `as_secs_f64` value by `f64::total_cmp` and reading
+//! [`percentile_sorted`](pcs_queueing::percentile_sorted) and
+//! [`Moments::from_slice`] off the result.
+//! Converting microseconds to seconds is monotone, so walking the
+//! counts in ascending microseconds yields exactly that sorted sequence:
+//! the mean is pushed through the same Welford accumulator in the same
+//! order, and each percentile reads the same two ranks and applies the
+//! same interpolation expression.
 
-use pcs_queueing::{percentile_sorted, sort_f64_total, Moments};
+use pcs_queueing::Moments;
 use pcs_types::SimDuration;
 
 /// Summary statistics of a latency population.
@@ -42,86 +61,113 @@ impl LatencySummary {
     };
 }
 
-/// Collects latency samples and produces exact summaries.
+/// Latencies below this many microseconds are counted in the
+/// recorder's dense array; longer ones are kept raw.
+const DENSE_MICROS: u64 = 1 << 16;
+
+/// The quantiles a [`LatencySummary`] reports.
+const QUANTILES: [f64; 3] = [0.50, 0.95, 0.99];
+
+/// Collects latency samples as exact per-microsecond counts and produces
+/// exact summaries (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct LatencyRecorder {
-    samples: Vec<f64>,
+    /// `dense[us]` counts the samples of exactly `us` µs; empty until
+    /// the first sample below [`DENSE_MICROS`] arrives.
+    dense: Vec<u64>,
+    /// Samples of [`DENSE_MICROS`] µs or more, in arrival order.
+    long: Vec<u64>,
+    /// Samples recorded.
+    count: usize,
 }
 
 impl LatencyRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
-        LatencyRecorder {
-            samples: Vec::new(),
-        }
-    }
-
-    /// Creates an empty recorder with room for `capacity` samples, so a
-    /// run whose sample budget is known up front (arrival rate × horizon
-    /// × fan-out) records without growth reallocations.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LatencyRecorder {
-            samples: Vec::with_capacity(capacity),
-        }
+        Self::default()
     }
 
     /// Records one latency.
     pub fn record(&mut self, latency: SimDuration) {
-        self.samples.push(latency.as_secs_f64());
-    }
-
-    /// Records a latency in seconds directly.
-    ///
-    /// # Panics
-    /// Panics on negative or non-finite values.
-    pub fn record_secs(&mut self, latency_secs: f64) {
-        assert!(
-            latency_secs.is_finite() && latency_secs >= 0.0,
-            "latency must be finite and non-negative, got {latency_secs}"
-        );
-        self.samples.push(latency_secs);
+        let us = latency.as_micros();
+        if us < DENSE_MICROS {
+            if self.dense.is_empty() {
+                self.dense = vec![0; DENSE_MICROS as usize];
+            }
+            self.dense[us as usize] += 1;
+        } else {
+            self.long.push(us);
+        }
+        self.count += 1;
     }
 
     /// Number of recorded samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.count
     }
 
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.count == 0
     }
 
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
-
-    /// Computes exact summary statistics over a sorted copy — O(n), via
-    /// the bit-exact radix sort (the ascending arrangement of an `f64`
-    /// multiset is unique, so the summary is identical to the old
-    /// comparison-sort path byte for byte).
+    /// Computes exact summary statistics in one ascending walk over the
+    /// counts, bit-identical to summarising the sorted samples.
     pub fn summary(&self) -> LatencySummary {
-        if self.samples.is_empty() {
+        if self.count == 0 {
             return LatencySummary::EMPTY;
         }
-        let mut sorted = Vec::with_capacity(self.samples.len());
-        sorted.extend_from_slice(&self.samples);
-        sort_f64_total(&mut sorted);
-        let moments = Moments::from_slice(&sorted);
-        LatencySummary {
-            count: sorted.len(),
-            mean: moments.mean(),
-            p50: percentile_sorted(&sorted, 0.50).unwrap(),
-            p95: percentile_sorted(&sorted, 0.95).unwrap(),
-            p99: percentile_sorted(&sorted, 0.99).unwrap(),
-            max: *sorted.last().unwrap(),
+        // The two ranks and the weight `percentile_sorted` reads for
+        // each quantile.
+        let last = (self.count - 1) as f64;
+        let ranks = QUANTILES.map(|q| {
+            let pos = q * last;
+            let lo = pos.floor() as usize;
+            let hi = pos.ceil() as usize;
+            (lo, hi, pos - lo as f64)
+        });
+        let mut long = self.long.clone();
+        long.sort_unstable();
+        let dense = self
+            .dense
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(|(us, &n)| (us as u64, n));
+        let mut moments = Moments::new();
+        let mut at = [(0.0, 0.0); 3];
+        let mut seen = 0;
+        let mut max = 0.0;
+        for (us, n) in dense.chain(long.into_iter().map(|us| (us, 1))) {
+            let secs = SimDuration::from_micros(us).as_secs_f64();
+            let end = seen + n as usize;
+            let holds = |rank: usize| rank >= seen && rank < end;
+            for (&(lo, hi, _), (lo_val, hi_val)) in ranks.iter().zip(&mut at) {
+                if holds(lo) {
+                    *lo_val = secs;
+                }
+                if holds(hi) {
+                    *hi_val = secs;
+                }
+            }
+            for _ in 0..n {
+                moments.push(secs);
+            }
+            seen = end;
+            max = secs;
         }
-    }
-
-    /// The raw samples (seconds), unsorted, in arrival order.
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
+        let [p50, p95, p99] = std::array::from_fn(|i| {
+            let (lo_val, hi_val) = at[i];
+            lo_val + (hi_val - lo_val) * ranks[i].2
+        });
+        LatencySummary {
+            count: self.count,
+            mean: moments.mean(),
+            p50,
+            p95,
+            p99,
+            max,
+        }
     }
 }
 
@@ -209,7 +255,7 @@ mod tests {
     fn summary_of_known_population() {
         let mut r = LatencyRecorder::new();
         for i in 1..=100 {
-            r.record_secs(i as f64);
+            r.record(SimDuration::from_secs(i));
         }
         let s = r.summary();
         assert_eq!(s.count, 100);
@@ -225,28 +271,33 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_sample_sets() {
-        let mut a = LatencyRecorder::new();
-        let mut b = LatencyRecorder::new();
-        a.record_secs(1.0);
-        b.record_secs(3.0);
-        a.merge(&b);
-        let s = a.summary();
-        assert_eq!(s.count, 2);
-        assert!((s.mean - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn record_duration_converts_to_seconds() {
         let mut r = LatencyRecorder::new();
         r.record(SimDuration::from_millis(250));
-        assert!((r.samples()[0] - 0.25).abs() < 1e-12);
+        let s = r.summary();
+        assert_eq!(s.count, 1);
+        assert!((s.max - 0.25).abs() < 1e-12);
+        assert_eq!(s.p50, s.max);
+        assert_eq!(s.mean, s.max);
     }
 
     #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn rejects_negative_latency() {
-        LatencyRecorder::new().record_secs(-0.1);
+    fn dense_records_never_grow_the_heap() {
+        let heap_bytes = |r: &LatencyRecorder| 8 * (r.dense.capacity() + r.long.capacity());
+        let mut r = LatencyRecorder::new();
+        assert_eq!(
+            heap_bytes(&r),
+            0,
+            "nothing is allocated before the first record"
+        );
+        r.record(SimDuration::ZERO);
+        let after_first = heap_bytes(&r);
+        assert_eq!(after_first, 8 << 16);
+        for i in 0..10_000_000u64 {
+            r.record(SimDuration::from_micros(i % DENSE_MICROS));
+        }
+        assert_eq!(heap_bytes(&r), after_first);
+        assert_eq!(r.len(), 10_000_001);
     }
 
     #[test]

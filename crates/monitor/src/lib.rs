@@ -16,10 +16,12 @@
 //!    multiplicative measurement noise, so the predictor trains and
 //!    predicts on realistic, imperfect observations.
 //!
-//! [`latency::LatencyRecorder`] collects component and request latencies
-//! for the evaluation metrics (99th-percentile component latency, mean
-//! overall service latency), and [`latency::ServiceTimeWindow`] tracks the
-//! recent service-time moments (x̄, C²ₓ) the M/G/1 model needs.
+//! [`latency::LatencyRecorder`] counts component and request latencies
+//! per whole microsecond, in memory that does not grow with the run, and
+//! summarises them exactly for the evaluation metrics (99th-percentile
+//! component latency, mean overall service latency);
+//! [`latency::ServiceTimeWindow`] tracks the recent service-time moments
+//! (x̄, C²ₓ) the M/G/1 model needs.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -20,9 +20,10 @@
 //! * [`moments`] — streaming mean/variance accumulators (Welford) used to
 //!   turn an interval's predicted service times into the x̄ and C²ₓ inputs
 //!   of Eq. 2.
-//! * [`percentile`] — exact quantiles over sample buffers and the streaming
-//!   P² estimator, used for the paper's 99th-percentile component-latency
-//!   metric and the reissue baselines' latency thresholds.
+//! * [`percentile`] — the exact sorted-buffer quantile (the reference the
+//!   paper's 99th-percentile component-latency metric reproduces bit for
+//!   bit) and the streaming P² estimator behind the reissue baselines'
+//!   latency thresholds.
 //! * [`distributions`] — service-time distributions with analytic moments,
 //!   used by tests to validate Eq. 2 against brute-force queue simulation
 //!   and by workload generators.
@@ -37,12 +38,10 @@ pub mod distributions;
 pub mod mg1;
 pub mod moments;
 pub mod percentile;
-pub mod sort;
 
 pub use distributions::{
     standard_normal, Deterministic, Exponential, LogNormal, Pareto, ServiceDistribution, Uniform,
 };
 pub use mg1::{Mg1, Mm1, QueueEstimate, SaturationPolicy};
 pub use moments::Moments;
-pub use percentile::{percentile_sorted, percentile_unsorted, P2Quantile};
-pub use sort::sort_f64_total;
+pub use percentile::{percentile_sorted, P2Quantile};

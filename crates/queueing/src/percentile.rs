@@ -4,7 +4,11 @@
 //! Two consumers in the reproduction need quantiles:
 //!
 //! * the evaluation metrics (99th-percentile component latency, paper §VI-A)
-//!   — computed exactly over the recorded latency samples of a run;
+//!   — computed exactly over all of a run's latency samples. The run's
+//!   recorder (`pcs_monitor::LatencyRecorder`) keeps per-microsecond
+//!   counts instead of a sample buffer, and reads the same ranks with the
+//!   same interpolation as [`percentile_sorted`], which stays the
+//!   reference its tests compare against;
 //! * the reissue baselines RI-90/RI-99, which trigger a duplicate request
 //!   once the first copy has been outstanding longer than the 90th/99th
 //!   percentile of the *expected* latency for its request class — tracked
@@ -38,47 +42,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     let hi = pos.ceil() as usize;
     let frac = pos - lo as f64;
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
-/// [`percentile_sorted`] without the sort: O(n) selection over an
-/// **unsorted** buffer via `select_nth_unstable_by`.
-///
-/// Returns a bit-identical result to sorting the same buffer with
-/// `total_cmp` and calling [`percentile_sorted`] — the selected order
-/// statistics are the same values (under `total_cmp`, equal means
-/// bit-equal), and the interpolation arithmetic is the same expression.
-/// The buffer is reordered (partitioned around the selected ranks).
-///
-/// # Panics
-/// Panics if `q` is outside `[0, 1]`.
-pub fn percentile_unsorted(values: &mut [f64], q: f64) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in [0,1], got {q}"
-    );
-    if values.is_empty() {
-        return None;
-    }
-    if values.len() == 1 {
-        return Some(values[0]);
-    }
-    let pos = q * (values.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    let (_, lo_ref, upper) = values.select_nth_unstable_by(lo, |a, b| a.total_cmp(b));
-    let lo_val = *lo_ref;
-    let hi_val = if hi == lo {
-        lo_val
-    } else {
-        // Rank lo+1 is the minimum of the upper partition.
-        upper
-            .iter()
-            .copied()
-            .reduce(|a, b| if b.total_cmp(&a).is_lt() { b } else { a })
-            .expect("hi > lo implies a non-empty upper partition")
-    };
-    Some(lo_val + (hi_val - lo_val) * frac)
 }
 
 /// Streaming quantile estimation with the P² algorithm.

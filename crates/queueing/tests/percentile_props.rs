@@ -8,7 +8,7 @@
 //! one property covers uniform, exponential and log-normal shapes without
 //! per-distribution epsilon tuning.
 
-use pcs_queueing::{percentile_sorted, percentile_unsorted, sort_f64_total, P2Quantile};
+use pcs_queueing::{percentile_sorted, P2Quantile};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -64,58 +64,6 @@ proptest! {
              (shape {shape}, n {n}, seed {seed})"
         );
         prop_assert_eq!(estimator.count(), n as u64);
-    }
-
-    /// The optimized O(n) percentile path is **bit-identical** to the
-    /// sorted reference: selecting the order statistics and interpolating
-    /// must reproduce `percentile_sorted` over the fully sorted buffer
-    /// exactly — not approximately — across uniform, exponential and
-    /// log-normal streams (including the duplicate-heavy small-`n` end).
-    /// This is the property that lets the latency summaries drop the
-    /// comparison sort while every pinned report byte stays put.
-    #[test]
-    fn selection_percentile_is_bit_identical_to_the_sorted_reference(
-        seed in 0u64..10_000,
-        q_mil in 0u32..=1000,
-        n in 1usize..2_000,
-        shape in 0u8..3,
-    ) {
-        let q = q_mil as f64 / 1000.0;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut samples: Vec<f64> = (0..n).map(|_| draw(shape, &mut rng)).collect();
-        // Inject exact duplicates so equal order statistics are exercised.
-        if n > 4 {
-            samples[n / 2] = samples[0];
-            samples[n - 1] = samples[n / 3];
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let reference = percentile_sorted(&sorted, q).unwrap();
-        let mut scratch = samples.clone();
-        let selected = percentile_unsorted(&mut scratch, q).unwrap();
-        prop_assert_eq!(selected.to_bits(), reference.to_bits());
-    }
-
-    /// The O(n) radix sort produces the identical ascending arrangement
-    /// to the comparison sort, bit for bit — the other half of the
-    /// summary-path guarantee (the mean is accumulated over this exact
-    /// sequence).
-    #[test]
-    fn radix_sort_matches_the_comparison_sort_bitwise(
-        seed in 0u64..10_000,
-        n in 0usize..6_000,
-        shape in 0u8..3,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let samples: Vec<f64> = (0..n).map(|_| draw(shape, &mut rng)).collect();
-        let mut reference = samples.clone();
-        reference.sort_by(|a, b| a.total_cmp(b));
-        let mut radix = samples;
-        sort_f64_total(&mut radix);
-        prop_assert_eq!(radix.len(), reference.len());
-        for (a, b) in radix.iter().zip(&reference) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     /// The estimator never leaves the observed support: every estimate is

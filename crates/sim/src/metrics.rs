@@ -178,6 +178,64 @@ impl RunReport {
     pub fn overall_mean_ms(&self) -> f64 {
         self.overall_latency.mean * 1e3
     }
+
+    /// Checks the accounting identities every finished run must satisfy;
+    /// `faults_planned` says whether the run had a non-empty fault plan
+    /// (only then are the fault-phase latency windows filled). Returns
+    /// the first violated identity.
+    pub fn check_invariants(&self, faults_planned: bool) -> Result<(), String> {
+        let ensure = |ok: bool, what: &str| if ok { Ok(()) } else { Err(what.to_string()) };
+        let components = self.component_latency.count;
+        let f = &self.faults;
+        let phases = [&f.pre_fault, &f.during_fault, &f.post_fault];
+        ensure(
+            self.overall_latency.count as u64 == self.stats.requests_completed,
+            "overall latency count differs from requests completed",
+        )?;
+        ensure(
+            components >= self.overall_latency.count,
+            "fewer component samples than overall samples",
+        )?;
+        if faults_planned {
+            ensure(
+                phases.iter().map(|s| s.count).sum::<usize>() == components,
+                "fault-phase counts do not add up to the component count",
+            )?;
+        } else {
+            ensure(
+                phases.iter().all(|s| **s == LatencySummary::EMPTY),
+                "fault-phase windows filled without a fault plan",
+            )?;
+        }
+        ensure(
+            f.degraded.count <= components,
+            "more degraded samples than component samples",
+        )?;
+        for (name, s) in [
+            ("component", &self.component_latency),
+            ("overall", &self.overall_latency),
+            ("pre-fault", &f.pre_fault),
+            ("during-fault", &f.during_fault),
+            ("post-fault", &f.post_fault),
+            ("degraded", &f.degraded),
+        ] {
+            ensure(
+                0.0 <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max,
+                &format!("{name} latency percentiles out of order"),
+            )?;
+            ensure(s.mean <= s.max, &format!("{name} latency mean above max"))?;
+        }
+        let o = &f.stats;
+        ensure(
+            o.evacuated + o.restored_in_place + f.unresolved_orphans <= o.orphaned,
+            "more orphans resolved than orphaned",
+        )?;
+        let a = &self.autoscale.stats;
+        ensure(
+            a.drains_completed + a.drains_cancelled <= a.drains_started,
+            "more drains ended than ordered",
+        )
+    }
 }
 
 /// Fault phase of a latency sample: before the first kill, while any
@@ -205,29 +263,17 @@ pub(crate) struct Collectors {
     pub evac_sum: f64,
     pub evac_max: f64,
     pub evac_count: u64,
-    /// Pre-sizing hints `(component, overall)` for the latency
-    /// recorders, derived from the run budget.
-    sample_hint: (usize, usize),
 }
 
 impl Collectors {
-    /// Records the expected sample counts (component and overall) so the
-    /// latency recorders are born with capacity instead of growing
-    /// through reallocation during the run.
-    pub fn preallocate(&mut self, component_hint: usize, overall_hint: usize) {
-        self.sample_hint = (component_hint, overall_hint);
-        self.component_latency = LatencyRecorder::with_capacity(component_hint);
-        self.overall_latency = LatencyRecorder::with_capacity(overall_hint);
-    }
-
     /// Clears measured data at the end of warm-up (counters for
     /// mechanism totals keep accumulating from zero again). Fault
     /// counters and evacuation latencies deliberately survive the reset
     /// — see [`FaultStats`] — while the per-phase latency windows are
     /// cleared like every other latency sample.
     pub fn reset_for_measurement(&mut self) {
-        self.component_latency = LatencyRecorder::with_capacity(self.sample_hint.0);
-        self.overall_latency = LatencyRecorder::with_capacity(self.sample_hint.1);
+        self.component_latency = LatencyRecorder::new();
+        self.overall_latency = LatencyRecorder::new();
         self.stats = TechniqueStats::default();
         self.phase_latency = Default::default();
         self.degraded_latency = LatencyRecorder::new();
@@ -264,40 +310,84 @@ impl Collectors {
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_unit_conversions() {
+    /// A consistent fault-free report: 100 completed requests with one
+    /// component sample each, 1..=100 ms.
+    fn sample_report() -> RunReport {
         let mut rec = LatencyRecorder::new();
         for i in 1..=100 {
-            rec.record_secs(i as f64 / 1000.0);
+            rec.record(SimDuration::from_millis(i));
         }
-        let report = RunReport {
+        RunReport {
             technique: "Basic".into(),
             arrival_rate: 100.0,
             measured_from: SimTime::from_secs(10),
             ended_at: SimTime::from_secs(70),
             component_latency: rec.summary(),
             overall_latency: rec.summary(),
-            stats: TechniqueStats::default(),
+            stats: TechniqueStats {
+                requests_completed: 100,
+                ..TechniqueStats::default()
+            },
             faults: FaultReport::default(),
             autoscale: AutoscaleReport::default(),
             events_processed: 0,
             scheduler_cost: None,
             observe: None,
-        };
+        }
+    }
+
+    #[test]
+    fn report_unit_conversions() {
+        let report = sample_report();
         assert!((report.component_p99_ms() - 99.01).abs() < 0.1);
         assert!((report.overall_mean_ms() - 50.5).abs() < 0.01);
     }
 
     #[test]
+    fn tampered_reports_fail_the_invariants() {
+        let report = sample_report();
+        assert_eq!(report.check_invariants(false), Ok(()));
+        type Tamper = fn(&mut RunReport);
+        let tampered: [(&str, Tamper); 7] = [
+            ("lost completion", |r| r.stats.requests_completed += 1),
+            ("missing component sample", |r| {
+                r.component_latency.count = 99
+            }),
+            ("p99 above max", |r| r.component_latency.p99 = 1.0),
+            ("mean above max", |r| r.overall_latency.mean = 1.0),
+            ("phase window without a plan", |r| {
+                r.faults.pre_fault = r.component_latency
+            }),
+            ("orphan resolved twice", |r| r.faults.stats.evacuated = 1),
+            ("drain never ordered", |r| {
+                r.autoscale.stats.drains_completed = 1
+            }),
+        ];
+        for (what, tamper) in tampered {
+            let mut bad = report.clone();
+            tamper(&mut bad);
+            assert!(bad.check_invariants(false).is_err(), "{what}");
+        }
+        // With faults planned, the phase windows must split the
+        // component samples exactly.
+        assert!(report.check_invariants(true).is_err());
+        let mut split = report.clone();
+        split.faults.pre_fault = report.component_latency;
+        assert_eq!(split.check_invariants(true), Ok(()));
+        split.faults.degraded.count = 101;
+        assert!(split.check_invariants(true).is_err());
+    }
+
+    #[test]
     fn collectors_reset_cleanly() {
         let mut c = Collectors::default();
-        c.component_latency.record_secs(1.0);
+        c.component_latency.record(SimDuration::from_secs(1));
         c.stats.executions = 5;
         c.fault_stats.kills = 1;
         c.fault_stats.orphaned = 1;
         c.record_evacuation(SimDuration::from_secs(1));
-        c.phase_latency[1].record_secs(0.5);
-        c.degraded_latency.record_secs(0.7);
+        c.phase_latency[1].record(SimDuration::from_millis(500));
+        c.degraded_latency.record(SimDuration::from_millis(700));
         c.fault_stats.degrades = 2;
         c.reset_for_measurement();
         assert!(c.component_latency.is_empty());

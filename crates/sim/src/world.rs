@@ -239,20 +239,6 @@ impl Simulation {
         world.ctx_bufs.windows = vec![Vec::new(); world.config.node_count];
         world.ctx_bufs.racks = racks;
 
-        // Latency recorders sized from the run budget: arrivals over the
-        // horizon, fanned out per stage partition for the component
-        // metric (capped so a degenerate config cannot pre-allocate
-        // gigabytes — the cap only costs a few doublings).
-        let expected_requests = (world.config.arrival_rate * world.config.horizon.as_secs_f64())
-            .min(4_000_000.0) as usize;
-        let fanout: usize = (0..world.deployment.stage_count())
-            .map(|s| world.deployment.partition_count(s as u32))
-            .sum();
-        let component_hint = expected_requests.saturating_mul(fanout).min(4 << 20);
-        world
-            .collectors
-            .preallocate(component_hint, expected_requests);
-
         // Components start idle: their demand contribution (own demand ×
         // utilisation) is zero until they serve traffic; the monitor ticks
         // keep it current from then on.
@@ -320,7 +306,7 @@ impl Simulation {
             }
             None => crate::autoscale::AutoscaleReport::default(),
         };
-        RunReport {
+        let report = RunReport {
             technique: self.policy.name().to_string(),
             arrival_rate: self.config.arrival_rate,
             measured_from: SimTime::ZERO + self.config.warmup,
@@ -333,7 +319,13 @@ impl Simulation {
             events_processed,
             scheduler_cost: self.hook.cost(),
             observe: self.observer.take().map(Observer::finalize),
-        }
+        };
+        debug_assert_eq!(
+            report.check_invariants(!self.config.faults.is_empty()),
+            Ok(()),
+            "run-end invariant violated"
+        );
+        report
     }
 
     fn handle(&mut self, event: Event) {

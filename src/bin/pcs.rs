@@ -25,9 +25,9 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 /// Largest accepted `--rates` entry, req/s: 20× the paper's largest rate
-/// (500). A simulation's memory grows with its arrival rate: one full
-/// fig6 Basic cell peaks at about 1.1 GB of RSS at this rate, against
-/// 86 MB at 500 req/s.
+/// (500). Latency recording takes fixed memory, but past saturation the
+/// queue backlog grows with the arrival rate: one full fig6 Basic cell
+/// peaks at about 1.0 GB of RSS at this rate, against 9 MB at 500 req/s.
 const MAX_RATE: f64 = 10_000.0;
 
 fn main() {
