@@ -44,5 +44,5 @@ pub use inputs::{ComponentInput, MatrixInputs, NodeInput};
 pub use matrix::PerformanceMatrix;
 pub use predictor::ClassModelSet;
 pub use scheduler::{ComponentScheduler, MigrationDecision, ScheduleOutcome, SchedulerConfig};
-pub use service::{OverrideMarks, StageLatencyIndex};
+pub use service::StageLatencyIndex;
 pub use training::train_class_models;

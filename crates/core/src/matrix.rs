@@ -33,11 +33,21 @@
 //! accepted move adds its refreshed rows and its two columns to the cross.
 //! On a 1000-node cluster with a handful of hot nodes the cross holds about
 //! 1% of the m·k entries.
+//!
+//! An entry's Eq. 4 what-if overrides exactly the residents of its two
+//! nodes, so it names them by node
+//! ([`StageLatencyIndex::overall_what_if`]) instead of listing them. The
+//! origin side of row `i` (Table III rows 1–2 per stage, the migrant's
+//! stage first) is the same for every column, so it is folded once into a
+//! short `(stage, max)` summary and kept, across greedy iterations too,
+//! until the origin node's state changes. An entry then predicts only the
+//! migrant and the destination residents.
 
 use crate::inputs::MatrixInputs;
 use crate::predictor::{mg1_latency, ClassModelSet};
-use crate::service::{OverrideMarks, StageLatencyIndex};
+use crate::service::StageLatencyIndex;
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// The best migration candidate found in the matrix (Algorithm 1 lines
@@ -207,46 +217,96 @@ struct NodeWhatIf {
     service_times: [Option<f64>; CLASS_MEMO],
 }
 
+/// The slot of a stage not in [`EvalScratch::touched`].
+const NO_SLOT: usize = usize::MAX;
+
+/// Where a row's origin summary lives in [`EvalScratch::summaries`], and
+/// the home-node state it was computed under. The fields are `u32` because
+/// the table is allocated at every build: at 40 bytes a row instead of 20,
+/// `elastic`'s perfbench peak RSS rose by 0.9 MB, 17%.
+#[derive(Debug, Default, Clone, Copy)]
+struct SummarySpan {
+    start: u32,
+    len: u32,
+    /// Pairs the span can hold before it moves to the end of the buffer.
+    cap: u32,
+    /// The home node, and its version then (0: never computed).
+    home: u32,
+    version: u32,
+}
+
 /// The matrix's evaluation caches (see
 /// [`PerformanceMatrix::evaluate_migration`]). Pure caching: entries are
 /// bit-identical whatever the caches hold, so the build, the rebuild and
 /// Algorithm 2 all share this one scratch.
+///
+/// Every cache is keyed by node versions: [`Self::node_changed`] bumps a
+/// node's version, which invalidates both its current-state memo and the
+/// origin summary of every row homed on it.
 #[derive(Debug, Default, Clone)]
 struct EvalScratch {
+    /// Per node: bumped whenever its demand or residents change.
+    version: Vec<u32>,
     /// Memoised *current-state* what-if per node (the Table III row-1
-    /// evaluation every matrix row repeats against the same destination);
-    /// `current_valid[j]` is cleared whenever node `j`'s demand changes.
+    /// evaluation every matrix row repeats against the same destination),
+    /// valid while `current_at[j]` equals node `j`'s version.
     current: Vec<NodeWhatIf>,
-    current_valid: Vec<bool>,
-    /// The row whose origin-side overrides `origin_overrides` holds.
-    row: Option<ComponentId>,
-    /// Table III row 2 of `row`: each origin co-resident with its latency
-    /// under `U − U_cᵢ`, the same for every destination column of the row.
-    origin_overrides: Vec<(ComponentId, f64)>,
+    current_at: Vec<u32>,
+    /// Per row: its origin summary's span in `summaries`.
+    spans: Vec<SummarySpan>,
+    /// Origin summaries, one span per row: `(stage, max)` pairs in
+    /// first-occurrence order, the migrant's stage first (its max over the
+    /// origin co-residents alone, `NEG_INFINITY` if none share its stage),
+    /// then every stage of the co-residents' Table III row-2 latencies
+    /// under `U − U_cᵢ`. They are the same for every column of the row.
+    summaries: Vec<(usize, f64)>,
     /// Buffer for the hypothetical origin or destination state in use.
     hypothetical: NodeWhatIf,
-    /// The override list of the entry being evaluated.
-    overrides: Vec<(ComponentId, f64)>,
-    /// Scratch of the Eq. 4 what-if over `overrides`.
-    marks: OverrideMarks,
+    /// The touched stages of the entry or summary being folded, with their
+    /// override maxima.
+    touched: Vec<(usize, f64)>,
+    /// Per stage: its position in `touched`, or `NO_SLOT`. All `NO_SLOT`
+    /// between folds.
+    slot: Vec<usize>,
 }
 
 impl EvalScratch {
-    /// Sizes the per-node memo for `k` nodes.
-    fn fit(&mut self, k: usize) {
+    /// Sizes the caches for `m` components on `k` nodes over `stages`
+    /// stages, all empty.
+    fn fit(&mut self, m: usize, k: usize, stages: usize) {
+        self.version = vec![1; k];
         self.current.resize_with(k, NodeWhatIf::default);
-        self.current_valid.resize(k, false);
+        self.current_at = vec![0; k];
+        self.spans = vec![SummarySpan::default(); m];
+        self.summaries.clear();
+        self.slot = vec![NO_SLOT; stages];
     }
 
-    /// Node `j`'s demand changed: drop its current-state memo.
+    /// Node `j`'s demand or residents changed: drop what was cached of it.
     fn node_changed(&mut self, j: usize) {
-        self.current_valid[j] = false;
+        self.version[j] += 1;
     }
 
-    /// Some state changed: drop the row cache (a row's origin overrides
-    /// read the origin's demand and its residents' state).
-    fn forget_rows(&mut self) {
-        self.row = None;
+    /// Folds latency `lat` of a stage-`stage` component into `touched`.
+    #[inline]
+    fn fold(&mut self, stage: usize, lat: f64) {
+        match self.slot[stage] {
+            NO_SLOT => {
+                self.slot[stage] = self.touched.len();
+                self.touched.push((stage, lat));
+            }
+            n => {
+                let max = &mut self.touched[n].1;
+                *max = max.max(lat);
+            }
+        }
+    }
+
+    /// Clears the stage slots `touched` set.
+    fn clear_slots(&mut self) {
+        for &(stage, _) in &self.touched {
+            self.slot[stage] = NO_SLOT;
+        }
     }
 }
 
@@ -299,7 +359,9 @@ impl PerformanceMatrix {
     /// evaluated, each in O(r) for the r residents of its origin and
     /// destination: one latency prediction per resident (memoised per
     /// class) and a linear Eq. 4 what-if
-    /// ([`StageLatencyIndex::overall_with_overrides`]).
+    /// ([`StageLatencyIndex::overall_what_if`]). The origin side is folded
+    /// once per row and kept while the origin's state holds, so most
+    /// entries predict only the migrant and the destination residents.
     ///
     /// # Panics
     /// Panics on inconsistent inputs (see [`MatrixInputs::validate`]) or a
@@ -351,8 +413,7 @@ impl PerformanceMatrix {
             build_time: Duration::ZERO,
         };
         matrix.refresh_base_latencies(inputs.stage_count);
-        matrix.scratch.fit(k);
-        matrix.scratch.marks.fit(&matrix.index);
+        matrix.scratch.fit(m, k, inputs.stage_count);
         matrix.rebuild_entries();
         matrix.build_time = start.elapsed();
         matrix
@@ -400,6 +461,14 @@ impl PerformanceMatrix {
     /// Current component→node allocation (`A` in Algorithm 1).
     pub fn allocation(&self) -> &[NodeId] {
         &self.allocation
+    }
+
+    /// The components node `j` hosts now, in the order the Eq. 4 what-if
+    /// folds them (a fresh build lists them by id; a migration appends its
+    /// component to the destination and fills its gap at the origin with
+    /// the origin's last resident).
+    pub fn residents(&self, j: NodeId) -> &[ComponentId] {
+        &self.node_components[j.index()]
     }
 
     /// Aggregate demand currently attributed to a node.
@@ -497,13 +566,12 @@ impl PerformanceMatrix {
         assert_ne!(origin, destination, "migration must change the node");
         let d_ci = self.comps[i.index()].demand;
 
-        // Move the component (and drop the two touched nodes' memoised
-        // current-state evaluations — their demand just changed).
+        // Move the component (and drop what is cached of the two touched
+        // nodes — their demand and residents just changed).
         self.node_demand[origin.index()] = self.node_demand[origin.index()].saturating_sub(&d_ci);
         self.node_demand[destination.index()] += d_ci;
         self.scratch.node_changed(origin.index());
         self.scratch.node_changed(destination.index());
-        self.scratch.forget_rows();
         let residents = &mut self.node_components[origin.index()];
         let pos = residents
             .iter()
@@ -618,8 +686,8 @@ impl PerformanceMatrix {
     /// overrides (the migrant, the origin co-residents, `j`'s residents)
     /// then hold no stage's maximum, so every stage it touches keeps its
     /// top latency unoverridden, each `new_max − old_max` term of
-    /// [`StageLatencyIndex::overall_with_overrides`] is ≥ 0, and the
-    /// exact gain is ≤ 0 in IEEE arithmetic.
+    /// [`StageLatencyIndex::overall_what_if`] is ≥ 0, and the exact gain
+    /// is ≤ 0 in IEEE arithmetic.
     fn entry(&self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) -> (f64, f64) {
         let origin = self.allocation[i.index()];
         if origin == j || !(self.hot_node[origin.index()] || self.hot_node[j.index()]) {
@@ -642,7 +710,7 @@ impl PerformanceMatrix {
 
     /// The exact self-gain of migrating `i` to `j` from current state (the
     /// second half of [`Self::evaluate`]): Table III row 1 only, with no
-    /// override list, so a whole row is cheap to scan. Zero for the
+    /// Eq. 4 what-if, so a whole row is cheap to scan. Zero for the
     /// component's own node.
     pub fn migrant_self_gain(&mut self, i: ComponentId, j: NodeId) -> f64 {
         if self.allocation[i.index()] == j {
@@ -657,16 +725,23 @@ impl PerformanceMatrix {
     /// row of the destination's matrix column, so it comes from the
     /// per-node memo.
     fn migrant_latency(&self, scratch: &mut EvalScratch, i: ComponentId, j: NodeId) -> f64 {
-        let dest_now = &mut scratch.current[j.index()];
-        if !scratch.current_valid[j.index()] {
-            self.prepare_what_if(j, self.node_demand[j.index()], dest_now);
-            scratch.current_valid[j.index()] = true;
+        let (node, version) = (j.index(), scratch.version[j.index()]);
+        let dest_now = &mut scratch.current[node];
+        if scratch.current_at[node] != version {
+            self.prepare_what_if(j, self.node_demand[node], dest_now);
+            scratch.current_at[node] = version;
         }
         self.latency_with(dest_now, i)
     }
 
     /// Evaluates Eq. 5 for a candidate migration. Read-only but for the
     /// caches in `scratch`, which must be sized for this matrix.
+    ///
+    /// The entry overrides exactly the residents of its two nodes (Table
+    /// III), so the Eq. 4 what-if names them by their node and folds their
+    /// latencies per stage: the row's origin summary with the migrant's
+    /// new latency, then the destination residents under `U + U_cᵢ`, in
+    /// the stage order of the override list the paper describes.
     fn evaluate_migration(
         &self,
         scratch: &mut EvalScratch,
@@ -674,53 +749,85 @@ impl PerformanceMatrix {
         j: NodeId,
     ) -> (f64, f64) {
         let origin = self.allocation[i.index()];
-        let d_ci = self.comps[i.index()].demand;
-
+        debug_assert_ne!(origin, j, "a what-if must move {i} off its node");
         let li_new = self.migrant_latency(scratch, i, j);
 
-        // Origin co-residents: Table III row 2 — `U − U_ci`. Their
-        // latencies are the same for every destination column of row `i`,
-        // so they are computed once per row. A migrant living alone has
-        // nobody to re-evaluate.
-        if scratch.row != Some(i) {
-            scratch.origin_overrides.clear();
-            let residents = &self.node_components[origin.index()];
-            if residents.len() > 1 {
-                let origin_after = &mut scratch.hypothetical;
-                let origin_demand = self.node_demand[origin.index()].saturating_sub(&d_ci);
-                self.prepare_what_if(origin, origin_demand, origin_after);
-                for &c in residents {
-                    if c != i {
-                        let lat = self.latency_with(origin_after, c);
-                        scratch.origin_overrides.push((c, lat));
-                    }
-                }
-            }
-            scratch.row = Some(i);
+        // Table III rows 1–2: the row's origin summary, with the migrant's
+        // new latency folded into its stage.
+        let summary = self.origin_summary(scratch, i);
+        scratch.touched.clear();
+        for n in summary {
+            let (stage, max) = scratch.summaries[n];
+            scratch.fold(stage, max);
         }
-
-        // The overrides: the migrant, the origin co-residents, then the
-        // destination co-residents (Table III row 3 — `U + U_ci`; an empty
-        // destination has nobody to re-evaluate).
-        let overrides = &mut scratch.overrides;
-        overrides.clear();
-        overrides.push((i, li_new));
-        overrides.extend_from_slice(&scratch.origin_overrides);
+        scratch.fold(self.comps[i.index()].stage, li_new);
+        // Row 3: the destination residents under `U + U_cᵢ`. An empty
+        // destination has nobody to re-evaluate.
         let residents = &self.node_components[j.index()];
         if !residents.is_empty() {
-            let dest_after = &mut scratch.hypothetical;
-            self.prepare_what_if(j, self.node_demand[j.index()] + d_ci, dest_after);
+            let d_ci = self.comps[i.index()].demand;
+            self.prepare_what_if(
+                j,
+                self.node_demand[j.index()] + d_ci,
+                &mut scratch.hypothetical,
+            );
             for &c in residents {
-                overrides.push((c, self.latency_with(dest_after, c)));
+                let lat = self.latency_with(&mut scratch.hypothetical, c);
+                scratch.fold(self.comps[c.index()].stage, lat);
             }
         }
-
-        let l_overall_new = self
-            .index
-            .overall_with_overrides(overrides, &mut scratch.marks);
+        let allocation = &self.allocation;
+        let l_overall_new = self.index.overall_what_if(&scratch.touched, |c| {
+            let node = allocation[c.index()];
+            node == origin || node == j
+        });
+        scratch.clear_slots();
         let gain = self.index.overall() - l_overall_new;
         let self_gain = self.base_latency[i.index()] - li_new;
         (gain, self_gain)
+    }
+
+    /// Row `i`'s origin summary (see [`EvalScratch::summaries`]) as a range
+    /// of `scratch.summaries`, folded again only when the origin's version
+    /// moved on since it was last folded.
+    fn origin_summary(&self, scratch: &mut EvalScratch, i: ComponentId) -> Range<usize> {
+        let home = self.allocation[i.index()];
+        let version = scratch.version[home.index()];
+        let mut span = scratch.spans[i.index()];
+        if span.home as usize != home.index() || span.version != version {
+            scratch.touched.clear();
+            scratch.fold(self.comps[i.index()].stage, f64::NEG_INFINITY);
+            // Table III row 2: the co-residents under `U − U_cᵢ`. A migrant
+            // living alone has nobody to re-evaluate.
+            let residents = &self.node_components[home.index()];
+            if residents.len() > 1 {
+                let d_ci = self.comps[i.index()].demand;
+                let demand = self.node_demand[home.index()].saturating_sub(&d_ci);
+                self.prepare_what_if(home, demand, &mut scratch.hypothetical);
+                for &c in residents.iter().filter(|&&c| c != i) {
+                    let lat = self.latency_with(&mut scratch.hypothetical, c);
+                    scratch.fold(self.comps[c.index()].stage, lat);
+                }
+            }
+            scratch.clear_slots();
+            let len = scratch.touched.len();
+            if len > span.cap as usize {
+                // Outgrew its span: move to the end of the buffer.
+                (span.start, span.cap) = (scratch.summaries.len() as u32, len as u32);
+                scratch.summaries.extend_from_slice(&scratch.touched);
+            } else {
+                scratch.summaries[span.start as usize..span.start as usize + len]
+                    .copy_from_slice(&scratch.touched);
+            }
+            span = SummarySpan {
+                len: len as u32,
+                home: home.index() as u32,
+                version,
+                ..span
+            };
+            scratch.spans[i.index()] = span;
+        }
+        span.start as usize..(span.start + span.len) as usize
     }
 
     /// A fresh [`NodeWhatIf`]: see [`Self::prepare_what_if`].
@@ -900,6 +1007,18 @@ mod tests {
         // Own latency: 1.667ms on node 0 → 1.0ms on idle node 1 (U_nj = 0).
         let expected = 0.001 * (8.0 / 12.0);
         assert!((sg - expected).abs() < 1e-5, "self gain {sg}");
+    }
+
+    /// An entry's what-if overrides the residents of its two nodes, so the
+    /// two must differ: an entry on the component's own node reads 0.0 and
+    /// is never evaluated, and evaluating one anyway fails in debug builds.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "must move")]
+    fn a_what_if_onto_the_home_node_is_rejected() {
+        let m = PerformanceMatrix::build(&two_node_inputs(), &linear_model());
+        let mut scratch = m.scratch.clone();
+        let _ = m.evaluate_migration(&mut scratch, ComponentId::new(0), NodeId::new(0));
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! migration; each evaluation overrides the latencies of the migrant and
 //! of every co-resident of the origin and destination nodes (Table III).
 //! That is a handful on a large, sparse cluster and dozens on a small,
-//! dense one. [`StageLatencyIndex`] keeps each stage's latencies sorted
-//! and [`OverrideMarks`] flags the overridden components, so a what-if
-//! evaluation costs O(overrides + scanned stage prefix), never O(m) or
-//! O(overrides²).
+//! dense one. [`StageLatencyIndex`] keeps each stage's latencies sorted.
+//! The caller folds the overrides into one maximum per touched stage and
+//! names the overridden components by a predicate (for a matrix entry:
+//! "hosted on the origin or the destination"), so a what-if costs
+//! O(touched stages + scanned stage prefix), never O(m) or O(overrides²),
+//! and needs no per-component scratch.
 
 use pcs_types::ComponentId;
 
@@ -93,7 +95,7 @@ impl StageLatencyIndex {
     /// The components that hold their stage's maximum: in every stage,
     /// each component whose latency equals the stage latency (all of a
     /// tied top). Only an override of one of these can lower
-    /// [`Self::overall_with_overrides`] below [`Self::overall`].
+    /// [`Self::overall_what_if`] below [`Self::overall`].
     pub fn stage_max_holders(&self) -> impl Iterator<Item = ComponentId> + '_ {
         self.stages.iter().flat_map(|stage| {
             let top = stage[0].0;
@@ -104,62 +106,40 @@ impl StageLatencyIndex {
         })
     }
 
-    /// Evaluates `l'_overall` (Eq. 4) as if the components in `overrides`
-    /// had the given latencies, without mutating the index.
+    /// Evaluates `l'_overall` (Eq. 4) as if some components had new
+    /// latencies, without mutating the index.
     ///
-    /// `overrides` is a slice of `(component, new_latency)` pairs, each
-    /// component at most once (checked by a `debug_assert`). `marks` is
-    /// reusable scratch: it grows to fit this index on first use and is
-    /// left clean for the next call.
+    /// `touched` lists every stage that holds an overridden component, each
+    /// once, with the maximum of its overridden components' new latencies;
+    /// `overridden` tells whether a component is overridden. The stages are
+    /// summed in `touched` order.
     ///
-    /// Cost is O(overrides + scanned stage prefix), independent of the
-    /// number of stages and components: the scan of a touched stage stops
-    /// at its first component not overridden. That keeps matrix
-    /// construction at the paper's O(m·k) even when a node hosts dozens of
-    /// components (an entry only perturbs the residents of two nodes).
+    /// Cost is O(touched + scanned stage prefix), independent of the number
+    /// of stages and components: the scan of a touched stage stops at its
+    /// first component not overridden. That keeps matrix construction at
+    /// the paper's O(m·k) even when a node hosts dozens of components (an
+    /// entry only perturbs the residents of two nodes).
     ///
-    /// Bit-identical to folding `max` over each touched stage's
-    /// overrides in input order: `max` over finite, non-negative latencies
-    /// only selects, and the stages are summed in first-occurrence order.
-    pub fn overall_with_overrides(
+    /// Given each stage's maximum folded over its overrides in any order,
+    /// and the stages in first-occurrence order of an override list, this
+    /// is bit-identical to evaluating that list: `max` over finite,
+    /// non-negative latencies only selects.
+    pub fn overall_what_if(
         &self,
-        overrides: &[(ComponentId, f64)],
-        marks: &mut OverrideMarks,
+        touched: &[(usize, f64)],
+        overridden: impl Fn(ComponentId) -> bool,
     ) -> f64 {
-        marks.fit(self);
-        // Pass 1: mark each override and fold its latency into its stage's
-        // maximum; a stage's first override lists it as touched.
-        for &(c, lat) in overrides {
-            let overridden = &mut marks.overridden[c.index()];
-            debug_assert!(!*overridden, "{c} overridden twice");
-            *overridden = true;
-            let si = self.stage_of[c.index()];
-            let stage_max = &mut marks.stage_max[si];
-            if *stage_max == UNTOUCHED {
-                marks.touched.push(si);
-                *stage_max = lat;
-            } else {
-                *stage_max = stage_max.max(lat);
-            }
-        }
-        // Pass 2: start from the cached Eq. 4 total and adjust only the
-        // touched stages. The highest unaffected latency is the first
-        // unmarked entry of the sorted stage (0.0 if all are overridden).
+        // Start from the cached Eq. 4 total and adjust only the touched
+        // stages. The highest unaffected latency is the first entry of the
+        // sorted stage not overridden (0.0 if all are).
         let mut total = self.overall;
-        for &si in &marks.touched {
+        for &(si, new_max) in touched {
             let stage = &self.stages[si];
             let unaffected = stage
                 .iter()
-                .find(|(_, id)| !marks.overridden[id.index()])
+                .find(|&&(_, id)| !overridden(id))
                 .map_or(0.0, |&(lat, _)| lat);
-            total += unaffected.max(marks.stage_max[si]) - stage[0].0;
-        }
-        // Pass 3: clear the marks.
-        for si in marks.touched.drain(..) {
-            marks.stage_max[si] = UNTOUCHED;
-        }
-        for &(c, _) in overrides {
-            marks.overridden[c.index()] = false;
+            total += unaffected.max(new_max) - stage[0].0;
         }
         total
     }
@@ -202,37 +182,6 @@ impl StageLatencyIndex {
     }
 }
 
-/// `OverrideMarks::stage_max` of a stage no override touches.
-const UNTOUCHED: f64 = f64::NEG_INFINITY;
-
-/// Reusable scratch for [`StageLatencyIndex::overall_with_overrides`]:
-/// clean (nothing marked, no stage touched) between calls.
-#[derive(Debug, Clone, Default)]
-pub struct OverrideMarks {
-    /// Per component: overridden in the call under way?
-    overridden: Vec<bool>,
-    /// Per stage: the running maximum of its override latencies, or
-    /// `UNTOUCHED`.
-    stage_max: Vec<f64>,
-    /// The stages with an override, in first-occurrence order.
-    touched: Vec<usize>,
-}
-
-impl OverrideMarks {
-    /// Grows the marks to fit `index`'s components and stages (never
-    /// shrinks), so that evaluating against it allocates nothing.
-    pub fn fit(&mut self, index: &StageLatencyIndex) {
-        let (m, stages) = (index.stage_of.len(), index.stages.len());
-        if self.overridden.len() < m {
-            self.overridden.resize(m, false);
-        }
-        if self.stage_max.len() < stages {
-            self.stage_max.resize(stages, UNTOUCHED);
-            self.touched.reserve(stages);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,8 +198,18 @@ mod tests {
         StageLatencyIndex::build(&[0.002, 0.030, 0.025, 0.010], &[0, 1, 1, 2], 3)
     }
 
+    /// The what-if of an override list, each component at most once: its
+    /// touched stages in first-occurrence order with their maxima.
     fn what_if(idx: &StageLatencyIndex, overrides: &[(ComponentId, f64)]) -> f64 {
-        idx.overall_with_overrides(overrides, &mut OverrideMarks::default())
+        let mut touched: Vec<(usize, f64)> = Vec::new();
+        for &(o, lat) in overrides {
+            let si = idx.stage_of[o.index()];
+            match touched.iter_mut().find(|(s, _)| *s == si) {
+                Some(t) => t.1 = t.1.max(lat),
+                None => touched.push((si, lat)),
+            }
+        }
+        idx.overall_what_if(&touched, |id| overrides.iter().any(|&(o, _)| o == id))
     }
 
     #[test]
@@ -333,13 +292,6 @@ mod tests {
         // Both stage-1 components overridden.
         let got = what_if(&idx, &[(c(1), 0.003), (c(2), 0.004)]);
         assert!((got - (0.002 + 0.004 + 0.010)).abs() < 1e-15);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "overridden twice")]
-    fn duplicate_override_rejected() {
-        let _ = what_if(&figure_like_index(), &[(c(1), 0.001), (c(1), 0.002)]);
     }
 
     fn holders(idx: &StageLatencyIndex) -> Vec<ComponentId> {

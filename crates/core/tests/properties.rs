@@ -3,8 +3,8 @@
 
 use pcs_core::matrix::BestEntry;
 use pcs_core::{
-    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, OverrideMarks,
-    PerformanceMatrix, SchedulerConfig, StageLatencyIndex,
+    ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
+    SchedulerConfig, StageLatencyIndex,
 };
 use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
@@ -219,6 +219,101 @@ fn greedy_checking_pruning(
     Ok(())
 }
 
+/// A matrix built afresh in `matrix`'s current state (its allocation and
+/// node demands, everything else from `inputs`), with each component's id
+/// in it. Eq. 4 sums the stages an entry touches in the order of its
+/// nodes' resident lists, and a build lists residents by id, so the fresh
+/// build renumbers the components to list them as `matrix` does.
+fn fresh_build(
+    matrix: &PerformanceMatrix,
+    inputs: &MatrixInputs,
+) -> (PerformanceMatrix, Vec<ComponentId>) {
+    let mut renumbered = vec![ComponentId::from_index(0); matrix.component_count()];
+    let mut components = Vec::new();
+    for node in &inputs.nodes {
+        for &c in matrix.residents(node.id) {
+            renumbered[c.index()] = ComponentId::from_index(components.len());
+            components.push(ComponentInput {
+                id: renumbered[c.index()],
+                node: node.id,
+                ..inputs.components[c.index()].clone()
+            });
+        }
+    }
+    let nodes = inputs
+        .nodes
+        .iter()
+        .map(|node| NodeInput {
+            demand: matrix.node_demand(node.id),
+            ..node.clone()
+        })
+        .collect();
+    let now = MatrixInputs {
+        nodes,
+        components,
+        stage_count: inputs.stage_count,
+    };
+    (PerformanceMatrix::build(&now, &linear_models()), renumbered)
+}
+
+/// Checks `matrix` after a move from `columns[0]` to `columns[1]` against
+/// [`fresh_build`], bit for bit: every exact evaluation, and every entry
+/// Algorithm 2 just refreshed (`columns` of each row in `rows`, and every
+/// column of those rows homed on `columns`).
+fn check_against_fresh_build(
+    matrix: &mut PerformanceMatrix,
+    inputs: &MatrixInputs,
+    rows: &[bool],
+    columns: [NodeId; 2],
+) -> Result<(), TestCaseError> {
+    let (mut fresh, renumbered) = fresh_build(matrix, inputs);
+    let bits = |(gain, self_gain): (f64, f64)| (gain.to_bits(), self_gain.to_bits());
+    for i in 0..matrix.component_count() {
+        let (c, f) = (ComponentId::from_index(i), renumbered[i]);
+        let home = matrix.allocation()[i];
+        for j in 0..matrix.node_count() {
+            let n = NodeId::from_index(j);
+            let (got, want) = (matrix.evaluate(c, n), fresh.evaluate(f, n));
+            prop_assert!(
+                bits(got) == bits(want),
+                "evaluate({}, {}) gives {:?}, fresh build {:?}",
+                i,
+                j,
+                got,
+                want
+            );
+            if rows[i] && (columns.contains(&home) || columns.contains(&n)) {
+                let stored = (matrix.gain(c, n), matrix.self_gain(c, n));
+                let want = (fresh.gain(f, n), fresh.self_gain(f, n));
+                prop_assert!(
+                    bits(stored) == bits(want),
+                    "refreshed entry ({}, {}) stores {:?}, fresh build {:?}",
+                    i,
+                    j,
+                    stored,
+                    want
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Algorithm 1's loop over the components `candidates` marks, checking
+/// the matrix against a fresh build after every accepted move.
+fn greedy_checking_fresh_builds(
+    matrix: &mut PerformanceMatrix,
+    inputs: &MatrixInputs,
+    candidates: &mut [bool],
+) -> Result<(), TestCaseError> {
+    while let Some(best) = matrix.best_candidate(candidates, SchedulerConfig::PAPER.tie_tolerance) {
+        candidates[best.component.index()] = false;
+        let origin = matrix.apply_migration(best.component, best.destination, candidates);
+        check_against_fresh_build(matrix, inputs, candidates, [origin, best.destination])?;
+    }
+    Ok(())
+}
+
 /// Algorithm 1 lines 6–7 by a plain row-major scan of every entry of the
 /// candidate rows through the public accessors: the reference that
 /// [`PerformanceMatrix::best_candidate`]'s scan of stored entries must match.
@@ -328,6 +423,27 @@ fn override_list(stage_of: &[usize], (picks, whole): &OverrideCall) -> Vec<(Comp
     keyed.into_iter().map(|(_, c, lat)| (c, lat)).collect()
 }
 
+/// The linear Eq. 4 what-if of an override list: its touched stages in
+/// first-occurrence order, each with the `max` of its overrides in list
+/// order, and membership in the list as the override predicate.
+fn linear_overall(
+    index: &StageLatencyIndex,
+    stage_of: &[usize],
+    overrides: &[(ComponentId, f64)],
+) -> f64 {
+    let mut touched: Vec<(usize, f64)> = Vec::new();
+    let mut overridden = vec![false; stage_of.len()];
+    for &(c, lat) in overrides {
+        overridden[c.index()] = true;
+        let si = stage_of[c.index()];
+        match touched.iter_mut().find(|(s, _)| *s == si) {
+            Some(t) => t.1 = t.1.max(lat),
+            None => touched.push((si, lat)),
+        }
+    }
+    index.overall_what_if(&touched, |c| overridden[c.index()])
+}
+
 /// The quadratic Eq. 4 what-if, the reference for the linear one: for
 /// each touched stage in first-occurrence order, the highest unoverridden
 /// latency folded with `max` over the stage's overrides in list order.
@@ -365,8 +481,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The linear Eq. 4 what-if equals the quadratic reference bit for
-    /// bit, with one set of marks reused across every call, halfway
-    /// through against an index that an `apply` changed.
+    /// bit, halfway through against an index that an `apply` changed.
     #[test]
     fn linear_what_if_matches_the_quadratic_reference(
         (stage_of, latencies, calls) in arb_index_and_calls()
@@ -374,7 +489,6 @@ proptest! {
         let stage_count = stage_of.iter().max().unwrap() + 1;
         let mut latencies = latencies;
         let mut index = StageLatencyIndex::build(&latencies, &stage_of, stage_count);
-        let mut marks = OverrideMarks::default();
         let half = calls.len() / 2;
         for (n, call) in calls.iter().enumerate() {
             let overrides = override_list(&stage_of, call);
@@ -385,7 +499,7 @@ proptest! {
                 }
                 continue;
             }
-            let got = index.overall_with_overrides(&overrides, &mut marks);
+            let got = linear_overall(&index, &stage_of, &overrides);
             let want = quadratic_overall(&index, &latencies, &stage_of, &overrides);
             prop_assert!(
                 got.to_bits() == want.to_bits(),
@@ -419,6 +533,31 @@ proptest! {
             let mut mask = vec![false; m];
             mask[group].fill(true);
             greedy_checking_pruning(&mut grouped, &stages, &mut mask)?;
+        }
+    }
+
+    /// Algorithm 2 and the matrix's evaluation caches are exact: after
+    /// every accepted move of a flat and of a grouped greedy, each exact
+    /// evaluation and each refreshed entry equals, bit for bit, that of a
+    /// matrix built afresh from the current allocation and node demands.
+    #[test]
+    fn algorithm_2_matches_a_fresh_build(
+        single_stage in arb_inputs(),
+        tied in arb_tied_inputs(),
+    ) {
+        let models = linear_models();
+        for inputs in [&single_stage, &tied] {
+            let m = inputs.component_count();
+            let built = PerformanceMatrix::build(inputs, &models);
+            greedy_checking_fresh_builds(&mut built.clone(), inputs, &mut vec![true; m])?;
+
+            // Two groups, the second running on the first's moves.
+            let mut grouped = built;
+            for group in [0..m / 2, m / 2..m] {
+                let mut mask = vec![false; m];
+                mask[group].fill(true);
+                greedy_checking_fresh_builds(&mut grouped, inputs, &mut mask)?;
+            }
         }
     }
 
@@ -520,14 +659,14 @@ proptest! {
             let c = ComponentId::from_index(i);
             // Touched columns are always fresh.
             for node in [origin, best.destination] {
-                prop_assert!((matrix.gain(c, node) - rebuilt.gain(c, node)).abs() < 1e-12);
+                prop_assert_eq!(matrix.gain(c, node).to_bits(), rebuilt.gain(c, node).to_bits());
             }
             // Rows hosted on the touched nodes are fully fresh.
             let home = matrix.allocation()[i];
             if home == origin || home == best.destination {
                 for j in 0..matrix.node_count() {
                     let n = NodeId::from_index(j);
-                    prop_assert!((matrix.gain(c, n) - rebuilt.gain(c, n)).abs() < 1e-12);
+                    prop_assert_eq!(matrix.gain(c, n).to_bits(), rebuilt.gain(c, n).to_bits());
                 }
             }
         }

@@ -249,6 +249,36 @@ fn observed_fig6_smoke_report_is_thread_invariant_and_pinned() {
     );
 }
 
+/// The observed smoke reports of the two dense-node families. Their
+/// decision audits print every enacted order's predicted Eq. 5 gain and
+/// self-gain, so these pins lock the matrix's entry values where an
+/// Eq. 4 what-if overrides dozens of co-residents, not just the moves
+/// the greedy picked.
+#[test]
+fn observed_dense_smoke_reports_are_thread_invariant_and_pinned() {
+    for (name, pin) in [
+        ("elastic", 0xcfe3_f43c_a235_a81b_u64),
+        ("imperfect", 0x1ed9_935f_9a90_14e5),
+    ] {
+        let single = render_observed(name, 1, 3);
+        let parallel = render_observed(name, 3, 3);
+        assert_eq!(
+            single.as_bytes(),
+            parallel.as_bytes(),
+            "observed {name} report must not depend on the thread count"
+        );
+        assert!(
+            single.contains("\"predicted_gain\"") && single.contains("\"predicted_self_gain\""),
+            "{name}: the audits must carry the predicted gains"
+        );
+        let hash = fnv1a(single.as_bytes());
+        assert_eq!(
+            hash, pin,
+            "observed {name} smoke report bytes changed ({hash:#018x}); if intentional, re-pin this hash"
+        );
+    }
+}
+
 #[test]
 fn different_seeds_change_the_report() {
     let scenario = scenarios::find("diurnal").unwrap();
