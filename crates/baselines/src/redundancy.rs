@@ -31,11 +31,6 @@ impl RedundancyPolicy {
         RedundancyPolicy { k }
     }
 
-    /// The paper's RED-3.
-    pub fn red3() -> Self {
-        RedundancyPolicy::new(3)
-    }
-
     /// The paper's RED-5.
     pub fn red5() -> Self {
         RedundancyPolicy::new(5)
@@ -90,7 +85,7 @@ mod tests {
 
     #[test]
     fn fans_out_to_all_replicas() {
-        let mut p = RedundancyPolicy::red3();
+        let mut p = RedundancyPolicy::new(3);
         let replicas = [
             ComponentId::new(1),
             ComponentId::new(2),

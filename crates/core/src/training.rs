@@ -3,26 +3,13 @@
 //! Paper §IV-A: "The training samples are obtained from profiling runs or
 //! historical running logs", and §VI-D: only one component per homogeneous
 //! class needs profiling. This module turns one [`SampleSet`] per class
-//! into a [`ClassModelSet`] and reports holdout accuracy so callers can
-//! verify the model before trusting the scheduler to it.
+//! into a [`ClassModelSet`].
 
 use crate::predictor::ClassModelSet;
-use pcs_regression::{mape, CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
 use pcs_types::PcsError;
 
-/// Per-class holdout accuracy from training.
-#[derive(Debug, Clone)]
-pub struct TrainingReport {
-    /// Mean absolute percentage error per class, on the holdout split
-    /// (empty split → 0.0).
-    pub holdout_mape_pct: Vec<f64>,
-}
-
-/// Trains one Eq. 1 model per component class.
-///
-/// `holdout_fraction` (0–0.5) reserves a deterministic slice of each
-/// sample set for accuracy reporting; the model itself is trained on the
-/// remainder and then refit on the full set for deployment.
+/// Trains one Eq. 1 model per component class, in class order.
 ///
 /// # Errors
 /// Propagates [`PcsError::InsufficientData`] if any class has too few
@@ -30,35 +17,16 @@ pub struct TrainingReport {
 pub fn train_class_models(
     class_samples: &[SampleSet],
     config: TrainingConfig,
-    holdout_fraction: f64,
-) -> Result<(ClassModelSet, TrainingReport), PcsError> {
+) -> Result<ClassModelSet, PcsError> {
     assert!(
         !class_samples.is_empty(),
         "need samples for at least one class"
     );
-    let mut models = Vec::with_capacity(class_samples.len());
-    let mut holdout_mape_pct = Vec::with_capacity(class_samples.len());
-
-    for samples in class_samples {
-        let (train, holdout) = samples.split_holdout(holdout_fraction);
-        if holdout.is_empty() {
-            holdout_mape_pct.push(0.0);
-        } else {
-            let probe = CombinedServiceTimeModel::train(&train, config)?;
-            let (predicted, actual): (Vec<f64>, Vec<f64>) = holdout
-                .iter()
-                .map(|(u, x)| (probe.predict_clamped(u), *x))
-                .unzip();
-            holdout_mape_pct.push(mape(&predicted, &actual));
-        }
-        // Deploy a model trained on everything we have.
-        models.push(CombinedServiceTimeModel::train(samples, config)?);
-    }
-
-    Ok((
-        ClassModelSet::new(models),
-        TrainingReport { holdout_mape_pct },
-    ))
+    let models = class_samples
+        .iter()
+        .map(|samples| CombinedServiceTimeModel::train(samples, config))
+        .collect::<Result<_, _>>()?;
+    Ok(ClassModelSet::new(models))
 }
 
 #[cfg(test)]
@@ -77,16 +45,10 @@ mod tests {
     }
 
     #[test]
-    fn trains_multiple_classes_with_good_holdout() {
+    fn trains_multiple_classes_in_order() {
         let sets = vec![class_set(0.5), class_set(1.5)];
-        let (models, report) = train_class_models(&sets, TrainingConfig::default(), 0.2).unwrap();
+        let models = train_class_models(&sets, TrainingConfig::default()).unwrap();
         assert_eq!(models.len(), 2);
-        for (i, err) in report.holdout_mape_pct.iter().enumerate() {
-            assert!(
-                *err < 1.0,
-                "class {i} holdout MAPE {err}% too high for noiseless data"
-            );
-        }
         // Class 1 (steeper slope) predicts higher service time under load.
         let u = ContentionVector::new(0.8, 8.0, 0.4, 0.16);
         let x0 = models.get(0).unwrap().predict(&u);
@@ -95,17 +57,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_holdout_skips_reporting() {
-        let sets = vec![class_set(1.0)];
-        let (_, report) = train_class_models(&sets, TrainingConfig::default(), 0.0).unwrap();
-        assert_eq!(report.holdout_mape_pct, vec![0.0]);
-    }
-
-    #[test]
     fn insufficient_class_data_errors() {
         let mut tiny = SampleSet::new();
         tiny.push(ContentionVector::ZERO, 0.001);
-        let err = train_class_models(&[tiny], TrainingConfig::default(), 0.0).unwrap_err();
+        let err = train_class_models(&[tiny], TrainingConfig::default()).unwrap_err();
         assert!(matches!(err, PcsError::InsufficientData { .. }));
     }
 }

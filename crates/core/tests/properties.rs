@@ -693,3 +693,85 @@ proptest! {
         }
     }
 }
+
+/// Table III row 1 predicts the migrant on its destination under the
+/// destination's *pre-move* aggregate `U_nⱼ`, without its own demand;
+/// every other prediction, and `apply_migration`'s refresh of the
+/// migrant, includes it. So an accepted entry's gain is not the drop in
+/// `overall_latency()` the move then produces. This is the case
+/// `greedy_invariants` fails on with `PROPTEST_CASES=2000
+/// PROPTEST_SEED=11263594271654354121` (case 418): one stage, three
+/// components on node 0, and component 0 moving to node 2, which hosts
+/// none. The entry predicts a gain of ≈ 0.247 ms, yet the predicted
+/// overall latency rises from ≈ 2.846 to ≈ 2.922 ms.
+#[test]
+fn table_iii_row_1_predicts_the_migrant_without_its_own_demand() {
+    let node = |j: usize, cores: f64, mpki: f64, disk_mbps: f64, net_mbps: f64| NodeInput {
+        id: NodeId::from_index(j),
+        capacity: NodeCapacity::XEON_E5645,
+        demand: ResourceVector::new(cores, mpki, disk_mbps, net_mbps),
+    };
+    let component = |i: usize, arrival_rate: f64| ComponentInput {
+        id: ComponentId::from_index(i),
+        class: 0,
+        stage: 0,
+        node: NodeId::from_index(0),
+        demand: ResourceVector::new(0.9, 2.0, 5.0, 2.0),
+        arrival_rate,
+        scv: 1.0,
+    };
+    let inputs = MatrixInputs {
+        nodes: vec![
+            node(
+                0,
+                5.691478709262101,
+                11.982957418524201,
+                38.931829674096804,
+                17.965914837048402,
+            ),
+            node(
+                1,
+                5.356506704724862,
+                10.713013409449724,
+                42.852053637798896,
+                21.426026818899448,
+            ),
+            node(
+                2,
+                4.722406845392955,
+                9.44481369078591,
+                37.77925476314364,
+                18.88962738157182,
+            ),
+        ],
+        components: vec![
+            component(0, 192.10724799682967),
+            component(1, 186.84492430334103),
+            component(2, 86.56981611096649),
+        ],
+        stage_count: 1,
+    };
+    let mut matrix = PerformanceMatrix::build(&inputs, &linear_models());
+    let mut candidates = vec![true; matrix.component_count()];
+    let best = matrix
+        .best_candidate(&candidates, SchedulerConfig::PAPER.tie_tolerance)
+        .expect("a positive entry exists");
+    assert_eq!(best.component, ComponentId::from_index(0));
+    assert_eq!(best.destination, NodeId::from_index(2));
+    assert!(
+        (best.gain - 0.247e-3).abs() < 1e-6,
+        "predicted gain {} s",
+        best.gain
+    );
+
+    let before = matrix.overall_latency();
+    candidates[0] = false;
+    matrix.apply_migration(best.component, best.destination, &candidates);
+    let after = matrix.overall_latency();
+    assert!((before - 2.846e-3).abs() < 1e-6, "before {before} s");
+    assert!((after - 2.922e-3).abs() < 1e-6, "after {after} s");
+    assert!(
+        after > before,
+        "the move raises the predicted overall latency although its entry predicted a gain"
+    );
+}

@@ -53,12 +53,6 @@ impl ArrivalRateEstimator {
         self.arrivals.len() as f64 / horizon
     }
 
-    /// Number of arrivals currently inside the window (as of the last
-    /// eviction — [`ArrivalRateEstimator::rate`] evicts before counting).
-    pub fn window_count(&self) -> usize {
-        self.arrivals.len()
-    }
-
     /// Evicts out-of-window arrivals without reading the rate. Callers
     /// that never consult [`ArrivalRateEstimator::rate`] (a run under a
     /// non-migrating scheduler) call this periodically so the lazily
@@ -120,7 +114,6 @@ mod tests {
         }
         // 100 s later the burst has left the window.
         assert_eq!(est.rate(SimTime::from_secs(100)), 0.0);
-        assert_eq!(est.window_count(), 0);
     }
 
     #[test]

@@ -24,10 +24,11 @@
 //! * [`model`] — [`UnivariateResourceModel`] (`RG`) and
 //!   [`CombinedServiceTimeModel`] (`RG_ST`, Eq. 1) with pluggable relevance
 //!   weighting (|Pearson| or R²).
-//! * [`dataset`] — sample management: holdout splits and k-fold
-//!   cross-validation, deterministic by construction.
-//! * [`metrics`] — MAPE/RMSE/error-bucket statistics used to reproduce the
-//!   paper's Figure 5 accuracy analysis ("<3 % in 63.33 % of cases…").
+//! * [`dataset`] — [`SampleSet`], the validated `(U, x)` training samples
+//!   of one component class.
+//! * [`metrics`] — Pearson/R² relevance weights and the error-bucket
+//!   statistic used to reproduce the paper's Figure 5 accuracy analysis
+//!   ("<3 % in 63.33 % of cases…").
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,6 +40,6 @@ pub mod model;
 pub mod polynomial;
 
 pub use dataset::SampleSet;
-pub use metrics::{error_buckets, mape, max_abs_pct_error, pearson, r_squared, rmse};
+pub use metrics::{error_buckets, pearson, r_squared};
 pub use model::{CombinedServiceTimeModel, TrainingConfig, UnivariateResourceModel, WeightScheme};
 pub use polynomial::PolynomialModel;

@@ -58,55 +58,6 @@ pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
     1.0 - ss_res / ss_tot
 }
 
-/// Mean absolute percentage error, in percent. Samples whose actual value
-/// is zero are skipped.
-///
-/// # Panics
-/// Panics if slices differ in length.
-pub fn mape(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (p, a) in predicted.iter().zip(actual) {
-        if a.abs() > 1e-15 {
-            total += ((p - a) / a).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        100.0 * total / count as f64
-    }
-}
-
-/// Largest absolute percentage error, in percent (zero-actual samples
-/// skipped).
-pub fn max_abs_pct_error(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    predicted
-        .iter()
-        .zip(actual)
-        .filter(|(_, a)| a.abs() > 1e-15)
-        .map(|(p, a)| 100.0 * ((p - a) / a).abs())
-        .fold(0.0, f64::max)
-}
-
-/// Root-mean-square error.
-///
-/// # Panics
-/// Panics if slices differ in length or are empty.
-pub fn rmse(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    assert!(!actual.is_empty(), "rmse requires samples");
-    let ss: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (p - a).powi(2))
-        .sum();
-    (ss / actual.len() as f64).sqrt()
-}
-
 /// For each threshold (in percent), the fraction of cases whose absolute
 /// percentage error falls strictly below it — the Figure 5 statistic
 /// ("errors smaller than 3 %, 5 %, 8 % in 63.33 %, 82.22 %, 96.67 % of
@@ -145,30 +96,6 @@ mod tests {
         assert!((r_squared(&actual, &actual) - 1.0).abs() < 1e-12);
         let mean_pred = [2.0, 2.0, 2.0];
         assert!(r_squared(&mean_pred, &actual).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mape_basics() {
-        let actual = [100.0, 200.0];
-        let predicted = [110.0, 180.0];
-        // errors: 10% and 10% -> mean 10%
-        assert!((mape(&predicted, &actual) - 10.0).abs() < 1e-12);
-        assert!((max_abs_pct_error(&predicted, &actual) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mape_skips_zero_actuals() {
-        let actual = [0.0, 100.0];
-        let predicted = [5.0, 150.0];
-        assert!((mape(&predicted, &actual) - 50.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_known_value() {
-        let actual = [0.0, 0.0];
-        let predicted = [3.0, 4.0];
-        // sqrt((9+16)/2) = sqrt(12.5)
-        assert!((rmse(&predicted, &actual) - 12.5f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]

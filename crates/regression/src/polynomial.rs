@@ -20,9 +20,6 @@ pub struct PolynomialModel {
     x_mean: f64,
     /// Input scale used for standardisation (1.0 if input was constant).
     x_scale: f64,
-    /// Whether the input column was degenerate (constant); the model then
-    /// predicts the target mean regardless of input.
-    degenerate_input: bool,
 }
 
 impl PolynomialModel {
@@ -73,7 +70,6 @@ impl PolynomialModel {
                 coeffs,
                 x_mean,
                 x_scale: 1.0,
-                degenerate_input: true,
             });
         }
 
@@ -111,7 +107,6 @@ impl PolynomialModel {
             coeffs,
             x_mean,
             x_scale,
-            degenerate_input: false,
         })
     }
 
@@ -133,12 +128,6 @@ impl PolynomialModel {
     /// Coefficients over the standardised input, constant term first.
     pub fn coefficients(&self) -> &[f64] {
         &self.coeffs
-    }
-
-    /// True if the training input was constant and the model is a flat
-    /// mean predictor.
-    pub fn is_degenerate(&self) -> bool {
-        self.degenerate_input
     }
 }
 
@@ -183,7 +172,6 @@ mod tests {
         let xs = [0.5; 10];
         let ys: Vec<f64> = (0..10).map(|i| i as f64).collect();
         let m = PolynomialModel::fit(&xs, &ys, 2, 0.0).unwrap();
-        assert!(m.is_degenerate());
         assert_close(m.predict(0.5), 4.5, 1e-12);
         assert_close(m.predict(100.0), 4.5, 1e-12);
     }

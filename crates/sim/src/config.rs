@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::autoscale::AutoscaleConfig;
-use crate::faults::{FailoverPolicy, FailureDetector, FaultPlan};
+use crate::faults::{FailureDetector, FaultPlan};
 use crate::membership::Membership;
 use crate::observe::ObserveConfig;
 use pcs_monitor::SamplerConfig;
@@ -106,8 +106,6 @@ pub struct SimConfig {
     /// Scheduled node kills/restores. The empty plan (the default) leaves
     /// the run bit-for-bit identical to a fault-free build.
     pub faults: FaultPlan,
-    /// What happens to a killed node's disrupted sub-requests.
-    pub failover: FailoverPolicy,
     /// Noisy failure detection between ground-truth liveness and the
     /// [`NodeStatus`](crate::faults::NodeStatus) view scheduler hooks
     /// receive ([`crate::faults::FailureDetector`]). `None` — the default
@@ -169,7 +167,6 @@ impl SimConfig {
             rate_window: SimDuration::from_secs(5),
             service_window: 256,
             faults: FaultPlan::none(),
-            failover: FailoverPolicy::default(),
             detector: None,
             autoscale: None,
             observe: None,
@@ -462,13 +459,12 @@ mod tests {
 
     #[test]
     fn fault_plan_validates_with_the_config() {
-        use crate::faults::{FailoverPolicy, FaultPlan};
+        use crate::faults::FaultPlan;
         use pcs_types::SimTime;
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.node_count = 6;
         cfg.faults =
             FaultPlan::kill_restore(6, 9, SimTime::from_secs(20), SimDuration::from_secs(5));
-        cfg.failover = FailoverPolicy::Drop;
         cfg.validate().unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Fault injection: node kill/restore schedules and failover policy.
+//! Fault injection: node kill/restore and degrade/recover schedules.
 //!
 //! The paper evaluates PCS under *performance* interference only — nodes
 //! slow down but never die. Real clusters lose nodes, and a scheduler
@@ -12,8 +12,8 @@
 //! from `pcs_harness::seed::mix`, so a plan is a pure function of its
 //! seed and parameters and sweep cells replay identical outages.
 //!
-//! What happens to the killed node's in-flight work is governed by
-//! [`FailoverPolicy`]; the world enacts it (see `world.rs`). Scheduler
+//! A killed node's in-flight work fails over to the first live replica
+//! of its partition; the world enacts it (see `world.rs`). Scheduler
 //! hooks observe liveness through [`NodeStatus`] in
 //! [`crate::policy::SchedulerContext`].
 
@@ -23,9 +23,10 @@ use pcs_types::{ensure, NodeId, PcsError, SimDuration, SimTime};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The node stops abruptly: resident batch jobs vanish, queued and
-    /// in-service sub-requests are failed over or dropped (per
-    /// [`FailoverPolicy`]), hosted components are orphaned until the
-    /// scheduler re-places them, and no new work is accepted.
+    /// in-service sub-requests fail over to the first live replica of
+    /// their partition (their request is lost when none survives),
+    /// hosted components are orphaned until the scheduler re-places
+    /// them, and no new work is accepted.
     Kill,
     /// The node comes back empty (no batch jobs, no queued work) and may
     /// serve and host again. Components still stranded on it resume in
@@ -65,20 +66,6 @@ pub struct FaultEvent {
     pub node: NodeId,
     /// Kill or restore.
     pub kind: FaultKind,
-}
-
-/// How a killed node's disrupted sub-requests are handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FailoverPolicy {
-    /// Re-dispatch every disrupted sub-request to the first live replica
-    /// of its partition; the request is lost only when no replica
-    /// survives. This mirrors application-level retry against a replica
-    /// group.
-    #[default]
-    Failover,
-    /// Drop disrupted sub-requests outright: their requests are lost (a
-    /// fail-stop service with no retry path).
-    Drop,
 }
 
 /// A deterministic, time-ordered schedule of node faults.

@@ -77,7 +77,7 @@ pub mod world;
 pub use autoscale::{AutoscaleConfig, AutoscalePolicy, AutoscaleReport, AutoscaleStats};
 pub use config::{DeploymentConfig, PlacementStrategy, SimConfig};
 pub use engine::{Event, EventQueue};
-pub use faults::{FailoverPolicy, FailureDetector, FaultEvent, FaultKind, FaultPlan, NodeStatus};
+pub use faults::{FailureDetector, FaultEvent, FaultKind, FaultPlan, NodeStatus};
 pub use ground_truth::GroundTruth;
 pub use metrics::{FaultReport, FaultStats, RunReport, TechniqueStats};
 pub use observe::{

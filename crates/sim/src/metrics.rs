@@ -59,8 +59,7 @@ pub struct FaultStats {
     pub evacuated: u64,
     /// Orphans resolved by their node coming back before any migration.
     pub restored_in_place: u64,
-    /// Requests lost because a sub-request had no live replica (or the
-    /// failover policy was [`crate::faults::FailoverPolicy::Drop`]).
+    /// Requests lost because a sub-request had no live replica.
     pub requests_lost: u64,
     /// Disrupted sub-requests re-dispatched to a surviving replica.
     pub failed_over: u64,

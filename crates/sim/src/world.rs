@@ -5,7 +5,7 @@ use crate::cluster::Cluster;
 use crate::component::{Deployment, InFlight, PhysicalComponent, QueueItem};
 use crate::config::SimConfig;
 use crate::engine::{Event, EventQueue};
-use crate::faults::{FailoverPolicy, FaultKind};
+use crate::faults::FaultKind;
 use crate::ground_truth::GroundTruth;
 use crate::membership::{Membership, NodePhase};
 use crate::metrics::{Collectors, RunReport};
@@ -900,7 +900,7 @@ impl Simulation {
     }
 
     /// Drops a request that can no longer complete (a sub-request lost
-    /// its whole replica group, or the failover policy dropped its work).
+    /// its whole replica group).
     /// Later responses for it count as wasted executions; stale reissue
     /// timers and cancellations already tolerate missing requests.
     fn lose_request(&mut self, request: RequestId) {
@@ -912,39 +912,36 @@ impl Simulation {
         }
     }
 
-    /// Handles one sub-request disrupted by a node kill, per the
-    /// configured [`FailoverPolicy`].
+    /// Handles one sub-request disrupted by a node kill: re-dispatches
+    /// it to the first live replica of its partition (application-level
+    /// retry against a replica group), or loses its request when no
+    /// replica survives.
     fn fail_over(&mut self, item: QueueItem) {
         if !self.requests.contains(item.request) {
             return; // already completed or lost
         }
-        match self.config.failover {
-            FailoverPolicy::Drop => self.lose_request(item.request),
-            FailoverPolicy::Failover => {
-                let target = self
-                    .deployment
-                    .replicas(item.stage, item.partition)
-                    .iter()
-                    .copied()
-                    .find(|c| self.membership.is_alive(self.comps[c.index()].node));
-                match target {
-                    Some(target) => {
-                        self.collectors.fault_stats.failed_over += 1;
-                        if let Some(obs) = &mut self.observer {
-                            obs.note_failover(
-                                item.request,
-                                item.stage as u8,
-                                item.partition as u16,
-                                self.queue.now(),
-                            );
-                        }
-                        // The item keeps its original enqueue time, so the
-                        // component-latency metric absorbs the disruption.
-                        self.enqueue_sub(target, item);
-                    }
-                    None => self.lose_request(item.request),
+        let target = self
+            .deployment
+            .replicas(item.stage, item.partition)
+            .iter()
+            .copied()
+            .find(|c| self.membership.is_alive(self.comps[c.index()].node));
+        match target {
+            Some(target) => {
+                self.collectors.fault_stats.failed_over += 1;
+                if let Some(obs) = &mut self.observer {
+                    obs.note_failover(
+                        item.request,
+                        item.stage as u8,
+                        item.partition as u16,
+                        self.queue.now(),
+                    );
                 }
+                // The item keeps its original enqueue time, so the
+                // component-latency metric absorbs the disruption.
+                self.enqueue_sub(target, item);
             }
+            None => self.lose_request(item.request),
         }
     }
 
@@ -1536,7 +1533,7 @@ mod tests {
 
     // ---- fault injection --------------------------------------------
 
-    use crate::faults::{FailoverPolicy, FaultEvent, FaultKind, FaultPlan};
+    use crate::faults::{FaultEvent, FaultKind, FaultPlan};
 
     fn kill_at(node: usize, at_secs: f64) -> FaultEvent {
         FaultEvent {
@@ -1626,9 +1623,9 @@ mod tests {
     }
 
     /// With a surviving replica, failover reroutes the dead node's work
-    /// and no request is lost; with `Drop`, the disrupted requests die.
+    /// and no request is lost.
     #[test]
-    fn failover_reroutes_and_drop_loses() {
+    fn failover_reroutes_to_the_live_replica() {
         // Node 2 hosts exactly searcher partition 1 (nutch(4) on 6 nodes:
         // component i sits on node i); its replica group is {c2, c3}.
         // The rate is high enough that the kill catches in-flight work.
@@ -1636,8 +1633,7 @@ mod tests {
         base.faults = FaultPlan::new(vec![kill_at(2, 4.0)]);
         base.deployment = DeploymentConfig { replication: 2 };
 
-        let failover =
-            Simulation::new(base.clone(), Box::new(PrimaryOnly), Box::new(NoopScheduler)).run();
+        let failover = Simulation::new(base, Box::new(PrimaryOnly), Box::new(NoopScheduler)).run();
         assert_eq!(failover.faults.stats.kills, 1);
         assert!(failover.faults.stats.orphaned >= 1);
         assert_eq!(
@@ -1646,16 +1642,6 @@ mod tests {
         );
         assert!(failover.faults.stats.failed_over > 0);
         assert!(failover.stats.requests_completed > 200);
-
-        let mut drop_cfg = base;
-        drop_cfg.failover = FailoverPolicy::Drop;
-        let dropped =
-            Simulation::new(drop_cfg, Box::new(PrimaryOnly), Box::new(NoopScheduler)).run();
-        assert!(
-            dropped.faults.stats.requests_lost > 0,
-            "Drop must lose the disrupted requests"
-        );
-        assert_eq!(dropped.faults.stats.failed_over, 0);
     }
 
     /// Replication 1 and no scheduler: killing a searcher node makes its

@@ -88,17 +88,6 @@ impl ContentionVector {
         ]
     }
 
-    /// Builds a vector from a canonical-order array.
-    #[inline]
-    pub fn from_array(values: [f64; CONTENTION_DIMS]) -> Self {
-        ContentionVector {
-            core_usage: values[0],
-            cache_mpki: values[1],
-            disk_util: values[2],
-            net_util: values[3],
-        }
-    }
-
     /// Element-wise subtraction clamped at zero; removing a co-runner's
     /// share can never drive observed contention negative.
     #[must_use]
@@ -173,7 +162,6 @@ mod tests {
         let u = ContentionVector::new(0.5, 12.0, 0.3, 0.1);
         let arr = u.as_array();
         assert_eq!(arr, [0.5, 12.0, 0.3, 0.1]);
-        assert_eq!(ContentionVector::from_array(arr), u);
     }
 
     #[test]

@@ -54,12 +54,6 @@ impl SimTime {
         self.0
     }
 
-    /// This instant expressed in fractional milliseconds.
-    #[inline]
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// This instant expressed in fractional seconds.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -71,12 +65,6 @@ impl SimTime {
     #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Saturating addition of a duration.
-    #[inline]
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 

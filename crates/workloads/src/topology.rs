@@ -335,17 +335,6 @@ impl ServiceTopology {
     pub fn stage_count(&self) -> usize {
         self.stages.len()
     }
-
-    /// Iterates `(stage_index, component_within_stage)` in global component
-    /// order: components are numbered stage by stage, so the Nutch topology
-    /// with 100 searchers numbers segmenting 0, searching 1..=100,
-    /// aggregating 101.
-    pub fn component_layout(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.stages
-            .iter()
-            .enumerate()
-            .flat_map(|(si, s)| (0..s.count).map(move |ci| (si, ci)))
-    }
 }
 
 #[cfg(test)]
@@ -431,17 +420,6 @@ mod tests {
         // Searching dominates the idle-node latency budget.
         assert!(t.stage_class(1).base_service_secs > t.stage_class(0).base_service_secs);
         assert!(t.stage_class(1).base_service_secs > t.stage_class(2).base_service_secs);
-    }
-
-    #[test]
-    fn component_layout_numbers_stage_by_stage() {
-        let t = ServiceTopology::nutch(3);
-        let layout: Vec<(usize, usize)> = t.component_layout().collect();
-        assert_eq!(
-            layout,
-            vec![(0, 0), (1, 0), (1, 1), (1, 2), (2, 0)],
-            "layout must enumerate stages in order"
-        );
     }
 
     #[test]

@@ -267,8 +267,7 @@ impl PcsController {
             degree: 3,
             ..TrainingConfig::default()
         };
-        let (models, _report) = pcs_core::train_class_models(&class_sets, config, 0.0)?;
-        Ok(models)
+        pcs_core::train_class_models(&class_sets, config)
     }
 
     /// Converts one interval's monitoring context into matrix inputs.
@@ -635,7 +634,7 @@ mod tests {
         );
     }
 
-    /// The hybrid case: replication 2 with the predictive controller.
+    /// RED-2 dispatch (replication 2) with the predictive controller.
     /// Evacuations must both resolve every orphan and keep replica
     /// groups on distinct nodes (the peer-blind version of the
     /// evacuation pass could order a co-locating move every interval,

@@ -17,8 +17,6 @@
 //! | `red-<k>` | request redundancy, k parallel replicas (paper: 3, 5) |
 //! | `ri-<p>` | request reissue at the p-th latency percentile (paper: 90, 99) |
 //! | `pcs` | predictive component-level scheduling (this paper) |
-//! | `pcs+red<k>` | predictive migration under RED-k redundancy (hybrid) |
-//! | `pcs-b<n>` | budgeted PCS: ≤ n migrations per interval |
 //! | `pcs-h<cap>` | hierarchical rack-aware PCS, ≤ cap components per group (`hier` = cap 64) |
 //! | `ll` | least-loaded reactive migration — no prediction |
 //! | `oracle` | PCS fed the simulator's exact node demand (upper bound) |
@@ -86,14 +84,6 @@ pub enum Technique {
     /// framework, dispatching like Basic and migrating stragglers every
     /// interval.
     Pcs,
-    /// `PCS+RED<k>`: RED-k dispatch *and* the predictive controller.
-    /// Redundancy absorbs the stragglers that strike between scheduling
-    /// intervals; migration removes the structural ones.
-    PcsRed(usize),
-    /// `PCS-B<n>`: PCS with [`SchedulerConfig::max_migrations`] capped at
-    /// `n` per interval, charting the gain/churn frontier (how much of
-    /// the latency win survives when migrations are rationed).
-    PcsBudget(usize),
     /// `PCS-H<cap>`: the two-level hierarchical PCS (paper §VI-D).
     /// Components are grouped by the rack of their current host and
     /// scheduled rack by rack with the bounded greedy, at most `cap`
@@ -136,8 +126,6 @@ impl Technique {
             Technique::Red(k) => format!("RED-{k}"),
             Technique::Ri(percent) => format!("RI-{percent}"),
             Technique::Pcs => "PCS".into(),
-            Technique::PcsRed(k) => format!("PCS+RED{k}"),
-            Technique::PcsBudget(n) => format!("PCS-B{n}"),
             Technique::PcsHier(cap) => format!("PCS-H{cap}"),
             Technique::Ll => "LL".into(),
             Technique::Oracle => "Oracle".into(),
@@ -155,13 +143,6 @@ impl Technique {
                 format!("request reissue at the {percent}% latency percentile")
             }
             Technique::Pcs => "predictive component-level scheduling (this paper)".into(),
-            Technique::PcsRed(k) => {
-                format!("predictive migration under RED-{k} request redundancy (hybrid)")
-            }
-            Technique::PcsBudget(n) => format!(
-                "budgeted PCS: at most {n} migration{} per interval (gain/churn frontier)",
-                if n == 1 { "" } else { "s" }
-            ),
             Technique::PcsHier(cap) => {
                 format!("hierarchical rack-aware PCS, rack-grouped greedy of <= {cap} components")
             }
@@ -181,7 +162,7 @@ impl Technique {
     /// Physical replica instances this technique needs per partition.
     pub fn replication(&self) -> usize {
         match *self {
-            Technique::Red(k) | Technique::PcsRed(k) => k,
+            Technique::Red(k) => k,
             Technique::Ri(_) => 2,
             _ => 1,
         }
@@ -191,24 +172,22 @@ impl Technique {
     /// cancellation.
     pub fn make_policy(&self) -> Box<dyn DispatchPolicy> {
         match *self {
-            Technique::Red(k) | Technique::PcsRed(k) => Box::new(RedundancyPolicy::new(k)),
+            Technique::Red(k) => Box::new(RedundancyPolicy::new(k)),
             Technique::Ri(percent) => Box::new(ReissuePolicy::new(percent / 100.0)),
             _ => Box::new(BasicPolicy),
         }
     }
 
     /// Builds the scheduler hook run at every scheduling interval. The
-    /// six PCS-controller families share one controller build: the
+    /// four PCS-controller families share one controller build: the
     /// paper's scheduler parameters at the sweep's ε, plus the family's
-    /// migration budget, hierarchical grouping, exact demand or demand
-    /// noise.
+    /// hierarchical grouping, exact demand or demand noise.
     pub fn make_hook(&self, env: &TechniqueEnv<'_>) -> Box<dyn SchedulerHook> {
-        let controller = |max_migrations| {
+        let controller = || {
             PcsController::new(
                 env.models.clone(),
                 SchedulerConfig {
                     epsilon_secs: env.epsilon_secs,
-                    max_migrations,
                     ..SchedulerConfig::PAPER
                 },
             )
@@ -218,11 +197,10 @@ impl Technique {
                 Box::new(NoopScheduler)
             }
             Technique::Ll => Box::new(LeastLoadedHook::default()),
-            Technique::Pcs | Technique::PcsRed(_) => Box::new(controller(None)),
-            Technique::PcsBudget(n) => Box::new(controller(Some(n))),
-            Technique::PcsHier(cap) => Box::new(controller(None).with_hierarchical(cap)),
-            Technique::Oracle => Box::new(controller(None).with_ground_truth()),
-            Technique::PcsNoise(sigma) => Box::new(controller(None).with_demand_noise(sigma)),
+            Technique::Pcs => Box::new(controller()),
+            Technique::PcsHier(cap) => Box::new(controller().with_hierarchical(cap)),
+            Technique::Oracle => Box::new(controller().with_ground_truth()),
+            Technique::PcsNoise(sigma) => Box::new(controller().with_demand_noise(sigma)),
         }
     }
 
@@ -235,10 +213,6 @@ impl Technique {
         }
     }
 }
-
-/// The budget cap's upper bound: beyond the simulator's largest
-/// deployments a bigger budget is indistinguishable from `None`.
-pub const MAX_MIGRATION_BUDGET: usize = 64;
 
 /// Largest accepted PCS-H per-group cap. The paper suggests groups of
 /// "640 components or less"; 1024 leaves headroom for ablations above
@@ -414,30 +388,6 @@ const RI: Family = Family {
     make: ri,
 };
 
-const PCS_RED: Family = Family {
-    prefix: "pcs+red",
-    param: Some(Param {
-        placeholder: "k",
-        bound: Bound::Count(2, 8),
-        noun: "replica count",
-        range_noun: "hybrid replica count",
-        around: ("", ""),
-    }),
-    make: |k| pcs_red(k as usize),
-};
-
-const PCS_BUDGET: Family = Family {
-    prefix: "pcs-b",
-    param: Some(Param {
-        placeholder: "n",
-        bound: Bound::Count(1, MAX_MIGRATION_BUDGET),
-        noun: "budget",
-        range_noun: "migration budget",
-        around: ("", ""),
-    }),
-    make: |n| pcs_budgeted(n as usize),
-};
-
 const PCS_HIER: Family = Family {
     prefix: "pcs-h",
     param: Some(Param {
@@ -463,13 +413,11 @@ const PCS_NOISE: Family = Family {
 };
 
 /// Every family, in vocabulary order.
-const FAMILIES: [Family; 11] = [
+const FAMILIES: [Family; 9] = [
     bare("basic", |_| Technique::Basic),
     RED,
     RI,
     bare("pcs", |_| Technique::Pcs),
-    PCS_RED,
-    PCS_BUDGET,
     PCS_HIER,
     PCS_NOISE,
     bare("ll", |_| Technique::Ll),
@@ -516,24 +464,6 @@ pub fn ri(percent: f64) -> Technique {
 /// `PCS`: predictive component-level scheduling (the paper).
 pub fn pcs() -> Technique {
     Technique::Pcs
-}
-
-/// `PCS+RED<k>`: predictive migration under RED-k redundancy.
-///
-/// # Panics
-/// Panics when `k` is outside the family's range, like [`red`].
-pub fn pcs_red(k: usize) -> Technique {
-    PCS_RED.check(k as f64);
-    Technique::PcsRed(k)
-}
-
-/// `PCS-B<n>`: PCS capped at `n` migrations per scheduling interval.
-///
-/// # Panics
-/// Panics unless `1 <= n <= MAX_MIGRATION_BUDGET`.
-pub fn pcs_budgeted(n: usize) -> Technique {
-    PCS_BUDGET.check(n as f64);
-    Technique::PcsBudget(n)
 }
 
 /// `PCS-H<cap>`: hierarchical rack-aware PCS, at most `cap` components
@@ -599,8 +529,6 @@ pub fn registry() -> Vec<Technique> {
         ri(90.0),
         ri(99.0),
         pcs(),
-        pcs_red(2),
-        pcs_budgeted(1),
         pcs_hier(DEFAULT_GROUP_CAP),
         ll(),
         oracle(),
@@ -784,8 +712,6 @@ mod tests {
             "red-<k>",
             "ri-<p>",
             "pcs",
-            "pcs+red<k>",
-            "pcs-b<n>",
             "pcs-h<cap>",
             "pcs-n<sigma>",
             "ll",
@@ -794,32 +720,19 @@ mod tests {
         ] {
             assert!(message.contains(valid), "{message} must list {valid}");
         }
+        for gone in ["pcs+red<k>", "pcs-b<n>"] {
+            assert!(!message.contains(gone), "{message} must not list {gone}");
+        }
         assert!(parse("red-1").is_err(), "k = 1 is just basic");
         assert!(parse("red-9").is_err(), "beyond the simulator's group cap");
         assert!(parse("ri-0").is_err());
         assert!(parse("ri-100").is_err());
-        assert!(parse("pcs+red1").is_err(), "hybrid k = 1 is just pcs");
-        assert!(parse("pcs+red9").is_err());
-        assert!(parse("pcs-b0").is_err(), "budget 0 would never migrate");
-        assert!(parse("pcs-b65").is_err(), "beyond the budget cap");
+        assert!(parse("pcs+red2").is_err(), "the hybrid family is gone");
+        assert!(parse("pcs-b1").is_err(), "the budgeted family is gone");
         assert!(parse("pcs-h0").is_err(), "a zero group cap is degenerate");
         assert!(parse("pcs-h1025").is_err(), "beyond the group-cap limit");
         assert!(parse_list("pcs,,basic").is_err());
         assert!(parse_list("").is_err());
-    }
-
-    #[test]
-    fn hybrid_and_budgeted_parse_and_round_trip() {
-        assert_eq!(parse("pcs+red2").unwrap().name(), "PCS+RED2");
-        assert_eq!(parse("PCS+RED3").unwrap().name(), "PCS+RED3");
-        assert_eq!(parse("pcs-b1").unwrap().name(), "PCS-B1");
-        assert_eq!(parse("Pcs-B16").unwrap().name(), "PCS-B16");
-        assert_eq!(parse("pcs+red2").unwrap().replication(), 2);
-        assert_eq!(parse("pcs-b4").unwrap().replication(), 1);
-        // Neither is a redundancy/reissue baseline: the §VI-C headline
-        // mean must not absorb PCS variants.
-        assert!(!is_redundancy_or_reissue("PCS+RED2"));
-        assert!(!is_redundancy_or_reissue("PCS-B1"));
     }
 
     #[test]
@@ -958,47 +871,6 @@ mod hier {
         #[should_panic(expected = "1..=1024")]
         fn oversized_cap_is_rejected() {
             let _ = pcs_hier(1025);
-        }
-    }
-}
-
-/// Tests of the PCS variants `PCS+RED<k>` and `PCS-B<n>`.
-#[cfg(test)]
-mod hybrid {
-    mod tests {
-        use crate::techniques::{pcs_budgeted, pcs_red};
-
-        #[test]
-        fn names_round_trip_the_cli_tokens() {
-            assert_eq!(pcs_red(2).name(), "PCS+RED2");
-            assert_eq!(pcs_red(5).name(), "PCS+RED5");
-            assert_eq!(pcs_budgeted(1).name(), "PCS-B1");
-            assert_eq!(pcs_budgeted(16).name(), "PCS-B16");
-        }
-
-        #[test]
-        fn replication_matches_the_dispatch_policy() {
-            for k in [2, 3, 8] {
-                let technique = pcs_red(k);
-                assert_eq!(
-                    technique.replication(),
-                    technique.make_policy().replication()
-                );
-            }
-            let budgeted = pcs_budgeted(4);
-            assert_eq!(budgeted.replication(), budgeted.make_policy().replication());
-        }
-
-        #[test]
-        #[should_panic(expected = "2..=8")]
-        fn hybrid_rejects_k1() {
-            let _ = pcs_red(1);
-        }
-
-        #[test]
-        #[should_panic(expected = "1..=")]
-        fn budget_zero_is_rejected() {
-            let _ = pcs_budgeted(0);
         }
     }
 }

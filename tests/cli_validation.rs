@@ -569,17 +569,44 @@ fn unknown_technique_error_names_the_new_vocabulary() {
     ]);
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for token in ["warp-drive", "pcs+red<k>", "pcs-b<n>"] {
+    for token in ["warp-drive", "pcs-h<cap>", "pcs-n<sigma>"] {
         assert!(stderr.contains(token), "missing `{token}`:\n{stderr}");
+    }
+    for gone in ["pcs+red<k>", "pcs-b<n>"] {
+        assert!(!stderr.contains(gone), "lists deleted `{gone}`:\n{stderr}");
+    }
+}
+
+/// The hybrid `pcs+red<k>` and budgeted `pcs-b<n>` families are gone:
+/// their tokens are argument errors that name the valid vocabulary.
+#[test]
+fn deleted_technique_families_exit_2() {
+    for token in ["pcs+red2", "pcs-b1"] {
+        let out = pcs(&[
+            "run",
+            "--scenario",
+            "fig6",
+            "--smoke",
+            "--techniques",
+            token,
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`{token}`:\n{stderr}");
+        for valid in ["valid techniques", "red-<k>", "pcs-h<cap>"] {
+            assert!(
+                stderr.contains(valid),
+                "`{token}`: missing `{valid}`:\n{stderr}"
+            );
+        }
     }
 }
 
 #[test]
-fn list_techniques_includes_the_hybrid_and_budgeted_variants() {
+fn list_techniques_includes_every_parameterised_family() {
     let out = pcs(&["list", "techniques"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for name in ["pcs+red2", "pcs-b1", "pcs-h64"] {
+    for name in ["red-3", "ri-90", "pcs-h64", "pcs-n0.5"] {
         assert!(stdout.contains(name), "missing `{name}`:\n{stdout}");
     }
 }

@@ -126,71 +126,3 @@ fn restore_bounds_every_techniques_recovery() {
         );
     }
 }
-
-/// The budgeted controller sits between the reactive baseline and full
-/// PCS on the evacuation axis: with a one-migration budget it drains a
-/// multi-orphan outage one interval at a time, like LL — the churn end
-/// of the gain/churn frontier.
-#[test]
-fn budgeted_pcs_trades_evacuation_speed_for_churn() {
-    let outcome = run_failures_smoke(&["pcs-b1", "pcs"]);
-    let mut slower_somewhere = false;
-    for plan in PLANS {
-        let budgeted = cell(&outcome, "PCS-B1", plan).value_f64("evacuation_ms");
-        let full = cell(&outcome, "PCS", plan).value_f64("evacuation_ms");
-        if let (Some(budgeted), Some(full)) = (budgeted, full) {
-            assert!(
-                budgeted >= full,
-                "{plan}: a rationed budget cannot evacuate faster than unbounded PCS"
-            );
-            if budgeted > full {
-                slower_somewhere = true;
-            }
-        }
-        // Budget or not, no orphan may be left behind while the run has
-        // intervals to spend.
-        assert_eq!(
-            cell(&outcome, "PCS-B1", plan).value_f64("unresolved_orphans"),
-            Some(0.0)
-        );
-    }
-    assert!(
-        slower_somewhere,
-        "some multi-orphan plan must show the budget's cost"
-    );
-}
-
-/// The hybrid rides redundancy through the outage: a live replica
-/// absorbs each replicated partition's dead primary, so it loses
-/// strictly fewer requests than the unreplicated baseline (the nutch
-/// frontend/backend stages are single-partition and stay vulnerable —
-/// only evacuation saves those), while still evacuating every orphan.
-#[test]
-fn hybrid_red_loses_less_and_still_evacuates() {
-    let outcome = run_failures_smoke(&["basic", "pcs+red2"]);
-    let mut strictly_better = false;
-    for plan in PLANS {
-        let hybrid = cell(&outcome, "PCS+RED2", plan);
-        assert_eq!(hybrid.value_f64("unresolved_orphans"), Some(0.0));
-        let hybrid_lost = hybrid.value_f64("requests_lost").unwrap();
-        let basic_lost = cell(&outcome, "Basic", plan)
-            .value_f64("requests_lost")
-            .unwrap();
-        assert!(
-            basic_lost > 0.0,
-            "{plan}: the unreplicated baseline must lose requests"
-        );
-        assert!(
-            hybrid_lost <= basic_lost,
-            "{plan}: redundancy + migration cannot lose more than Basic \
-             ({hybrid_lost} vs {basic_lost})"
-        );
-        if hybrid_lost < basic_lost {
-            strictly_better = true;
-        }
-    }
-    assert!(
-        strictly_better,
-        "some plan must show redundancy absorbing the outage"
-    );
-}

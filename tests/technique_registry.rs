@@ -41,9 +41,9 @@ fn every_registered_technique_round_trips() {
 /// Every registry entry and each family's boundary instances agree with
 /// what they build: the declared replication is the dispatch policy's,
 /// placement is overridden exactly for CAP (capacity-aware; PCS-H starts
-/// from flat PCS's layout), and exactly the six PCS-controller families (PCS,
-/// PCS+RED, PCS-B, PCS-H, Oracle, PCS-N) build a hook that reports the
-/// controller's work counters.
+/// from flat PCS's layout), and exactly the four PCS-controller families (PCS,
+/// PCS-H, Oracle, PCS-N) build a hook that reports the controller's work
+/// counters.
 #[test]
 fn every_technique_agrees_with_what_it_builds() {
     let models = PcsController::train_for(&fig6::topology(8), NodeCapacity::XEON_E5645, 62015)
@@ -57,10 +57,6 @@ fn every_technique_agrees_with_what_it_builds() {
         techniques::red(8),
         techniques::ri(0.01),
         techniques::ri(99.99),
-        techniques::pcs_red(2),
-        techniques::pcs_red(8),
-        techniques::pcs_budgeted(1),
-        techniques::pcs_budgeted(techniques::MAX_MIGRATION_BUDGET),
         techniques::pcs_hier(1),
         techniques::pcs_hier(techniques::MAX_GROUP_CAP),
         techniques::pcs_noisy(0.0),
