@@ -143,7 +143,7 @@ mod tests {
     use crate::inputs::{ComponentInput, NodeInput};
     use crate::predictor::ClassModelSet;
     use crate::MatrixInputs;
-    use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+    use pcs_regression::{CombinedServiceTimeModel, SampleSet};
     use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 
     fn linear_models() -> ClassModelSet {
@@ -152,11 +152,7 @@ mod tests {
             let t = i as f64 / 30.0;
             set.push(ContentionVector::new(t, 0.0, 0.0, 0.0), 0.001 * (1.0 + t));
         }
-        ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-            &set,
-            TrainingConfig::default(),
-        )
-        .unwrap()])
+        ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
     }
 
     fn inputs(m: usize, k: usize) -> MatrixInputs {

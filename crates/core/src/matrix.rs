@@ -900,7 +900,7 @@ impl PerformanceMatrix {
 mod tests {
     use super::*;
     use crate::inputs::{ComponentInput, NodeInput};
-    use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+    use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 
     /// Trains a model where service time is 1 ms · (1 + core usage):
     /// simple, exactly learnable, easy to reason about in assertions.
@@ -910,7 +910,7 @@ mod tests {
             let t = i as f64 / 50.0 * 2.0;
             set.push(ContentionVector::new(t, 0.0, 0.0, 0.0), 0.001 * (1.0 + t));
         }
-        let model = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
         ClassModelSet::new(vec![model])
     }
 

@@ -12,11 +12,10 @@
 //! Eq. 1 is evaluated once, on the interval's mean contention vector,
 //! giving the mean service time x̄. Eq. 2 takes that x̄, the monitored
 //! arrival rate, and the SCV of the component's monitored service-time
-//! window, with the M/G/1 term continued linearly past the default
-//! saturation knee ([`pcs_queueing::SaturationPolicy::DEFAULT`]). One
-//! regression evaluation per (class, node state) is what lets the 640×128
-//! Figure 7 configuration run in sub-second time, matching the paper's
-//! reported scalability.
+//! window, with the M/G/1 term continued linearly past the saturation
+//! knee ([`pcs_queueing::Mg1::RHO_KNEE`]). One regression evaluation per
+//! (class, node state) is what lets the 640×128 Figure 7 configuration
+//! run in sub-second time, matching the paper's reported scalability.
 
 use pcs_queueing::Mg1;
 use pcs_regression::CombinedServiceTimeModel;
@@ -99,7 +98,7 @@ pub fn mg1_latency(service_time: f64, arrival_rate: f64, scv: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcs_regression::{SampleSet, TrainingConfig};
+    use pcs_regression::SampleSet;
 
     /// Trains a model on a linear ground truth x = 0.001·(1 + core usage).
     fn linear_models() -> ClassModelSet {
@@ -109,7 +108,7 @@ mod tests {
             let u = ContentionVector::new(t, 10.0 * t, 0.5 * t, 0.25 * t);
             set.push(u, 0.001 * (1.0 + t));
         }
-        let model = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
         ClassModelSet::new(vec![model])
     }
 

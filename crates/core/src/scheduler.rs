@@ -229,7 +229,7 @@ impl ComponentScheduler {
 mod tests {
     use super::*;
     use crate::inputs::{ComponentInput, NodeInput};
-    use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+    use pcs_regression::{CombinedServiceTimeModel, SampleSet};
     use pcs_types::{ContentionVector, NodeCapacity, ResourceVector};
 
     fn linear_models() -> ClassModelSet {
@@ -238,11 +238,7 @@ mod tests {
             let t = i as f64 / 30.0; // core usage 0..2
             set.push(ContentionVector::new(t, 0.0, 0.0, 0.0), 0.001 * (1.0 + t));
         }
-        ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-            &set,
-            TrainingConfig::default(),
-        )
-        .unwrap()])
+        ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
     }
 
     /// `loads[n]` = external core demand on node n; `placement[i]` = node

@@ -6,17 +6,18 @@
 //! into a [`ClassModelSet`].
 
 use crate::predictor::ClassModelSet;
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_types::PcsError;
 
-/// Trains one Eq. 1 model per component class, in class order.
+/// Trains one Eq. 1 model per component class, in class order, each
+/// univariate fit a polynomial of `degree`.
 ///
 /// # Errors
 /// Propagates [`PcsError::InsufficientData`] if any class has too few
 /// samples.
 pub fn train_class_models(
     class_samples: &[SampleSet],
-    config: TrainingConfig,
+    degree: usize,
 ) -> Result<ClassModelSet, PcsError> {
     assert!(
         !class_samples.is_empty(),
@@ -24,7 +25,7 @@ pub fn train_class_models(
     );
     let models = class_samples
         .iter()
-        .map(|samples| CombinedServiceTimeModel::train(samples, config))
+        .map(|samples| CombinedServiceTimeModel::train(samples, degree))
         .collect::<Result<_, _>>()?;
     Ok(ClassModelSet::new(models))
 }
@@ -47,7 +48,7 @@ mod tests {
     #[test]
     fn trains_multiple_classes_in_order() {
         let sets = vec![class_set(0.5), class_set(1.5)];
-        let models = train_class_models(&sets, TrainingConfig::default()).unwrap();
+        let models = train_class_models(&sets, 2).unwrap();
         assert_eq!(models.len(), 2);
         // Class 1 (steeper slope) predicts higher service time under load.
         let u = ContentionVector::new(0.8, 8.0, 0.4, 0.16);
@@ -60,7 +61,7 @@ mod tests {
     fn insufficient_class_data_errors() {
         let mut tiny = SampleSet::new();
         tiny.push(ContentionVector::ZERO, 0.001);
-        let err = train_class_models(&[tiny], TrainingConfig::default()).unwrap_err();
+        let err = train_class_models(&[tiny], 2).unwrap_err();
         assert!(matches!(err, PcsError::InsufficientData { .. }));
     }
 }

@@ -6,7 +6,7 @@ use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
     SchedulerConfig, StageLatencyIndex,
 };
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 use proptest::prelude::*;
 
@@ -19,11 +19,7 @@ fn linear_models() -> ClassModelSet {
             0.001 * (1.0 + t + 0.2 * t * t),
         );
     }
-    ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-        &set,
-        TrainingConfig::default(),
-    )
-    .unwrap()])
+    ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
 }
 
 /// Random-but-valid matrix inputs: `m` components over `k` nodes with

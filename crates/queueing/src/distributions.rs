@@ -226,47 +226,6 @@ impl ServiceDistribution for LogNormal {
     }
 }
 
-/// Pareto distribution with scale `xm` and shape `alpha` — a heavy-tailed
-/// distribution for stress-testing tail behaviour.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    xm: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    /// Panics unless `xm > 0` and `alpha > 2` (finite variance is required
-    /// for Eq. 2 to be meaningful).
-    pub fn new(xm: f64, alpha: f64) -> Self {
-        assert!(
-            xm.is_finite() && xm > 0.0,
-            "pareto scale must be finite and positive, got {xm}"
-        );
-        assert!(
-            alpha.is_finite() && alpha > 2.0,
-            "pareto shape must exceed 2 for finite variance, got {alpha}"
-        );
-        Pareto { xm, alpha }
-    }
-}
-
-impl ServiceDistribution for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen();
-        self.xm / (1.0 - u).powf(1.0 / self.alpha)
-    }
-    fn mean(&self) -> f64 {
-        self.alpha * self.xm / (self.alpha - 1.0)
-    }
-    fn variance(&self) -> f64 {
-        let a = self.alpha;
-        self.xm * self.xm * a / ((a - 1.0) * (a - 1.0) * (a - 2.0))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,17 +292,6 @@ mod tests {
         let d = LogNormal::with_mean_scv(0.010, 1.5);
         assert!((d.mean() - 0.010).abs() / 0.010 < 1e-12);
         assert!((d.scv() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pareto_moments() {
-        check_moments(&Pareto::new(0.001, 3.5), 400_000, 0.03, "pareto");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceed 2")]
-    fn pareto_requires_finite_variance() {
-        let _ = Pareto::new(1.0, 1.5);
     }
 
     #[test]

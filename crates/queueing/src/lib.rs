@@ -15,7 +15,7 @@
 //!
 //! * [`mg1`] — the M/G/1 latency model with explicit saturation handling
 //!   (the paper is silent on ρ ≥ 1; the scheduler needs finite, monotone
-//!   values there, see [`mg1::SaturationPolicy`]), plus the M/M/1 special
+//!   values there, see [`Mg1::RHO_KNEE`]), plus the M/M/1 special
 //!   case the paper calls out for exponential service times.
 //! * [`moments`] — streaming mean/variance accumulators (Welford) used to
 //!   turn an interval's predicted service times into the x̄ and C²ₓ inputs
@@ -40,8 +40,8 @@ pub mod moments;
 pub mod percentile;
 
 pub use distributions::{
-    standard_normal, Deterministic, Exponential, LogNormal, Pareto, ServiceDistribution, Uniform,
+    standard_normal, Deterministic, Exponential, LogNormal, ServiceDistribution, Uniform,
 };
-pub use mg1::{Mg1, Mm1, QueueEstimate, SaturationPolicy};
+pub use mg1::{Mg1, Mm1, QueueEstimate};
 pub use moments::Moments;
 pub use percentile::{percentile_sorted, P2Quantile};

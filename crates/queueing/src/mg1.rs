@@ -18,28 +18,9 @@
 //!
 //! Eq. 2 diverges as ρ → 1 and is meaningless for ρ ≥ 1, but the scheduler
 //! must still *rank* overloaded placements (a node at ρ = 2.5 is worse than
-//! one at ρ = 1.1). [`SaturationPolicy`] continues the latency curve past a
-//! configurable ρ* with its first-order Taylor expansion, keeping the
-//! estimate finite, continuous, and strictly monotone in ρ.
-
-/// How to extend the P–K latency beyond the stability region.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SaturationPolicy {
-    /// Utilisation ρ* at which the exact formula hands over to the linear
-    /// continuation. Must lie in (0, 1).
-    pub rho_knee: f64,
-}
-
-impl SaturationPolicy {
-    /// Default knee: exact P–K up to ρ = 0.995.
-    pub const DEFAULT: SaturationPolicy = SaturationPolicy { rho_knee: 0.995 };
-}
-
-impl Default for SaturationPolicy {
-    fn default() -> Self {
-        SaturationPolicy::DEFAULT
-    }
-}
+//! one at ρ = 1.1). [`Mg1::estimate`] continues the latency curve past
+//! ρ* = [`Mg1::RHO_KNEE`] (0.995) with its first-order Taylor expansion,
+//! keeping the estimate finite, continuous, and strictly monotone in ρ.
 
 /// The result of evaluating the latency model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +31,8 @@ pub struct QueueEstimate {
     pub wait: f64,
     /// Server utilisation ρ = λ/µ.
     pub utilization: f64,
-    /// True if ρ exceeded the saturation knee and the linear continuation
-    /// was used.
+    /// True if ρ reached the saturation knee [`Mg1::RHO_KNEE`] and the
+    /// linear continuation was used.
     pub saturated: bool,
 }
 
@@ -67,6 +48,10 @@ pub struct Mg1 {
 }
 
 impl Mg1 {
+    /// Utilisation ρ* at which the exact P–K formula hands over to its
+    /// linear continuation.
+    pub const RHO_KNEE: f64 = 0.995;
+
     /// Creates the model.
     ///
     /// # Panics
@@ -99,18 +84,9 @@ impl Mg1 {
         self.arrival_rate * self.mean_service
     }
 
-    /// Expected latency with the default saturation policy.
+    /// Expected latency (paper Eq. 2), continued linearly from
+    /// [`RHO_KNEE`](Self::RHO_KNEE) on.
     pub fn estimate(&self) -> QueueEstimate {
-        self.estimate_with(SaturationPolicy::DEFAULT)
-    }
-
-    /// Expected latency (paper Eq. 2) under a saturation policy.
-    pub fn estimate_with(&self, policy: SaturationPolicy) -> QueueEstimate {
-        assert!(
-            policy.rho_knee > 0.0 && policy.rho_knee < 1.0,
-            "saturation knee must lie in (0, 1), got {}",
-            policy.rho_knee
-        );
         let rho = self.utilization();
         if self.mean_service == 0.0 {
             return QueueEstimate {
@@ -120,13 +96,13 @@ impl Mg1 {
                 saturated: false,
             };
         }
-        let (wait, saturated) = if rho < policy.rho_knee {
+        let (wait, saturated) = if rho < Self::RHO_KNEE {
             (self.pk_wait(rho), false)
         } else {
             // First-order continuation of the P–K wait beyond the knee:
             // W(ρ) ≈ W(ρ*) + W'(ρ*)·(ρ − ρ*), with
             // W(ρ) = ρ·x̄·(1+C²)/(2(1−ρ)) and W'(ρ) = x̄·(1+C²)/(2(1−ρ)²).
-            let knee = policy.rho_knee;
+            let knee = Self::RHO_KNEE;
             let w_knee = self.pk_wait(knee);
             let slope = self.mean_service * (1.0 + self.scv) / (2.0 * (1.0 - knee) * (1.0 - knee));
             (w_knee + slope * (rho - knee), true)
@@ -243,12 +219,11 @@ mod tests {
     #[test]
     fn saturation_is_finite_continuous_and_monotone() {
         let xbar = 0.002;
-        let policy = SaturationPolicy::DEFAULT;
         let mut prev = 0.0;
         for i in 0..400 {
             let rho = 0.90 + i as f64 * 0.005; // crosses the knee and 1.0
             let lambda = rho / xbar;
-            let est = Mg1::new(lambda, xbar, 1.2).estimate_with(policy);
+            let est = Mg1::new(lambda, xbar, 1.2).estimate();
             assert!(
                 est.latency.is_finite(),
                 "latency must stay finite at ρ={rho}"
@@ -273,11 +248,10 @@ mod tests {
     #[test]
     fn continuation_is_continuous_at_knee() {
         let xbar = 0.002;
-        let knee = 0.9;
-        let policy = SaturationPolicy { rho_knee: knee };
+        let knee = Mg1::RHO_KNEE;
         let eps = 1e-9;
-        let below = Mg1::new((knee - eps) / xbar, xbar, 1.3).estimate_with(policy);
-        let above = Mg1::new((knee + eps) / xbar, xbar, 1.3).estimate_with(policy);
+        let below = Mg1::new((knee - eps) / xbar, xbar, 1.3).estimate();
+        let above = Mg1::new((knee + eps) / xbar, xbar, 1.3).estimate();
         assert!((below.latency - above.latency).abs() < 1e-6);
     }
 

@@ -2,9 +2,7 @@
 //! brute-force single-server FIFO queue simulation, and property-tests the
 //! model's structural invariants.
 
-use pcs_queueing::{
-    Deterministic, Exponential, LogNormal, Mg1, Moments, SaturationPolicy, ServiceDistribution,
-};
+use pcs_queueing::{Deterministic, Exponential, LogNormal, Mg1, Moments, ServiceDistribution};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -117,20 +115,20 @@ proptest! {
         prop_assert!(est.wait >= 0.0);
     }
 
-    /// With a custom knee the continuation stays monotone across it.
+    /// For any service time and SCV the continuation stays monotone
+    /// across the saturation knee.
     #[test]
     fn monotone_across_custom_knee(
         xbar in 0.001_f64..0.02,
-        knee in 0.5_f64..0.99,
         scv in 0.0_f64..3.0,
     ) {
-        let policy = SaturationPolicy { rho_knee: knee };
+        let knee = Mg1::RHO_KNEE;
         let mut prev = f64::NEG_INFINITY;
         for step in 0..50 {
-            let rho = knee - 0.2 + step as f64 * 0.02; // sweeps across knee
-            if rho <= 0.0 { continue; }
+            let rho = knee - 0.2 + step as f64 * 0.01; // sweeps across knee
             let lambda = rho / xbar;
-            let est = Mg1::new(lambda, xbar, scv).estimate_with(policy);
+            let est = Mg1::new(lambda, xbar, scv).estimate();
+            prop_assert_eq!(est.saturated, est.utilization >= knee);
             prop_assert!(est.latency >= prev - 1e-12);
             prev = est.latency;
         }

@@ -22,11 +22,11 @@
 //! * [`polynomial`] — standardised univariate polynomial least squares with
 //!   optional ridge regularisation.
 //! * [`model`] — [`UnivariateResourceModel`] (`RG`) and
-//!   [`CombinedServiceTimeModel`] (`RG_ST`, Eq. 1) with pluggable relevance
-//!   weighting (|Pearson| or R²).
+//!   [`CombinedServiceTimeModel`] (`RG_ST`, Eq. 1) with |Pearson| relevance
+//!   weights.
 //! * [`dataset`] — [`SampleSet`], the validated `(U, x)` training samples
 //!   of one component class.
-//! * [`metrics`] — Pearson/R² relevance weights and the error-bucket
+//! * [`metrics`] — the Pearson relevance weight and the error-bucket
 //!   statistic used to reproduce the paper's Figure 5 accuracy analysis
 //!   ("<3 % in 63.33 % of cases…").
 
@@ -40,6 +40,6 @@ pub mod model;
 pub mod polynomial;
 
 pub use dataset::SampleSet;
-pub use metrics::{error_buckets, pearson, r_squared};
-pub use model::{CombinedServiceTimeModel, TrainingConfig, UnivariateResourceModel, WeightScheme};
+pub use metrics::{error_buckets, pearson};
+pub use model::{CombinedServiceTimeModel, UnivariateResourceModel};
 pub use polynomial::PolynomialModel;

@@ -3,8 +3,8 @@
 //! The paper evaluates its performance model with relative prediction
 //! errors (Figure 5): the fraction of cases with error below 3 %, 5 % and
 //! 8 %, and the mean error (2.68 %). These helpers compute exactly those
-//! statistics, plus the Pearson correlation and R² used as relevance
-//! weights in Eq. 1.
+//! statistics, plus the Pearson correlation used as the relevance weight
+//! in Eq. 1.
 
 /// Pearson correlation coefficient between two equal-length slices.
 ///
@@ -33,29 +33,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
         return 0.0;
     }
     cov / (vx.sqrt() * vy.sqrt())
-}
-
-/// Coefficient of determination R² of predictions against actuals.
-///
-/// Can be negative when the model underperforms the mean predictor.
-/// Returns 0.0 when the actuals have zero variance.
-///
-/// # Panics
-/// Panics if slices differ in length or are empty.
-pub fn r_squared(predicted: &[f64], actual: &[f64]) -> f64 {
-    assert_eq!(predicted.len(), actual.len(), "length mismatch");
-    assert!(!actual.is_empty(), "r_squared requires samples");
-    let mean = actual.iter().sum::<f64>() / actual.len() as f64;
-    let ss_tot: f64 = actual.iter().map(|a| (a - mean).powi(2)).sum();
-    if ss_tot < 1e-24 {
-        return 0.0;
-    }
-    let ss_res: f64 = predicted
-        .iter()
-        .zip(actual)
-        .map(|(p, a)| (a - p).powi(2))
-        .sum();
-    1.0 - ss_res / ss_tot
 }
 
 /// For each threshold (in percent), the fraction of cases whose absolute
@@ -88,14 +65,6 @@ mod tests {
     #[test]
     fn pearson_zero_for_constant_input() {
         assert_eq!(pearson(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]), 0.0);
-    }
-
-    #[test]
-    fn r_squared_perfect_and_mean_predictor() {
-        let actual = [1.0, 2.0, 3.0];
-        assert!((r_squared(&actual, &actual) - 1.0).abs() < 1e-12);
-        let mean_pred = [2.0, 2.0, 2.0];
-        assert!(r_squared(&mean_pred, &actual).abs() < 1e-12);
     }
 
     #[test]

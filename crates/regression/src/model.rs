@@ -10,48 +10,17 @@
 //!
 //! The paper does not pin down the relevance measure beyond "the relevance
 //! (i.e. weight w_sr) between the contention information … and c's service
-//! time"; [`WeightScheme`] offers the two natural readings (absolute
-//! Pearson correlation, or the univariate model's R²) with |Pearson| as the
-//! default. An ablation bench compares them.
+//! time"; this model reads it as the absolute Pearson correlation,
+//! `w_sr = |pearson(U_sr, x)|`, and fits every `RG` with a ridge of 1e-6.
 
 use crate::dataset::SampleSet;
-use crate::metrics::{pearson, r_squared};
+use crate::metrics::pearson;
 use crate::polynomial::PolynomialModel;
 use pcs_types::{ContentionVector, PcsError, ResourceKind};
 
-/// How the relevance weight `w_sr` of Eq. 1 is computed during training.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WeightScheme {
-    /// `w_sr = |pearson(U_sr, x)|` — correlation magnitude (default).
-    #[default]
-    AbsPearson,
-    /// `w_sr = max(0, R²)` of the fitted univariate model on the training
-    /// data.
-    RSquared,
-    /// All four resources weighted equally — the "no relevance" ablation.
-    Uniform,
-}
-
-/// Training hyper-parameters for the combined model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TrainingConfig {
-    /// Polynomial degree of each univariate `RG` model.
-    pub degree: usize,
-    /// Ridge regularisation strength (0 = ordinary least squares).
-    pub ridge: f64,
-    /// Relevance weighting scheme for Eq. 1.
-    pub scheme: WeightScheme,
-}
-
-impl Default for TrainingConfig {
-    fn default() -> Self {
-        TrainingConfig {
-            degree: 2,
-            ridge: 1e-6,
-            scheme: WeightScheme::AbsPearson,
-        }
-    }
-}
+/// Ridge regularisation strength of every univariate `RG` fit (0 would
+/// be ordinary least squares).
+const RIDGE: f64 = 1e-6;
 
 /// One fitted `RG(U_sr)` with its relevance weight.
 #[derive(Debug, Clone)]
@@ -60,13 +29,8 @@ pub struct UnivariateResourceModel {
     pub kind: ResourceKind,
     /// The fitted polynomial.
     pub poly: PolynomialModel,
-    /// Relevance weight `w_sr` (non-negative).
+    /// Relevance weight `w_sr = |pearson(U_sr, x)|` (non-negative).
     pub weight: f64,
-    /// Pearson correlation between this resource and the target on the
-    /// training set (diagnostic).
-    pub pearson: f64,
-    /// Training-set R² of this univariate model (diagnostic).
-    pub r_squared: f64,
 }
 
 impl UnivariateResourceModel {
@@ -80,25 +44,25 @@ impl UnivariateResourceModel {
 #[derive(Debug, Clone)]
 pub struct CombinedServiceTimeModel {
     models: [UnivariateResourceModel; 4],
-    config: TrainingConfig,
     /// Mean target on the training set; fallback prediction when every
     /// weight degenerates to zero.
     target_mean: f64,
 }
 
 impl CombinedServiceTimeModel {
-    /// Trains the four univariate models and their Eq. 1 weights.
+    /// Trains the four univariate models, each a polynomial of `degree`,
+    /// and their Eq. 1 weights.
     ///
     /// # Errors
     /// Returns [`PcsError::InsufficientData`] if there are fewer samples
     /// than any univariate fit needs (`degree + 1`), and propagates
     /// numerical failures from the solver.
-    pub fn train(samples: &SampleSet, config: TrainingConfig) -> Result<Self, PcsError> {
-        if samples.len() < config.degree + 1 {
+    pub fn train(samples: &SampleSet, degree: usize) -> Result<Self, PcsError> {
+        if samples.len() < degree + 1 {
             return Err(PcsError::InsufficientData {
                 context: "combined service-time model",
                 got: samples.len(),
-                need: config.degree + 1,
+                need: degree + 1,
             });
         }
         let targets = samples.targets();
@@ -107,28 +71,14 @@ impl CombinedServiceTimeModel {
         let mut built = Vec::with_capacity(4);
         for kind in ResourceKind::ALL {
             let (xs, ys) = samples.column(kind);
-            let poly = PolynomialModel::fit(&xs, &ys, config.degree, config.ridge)?;
-            let corr = pearson(&xs, &ys);
-            let preds: Vec<f64> = xs.iter().map(|&x| poly.predict(x)).collect();
-            let r2 = r_squared(&preds, &ys);
-            let weight = match config.scheme {
-                WeightScheme::AbsPearson => corr.abs(),
-                WeightScheme::RSquared => r2.max(0.0),
-                WeightScheme::Uniform => 1.0,
-            };
-            built.push(UnivariateResourceModel {
-                kind,
-                poly,
-                weight,
-                pearson: corr,
-                r_squared: r2,
-            });
+            let poly = PolynomialModel::fit(&xs, &ys, degree, RIDGE)?;
+            let weight = pearson(&xs, &ys).abs();
+            built.push(UnivariateResourceModel { kind, poly, weight });
         }
         let models: [UnivariateResourceModel; 4] =
             built.try_into().expect("exactly four resource models");
         Ok(CombinedServiceTimeModel {
             models,
-            config,
             target_mean,
         })
     }
@@ -174,16 +124,6 @@ impl CombinedServiceTimeModel {
             self.models[3].weight,
         ]
     }
-
-    /// Training configuration used to build this model.
-    pub fn config(&self) -> TrainingConfig {
-        self.config
-    }
-
-    /// Mean service time of the training targets.
-    pub fn target_mean(&self) -> f64 {
-        self.target_mean
-    }
 }
 
 #[cfg(test)]
@@ -208,7 +148,7 @@ mod tests {
     #[test]
     fn predicts_on_training_distribution() {
         let samples = synthetic_samples(60);
-        let model = CombinedServiceTimeModel::train(&samples, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&samples, 2).unwrap();
         for (u, x) in samples.iter() {
             let pred = model.predict(u);
             assert!(
@@ -221,7 +161,7 @@ mod tests {
     #[test]
     fn prediction_is_within_univariate_envelope() {
         let samples = synthetic_samples(40);
-        let model = CombinedServiceTimeModel::train(&samples, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&samples, 2).unwrap();
         let u = ContentionVector::new(0.5, 10.0, 0.15, 0.1);
         let preds: Vec<f64> = model.models().iter().map(|m| m.predict(&u)).collect();
         let lo = preds.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -242,7 +182,7 @@ mod tests {
             let u = ContentionVector::new(noise1, noise2 * 30.0, disk, noise1 * noise2);
             set.push(u, 5.0 + 20.0 * disk);
         }
-        let model = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
         let w = model.weights();
         let disk_w = w[ResourceKind::DiskBw.index()];
         for kind in [ResourceKind::Core, ResourceKind::Cache, ResourceKind::NetBw] {
@@ -262,7 +202,7 @@ mod tests {
             let t = i as f64 * 0.05;
             set.push(ContentionVector::new(t, t, t, t), 7.5);
         }
-        let model = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
         let pred = model.predict(&ContentionVector::new(0.9, 0.9, 0.9, 0.9));
         assert!((pred - 7.5).abs() < 1e-6);
     }
@@ -271,35 +211,17 @@ mod tests {
     fn insufficient_samples_error() {
         let mut set = SampleSet::new();
         set.push(ContentionVector::ZERO, 1.0);
-        let err = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap_err();
+        let err = CombinedServiceTimeModel::train(&set, 2).unwrap_err();
         assert!(matches!(err, PcsError::InsufficientData { .. }));
     }
 
     #[test]
     fn clamped_prediction_never_negative() {
         let samples = synthetic_samples(30);
-        let model = CombinedServiceTimeModel::train(&samples, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&samples, 2).unwrap();
         // Far outside the training range, raw extrapolation may go anywhere;
         // the clamped variant must stay non-negative.
         let extreme = ContentionVector::new(50.0, 5000.0, 50.0, 50.0);
         assert!(model.predict_clamped(&extreme) >= 0.0);
-    }
-
-    #[test]
-    fn weight_schemes_differ_but_all_predict() {
-        let samples = synthetic_samples(50);
-        for scheme in [
-            WeightScheme::AbsPearson,
-            WeightScheme::RSquared,
-            WeightScheme::Uniform,
-        ] {
-            let cfg = TrainingConfig {
-                scheme,
-                ..TrainingConfig::default()
-            };
-            let model = CombinedServiceTimeModel::train(&samples, cfg).unwrap();
-            let pred = model.predict(&ContentionVector::new(0.5, 10.0, 0.15, 0.1));
-            assert!(pred.is_finite() && pred > 0.0);
-        }
     }
 }

@@ -1,8 +1,6 @@
 //! Property-based tests for the regression substrate.
 
-use pcs_regression::{
-    CombinedServiceTimeModel, PolynomialModel, SampleSet, TrainingConfig, WeightScheme,
-};
+use pcs_regression::{CombinedServiceTimeModel, PolynomialModel, SampleSet};
 use pcs_types::ContentionVector;
 use proptest::prelude::*;
 
@@ -62,7 +60,7 @@ proptest! {
             let u = ContentionVector::new(t, 30.0 * t, 0.8 * t, 0.5 * t);
             set.push(u, 4.0 + 6.0 * t + t * t);
         }
-        let model = CombinedServiceTimeModel::train(&set, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
         let u = ContentionVector::new(core, mpki, disk, net);
         let preds: Vec<f64> = model.models().iter().map(|m| m.predict(&u)).collect();
         let lo = preds.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -70,20 +68,22 @@ proptest! {
         let c = model.predict(&u);
         prop_assert!(c >= lo - 1e-9 && c <= hi + 1e-9);
     }
+}
 
-    /// Weights are always non-negative, for every scheme.
-    #[test]
-    fn weights_non_negative(scheme_idx in 0usize..3) {
-        let scheme = [WeightScheme::AbsPearson, WeightScheme::RSquared, WeightScheme::Uniform][scheme_idx];
-        let mut set = SampleSet::new();
-        for i in 0..30 {
-            let t = i as f64 / 30.0;
-            set.push(ContentionVector::new(t, 5.0 * t, t * t, 0.1), 1.0 + t);
-        }
-        let cfg = TrainingConfig { scheme, ..TrainingConfig::default() };
-        let model = CombinedServiceTimeModel::train(&set, cfg).unwrap();
-        for w in model.weights() {
-            prop_assert!(w >= 0.0 && w.is_finite());
-        }
+/// The Eq. 1 weights are |Pearson| correlations: non-negative and at most
+/// one (up to rounding).
+#[test]
+fn weights_non_negative() {
+    let mut set = SampleSet::new();
+    for i in 0..30 {
+        let t = i as f64 / 30.0;
+        set.push(ContentionVector::new(t, 5.0 * t, t * t, 0.1), 1.0 + t);
+    }
+    let model = CombinedServiceTimeModel::train(&set, 2).unwrap();
+    for w in model.weights() {
+        assert!(
+            (0.0..=1.0 + 1e-12).contains(&w),
+            "weight {w} outside [0, 1]"
+        );
     }
 }

@@ -26,12 +26,6 @@ pub struct NodeState {
     /// healthy. Scales every service time drawn on the node without
     /// touching liveness or contention.
     slowdown: f64,
-    /// Memoised [`NodeState::contention`], invalidated by every demand
-    /// mutation. The contention vector is a pure function of (capacity,
-    /// total demand), so serving it from cache between batch-churn and
-    /// monitor events is bit-identical to recomputing — it just skips
-    /// four divisions per service start.
-    cached_contention: Option<ContentionVector>,
 }
 
 impl NodeState {
@@ -43,7 +37,6 @@ impl NodeState {
             component_demand: ResourceVector::ZERO,
             demand_version: 0,
             slowdown: 1.0,
-            cached_contention: None,
         }
     }
 
@@ -130,7 +123,6 @@ impl Cluster {
         n.jobs.push((id, demand));
         n.batch_demand += demand;
         n.demand_version += 1;
-        n.cached_contention = None;
         id
     }
 
@@ -158,7 +150,6 @@ impl Cluster {
         let (_, demand) = n.jobs.swap_remove(pos);
         n.batch_demand = n.batch_demand.saturating_sub(&demand);
         n.demand_version += 1;
-        n.cached_contention = None;
         true
     }
 
@@ -174,7 +165,6 @@ impl Cluster {
         n.batch_demand = ResourceVector::ZERO;
         n.component_demand = ResourceVector::ZERO;
         n.demand_version += 1;
-        n.cached_contention = None;
     }
 
     /// Degrades a node: service times drawn on it are scaled by `factor`
@@ -183,7 +173,7 @@ impl Cluster {
     ///
     /// Bumps the demand version so contention-derived per-component mean
     /// caches re-derive with the new slowdown; the contention vector
-    /// itself is unchanged, so the memoised contention stays valid.
+    /// itself is unchanged.
     ///
     /// # Panics
     /// Panics on a factor below 1.0 or a non-finite one.
@@ -230,7 +220,6 @@ impl Cluster {
         let n = &mut self.nodes[node.index()];
         n.component_demand += demand;
         n.demand_version += 1;
-        n.cached_contention = None;
     }
 
     /// Removes a component's own demand from a node (migration departure).
@@ -238,7 +227,6 @@ impl Cluster {
         let n = &mut self.nodes[node.index()];
         n.component_demand = n.component_demand.saturating_sub(&demand);
         n.demand_version += 1;
-        n.cached_contention = None;
     }
 
     /// The node's demand version: increments on every demand mutation,
@@ -248,19 +236,9 @@ impl Cluster {
         self.nodes[node.index()].demand_version
     }
 
-    /// Contention of one node (Table II form), memoised between demand
-    /// changes (bit-identical to recomputing: a pure function of
-    /// capacity and total demand).
-    pub fn contention(&mut self, node: NodeId) -> ContentionVector {
-        let n = &mut self.nodes[node.index()];
-        match n.cached_contention {
-            Some(u) => u,
-            None => {
-                let u = n.contention();
-                n.cached_contention = Some(u);
-                u
-            }
-        }
+    /// Contention of one node (Table II form).
+    pub fn contention(&self, node: NodeId) -> ContentionVector {
+        self.nodes[node.index()].contention()
     }
 
     /// Total demand per node, densely indexed.

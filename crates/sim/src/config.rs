@@ -99,10 +99,6 @@ pub struct SimConfig {
     /// paper observes replicas "still execute replicas of the same request
     /// unnecessarily".
     pub cancel_delay: SimDuration,
-    /// Sliding window of the arrival-rate estimator.
-    pub rate_window: SimDuration,
-    /// Capacity of each component's observed-service-time window.
-    pub service_window: usize,
     /// Scheduled node kills/restores. The empty plan (the default) leaves
     /// the run bit-for-bit identical to a fault-free build.
     pub faults: FaultPlan,
@@ -164,8 +160,6 @@ impl SimConfig {
             scheduler_interval: SimDuration::from_secs(2),
             migration_latency: SimDuration::from_millis(250),
             cancel_delay: SimDuration::from_millis(3),
-            rate_window: SimDuration::from_secs(5),
-            service_window: 256,
             faults: FaultPlan::none(),
             detector: None,
             autoscale: None,
@@ -280,11 +274,6 @@ impl SimConfig {
             !self.scheduler_interval.is_zero(),
             "scheduler_interval",
             "scheduler interval must be non-zero"
-        );
-        ensure!(
-            self.service_window > 0,
-            "service_window",
-            "service window needs capacity"
         );
         self.faults.validate(self.node_count)?;
         if let Some(det) = &self.detector {

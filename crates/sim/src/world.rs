@@ -19,6 +19,13 @@ use pcs_types::{ComponentId, NodeId, RequestId, ResourceVector, SimDuration, Sim
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+/// Sliding window of each component's arrival-rate estimator.
+const RATE_WINDOW: SimDuration = SimDuration::from_secs(5);
+
+/// Capacity of each component's observed-service-time window, the sample
+/// behind the SCV of Eq. 2.
+const SERVICE_WINDOW: usize = 256;
+
 /// Reusable scheduler-context buffers, refilled at every interval so the
 /// tick assembles its [`SchedulerContext`] without fresh allocations.
 #[derive(Debug, Default)]
@@ -173,10 +180,10 @@ impl Simulation {
             .map(|_| ContentionSampler::new(config.sampler, SimTime::ZERO))
             .collect();
         let rate_estimators = (0..m)
-            .map(|_| ArrivalRateEstimator::new(config.rate_window))
+            .map(|_| ArrivalRateEstimator::new(RATE_WINDOW))
             .collect();
         let service_windows = (0..m)
-            .map(|_| ServiceTimeWindow::new(config.service_window))
+            .map(|_| ServiceTimeWindow::new(SERVICE_WINDOW))
             .collect();
         let stage_class = config.topology.stages().iter().map(|s| s.class).collect();
         let class_own_demand = config

@@ -165,23 +165,7 @@ impl ServiceTopology {
     /// load (500 req/s) *provided* components sit on lightly-contended
     /// nodes — exactly the regime where scheduling matters.
     pub fn nutch(searchers: usize) -> Self {
-        ServiceTopology::nutch_scaled(searchers, 1.0)
-    }
-
-    /// [`ServiceTopology::nutch`] with the searching base service time
-    /// multiplied by `search_shard_scale`.
-    ///
-    /// Replicated deployments on a *fixed VM budget* split the index into
-    /// fewer partitions (budget / replication), so each shard is larger
-    /// and takes proportionally longer to search. A RED-3 deployment on a
-    /// 24-VM budget uses `nutch_scaled(8, 3.0)`: 8 partitions, each shard
-    /// 3× the single-replica size.
-    pub fn nutch_scaled(searchers: usize, search_shard_scale: f64) -> Self {
         assert!(searchers > 0, "need at least one searching component");
-        assert!(
-            search_shard_scale > 0.0 && search_shard_scale.is_finite(),
-            "shard scale must be positive"
-        );
         let classes = vec![
             // Segmenting: CPU-bound text chopping; tiny per-request work.
             ComponentClass::new(
@@ -200,7 +184,7 @@ impl ServiceTopology {
             // heavy stage whose tail dominates the service.
             ComponentClass::new(
                 "searching",
-                0.000_70 * search_shard_scale,
+                0.000_70,
                 0.15,
                 SlowdownSensitivity {
                     core: 0.9,

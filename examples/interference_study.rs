@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example interference_study --release`
 
 use pcs_monitor::SamplerConfig;
-use pcs_regression::{CombinedServiceTimeModel, TrainingConfig};
+use pcs_regression::CombinedServiceTimeModel;
 use pcs_sim::profiler::{measure_mean_service, profile_class};
 use pcs_types::NodeCapacity;
 use pcs_workloads::{BatchWorkload, JobSpec, ServiceTopology};
@@ -42,7 +42,7 @@ fn main() {
             SamplerConfig::PAPER,
             3,
         );
-        let model = CombinedServiceTimeModel::train(&samples, TrainingConfig::default()).unwrap();
+        let model = CombinedServiceTimeModel::train(&samples, 2).unwrap();
 
         for &mb in &sizes {
             let job = JobSpec::new(workload, mb).capped_to_vm(4.0);

@@ -8,7 +8,7 @@ use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
     SchedulerConfig,
 };
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 
 /// A class whose service time is exactly 1 ms · (1 + core usage): easy to
@@ -19,11 +19,7 @@ fn linear_models() -> ClassModelSet {
         let t = i as f64 / 30.0;
         set.push(ContentionVector::new(t, 0.0, 0.0, 0.0), 0.001 * (1.0 + t));
     }
-    ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-        &set,
-        TrainingConfig::default(),
-    )
-    .unwrap()])
+    ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
 }
 
 fn main() {

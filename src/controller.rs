@@ -15,7 +15,6 @@ use pcs_core::{
 };
 use pcs_monitor::SamplerConfig;
 use pcs_queueing::distributions::{LogNormal, ServiceDistribution};
-use pcs_regression::TrainingConfig;
 use pcs_sim::profiler::profile_class;
 use pcs_sim::{
     AuditDecision, IntervalAudit, MigrationRequest, SchedulerContext, SchedulerCost, SchedulerHook,
@@ -263,11 +262,7 @@ impl PcsController {
                 seed.wrapping_add(class_idx as u64),
             ));
         }
-        let config = TrainingConfig {
-            degree: 3,
-            ..TrainingConfig::default()
-        };
-        pcs_core::train_class_models(&class_sets, config)
+        pcs_core::train_class_models(&class_sets, 3)
     }
 
     /// Converts one interval's monitoring context into matrix inputs.

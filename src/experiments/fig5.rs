@@ -12,7 +12,7 @@
 //! of cases; mean error 2.68 %.
 
 use pcs_monitor::SamplerConfig;
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_sim::profiler::{measure_mean_service, profile_class};
 use pcs_types::{NodeCapacity, ResourceVector};
 use pcs_workloads::{BatchWorkload, JobSpec, ServiceTopology};
@@ -46,15 +46,17 @@ pub struct Fig5Config {
     pub draws_per_sample: usize,
     /// Ground-truth draws used to measure the "actual" mean service time.
     pub measure_draws: usize,
-    /// Batch VM core cap (paper: 4-core VM).
-    pub vm_cores: f64,
-    /// Scale of per-run background system-activity demand (paper §II-A:
-    /// storage GC, kernel daemons, maintenance also perturb service time).
-    /// Each profiling or measurement run draws its own background load, so
-    /// historical training runs and the measured run genuinely differ —
-    /// the realistic source of the paper's 3–8 % error tail. 0 disables.
-    pub background_scale: f64,
 }
+
+/// Batch VM core cap (paper: 4-core VM).
+const VM_CORES: f64 = 4.0;
+
+/// Scale of per-run background system-activity demand (paper §II-A:
+/// storage GC, kernel daemons, maintenance also perturb service time).
+/// Each profiling or measurement run draws its own background load, so
+/// historical training runs and the measured run genuinely differ — the
+/// realistic source of the paper's 3–8 % error tail.
+const BACKGROUND_SCALE: f64 = 2.2;
 
 impl Default for Fig5Config {
     fn default() -> Self {
@@ -63,20 +65,18 @@ impl Default for Fig5Config {
             samples_per_point: 60,
             draws_per_sample: 50,
             measure_draws: 20_000,
-            vm_cores: 4.0,
-            background_scale: 2.2,
         }
     }
 }
 
 /// Draws one run's background system-activity demand: uniform up to
-/// `scale` × (0.9 cores, 2.5 MPKI, 14 MB/s disk, 7 MB/s net).
-fn background_demand(scale: f64, rng: &mut SmallRng) -> ResourceVector {
+/// [`BACKGROUND_SCALE`] × (0.9 cores, 2.5 MPKI, 14 MB/s disk, 7 MB/s net).
+fn background_demand(rng: &mut SmallRng) -> ResourceVector {
     ResourceVector::new(
-        rng.gen::<f64>() * 0.9 * scale,
-        rng.gen::<f64>() * 2.5 * scale,
-        rng.gen::<f64>() * 14.0 * scale,
-        rng.gen::<f64>() * 7.0 * scale,
+        rng.gen::<f64>() * 0.9 * BACKGROUND_SCALE,
+        rng.gen::<f64>() * 2.5 * BACKGROUND_SCALE,
+        rng.gen::<f64>() * 14.0 * BACKGROUND_SCALE,
+        rng.gen::<f64>() * 7.0 * BACKGROUND_SCALE,
     )
 }
 
@@ -97,11 +97,7 @@ pub fn run_workload(workload: BatchWorkload, config: &Fig5Config) -> Vec<Fig5Cas
         let grid = workload.figure5_input_grid();
         let demands: Vec<_> = grid
             .iter()
-            .map(|&mb| {
-                JobSpec::new(workload, mb)
-                    .capped_to_vm(config.vm_cores)
-                    .demand
-            })
+            .map(|&mb| JobSpec::new(workload, mb).capped_to_vm(VM_CORES).demand)
             .collect();
 
         for (test_idx, &input_mb) in grid.iter().enumerate() {
@@ -115,7 +111,7 @@ pub fn run_workload(workload: BatchWorkload, config: &Fig5Config) -> Vec<Fig5Cas
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != test_idx)
-                .map(|(_, d)| *d + background_demand(config.background_scale, &mut bg_rng))
+                .map(|(_, d)| *d + background_demand(&mut bg_rng))
                 .collect();
             let samples: SampleSet = profile_class(
                 classes,
@@ -127,12 +123,13 @@ pub fn run_workload(workload: BatchWorkload, config: &Fig5Config) -> Vec<Fig5Cas
                 SamplerConfig::PAPER,
                 config.seed ^ (test_idx as u64) ^ ((workload as u64) << 32),
             );
-            let model = CombinedServiceTimeModel::train(&samples, TrainingConfig::default())
+            // Degree 2, though PCS schedules with degree-3 models (README,
+            // "Parts of the paper not implemented").
+            let model = CombinedServiceTimeModel::train(&samples, 2)
                 .expect("profiling produced enough samples");
 
             // The measured run has its own background activity too.
-            let test_demand =
-                demands[test_idx] + background_demand(config.background_scale, &mut bg_rng);
+            let test_demand = demands[test_idx] + background_demand(&mut bg_rng);
 
             // Monitor the test point and predict from the mean observation.
             let observe: SampleSet = profile_class(

@@ -13,7 +13,7 @@
 use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, SchedulerConfig,
 };
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -97,11 +97,7 @@ pub fn synthetic_models() -> ClassModelSet {
         let u = ContentionVector::new(t, 24.0 * t, 0.9 * t, 0.5 * t);
         set.push(u, 0.0012 * (1.0 + 0.9 * t + 0.3 * t * t));
     }
-    ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-        &set,
-        TrainingConfig::default(),
-    )
-    .unwrap()])
+    ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
 }
 
 /// Measures one (m, k) point, averaging over `repeats` runs.

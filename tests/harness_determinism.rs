@@ -131,6 +131,27 @@ fn default_smoke_reports_are_pinned_across_the_optimized_hot_path() {
     }
 }
 
+/// The predictor-accuracy figure and the four simulated ablations, pinned
+/// the same way. They are the reports that Eq. 1's training, Eq. 2's
+/// saturation knee and the monitor windows feed, so turning those
+/// settings into constants must leave every hash here unchanged.
+#[test]
+fn model_layer_smoke_reports_are_pinned() {
+    for (name, pinned) in [
+        ("fig5", 0xe5c3_abd2_76ed_c7ae_u64),
+        ("ablation-threshold", 0x727c_9221_8f33_b8c6),
+        ("ablation-tiebreak", 0x71ce_d8e9_a1de_0aff),
+        ("ablation-queueing", 0xb720_bfb6_f6bb_7750),
+        ("ablation-interval", 0xa202_85e8_d9a7_64c1),
+    ] {
+        let hash = fnv1a(render(name, 2).as_bytes());
+        assert_eq!(
+            hash, pinned,
+            "{name} smoke report bytes changed ({hash:#018x}); if intentional, re-pin this hash"
+        );
+    }
+}
+
 /// The new rolling-restart family, pinned from its first release. Any
 /// change to `FaultPlan::rolling_restart`, the failures-family metrics
 /// or the techniques it sweeps must re-pin deliberately.

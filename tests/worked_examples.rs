@@ -11,7 +11,7 @@ use pcs_core::{
     ClassModelSet, ComponentInput, ComponentScheduler, MatrixInputs, NodeInput, PerformanceMatrix,
     SchedulerConfig,
 };
-use pcs_regression::{CombinedServiceTimeModel, SampleSet, TrainingConfig};
+use pcs_regression::{CombinedServiceTimeModel, SampleSet};
 use pcs_types::{ComponentId, ContentionVector, NodeCapacity, NodeId, ResourceVector};
 
 /// Service time exactly 1 ms · (1 + core usage), so every latency below is
@@ -22,11 +22,7 @@ fn linear_models() -> ClassModelSet {
         let t = i as f64 / 30.0;
         set.push(ContentionVector::new(t, 0.0, 0.0, 0.0), 0.001 * (1.0 + t));
     }
-    ClassModelSet::new(vec![CombinedServiceTimeModel::train(
-        &set,
-        TrainingConfig::default(),
-    )
-    .unwrap()])
+    ClassModelSet::new(vec![CombinedServiceTimeModel::train(&set, 2).unwrap()])
 }
 
 /// Figure 3's shape: three stages, stage 2 parallelised into two
