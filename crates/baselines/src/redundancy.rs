@@ -30,11 +30,6 @@ impl RedundancyPolicy {
         assert!(k >= 2, "redundancy needs at least two replicas, got {k}");
         RedundancyPolicy { k }
     }
-
-    /// The paper's RED-5.
-    pub fn red5() -> Self {
-        RedundancyPolicy::new(5)
-    }
 }
 
 impl DispatchPolicy for RedundancyPolicy {
@@ -103,7 +98,7 @@ mod tests {
 
     #[test]
     fn red5_is_five_way() {
-        let p = RedundancyPolicy::red5();
+        let p = RedundancyPolicy::new(5);
         assert_eq!(p.replication(), 5);
         assert_eq!(p.name(), "RED-5");
     }

@@ -46,16 +46,6 @@ impl ReissuePolicy {
         }
     }
 
-    /// The paper's RI-90.
-    pub fn ri90() -> Self {
-        ReissuePolicy::new(0.90)
-    }
-
-    /// The paper's RI-99.
-    pub fn ri99() -> Self {
-        ReissuePolicy::new(0.99)
-    }
-
     fn estimator(&mut self, class: usize) -> &mut P2Quantile {
         while self.estimators.len() <= class {
             self.estimators.push(P2Quantile::new(self.percentile));
@@ -125,7 +115,7 @@ mod tests {
 
     #[test]
     fn primary_first_initial_dispatch() {
-        let mut p = ReissuePolicy::ri90();
+        let mut p = ReissuePolicy::new(0.90);
         let replicas = [ComponentId::new(3), ComponentId::new(8)];
         let mut rng = SmallRng::seed_from_u64(1);
         let mut out = Vec::new();
@@ -137,7 +127,7 @@ mod tests {
 
     #[test]
     fn cold_estimator_arms_no_timer() {
-        let mut p = ReissuePolicy::ri90();
+        let mut p = ReissuePolicy::new(0.90);
         assert!(p.reissue_delay(0).is_none());
         for _ in 0..(MIN_OBSERVATIONS - 1) {
             p.observe_latency(0, SimDuration::from_millis(2));
@@ -149,7 +139,7 @@ mod tests {
 
     #[test]
     fn warm_delay_tracks_the_percentile() {
-        let mut p = ReissuePolicy::ri90();
+        let mut p = ReissuePolicy::new(0.90);
         // Uniform 1..=100 ms latencies: the 90th percentile is ~90 ms.
         for i in 0..2_000u64 {
             let ms = (i % 100) + 1;
@@ -164,8 +154,8 @@ mod tests {
 
     #[test]
     fn ri99_waits_longer_than_ri90() {
-        let mut p90 = ReissuePolicy::ri90();
-        let mut p99 = ReissuePolicy::ri99();
+        let mut p90 = ReissuePolicy::new(0.90);
+        let mut p99 = ReissuePolicy::new(0.99);
         for i in 0..5_000u64 {
             let ms = (i % 100) + 1;
             p90.observe_latency(0, SimDuration::from_millis(ms));
@@ -178,7 +168,7 @@ mod tests {
 
     #[test]
     fn classes_are_tracked_independently() {
-        let mut p = ReissuePolicy::ri90();
+        let mut p = ReissuePolicy::new(0.90);
         for _ in 0..100 {
             p.observe_latency(0, SimDuration::from_millis(1));
             p.observe_latency(2, SimDuration::from_millis(50));

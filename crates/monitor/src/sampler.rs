@@ -10,7 +10,7 @@
 //! multiplicative measurement noise.
 
 use pcs_queueing::standard_normal;
-use pcs_types::{ContentionVector, SimDuration, SimTime};
+use pcs_types::{ensure, ContentionVector, PcsError, SimDuration, SimTime};
 use rand::Rng;
 
 /// Sampling cadences and noise level.
@@ -44,19 +44,29 @@ impl SamplerConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(
+    /// Checks that both periods are non-zero and the noise level finite
+    /// and non-negative.
+    ///
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] naming the first offending field.
+    pub fn validate(&self) -> Result<(), PcsError> {
+        ensure!(
             !self.system_period.is_zero(),
+            "sampler.system_period",
             "system sampling period must be non-zero"
         );
-        assert!(
+        ensure!(
             !self.microarch_period.is_zero(),
+            "sampler.microarch_period",
             "micro-architectural sampling period must be non-zero"
         );
-        assert!(
+        ensure!(
             self.noise_rel_std >= 0.0 && self.noise_rel_std.is_finite(),
-            "noise level must be finite and non-negative"
+            "sampler.noise_rel_std",
+            "noise level must be finite and non-negative, got {}",
+            self.noise_rel_std
         );
+        Ok(())
     }
 }
 
@@ -83,9 +93,11 @@ impl ContentionSampler {
     /// Creates a sampler that fires from `start` onwards.
     ///
     /// # Panics
-    /// Panics on invalid configuration.
+    /// Panics if [`SamplerConfig::validate`] rejects `config`.
     pub fn new(config: SamplerConfig, start: SimTime) -> Self {
-        config.validate();
+        if let Err(err) = config.validate() {
+            panic!("{err}");
+        }
         ContentionSampler {
             config,
             next_system: start,

@@ -47,27 +47,6 @@ impl Moments {
         self.max = self.max.max(value);
     }
 
-    /// Merges another accumulator into this one (parallel reduction),
-    /// using the pairwise-combination form of Welford's update.
-    pub fn merge(&mut self, other: &Moments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     #[inline]
     pub fn count(&self) -> u64 {
@@ -164,32 +143,5 @@ mod tests {
         // For values with std == mean, SCV should be 1.
         let m = Moments::from_slice(&[0.0, 2.0]); // mean 1, pop var 1
         assert!((m.scv() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let all: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 20.0).collect();
-        let (left, right) = all.split_at(37);
-        let mut a = Moments::from_slice(left);
-        let b = Moments::from_slice(right);
-        a.merge(&b);
-        let expected = Moments::from_slice(&all);
-        assert_eq!(a.count(), expected.count());
-        assert!((a.mean() - expected.mean()).abs() < 1e-9);
-        assert!((a.variance() - expected.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), expected.min());
-        assert_eq!(a.max(), expected.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut m = Moments::from_slice(&[1.0, 2.0, 3.0]);
-        let before = m;
-        m.merge(&Moments::new());
-        assert_eq!(m, before);
-
-        let mut empty = Moments::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
     }
 }

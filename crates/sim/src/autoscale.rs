@@ -189,12 +189,6 @@ impl AutoscaleReport {
     pub fn node_hours(&self) -> f64 {
         self.node_seconds / 3600.0
     }
-
-    /// Worst completed drain latency in milliseconds, defined once a
-    /// drain completed.
-    pub fn drain_ms(&self) -> Option<f64> {
-        (self.stats.drains_completed > 0).then_some(self.drain_max * 1e3)
-    }
 }
 
 /// One monitor window's observed control signals, assembled by the world
@@ -570,7 +564,7 @@ mod tests {
             (report.drain_mean - 4.0).abs() < 1e-12,
             "ordered at 1 s, empty at 5 s"
         );
-        assert_eq!(report.drain_ms(), Some(4000.0));
+        assert_eq!(report.drain_max, 4.0);
     }
 
     #[test]
@@ -697,7 +691,8 @@ mod tests {
         let report = AutoscaleReport::default();
         assert_eq!(report.stats, AutoscaleStats::default());
         assert_eq!(report.node_seconds, 0.0);
-        assert_eq!(report.drain_ms(), None);
+        assert_eq!(report.stats.drains_completed, 0);
+        assert_eq!(report.drain_max, 0.0);
         assert_eq!(report.measured_windows, 0);
     }
 

@@ -173,7 +173,9 @@ impl SimConfig {
     /// # Errors
     /// [`PcsError::InvalidConfig`] on inconsistent settings (zero nodes,
     /// zero replication, replication exceeding the node count,
-    /// non-positive arrival rate…).
+    /// non-positive arrival rate, a node capacity or sampler config that
+    /// [`NodeCapacity::validate`] or [`SamplerConfig::validate`] rejects,
+    /// durations whose sum overflows [`pcs_types::SimTime`]…).
     pub fn validate(&self) -> Result<(), PcsError> {
         ensure!(self.node_count > 0, "node_count", "need at least one node");
         ensure!(self.rack_count > 0, "rack_count", "need at least one rack");
@@ -202,6 +204,7 @@ impl SimConfig {
             "arrival_rate",
             "arrival rate must be positive"
         );
+        self.node_capacity.validate()?;
         if let Some(caps) = &self.node_capacities {
             ensure!(
                 caps.len() == self.node_count,
@@ -210,7 +213,11 @@ impl SimConfig {
                 caps.len(),
                 self.node_count
             );
+            for cap in caps {
+                cap.validate()?;
+            }
         }
+        self.sampler.validate()?;
         match self.arrival_pattern {
             ArrivalPattern::Steady => {}
             ArrivalPattern::Diurnal { amplitude, period } => {
@@ -275,6 +282,37 @@ impl SimConfig {
             "scheduler_interval",
             "scheduler interval must be non-zero"
         );
+        // The world schedules events up to the run's end plus one period
+        // or latency, with `SimTime`'s unchecked add: keep those sums in
+        // range.
+        let end = self
+            .horizon
+            .as_micros()
+            .checked_add(self.drain_grace.as_micros());
+        ensure!(
+            end.is_some(),
+            "drain_grace",
+            "horizon + drain_grace overflows simulated time"
+        );
+        let detection_latency = self
+            .detector
+            .as_ref()
+            .map_or(SimDuration::ZERO, |d| d.detection_latency);
+        for (parameter, step) in [
+            ("migration_latency", self.migration_latency),
+            ("cancel_delay", self.cancel_delay),
+            ("scheduler_interval", self.scheduler_interval),
+            ("sampler.system_period", self.sampler.system_period),
+            ("sampler.microarch_period", self.sampler.microarch_period),
+            ("detector.detection_latency", detection_latency),
+        ] {
+            ensure!(
+                end.and_then(|end| end.checked_add(step.as_micros()))
+                    .is_some(),
+                parameter,
+                "the run's end (horizon + drain_grace) plus {parameter} overflows simulated time"
+            );
+        }
         self.faults.validate(self.node_count)?;
         if let Some(det) = &self.detector {
             det.validate()?;
@@ -403,6 +441,45 @@ mod tests {
         let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
         cfg.jobgen.as_mut().unwrap().vm_core_cap = Some(0.0);
         panic_with_error(cfg.validate());
+    }
+
+    #[test]
+    fn bad_sampler_capacities_and_clock_overflows_rejected() {
+        let weak_link = |c: &mut SimConfig| {
+            let mut caps = vec![NodeCapacity::XEON_E5645; c.node_count];
+            caps[1].net_mbps = 0.0;
+            c.node_capacities = Some(caps);
+        };
+        type Edit = fn(&mut SimConfig);
+        let cases: [(&str, Edit); 11] = [
+            ("sampler.system_period", |c| {
+                c.sampler.system_period = SimDuration::ZERO
+            }),
+            ("sampler.microarch_period", |c| {
+                c.sampler.microarch_period = SimDuration::ZERO
+            }),
+            ("sampler.noise_rel_std", |c| {
+                c.sampler.noise_rel_std = f64::NAN
+            }),
+            ("sampler.noise_rel_std", |c| c.sampler.noise_rel_std = -2.0),
+            ("cores", |c| c.node_capacity.cores = 0.0),
+            ("cores", |c| c.node_capacity.cores = f64::NAN),
+            ("disk_mbps", |c| c.node_capacity.disk_mbps = -1.0),
+            ("net_mbps", weak_link),
+            ("drain_grace", |c| c.horizon = SimDuration::MAX),
+            ("drain_grace", |c| c.drain_grace = SimDuration::MAX),
+            ("migration_latency", |c| {
+                c.migration_latency = SimDuration::MAX
+            }),
+        ];
+        for (parameter, edit) in cases {
+            let mut cfg = SimConfig::paper_like(ServiceTopology::nutch(4), 100.0, 1);
+            edit(&mut cfg);
+            match cfg.validate() {
+                Err(PcsError::InvalidConfig { parameter: p, .. }) => assert_eq!(p, parameter),
+                other => panic!("{parameter}: expected a rejection, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! [`ContentionVector`] form.
 
 use crate::contention::ContentionVector;
+use crate::PcsError;
 use std::ops::{Add, AddAssign, Mul, Sub, SubAssign};
 
 /// One of the four shared-resource classes from paper Table II.
@@ -234,25 +235,36 @@ impl NodeCapacity {
     /// Creates a capacity description.
     ///
     /// # Panics
-    /// Panics if any capacity is non-positive or non-finite.
+    /// Panics if [`NodeCapacity::validate`] rejects it.
     pub fn new(cores: f64, disk_mbps: f64, net_mbps: f64) -> Self {
-        assert!(
-            cores > 0.0 && cores.is_finite(),
-            "node must have positive core count"
-        );
-        assert!(
-            disk_mbps > 0.0 && disk_mbps.is_finite(),
-            "node must have positive disk bandwidth"
-        );
-        assert!(
-            net_mbps > 0.0 && net_mbps.is_finite(),
-            "node must have positive network bandwidth"
-        );
-        NodeCapacity {
+        let capacity = NodeCapacity {
             cores,
             disk_mbps,
             net_mbps,
+        };
+        if let Err(err) = capacity.validate() {
+            panic!("{err}");
         }
+        capacity
+    }
+
+    /// Checks that every capacity is finite and positive.
+    ///
+    /// # Errors
+    /// [`PcsError::InvalidConfig`] naming the first capacity that is not.
+    pub fn validate(&self) -> Result<(), PcsError> {
+        for (parameter, value, what) in [
+            ("cores", self.cores, "core count"),
+            ("disk_mbps", self.disk_mbps, "disk bandwidth"),
+            ("net_mbps", self.net_mbps, "network bandwidth"),
+        ] {
+            crate::ensure!(
+                value > 0.0 && value.is_finite(),
+                parameter,
+                "node must have positive {what}, got {value}"
+            );
+        }
+        Ok(())
     }
 
     /// Normalises an absolute aggregate demand into the observed

@@ -164,6 +164,10 @@ fn secs_to_micros(s: f64) -> u64 {
     }
 }
 
+/// A plain add with no overflow check on the event hot path:
+/// `pcs_sim::SimConfig::validate` keeps every sum the world forms from its
+/// config in range (the run's end, `horizon + drain_grace`, plus any one
+/// of its periods or latencies).
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]

@@ -1,303 +1,258 @@
 //! Harness determinism: the acceptance property of the scenario runner.
 //!
 //! For a fixed seed, a scenario's rendered JSON report must be
-//! byte-identical across repeated runs **and** across thread counts —
-//! the work-stealing schedule may differ, the report may not. The two
-//! extended scenarios (diurnal arrivals, heterogeneous capacities) are
-//! the pinned examples: they exercise the widened simulation layer and
-//! carry no wall-clock metrics.
+//! byte-identical across runs **and** across thread counts — the
+//! work-stealing schedule may differ, the report may not. Each row of the
+//! table below renders one smoke report at 1 and at 3 threads and compares
+//! both, byte for byte, with a committed golden file under `tests/golden/`:
+//! the exact bytes `pcs run --smoke --threads 2 --json` writes (the
+//! rendered report plus a trailing newline). On a mismatch the row names
+//! the first differing key path and both values.
+//!
+//! The pinned reports hold the reproduction of the paper's §VI results:
+//! every comparison family's default smoke report, the predictor-accuracy
+//! figure and the simulated ablations (`fig7` and `ablation-rebuild`
+//! report wall-clock and cannot be pinned), the observed reports of fig6
+//! and the two dense-node families, whose decision audits print every
+//! enacted order's predicted Eq. 5 gain, and one fig6 report over the
+//! whole technique registry. A change to any of them must be deliberate.
+//!
+//! Regenerate the golden files from a release build (`cargo build
+//! --release`), one command per row kind:
+//!
+//! ```sh
+//! P=./target/release/pcs
+//! for s in fig6 headline diurnal hetero mmpp failures failures-rolling scale \
+//!     elastic imperfect fig5 ablation-threshold ablation-tiebreak \
+//!     ablation-queueing ablation-interval; do
+//!   $P run --scenario $s --smoke --threads 2 --quiet --json tests/golden/$s.json
+//! done
+//! for s in fig6 elastic imperfect; do
+//!   $P run --scenario $s --smoke --threads 2 --quiet --observe --top-k 3 \
+//!     --json tests/golden/$s-observed.json
+//! done
+//! $P run --scenario fig6 --smoke --threads 2 --quiet \
+//!   --techniques "$($P list techniques | awk '{print $1}' | paste -sd,)" \
+//!   --json tests/golden/fig6-registry.json
+//! ```
+//!
+//! and review a re-pin as the values that moved:
+//!
+//! ```sh
+//! git diff --word-diff-regex='[^,:{}]+' tests/golden
+//! ```
 
 use pcs::scenarios;
-use pcs_harness::{run_sweep, SweepParams};
+use pcs_harness::{run_sweep, Json, SweepParams};
 
-fn render(name: &str, threads: usize) -> String {
-    let scenario = scenarios::find(name).expect("scenario registered");
-    let params = SweepParams {
+/// What a row adds to a scenario's default smoke parameters.
+#[derive(Clone, Copy)]
+enum Variant {
+    /// The default smoke report.
+    Plain,
+    /// `--observe --top-k 3`: timelines, blame buckets, series and audits.
+    Observed,
+    /// `--techniques` over every `techniques::registry()` entry.
+    Registry,
+}
+
+impl Variant {
+    /// The row's golden file and the CLI command that regenerates it.
+    fn golden(self, scenario: &str) -> (String, String) {
+        let (suffix, flags) = match self {
+            Variant::Plain => ("", ""),
+            Variant::Observed => ("-observed", " --observe --top-k 3"),
+            Variant::Registry => (
+                "-registry",
+                " --techniques \"$(./target/release/pcs list techniques | awk '{print $1}' | paste -sd,)\"",
+            ),
+        };
+        let path = format!("tests/golden/{scenario}{suffix}.json");
+        let command = format!(
+            "./target/release/pcs run --scenario {scenario} --smoke --threads 2 --quiet{flags} --json {path}"
+        );
+        (path, command)
+    }
+}
+
+fn render(scenario_name: &str, variant: Variant, threads: usize) -> String {
+    let scenario = scenarios::find(scenario_name).expect("scenario registered");
+    let mut params = SweepParams {
         seed: scenario.default_seed,
         threads,
         smoke: true,
         ..SweepParams::default()
     };
+    match variant {
+        Variant::Plain => {}
+        Variant::Observed => params.observe = Some(3),
+        Variant::Registry => {
+            params.techniques = Some(
+                pcs::techniques::registry()
+                    .iter()
+                    .map(|technique| technique.name())
+                    .collect(),
+            )
+        }
+    }
     let plan = scenario.plan(&params).unwrap();
-    run_sweep(&plan, &params).to_json(name, &params).render()
+    run_sweep(&plan, &params)
+        .to_json(scenario_name, &params)
+        .render()
 }
 
-fn assert_reproducible(name: &str) {
-    let single = render(name, 1);
-    let parallel = render(name, 3);
-    let parallel_again = render(name, 3);
-    assert!(
-        single.contains("\"cells\""),
-        "{name}: report must contain cells"
-    );
-    assert_eq!(
-        single.as_bytes(),
-        parallel.as_bytes(),
-        "{name}: report must not depend on the thread count"
-    );
-    assert_eq!(
-        parallel.as_bytes(),
-        parallel_again.as_bytes(),
-        "{name}: repeated runs must reproduce the report byte for byte"
-    );
-}
-
-#[test]
-fn diurnal_report_is_byte_identical_across_runs_and_thread_counts() {
-    assert_reproducible("diurnal");
-}
-
-#[test]
-fn hetero_report_is_byte_identical_across_runs_and_thread_counts() {
-    assert_reproducible("hetero");
-}
-
-#[test]
-fn mmpp_report_is_byte_identical_across_runs_and_thread_counts() {
-    assert_reproducible("mmpp");
-}
-
-#[test]
-fn failures_report_is_byte_identical_across_runs_and_thread_counts() {
-    assert_reproducible("failures");
-}
-
-#[test]
-fn failures_rolling_report_is_byte_identical_across_runs_and_thread_counts() {
-    assert_reproducible("failures-rolling");
-}
-
-/// FNV-1a 64 over the rendered report: a compact byte-exact pin.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+/// Renders one row at 1 and at 3 threads and compares both with its golden
+/// file; `needles` are substrings the golden text itself must carry.
+fn check_golden(scenario: &str, variant: Variant, needles: &[&str]) {
+    let (path, regenerate) = variant.golden(scenario);
+    let golden = std::fs::read_to_string(format!("{}/{path}", env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|err| {
+            panic!("cannot read `{path}` ({err}); regenerate it:\n  {regenerate}")
+        });
+    for needle in ["\"cells\""].iter().chain(needles) {
+        assert!(golden.contains(needle), "`{path}` must carry {needle}");
     }
-    hash
-}
-
-/// The mmpp smoke report is pinned byte-identical across PRs, not just
-/// within a run: any change to the MMPP sampling path, the technique
-/// specs it sweeps (Basic/LL/PCS), the seed derivation or the JSON writer
-/// shows up here as a hash change and must be deliberate.
-#[test]
-fn mmpp_smoke_report_bytes_are_pinned() {
-    let report = render("mmpp", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0x9ca1_1c5d_61d9_260d,
-        "mmpp smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// The failures smoke report is pinned byte-identical across PRs like
-/// mmpp's: any change to the fault-injection path (kill/restore
-/// mechanics, failover, evacuation accounting, the seeded fault-plan
-/// generators, or the techniques it sweeps) shows up here as a hash
-/// change and must be deliberate.
-#[test]
-fn failures_smoke_report_bytes_are_pinned() {
-    let report = render("failures", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0x02a7_42a0_3588_2d04,
-        "failures smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// Every remaining comparison family's default smoke report, pinned the
-/// same way. These hashes were captured **before** the PR 5 hot-path
-/// overhaul (request slab, tombstone cancellation, completion slots,
-/// event-key packing, O(n) summaries, contention/service-profile
-/// memoisation) and must survive it bit for bit: the optimisations are
-/// only legal because they change no observable float, count or
-/// ordering. `ablation-rebuild` and `fig7` report wall-clock and cannot
-/// be pinned.
-#[test]
-fn default_smoke_reports_are_pinned_across_the_optimized_hot_path() {
-    for (name, pinned) in [
-        ("fig6", 0xb57d_6163_a91c_1547_u64),
-        ("headline", 0xff9b_f9d5_0ec6_9c43),
-        ("diurnal", 0xbe38_11fb_a538_fefe),
-        ("hetero", 0x7b21_a286_3ee5_954c),
-    ] {
-        let report = render(name, 2);
-        assert_eq!(
-            fnv1a(report.as_bytes()),
-            pinned,
-            "{name} smoke report bytes changed; if intentional, re-pin this hash"
-        );
+    for threads in [1, 3] {
+        let rendered = render(scenario, variant, threads) + "\n";
+        if rendered != golden {
+            panic!(
+                "`{path}` does not match the {threads}-thread render: {}\n\
+                 if the change is intended, regenerate it with\n  {regenerate}\n\
+                 and review the moved values with\n  git diff --word-diff-regex='[^,:{{}}]+' tests/golden",
+                describe_mismatch(&golden, &rendered)
+            );
+        }
     }
 }
 
-/// The predictor-accuracy figure and the four simulated ablations, pinned
-/// the same way. They are the reports that Eq. 1's training, Eq. 2's
-/// saturation knee and the monitor windows feed, so turning those
-/// settings into constants must leave every hash here unchanged.
-#[test]
-fn model_layer_smoke_reports_are_pinned() {
-    for (name, pinned) in [
-        ("fig5", 0xe5c3_abd2_76ed_c7ae_u64),
-        ("ablation-threshold", 0x727c_9221_8f33_b8c6),
-        ("ablation-tiebreak", 0x71ce_d8e9_a1de_0aff),
-        ("ablation-queueing", 0xb720_bfb6_f6bb_7750),
-        ("ablation-interval", 0xa202_85e8_d9a7_64c1),
-    ] {
-        let hash = fnv1a(render(name, 2).as_bytes());
-        assert_eq!(
-            hash, pinned,
-            "{name} smoke report bytes changed ({hash:#018x}); if intentional, re-pin this hash"
-        );
+/// Names the first place two different report texts differ: a key path
+/// with both values when both parse, else the first differing byte.
+fn describe_mismatch(golden: &str, rendered: &str) -> String {
+    if let (Ok(g), Ok(r)) = (Json::parse(golden), Json::parse(rendered)) {
+        if let Some((path, g, r)) = first_difference("", &g, &r) {
+            return format!("first difference at `{path}`: golden {g}, rendered {r}");
+        }
     }
+    let offset = golden
+        .bytes()
+        .zip(rendered.bytes())
+        .position(|(g, r)| g != r)
+        .unwrap_or(golden.len().min(rendered.len()));
+    format!(
+        "first differing byte at offset {offset} (golden {} bytes, rendered {})",
+        golden.len(),
+        rendered.len()
+    )
 }
 
-/// The new rolling-restart family, pinned from its first release. Any
-/// change to `FaultPlan::rolling_restart`, the failures-family metrics
-/// or the techniques it sweeps must re-pin deliberately.
-#[test]
-fn failures_rolling_smoke_report_bytes_are_pinned() {
-    let report = render("failures-rolling", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0xa6fb_9a2b_d941_1982,
-        "failures-rolling smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// The cluster-scale family: the smoke grid (40 nodes, two racks,
-/// deep-chain and wide-fanout under diurnal arrivals, flat PCS vs
-/// PCS-H64) covers the hierarchical controller's whole pipeline —
-/// rack-striped placement, the per-interval matrix build, the rack-grouped
-/// greedy, and the `sched_*` work counters, which are pinnable precisely
-/// because they count events, not wall-clock.
-///
-/// Re-pinned once when PCS-H stopped carrying its matrix between
-/// intervals: it now schedules on unsmoothed estimates, like flat PCS,
-/// instead of freezing moves inside a 5% dead-band, and the report lost
-/// the refresh counters and the matrix-work ratio.
-///
-/// Re-pinned once more when rack striping began to follow `rack_count`
-/// for every technique: flat PCS used to start from node-order
-/// round-robin and PCS-H from the rack-striped walk, so the two flat-PCS
-/// cells (and the summary's tail deltas) moved; the PCS-H cells are
-/// byte-equal.
-#[test]
-fn scale_smoke_report_bytes_are_pinned() {
-    assert_reproducible("scale");
-    let report = render("scale", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0xb089_70eb_5455_288c,
-        "scale smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// The elastic-capacity family, pinned from its first release: the smoke
-/// grid (12 nodes, `steady` autoscaler preset, diurnal arrivals,
-/// Basic/LL/PCS) covers the whole autoscaling subsystem — warming and
-/// draining membership, cold starts, drain retirement through the
-/// evacuation pass, node-seconds accounting and the SLO-window counters,
-/// all event-derived and thus pinnable.
-#[test]
-fn elastic_smoke_report_bytes_are_pinned() {
-    assert_reproducible("elastic");
-    let report = render("elastic", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0x938e_4e80_d04a_0870,
-        "elastic smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// The imperfect-information family, pinned from its first release: the
-/// smoke grid (6 nodes, clean + moderate levels, Basic/LL/PCS-N0.3)
-/// covers all three new channels — the straggler gray rack
-/// ([`FaultKind::Degrade`]), the noisy failure detector distorting hook
-/// perception, and the seeded prediction noise on PCS's demand
-/// estimates — plus the clean level's cells, which must stay
-/// byte-identical to a pristine world.
-#[test]
-fn imperfect_smoke_report_bytes_are_pinned() {
-    assert_reproducible("imperfect");
-    let report = render("imperfect", 2);
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0xcfdd_31f8_7914_43e4,
-        "imperfect smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-fn render_observed(name: &str, threads: usize, top_k: usize) -> String {
-    let scenario = scenarios::find(name).expect("scenario registered");
-    let params = SweepParams {
-        seed: scenario.default_seed,
-        threads,
-        smoke: true,
-        observe: Some(top_k),
-        ..SweepParams::default()
+/// The first key path (`cells[2].metrics.p99_component_ms`) at which two
+/// documents differ, with the golden and the rendered value there.
+fn first_difference(
+    path: &str,
+    golden: &Json,
+    rendered: &Json,
+) -> Option<(String, String, String)> {
+    let (Some(g), Some(r)) = (children(path, golden), children(path, rendered)) else {
+        return (golden != rendered).then(|| (path.to_string(), brief(golden), brief(rendered)));
     };
-    let plan = scenario.plan(&params).unwrap();
-    run_sweep(&plan, &params).to_json(name, &params).render()
+    (0..g.len().max(r.len())).find_map(|i| match (g.get(i), r.get(i)) {
+        (Some((gp, gv)), Some((rp, rv))) if gp == rp => first_difference(gp, gv, rv),
+        (ge, re) => {
+            let (path, _) = ge.or(re).expect("i is below the longer length");
+            let show = |entry: Option<&(String, &Json)>| match entry {
+                None => "(absent)".to_string(),
+                Some((p, v)) if p == path => brief(v),
+                Some((p, v)) => format!("`{p}` = {}", brief(v)),
+            };
+            Some((path.clone(), show(ge), show(re)))
+        }
+    })
 }
 
-/// The observability layer's determinism contract, both directions: an
-/// observe-on report is itself byte-reproducible across thread counts
-/// and pinned across PRs (the timelines, blame buckets, series rows and
-/// audits are all event-derived), while the observe-off pins above prove
-/// the layer's *absence* still produces the historical bytes. The two
-/// reports differ only by the `observe_override` provenance key and the
-/// per-cell `observe` metrics; that switching the layer on leaves the
-/// simulated trajectory itself unchanged is asserted in
-/// `tests/observe_props.rs`.
-#[test]
-fn observed_fig6_smoke_report_is_thread_invariant_and_pinned() {
-    let single = render_observed("fig6", 1, 3);
-    let parallel = render_observed("fig6", 3, 3);
-    assert_eq!(
-        single.as_bytes(),
-        parallel.as_bytes(),
-        "observed fig6 report must not depend on the thread count"
-    );
-    assert!(
-        single.contains("\"observe_override\":3") && single.contains("\"observe\":"),
-        "report must carry the observe provenance and metrics"
-    );
-    assert_eq!(
-        fnv1a(single.as_bytes()),
-        0xd195_527c_eb5e_8cd5,
-        "observed fig6 smoke report bytes changed; if intentional, re-pin this hash"
-    );
-}
-
-/// The observed smoke reports of the two dense-node families. Their
-/// decision audits print every enacted order's predicted Eq. 5 gain and
-/// self-gain, so these pins lock the matrix's entry values where an
-/// Eq. 4 what-if overrides dozens of co-residents, not just the moves
-/// the greedy picked.
-#[test]
-fn observed_dense_smoke_reports_are_thread_invariant_and_pinned() {
-    for (name, pin) in [
-        ("elastic", 0xcfe3_f43c_a235_a81b_u64),
-        ("imperfect", 0x1ed9_935f_9a90_14e5),
-    ] {
-        let single = render_observed(name, 1, 3);
-        let parallel = render_observed(name, 3, 3);
-        assert_eq!(
-            single.as_bytes(),
-            parallel.as_bytes(),
-            "observed {name} report must not depend on the thread count"
-        );
-        assert!(
-            single.contains("\"predicted_gain\"") && single.contains("\"predicted_self_gain\""),
-            "{name}: the audits must carry the predicted gains"
-        );
-        let hash = fnv1a(single.as_bytes());
-        assert_eq!(
-            hash, pin,
-            "observed {name} smoke report bytes changed ({hash:#018x}); if intentional, re-pin this hash"
-        );
+/// An array's or an object's entries, each with its own key path.
+fn children<'a>(path: &str, value: &'a Json) -> Option<Vec<(String, &'a Json)>> {
+    match value {
+        Json::Array(items) => Some(
+            items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| (format!("{path}[{i}]"), item))
+                .collect(),
+        ),
+        Json::Object(pairs) => Some(
+            pairs
+                .iter()
+                .map(|(key, item)| match path {
+                    "" => (key.clone(), item),
+                    _ => (format!("{path}.{key}"), item),
+                })
+                .collect(),
+        ),
+        _ => None,
     }
+}
+
+/// A value's JSON text, cut to one readable line.
+fn brief(value: &Json) -> String {
+    let text = value.render();
+    match text.char_indices().nth(120) {
+        Some((end, _)) => format!("{}…", &text[..end]),
+        None => text,
+    }
+}
+
+/// One `#[test]` per row, so the rows render in parallel.
+macro_rules! golden_reports {
+    ($($test:ident: $scenario:literal, $variant:ident $(, $needle:literal)*;)*) => {
+        $(
+            #[test]
+            fn $test() {
+                check_golden($scenario, Variant::$variant, &[$($needle),*]);
+            }
+        )*
+    };
+}
+
+golden_reports! {
+    fig6_smoke_report_bytes_are_pinned: "fig6", Plain;
+    headline_smoke_report_bytes_are_pinned: "headline", Plain;
+    diurnal_smoke_report_bytes_are_pinned: "diurnal", Plain;
+    hetero_smoke_report_bytes_are_pinned: "hetero", Plain;
+    mmpp_smoke_report_bytes_are_pinned: "mmpp", Plain;
+    failures_smoke_report_bytes_are_pinned: "failures", Plain;
+    failures_rolling_smoke_report_bytes_are_pinned: "failures-rolling", Plain;
+    scale_smoke_report_bytes_are_pinned: "scale", Plain;
+    elastic_smoke_report_bytes_are_pinned: "elastic", Plain;
+    imperfect_smoke_report_bytes_are_pinned: "imperfect", Plain;
+    fig5_smoke_report_bytes_are_pinned: "fig5", Plain;
+    ablation_threshold_smoke_report_bytes_are_pinned: "ablation-threshold", Plain;
+    ablation_tiebreak_smoke_report_bytes_are_pinned: "ablation-tiebreak", Plain;
+    ablation_queueing_smoke_report_bytes_are_pinned: "ablation-queueing", Plain;
+    ablation_interval_smoke_report_bytes_are_pinned: "ablation-interval", Plain;
+    fig6_observed_smoke_report_bytes_are_pinned: "fig6", Observed, "\"observe_override\":3", "\"observe\":";
+    elastic_observed_smoke_report_bytes_are_pinned: "elastic", Observed, "\"predicted_gain\"", "\"predicted_self_gain\"";
+    imperfect_observed_smoke_report_bytes_are_pinned: "imperfect", Observed, "\"predicted_gain\"", "\"predicted_self_gain\"";
+    fig6_registry_smoke_report_bytes_are_pinned: "fig6", Registry;
+}
+
+#[test]
+fn mismatch_names_the_key_path_and_both_values() {
+    let golden = r#"{"scenario":"fig6","cells":[{"metrics":{"p99_ms":1.5}},{"metrics":{"p99_ms":2.25,"n":7}}]}"#;
+    let rendered = r#"{"scenario":"fig6","cells":[{"metrics":{"p99_ms":1.5}},{"metrics":{"p99_ms":2.5,"n":7}}]}"#;
+    assert_eq!(
+        describe_mismatch(golden, rendered),
+        "first difference at `cells[1].metrics.p99_ms`: golden 2.25, rendered 2.5"
+    );
+    let shorter = r#"{"scenario":"fig6","cells":[{"metrics":{"p99_ms":1.5}}]}"#;
+    assert_eq!(
+        describe_mismatch(golden, shorter),
+        "first difference at `cells[1]`: golden {\"metrics\":{\"p99_ms\":2.25,\"n\":7}}, rendered (absent)"
+    );
+    assert_eq!(
+        describe_mismatch(r#"{"a":{"x":1}}"#, r#"{"a":{"y":1}}"#),
+        "first difference at `a.x`: golden 1, rendered `a.y` = 1"
+    );
+    assert!(describe_mismatch("{\"a\":1}", "{\"a\":1} ").contains("offset 7"));
 }
 
 #[test]
@@ -316,33 +271,4 @@ fn different_seeds_change_the_report() {
     let a = run_sweep(&scenario.plan(&params_a).unwrap(), &params_a).to_json("diurnal", &params_a);
     let b = run_sweep(&scenario.plan(&params_b).unwrap(), &params_b).to_json("diurnal", &params_b);
     assert_ne!(a.render(), b.render());
-}
-
-/// Every registered technique through the fig6 smoke cell: one column
-/// per `techniques::registry()` entry, so a change to any technique's
-/// name, replication, dispatch policy, scheduler hook or placement shows
-/// up here as a hash change.
-#[test]
-fn fig6_smoke_report_over_the_whole_registry_is_pinned() {
-    let scenario = scenarios::find("fig6").expect("scenario registered");
-    let params = SweepParams {
-        seed: scenario.default_seed,
-        threads: 2,
-        smoke: true,
-        techniques: Some(
-            pcs::techniques::registry()
-                .iter()
-                .map(|technique| technique.name())
-                .collect(),
-        ),
-        ..SweepParams::default()
-    };
-    let report = run_sweep(&scenario.plan(&params).unwrap(), &params)
-        .to_json("fig6", &params)
-        .render();
-    assert_eq!(
-        fnv1a(report.as_bytes()),
-        0x7c5d_0afd_9091_b69c,
-        "fig6 whole-registry smoke report bytes changed; if intentional, re-pin this hash"
-    );
 }
