@@ -7,7 +7,9 @@
 //! both, byte for byte, with a committed golden file under `tests/golden/`:
 //! the exact bytes `pcs run --smoke --threads 2 --json` writes (the
 //! rendered report plus a trailing newline). On a mismatch the row names
-//! the first differing key path and both values.
+//! the first differing key path and both values. Five extended families
+//! are also re-rendered in process, without the golden file, at 1 and
+//! twice at 2 threads.
 //!
 //! The pinned reports hold the reproduction of the paper's §VI results:
 //! every comparison family's default smoke report, the predictor-accuracy
@@ -233,6 +235,48 @@ golden_reports! {
     elastic_observed_smoke_report_bytes_are_pinned: "elastic", Observed, "\"predicted_gain\"", "\"predicted_self_gain\"";
     imperfect_observed_smoke_report_bytes_are_pinned: "imperfect", Observed, "\"predicted_gain\"", "\"predicted_self_gain\"";
     fig6_registry_smoke_report_bytes_are_pinned: "fig6", Registry;
+}
+
+/// Renders a smoke report twice at 2 threads (the golden files' thread
+/// count) and once at 1 and checks all three agree, without reading the
+/// golden file: the property holds across a deliberate re-pin.
+fn assert_reproducible(scenario: &str) {
+    let single = render(scenario, Variant::Plain, 1);
+    let parallel = render(scenario, Variant::Plain, 2);
+    let parallel_again = render(scenario, Variant::Plain, 2);
+    assert_eq!(
+        single, parallel,
+        "{scenario}: report must not depend on the thread count"
+    );
+    assert_eq!(
+        parallel, parallel_again,
+        "{scenario}: repeated runs must reproduce the report byte for byte"
+    );
+}
+
+#[test]
+fn diurnal_report_is_byte_identical_across_runs_and_thread_counts() {
+    assert_reproducible("diurnal");
+}
+
+#[test]
+fn hetero_report_is_byte_identical_across_runs_and_thread_counts() {
+    assert_reproducible("hetero");
+}
+
+#[test]
+fn mmpp_report_is_byte_identical_across_runs_and_thread_counts() {
+    assert_reproducible("mmpp");
+}
+
+#[test]
+fn failures_report_is_byte_identical_across_runs_and_thread_counts() {
+    assert_reproducible("failures");
+}
+
+#[test]
+fn failures_rolling_report_is_byte_identical_across_runs_and_thread_counts() {
+    assert_reproducible("failures-rolling");
 }
 
 #[test]
